@@ -27,14 +27,10 @@
 //!                              http://HOST:PORT/v1/jobs/ID/trace
 //! icn metrics <URL | file>     scrape a Prometheus text exposition and
 //!                              validate it with the service's parser
-//! icn bench [--smoke]          perf-regression harness: measure simulator
-//!                              cycles/sec and gate against BENCH_PR3.json
-//!                              (--update-baseline before|after re-records)
-//! icn bench --serve [--smoke]  service load harness: drive a spawned
-//!                              `icn serve` with mixed concurrent requests,
-//!                              kill -9 it mid-backlog, restart on the same
-//!                              journal + cache dir, and record latency
-//!                              percentiles + recovery time in BENCH_PR6.json
+//! icn bench [--smoke]          observability-overhead gate: simulator
+//!                              cycles/sec with the span profiler on must
+//!                              stay >= 95% of the telemetry-off run
+//!                              (throughput itself: see perfbench/README.md)
 //! icn lint [--json] [PATH ..]  run the ICN determinism/panic-freedom rules
 //!                              (ICN001-ICN005) and the shard-concurrency
 //!                              pass (ICN201-ICN205) over the workspace
@@ -79,7 +75,7 @@ use icn_workloads::Workload;
 ///   or an infeasible design point;
 /// * `4` — I/O trouble: unreadable input, unwritable output, or a socket
 ///   that will not bind;
-/// * `1` — any other failure (e.g. a benchmark regression).
+/// * `1` — any other failure (e.g. the `icn bench` overhead gate tripping).
 ///
 /// Pinned by `exit_codes_are_distinct_and_stable` in `tests/cli.rs`.
 enum Failure {
@@ -149,11 +145,7 @@ fn usage() -> &'static str {
      \t inspect <dump.jsonl>\n\
      \t trace <dump.jsonl | http://HOST:PORT/v1/jobs/ID/trace>\n\
      \t metrics <http://HOST:PORT/v1/metrics | metrics.txt>\n\
-     \t bench [--smoke] [--json] [--iters N] [--threads N]\n\
-     \t       [--baseline BENCH_PR3.json] [--update-baseline before|after]\n\
-     \t bench --serve [--smoke] [--json]\n\
-     \t bench --overhead [--smoke] [--json] [--iters N]\n\
-     \t bench --explore [--smoke] [--json] [--iters N] [--threads N]\n\
+     \t bench [--smoke] [--json] [--iters N]\n\
      \t lint [--json] [PATH ...]\n\
      \t lint config <spec.json> [--json]\n\
      \t serve [--addr HOST:PORT] [--workers N] [--sim-threads N]\n\
@@ -183,17 +175,15 @@ struct Options {
     warmup_cycles: Option<u64>,
     measure_cycles: Option<u64>,
     drain_cycles: Option<u64>,
-    /// `simulate`/`bench --threads`: shard one simulation across this
-    /// many threads (1 = serial, 0 = one per core). Results are
-    /// byte-identical for every value.
+    /// `simulate`/`explore --threads`: shard one run across this many
+    /// threads (1 = serial, 0 = one per core). Results are byte-identical
+    /// for every value.
     threads: usize,
     /// `serve --sim-threads`: per-job shard-thread budget for the
     /// service's engines (journal replay included).
     sim_threads: usize,
     smoke: bool,
     iters: u32,
-    baseline: String,
-    update_baseline: Option<String>,
     addr: String,
     workers: usize,
     queue_depth: usize,
@@ -201,15 +191,6 @@ struct Options {
     journal: Option<String>,
     cache_dir: Option<String>,
     deadline_ms: u64,
-    /// `bench --serve`: run the service load harness instead of the
-    /// simulator throughput cases.
-    serve_bench: bool,
-    /// `bench --overhead`: measure profiler-on vs profiler-off simulator
-    /// throughput and record it in `BENCH_PR7.json`.
-    overhead_bench: bool,
-    /// `bench --explore`: measure exploration throughput and record it
-    /// in `BENCH_PR10.json`.
-    explore_bench: bool,
     /// `explore --grid`: a built-in grid name (`paper`, `bench`,
     /// `million`) or a `GridSpec` JSON path.
     grid: Option<String>,
@@ -244,8 +225,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         sim_threads: 1,
         smoke: false,
         iters: 3,
-        baseline: icn_bench::perf::DEFAULT_BASELINE.to_string(),
-        update_baseline: None,
         addr: "127.0.0.1:7919".to_string(),
         workers: 2,
         queue_depth: 64,
@@ -253,9 +232,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         journal: None,
         cache_dir: None,
         deadline_ms: 0,
-        serve_bench: false,
-        overhead_bench: false,
-        explore_bench: false,
         grid: None,
         top: None,
         path: None,
@@ -451,9 +427,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("--deadline-ms needs a millisecond count (0 disables)")?;
             }
-            "--serve" => opts.serve_bench = true,
-            "--overhead" => opts.overhead_bench = true,
-            "--explore" => opts.explore_bench = true,
             "--grid" => {
                 i += 1;
                 opts.grid = Some(
@@ -479,20 +452,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
                     .ok_or("--iters needs a positive count")?;
-            }
-            "--baseline" => {
-                i += 1;
-                opts.baseline = args.get(i).ok_or("--baseline needs a file path")?.clone();
-            }
-            "--update-baseline" => {
-                i += 1;
-                let section = args
-                    .get(i)
-                    .ok_or("--update-baseline needs a section: before|after")?;
-                if section != "before" && section != "after" {
-                    return Err("--update-baseline needs `before` or `after`".into());
-                }
-                opts.update_baseline = Some(section.clone());
             }
             other if !other.starts_with("--") && opts.path.is_none() => {
                 opts.path = Some(other.to_string());
@@ -999,235 +958,92 @@ fn trace(target: &str) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The `icn bench` perf-regression harness (see `icn_bench::perf`):
-/// measure simulator throughput in cycles/sec, compare against the
-/// baseline file's `after` section (>25% below fails), or re-record a
-/// baseline section with `--update-baseline before|after`.
-fn bench(opts: &Options) -> Result<(), String> {
-    use icn_bench::perf;
+/// The profiled run must keep at least this fraction of the disabled
+/// run's throughput, or the gate fails.
+const OVERHEAD_FLOOR: f64 = 0.95;
 
-    let cases: Vec<perf::BenchCase> = perf::cases()
-        .into_iter()
-        .filter(|c| !opts.smoke || c.smoke)
-        .collect();
-    if cases.is_empty() {
-        return Err("no bench cases selected".into());
-    }
-    let baseline = match perf::BaselineFile::load(&opts.baseline) {
-        Ok(file) => Some(file),
-        Err(_) if !std::path::Path::new(&opts.baseline).exists() => None,
-        Err(e) => return Err(e),
-    };
-
-    let measurements: Vec<perf::Measurement> = cases
-        .iter()
-        .map(|case| {
-            eprintln!(
-                "measuring {} ({} ports, {} cycles, {} thread(s), best of {})...",
-                case.name,
-                case.config.plan.ports(),
-                case.config.measure_cycles,
-                opts.threads,
-                opts.iters
-            );
-            perf::measure_with_threads(case, opts.iters, opts.threads)
-        })
-        .collect();
-
-    if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&measurements).expect("measurements serialize")
-        );
-    } else {
-        let mut t = TextTable::new(vec![
-            "case",
-            "ports",
-            "cycles",
-            "best (s)",
-            "cycles/sec",
-            "vs baseline",
-        ]);
-        for m in &measurements {
-            let vs = baseline
-                .as_ref()
-                .and_then(|b| b.after.get(&m.name))
-                .map_or_else(
-                    || "-".to_string(),
-                    |entry| {
-                        if perf::comparable(m, *entry) {
-                            format!("{:.2}x", m.cycles_per_sec / entry.cycles_per_sec)
-                        } else {
-                            format!("- ({}t baseline)", entry.threads)
-                        }
-                    },
-                );
-            t.row(vec![
-                m.name.clone(),
-                m.ports.to_string(),
-                m.cycles.to_string(),
-                format!("{:.3}", m.best_secs),
-                format!("{:.0}", m.cycles_per_sec),
-                vs,
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if let Some(section) = &opts.update_baseline {
-        let mut file = baseline.unwrap_or_default();
-        if file.note.is_empty() {
-            file.note = "icn bench baselines: simulated cycles per wall-clock second; \
-                         `after` gates CI at >25% regression (see DESIGN.md §7)"
-                .to_string();
-        }
-        let entries = file.section_mut(section)?;
-        for m in &measurements {
-            entries.insert(
-                m.name.clone(),
-                perf::BaselineEntry {
-                    cycles_per_sec: m.cycles_per_sec,
-                    threads: m.threads,
-                    host_cores: m.host_cores,
-                },
-            );
-        }
-        file.store(&opts.baseline)?;
-        println!(
-            "recorded {} measurement(s) into `{section}` of {}",
-            measurements.len(),
-            opts.baseline
-        );
-        return Ok(());
-    }
-
-    let Some(baseline) = baseline else {
-        println!(
-            "no baseline at {} — record one with `icn bench --update-baseline after`",
-            opts.baseline
-        );
-        return Ok(());
-    };
-    let mut failures = Vec::new();
-    for m in &measurements {
-        let Some(entry) = baseline.after.get(&m.name) else {
-            println!("note: no `after` baseline for {}; skipping gate", m.name);
-            continue;
-        };
-        // Like-for-like only: never gate an N-thread run against a
-        // baseline recorded at a different thread budget.
-        if !perf::comparable(m, *entry) {
-            println!(
-                "note: {} baseline was recorded at {} thread(s), this run used {}; \
-                 skipping gate",
-                m.name, entry.threads, m.threads
-            );
-            continue;
-        }
-        match perf::check_regression(m, *entry) {
-            Ok(ratio) => println!(
-                "{}: ok ({:.0} cycles/sec, {:.2}x baseline)",
-                m.name, m.cycles_per_sec, ratio
-            ),
-            Err(msg) => failures.push(msg),
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("throughput regression: {}", failures.join("; ")))
-    }
+/// The simulation `icn bench` times: a W=4 network of 16×16 DMC chips
+/// under uniform load 0.02 for exactly 2,000 cycles (no warmup or drain).
+fn bench_config(ports: u32) -> SimConfig {
+    let plan = StagePlan::balanced_pow2(ports, 16).expect("bench ports are a power of two");
+    let mut config = SimConfig::paper_baseline(plan, ChipModel::Dmc, 4, Workload::uniform(0.02));
+    config.warmup_cycles = 0;
+    config.measure_cycles = 2_000;
+    config.drain_cycles = 0;
+    config
 }
 
-/// Where `icn bench --overhead` records its results.
-const OVERHEAD_BENCH_OUT: &str = "BENCH_PR7.json";
+/// Simulated cycles per wall-clock second of the fastest of `iters`
+/// serial runs (the minimum is the noise-robust estimator for a
+/// deterministic workload).
+fn best_cycles_per_sec(config: &SimConfig, iters: u32) -> f64 {
+    let mut best_secs = f64::INFINITY;
+    let mut cycles = 0;
+    for _ in 0..iters {
+        let config = config.clone();
+        let started = std::time::Instant::now();
+        cycles = Engine::new(config).run().cycles_run;
+        best_secs = best_secs.min(started.elapsed().as_secs_f64());
+    }
+    cycles as f64 / best_secs
+}
 
-/// The profiled run may lose at most this fraction of the disabled run's
-/// throughput before the gate fails.
-const OVERHEAD_TOLERANCE: f64 = 0.05;
-
-/// `icn bench --overhead` — the observability-overhead gate: run one
-/// throughput case with telemetry fully disabled, run it again with the
-/// span profiler + hotspot heatmap on, record both into `BENCH_PR7.json`
-/// (`before` = disabled, `after` = profiled), and fail when profiling
-/// costs more than [`OVERHEAD_TOLERANCE`] of throughput.
-fn bench_overhead(opts: &Options) -> Result<(), Failure> {
-    use icn_bench::perf;
-
-    let mut case = perf::cases()
-        .into_iter()
-        .find(|c| c.smoke == opts.smoke)
-        .ok_or_else(|| Failure::Other("no overhead bench case selected".to_string()))?;
-    eprintln!(
-        "measuring {} ({} ports, {} cycles, best of {}) with telemetry disabled...",
-        case.name,
-        case.config.plan.ports(),
-        case.config.measure_cycles,
-        opts.iters
-    );
-    let disabled = perf::measure(&case, opts.iters);
-    eprintln!("measuring again with the span profiler + hotspot heatmap on...");
-    case.config.telemetry = TelemetryConfig::profiled(0);
-    let profiled = perf::measure(&case, opts.iters);
-    let ratio = profiled.cycles_per_sec / disabled.cycles_per_sec;
-
-    let mut file = perf::BaselineFile {
-        note: format!(
-            "icn bench --overhead: {} cycles/sec with telemetry disabled (before) \
-             vs the span profiler + hotspot heatmap enabled (after); the gate \
-             fails below {:.0}% of disabled throughput",
-            case.name,
-            (1.0 - OVERHEAD_TOLERANCE) * 100.0
-        ),
-        ..Default::default()
+/// `icn bench` — the observability-overhead gate: time one simulation
+/// (`smoke_256`, or the 2048-port `dmc2048_w4_load2` without `--smoke`)
+/// with telemetry fully disabled, again with the span profiler + hotspot
+/// heatmap on, and fail when the profiled run falls below
+/// [`OVERHEAD_FLOOR`] of the disabled throughput. Engine and explorer throughput
+/// are measured by the `perfbench` package instead.
+fn bench(opts: &Options) -> Result<(), Failure> {
+    let (case, ports) = if opts.smoke {
+        ("smoke_256", 256)
+    } else {
+        ("dmc2048_w4_load2", 2048)
     };
-    file.before.insert(
-        case.name.to_string(),
-        perf::BaselineEntry {
-            cycles_per_sec: disabled.cycles_per_sec,
-            threads: disabled.threads,
-            host_cores: disabled.host_cores,
-        },
+    let mut config = bench_config(ports);
+    eprintln!(
+        "measuring {case} ({ports} ports, {} cycles, best of {}) with telemetry disabled...",
+        config.measure_cycles, opts.iters
     );
-    file.after.insert(
-        case.name.to_string(),
-        perf::BaselineEntry {
-            cycles_per_sec: profiled.cycles_per_sec,
-            threads: profiled.threads,
-            host_cores: profiled.host_cores,
-        },
-    );
-    file.store(OVERHEAD_BENCH_OUT).map_err(Failure::Io)?;
+    let disabled = best_cycles_per_sec(&config, opts.iters);
+    eprintln!("measuring again with the span profiler + hotspot heatmap on...");
+    config.telemetry = TelemetryConfig::profiled(0);
+    let profiled = best_cycles_per_sec(&config, opts.iters);
+    let ratio = profiled / disabled;
 
     if opts.json {
+        let report = serde_json::json!({
+            "case": case,
+            "ports": ports,
+            "cycles": config.measure_cycles,
+            "iters": opts.iters,
+            "disabled_cycles_per_sec": disabled,
+            "profiled_cycles_per_sec": profiled,
+            "ratio": ratio,
+            "floor": OVERHEAD_FLOOR,
+        });
         println!(
             "{}",
-            serde_json::to_string_pretty(&file).expect("baselines serialize")
+            serde_json::to_string_pretty(&report).expect("report serializes")
         );
     } else {
         println!(
-            "{}: {:.0} cycles/sec disabled, {:.0} cycles/sec profiled \
-             ({:.1}% of disabled)",
-            case.name,
-            disabled.cycles_per_sec,
-            profiled.cycles_per_sec,
-            ratio * 100.0
+            "{case}: {disabled:.0} cycles/sec disabled, {profiled:.0} cycles/sec profiled \
+             ({:.1}% of disabled, floor {:.0}%)",
+            ratio * 100.0,
+            OVERHEAD_FLOOR * 100.0
         );
-        println!("wrote {OVERHEAD_BENCH_OUT}");
     }
-    if ratio < 1.0 - OVERHEAD_TOLERANCE {
+    if ratio < OVERHEAD_FLOOR {
         return Err(Failure::Other(format!(
             "observability overhead too high: profiled throughput is {:.1}% of \
              disabled (floor {:.0}%)",
             ratio * 100.0,
-            (1.0 - OVERHEAD_TOLERANCE) * 100.0
+            OVERHEAD_FLOOR * 100.0
         )));
     }
     Ok(())
 }
-
-/// Where `icn bench --explore` records its results.
-const EXPLORE_BENCH_OUT: &str = "BENCH_PR10.json";
 
 /// Spot-checks `icn explore --grid` runs against the simulator.
 const EXPLORE_SPOT_CHECKS: usize = 4;
@@ -1341,146 +1157,7 @@ fn explore_grid(opts: &Options) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `icn bench --explore` — exploration throughput: run the bench grid
-/// (`--smoke`) or the million-candidate grid, record best-of-N
-/// candidates-evaluated/sec and the frontier size into
-/// `BENCH_PR10.json`, and gate: throughput may not regress more than
-/// 25% against a like-for-like (same thread count) baseline, and the
-/// frontier size must match the baseline exactly (a cheap determinism
-/// gate — the frontier of a fixed grid never legitimately changes).
-fn bench_explore(opts: &Options) -> Result<(), Failure> {
-    use icn_bench::perf;
-
-    let (case, spec) = if opts.smoke {
-        ("explore_bench_grid", icn_explore::GridSpec::bench())
-    } else {
-        ("explore_million_grid", icn_explore::GridSpec::million())
-    };
-    let candidates = spec.candidate_count().map_err(Failure::Other)?;
-    let options = icn_explore::ExploreOptions {
-        threads: opts.threads,
-        chunk: icn_explore::DEFAULT_CHUNK,
-        spot_checks: 0,
-    };
-    eprintln!(
-        "measuring {case} ({candidates} candidates, {} thread(s), best of {})...",
-        opts.threads, opts.iters
-    );
-    let mut best_secs = f64::INFINITY;
-    let mut outcome: Option<icn_explore::ExploreOutcome> = None;
-    for _ in 0..opts.iters.max(1) {
-        let started = std::time::Instant::now();
-        let run = icn_explore::explore(&spec, &options, None).map_err(Failure::Other)?;
-        let secs = started.elapsed().as_secs_f64();
-        best_secs = best_secs.min(secs);
-        if let Some(previous) = &outcome {
-            if previous != &run {
-                return Err(Failure::Other(
-                    "exploration output varied between iterations".into(),
-                ));
-            }
-        }
-        outcome = Some(run);
-    }
-    let outcome = outcome.ok_or_else(|| Failure::Other("no bench iterations ran".into()))?;
-    let frontier_size = outcome.frontier.len();
-    let measurement = perf::Measurement {
-        name: format!("{case}_candidates_per_sec"),
-        ports: 0,
-        cycles: candidates,
-        best_secs,
-        cycles_per_sec: candidates as f64 / best_secs,
-        threads: opts.threads,
-        host_cores: perf::host_cores(),
-    };
-
-    let baseline = match perf::BaselineFile::load(EXPLORE_BENCH_OUT) {
-        Ok(file) => Some(file),
-        Err(_) if !std::path::Path::new(EXPLORE_BENCH_OUT).exists() => None,
-        Err(e) => return Err(Failure::Io(e)),
-    };
-
-    if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&measurement).expect("measurements serialize")
-        );
-    } else {
-        println!(
-            "{case}: {candidates} candidates in {best_secs:.3}s — {:.0} candidates/sec, \
-             frontier {frontier_size}",
-            measurement.cycles_per_sec
-        );
-    }
-
-    if let Some(section) = &opts.update_baseline {
-        let mut file = baseline.unwrap_or_default();
-        if file.note.is_empty() {
-            file.note = "icn bench --explore baselines: candidates evaluated per wall-clock \
-                         second (gated at >25% regression, like-for-like threads) and the \
-                         frontier size (gated exactly — a determinism check)"
-                .to_string();
-        }
-        let entries = file.section_mut(section).map_err(Failure::Other)?;
-        entries.insert(
-            measurement.name.clone(),
-            perf::BaselineEntry {
-                cycles_per_sec: measurement.cycles_per_sec,
-                threads: measurement.threads,
-                host_cores: measurement.host_cores,
-            },
-        );
-        entries.insert(
-            format!("{case}_frontier_size"),
-            perf::BaselineEntry {
-                cycles_per_sec: frontier_size as f64,
-                threads: measurement.threads,
-                host_cores: measurement.host_cores,
-            },
-        );
-        file.store(EXPLORE_BENCH_OUT).map_err(Failure::Io)?;
-        println!("recorded {case} into `{section}` of {EXPLORE_BENCH_OUT}");
-        return Ok(());
-    }
-
-    let Some(baseline) = baseline else {
-        println!(
-            "no baseline at {EXPLORE_BENCH_OUT} — record one with \
-             `icn bench --explore --update-baseline after`"
-        );
-        return Ok(());
-    };
-    if let Some(entry) = baseline.after.get(&format!("{case}_frontier_size")) {
-        let recorded = entry.cycles_per_sec.round() as usize;
-        if recorded != frontier_size {
-            return Err(Failure::Other(format!(
-                "frontier size changed: baseline {recorded}, this run {frontier_size} — \
-                 exploration output is supposed to be deterministic"
-            )));
-        }
-        println!("{case}: frontier size {frontier_size} matches baseline");
-    }
-    match baseline.after.get(&measurement.name) {
-        None => println!(
-            "note: no `after` baseline for {}; skipping gate",
-            measurement.name
-        ),
-        Some(entry) if !perf::comparable(&measurement, *entry) => println!(
-            "note: {} baseline was recorded at {} thread(s), this run used {}; skipping gate",
-            measurement.name, entry.threads, measurement.threads
-        ),
-        Some(entry) => match perf::check_regression(&measurement, *entry) {
-            Ok(ratio) => println!(
-                "{}: ok ({:.0} candidates/sec, {:.2}x baseline)",
-                measurement.name, measurement.cycles_per_sec, ratio
-            ),
-            Err(msg) => return Err(Failure::Other(format!("exploration regression: {msg}"))),
-        },
-    }
-    Ok(())
-}
-
-/// One ad-hoc HTTP exchange against a spawned server (bench plumbing).
+/// One ad-hoc HTTP exchange against a running server (`metrics`/`trace`).
 fn http_call(addr: &str, method: &str, path: &str, body: &str) -> Result<String, String> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
@@ -1498,195 +1175,6 @@ fn http_call(addr: &str, method: &str, path: &str, body: &str) -> Result<String,
         .read_to_string(&mut response)
         .map_err(|e| e.to_string())?;
     Ok(response)
-}
-
-/// Spawn `icn serve` as a child process on an ephemeral port with the
-/// given journal and cache directory; returns the child and the bound
-/// address parsed from the startup banner (printed only after bind and
-/// journal recovery succeed).
-fn spawn_serve(journal: &str, cache_dir: &str) -> Result<(std::process::Child, String), Failure> {
-    use std::io::BufRead;
-    let exe = std::env::current_exe()
-        .map_err(|e| Failure::Io(format!("locating the icn binary: {e}")))?;
-    let mut child = std::process::Command::new(exe)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--queue-depth",
-            "48",
-            "--cache-entries",
-            "64",
-            "--journal",
-            journal,
-            "--cache-dir",
-            cache_dir,
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| Failure::Io(format!("spawning icn serve: {e}")))?;
-    let stderr = child.stderr.take().expect("stderr was piped");
-    let mut reader = std::io::BufReader::new(stderr);
-    let mut banner = String::new();
-    reader
-        .read_line(&mut banner)
-        .map_err(|e| Failure::Io(format!("reading serve banner: {e}")))?;
-    // Keep draining stderr in the background so the child never blocks
-    // on a full pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        let _ = std::io::Read::read_to_string(&mut reader, &mut sink);
-    });
-    let Some(addr) = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .map(str::to_string)
-    else {
-        let _ = child.kill();
-        return Err(Failure::Other(format!(
-            "icn serve did not start: {}",
-            banner.trim()
-        )));
-    };
-    Ok((child, addr))
-}
-
-/// Poll `/v1/healthz` until the server answers 200 (or time out).
-fn wait_healthy(addr: &str) -> Result<(), Failure> {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        if let Ok(response) = http_call(addr, "GET", "/v1/healthz", "") {
-            if response.starts_with("HTTP/1.1 200") {
-                return Ok(());
-            }
-        }
-        if std::time::Instant::now() >= deadline {
-            return Err(Failure::Other(format!(
-                "server at {addr} not healthy within 30s"
-            )));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-}
-
-/// `icn bench --serve` — the crash-recovery load harness: drive a child
-/// `icn serve` with the mixed workload, `kill -9` it with the job backlog
-/// still draining, restart it on the same journal + cache directory
-/// (timing the recovery), drive the same load again, and record both
-/// phases plus the recovery time in `BENCH_PR6.json`.
-fn bench_serve(opts: &Options) -> Result<(), Failure> {
-    use icn_bench::loadgen::{drive, LoadSpec, ServeBenchReport, SERVE_BENCH_OUT};
-
-    let mut spec = if opts.smoke {
-        LoadSpec::smoke()
-    } else {
-        LoadSpec::full()
-    };
-    if opts.deadline_ms > 0 {
-        spec.deadline_ms = opts.deadline_ms;
-    }
-    let dir = std::env::temp_dir().join(format!("icn-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| Failure::Io(format!("creating {}: {e}", dir.display())))?;
-    let journal = dir.join("jobs.journal").to_string_lossy().into_owned();
-    let cache_dir = dir.join("cache").to_string_lossy().into_owned();
-
-    eprintln!(
-        "phase 1: fresh server, {} requests on {} threads ({} seeds)...",
-        spec.requests, spec.threads, spec.seeds
-    );
-    let (mut child, addr) = spawn_serve(&journal, &cache_dir)?;
-    let sock: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|e| Failure::Other(format!("bad serve address {addr}: {e}")))?;
-    let loaded = drive(sock, &spec);
-
-    // SIGKILL with the submission backlog still draining — the journal
-    // and spill must make the restart lossless.
-    child
-        .kill()
-        .map_err(|e| Failure::Other(format!("killing the server: {e}")))?;
-    let _ = child.wait();
-
-    eprintln!("killed -9; restarting on the same journal + cache dir...");
-    let restart = std::time::Instant::now();
-    let (mut child2, addr2) = spawn_serve(&journal, &cache_dir)?;
-    wait_healthy(&addr2)?;
-    let recovery_ms = u64::try_from(restart.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let sock2: std::net::SocketAddr = addr2
-        .parse()
-        .map_err(|e| Failure::Other(format!("bad serve address {addr2}: {e}")))?;
-
-    eprintln!("phase 2: recovered server, same workload...");
-    let recovered = drive(sock2, &spec);
-
-    let _ = http_call(&addr2, "POST", "/v1/shutdown", "");
-    let _ = child2.wait();
-
-    let report = ServeBenchReport {
-        note: format!(
-            "icn bench --serve{}: mixed evaluate/simulate load over loopback, \
-             kill -9 + restart on the same journal and cache dir between phases",
-            if opts.smoke { " --smoke" } else { "" }
-        ),
-        smoke: opts.smoke,
-        loaded,
-        recovery_ms,
-        recovered,
-    };
-    report.store(SERVE_BENCH_OUT).map_err(Failure::Io)?;
-    if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("report serializes")
-        );
-    } else {
-        let phase_line = |name: &str, r: &icn_bench::loadgen::LoadReport| {
-            println!(
-                "{name}: {} req in {:.2}s ({:.0} rps) — ok {}, accepted {}, \
-                 cache hits {}, shed {}, errors {}; latency p50 {}µs p95 {}µs \
-                 p999 {}µs max {}µs",
-                r.requests,
-                r.wall_secs,
-                r.rps,
-                r.ok,
-                r.accepted,
-                r.cache_hits,
-                r.rejected,
-                r.errors,
-                r.p50_us,
-                r.p95_us,
-                r.p999_us,
-                r.max_us
-            );
-        };
-        phase_line("loaded   ", &report.loaded);
-        println!("recovery : {recovery_ms} ms from respawn to healthy");
-        phase_line("recovered", &report.recovered);
-        if let Some(worst) = report.loaded.slowest.first() {
-            println!(
-                "slowest request: {} {}µs, trace id {} (top {} in {SERVE_BENCH_OUT})",
-                worst.path,
-                worst.micros,
-                worst.trace_id,
-                report.loaded.slowest.len()
-            );
-        }
-        println!("wrote {SERVE_BENCH_OUT}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    if report.loaded.errors > 0 || report.recovered.errors > 0 {
-        return Err(Failure::Other(format!(
-            "load harness saw transport errors: {} before the crash, {} after",
-            report.loaded.errors, report.recovered.errors
-        )));
-    }
-    Ok(())
 }
 
 fn run(args: &[String]) -> Result<(), Failure> {
@@ -1831,9 +1319,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
             metrics_check(target)?;
         }
         "serve" => serve(&opts)?,
-        "bench" if opts.serve_bench => bench_serve(&opts)?,
-        "bench" if opts.overhead_bench => bench_overhead(&opts)?,
-        "bench" if opts.explore_bench => bench_explore(&opts)?,
         "bench" => bench(&opts)?,
         "explore" if opts.grid.is_some() => explore_grid(&opts)?,
         "explore" => {

@@ -267,75 +267,6 @@ fn explore_grid_output_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn bench_smoke_runs_and_gates_against_a_baseline() {
-    let dir = std::env::temp_dir().join(format!("icn-bench-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("baseline.json");
-    let baseline_arg = baseline.to_str().unwrap();
-
-    // Without a baseline file the smoke run reports and exits cleanly.
-    let (ok, stdout, stderr) = icn(&[
-        "bench",
-        "--smoke",
-        "--iters",
-        "3",
-        "--baseline",
-        baseline_arg,
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("no baseline"), "{stdout}");
-
-    // Recording then re-running against the fresh baseline passes the gate.
-    let (ok, _, stderr) = icn(&[
-        "bench",
-        "--smoke",
-        "--iters",
-        "3",
-        "--baseline",
-        baseline_arg,
-        "--update-baseline",
-        "after",
-    ]);
-    assert!(ok, "{stderr}");
-    let (ok, stdout, stderr) = icn(&[
-        "bench",
-        "--smoke",
-        "--iters",
-        "3",
-        "--baseline",
-        baseline_arg,
-    ]);
-    assert!(ok, "{stdout}{stderr}");
-    assert!(stdout.contains("smoke_256: ok"), "{stdout}");
-
-    // An absurdly fast fabricated baseline must trip the regression gate.
-    let text = std::fs::read_to_string(&baseline).unwrap();
-    std::fs::write(
-        &baseline,
-        text.replace(
-            &format!(
-                "\"cycles_per_sec\": {}",
-                serde_json::from_str::<serde_json::Value>(&text).unwrap()["after"]["smoke_256"]
-                    ["cycles_per_sec"]
-            ),
-            "\"cycles_per_sec\": 1e15",
-        ),
-    )
-    .unwrap();
-    let (ok, _, stderr) = icn(&[
-        "bench",
-        "--smoke",
-        "--iters",
-        "3",
-        "--baseline",
-        baseline_arg,
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("throughput regression"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn inspect_without_a_path_fails_helpfully() {
     let (ok, _, stderr) = icn(&["inspect"]);
     assert!(!ok);
@@ -520,6 +451,11 @@ fn exit_codes_are_distinct_and_stable() {
         vec!["explore", "--top", "x"],
         vec!["explore", "--grid", "no-such-grid"],
         vec!["explore", "--grid", "Cargo.toml"],
+        // Retired `icn bench` modes must fail loudly, never silently run
+        // the overhead gate instead.
+        vec!["bench", "--serve"],
+        vec!["bench", "--explore"],
+        vec!["bench", "--baseline", "x"],
     ] {
         let (code, _, stderr) = icn_status(&args);
         assert_eq!(code, 2, "args {args:?}: {stderr}");

@@ -217,7 +217,13 @@ mod tests {
         let spec = GridSpec::bench();
         let reference = explore(&spec, &ExploreOptions::default(), None).unwrap();
         assert_eq!(reference.evaluated, spec.candidate_count().unwrap());
-        assert!(!reference.frontier.is_empty());
+        // Determinism tripwire: the bench grid's frontier never
+        // legitimately changes size.
+        assert_eq!(
+            reference.frontier.len(),
+            28,
+            "bench-grid frontier size moved"
+        );
         let parity_threads: usize = std::env::var("ICN_PARITY_THREADS")
             .ok()
             .and_then(|v| v.parse().ok())

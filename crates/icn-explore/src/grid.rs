@@ -101,9 +101,9 @@ impl GridSpec {
         }
     }
 
-    /// A mid-size grid (~5k candidates) used by `icn bench --explore`
-    /// and the test suite: big enough that chunking and thread fan-out
-    /// are exercised, small enough for CI.
+    /// A mid-size grid (~5k candidates) used by the test suite: big
+    /// enough that chunking and thread fan-out are exercised, small
+    /// enough for CI.
     #[must_use]
     pub fn bench() -> Self {
         Self {

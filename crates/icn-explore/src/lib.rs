@@ -21,7 +21,7 @@
 //!
 //! Output is byte-identical at any thread count and chunk size; the
 //! argument lives in `icn_core::pareto` and `engine`, and the guarantee
-//! is pinned by tests, the CLI parity gate and `icn bench --explore`.
+//! is pinned by tests and the CLI parity gate.
 
 pub mod engine;
 pub mod eval;

@@ -67,9 +67,8 @@ pub use packet::{Packet, PacketStatus};
 pub use pool::WorkerPool;
 pub use roundtrip::{run_roundtrip, RoundTripConfig, RoundTripResult};
 pub use runner::{
-    run, run_parallel, run_trace, run_with_options, run_with_sink, sweep_load,
-    sweep_module_failures, try_run, try_run_bounded, try_run_bounded_with_options,
-    try_run_with_options, FaultSweepPoint, LoadSweepPoint,
+    run, run_parallel, run_trace, run_with_sink, sweep_load, sweep_module_failures, try_run,
+    FaultSweepPoint, LoadSweepPoint,
 };
 pub use telemetry::{
     EventSink, Histogram, JsonlSink, MemorySink, NullSink, Sample, SimEvent, TelemetryConfig,

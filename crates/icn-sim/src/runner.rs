@@ -6,49 +6,12 @@ use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::metrics::SimResult;
-use crate::options::EngineOptions;
 use crate::telemetry::EventSink;
 
 /// Run one configuration to completion.
 #[must_use]
 pub fn run(config: SimConfig) -> SimResult {
     Engine::new(config).run()
-}
-
-/// [`run`] under explicit [`EngineOptions`] — e.g. a shard-thread budget.
-/// Options never affect the result, only how fast it is produced.
-///
-/// # Panics
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_with_options(config: SimConfig, options: EngineOptions) -> SimResult {
-    Engine::with_options(config, options).run()
-}
-
-/// [`try_run`] under explicit [`EngineOptions`].
-///
-/// # Errors
-/// Returns the [`crate::error::SimError`] from [`SimConfig::validate`]
-/// when the configuration or fault plan is invalid.
-pub fn try_run_with_options(
-    config: SimConfig,
-    options: EngineOptions,
-) -> Result<SimResult, crate::error::SimError> {
-    Ok(Engine::try_with_options(config, options)?.run())
-}
-
-/// [`try_run_bounded`] under explicit [`EngineOptions`].
-///
-/// # Errors
-/// Returns the validation [`crate::error::SimError`] for a bad
-/// configuration, or [`crate::error::SimError::DeadlineExceeded`] when
-/// `should_stop` fired mid-run.
-pub fn try_run_bounded_with_options(
-    config: SimConfig,
-    options: EngineOptions,
-    should_stop: impl FnMut() -> bool,
-) -> Result<SimResult, crate::error::SimError> {
-    Engine::try_with_options(config, options)?.run_bounded(should_stop)
 }
 
 /// Run one configuration to completion, validating it first — the
@@ -60,23 +23,6 @@ pub fn try_run_bounded_with_options(
 /// [`Engine::try_new`] when the configuration or fault plan is invalid.
 pub fn try_run(config: SimConfig) -> Result<SimResult, crate::error::SimError> {
     Ok(Engine::try_new(config)?.run())
-}
-
-/// [`try_run`] under a caller-supplied stop predicate (see
-/// [`Engine::run_bounded`]): validate first, then run until the schedule
-/// completes or the predicate fires. The engine polls the predicate every
-/// [`crate::engine::STOP_POLL_CYCLES`] cycles, so a service can bound a
-/// job by wall-clock time while the engine itself stays clock-free.
-///
-/// # Errors
-/// Returns the validation [`crate::error::SimError`] for a bad
-/// configuration, or [`crate::error::SimError::DeadlineExceeded`] when
-/// `should_stop` fired mid-run.
-pub fn try_run_bounded(
-    config: SimConfig,
-    should_stop: impl FnMut() -> bool,
-) -> Result<SimResult, crate::error::SimError> {
-    Engine::try_new(config)?.run_bounded(should_stop)
 }
 
 /// Run one configuration to completion with an [`EventSink`] attached,
@@ -336,6 +282,7 @@ mod tests {
     #[test]
     fn threaded_engine_matches_serial() {
         use crate::fault::{FaultPlan, RetryPolicy};
+        use crate::options::EngineOptions;
         use crate::telemetry::TelemetryConfig;
 
         let mut config = small_config(0.02, 9);
@@ -351,7 +298,7 @@ mod tests {
                     chunk_modules,
                     perturb_seed: Some(7),
                 };
-                let threaded = run_with_options(config.clone(), options);
+                let threaded = Engine::with_options(config.clone(), options).run();
                 assert_eq!(serial, threaded, "threads={threads} chunk={chunk_modules}");
             }
         }
