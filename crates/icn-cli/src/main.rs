@@ -973,52 +973,86 @@ fn bench_config(ports: u32) -> SimConfig {
     config
 }
 
-/// Simulated cycles per wall-clock second of the fastest of `iters`
-/// serial runs (the minimum is the noise-robust estimator for a
-/// deterministic workload).
-fn best_cycles_per_sec(config: &SimConfig, iters: u32) -> f64 {
-    let mut best_secs = f64::INFINITY;
-    let mut cycles = 0;
-    for _ in 0..iters {
-        let config = config.clone();
-        let started = std::time::Instant::now();
-        cycles = Engine::new(config).run().cycles_run;
-        best_secs = best_secs.min(started.elapsed().as_secs_f64());
+/// Cycles one side of an overhead pair steps before the other side takes
+/// its turn: one hotspot-heatmap period, so every full slice of the
+/// profiled engine carries exactly one heatmap snapshot.
+const SLICE_CYCLES: u64 = icn_sim::telemetry::HEAT_SAMPLE_CYCLES;
+
+/// One overhead pair: the profiled engine's throughput relative to the
+/// disabled engine's. The two engines step the same cycles in
+/// alternating [`SLICE_CYCLES`] slices, so each profiled slice is timed
+/// right beside a disabled one, at the same moment of the host (whose
+/// cores do not all run at one speed). The pair's ratio is the median
+/// over full slices of disabled time over profiled time, which a single
+/// preempted slice cannot move.
+fn overhead_pair(disabled: &SimConfig, profiled: &SimConfig, profiled_first: bool) -> f64 {
+    let mut engines = [Engine::new(disabled.clone()), Engine::new(profiled.clone())];
+    let order = if profiled_first { [1, 0] } else { [0, 1] };
+    let slices = (disabled.measure_cycles / SLICE_CYCLES).max(1);
+    let ratios: Vec<f64> = (0..slices)
+        .map(|_| {
+            let mut secs = [0.0f64; 2];
+            for side in order {
+                let started = std::time::Instant::now();
+                for _ in 0..SLICE_CYCLES {
+                    engines[side].step();
+                }
+                secs[side] = started.elapsed().as_secs_f64();
+            }
+            secs[0] / secs[1]
+        })
+        .collect();
+    std::hint::black_box(&engines);
+    median(&ratios)
+}
+
+/// Median of a non-empty sample (mean of the middle two for an even
+/// count).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
     }
-    cycles as f64 / best_secs
 }
 
 /// `icn bench` — the observability-overhead gate: time one simulation
 /// (`smoke_256`, or the 2048-port `dmc2048_w4_load2` without `--smoke`)
-/// with telemetry fully disabled, again with the span profiler + hotspot
-/// heatmap on, and fail when the profiled run falls below
-/// [`OVERHEAD_FLOOR`] of the disabled throughput. Engine and explorer throughput
-/// are measured by the `perfbench` package instead.
+/// with telemetry fully disabled and with the span profiler + hotspot
+/// heatmap on, in `--iters` alternating pairs, and fail when the median
+/// per-pair throughput ratio falls below [`OVERHEAD_FLOOR`]. Engine and
+/// explorer throughput are measured by the `perfbench` package instead.
 fn bench(opts: &Options) -> Result<(), Failure> {
     let (case, ports) = if opts.smoke {
         ("smoke_256", 256)
     } else {
         ("dmc2048_w4_load2", 2048)
     };
-    let mut config = bench_config(ports);
+    let disabled = bench_config(ports);
+    let mut profiled = disabled.clone();
+    profiled.telemetry = TelemetryConfig::profiled(0);
     eprintln!(
-        "measuring {case} ({ports} ports, {} cycles, best of {}) with telemetry disabled...",
-        config.measure_cycles, opts.iters
+        "measuring {case} ({ports} ports, {} cycles) in {} pairs: telemetry disabled \
+         vs the span profiler + hotspot heatmap on...",
+        disabled.measure_cycles, opts.iters
     );
-    let disabled = best_cycles_per_sec(&config, opts.iters);
-    eprintln!("measuring again with the span profiler + hotspot heatmap on...");
-    config.telemetry = TelemetryConfig::profiled(0);
-    let profiled = best_cycles_per_sec(&config, opts.iters);
-    let ratio = profiled / disabled;
+    // Which side steps first flips every pair, so neither always gets
+    // the warmer caches.
+    let ratios: Vec<f64> = (0..opts.iters)
+        .map(|pair| overhead_pair(&disabled, &profiled, pair % 2 == 1))
+        .collect();
+    let ratio = median(&ratios);
 
     if opts.json {
         let report = serde_json::json!({
             "case": case,
             "ports": ports,
-            "cycles": config.measure_cycles,
+            "cycles": disabled.measure_cycles,
             "iters": opts.iters,
-            "disabled_cycles_per_sec": disabled,
-            "profiled_cycles_per_sec": profiled,
+            "ratios": ratios,
             "ratio": ratio,
             "floor": OVERHEAD_FLOOR,
         });
@@ -1028,17 +1062,19 @@ fn bench(opts: &Options) -> Result<(), Failure> {
         );
     } else {
         println!(
-            "{case}: {disabled:.0} cycles/sec disabled, {profiled:.0} cycles/sec profiled \
-             ({:.1}% of disabled, floor {:.0}%)",
+            "{case}: profiled throughput is {:.1}% of disabled (median of {} pairs, \
+             floor {:.0}%)",
             ratio * 100.0,
+            ratios.len(),
             OVERHEAD_FLOOR * 100.0
         );
     }
     if ratio < OVERHEAD_FLOOR {
         return Err(Failure::Other(format!(
             "observability overhead too high: profiled throughput is {:.1}% of \
-             disabled (floor {:.0}%)",
+             disabled (median of {} pairs, floor {:.0}%)",
             ratio * 100.0,
+            ratios.len(),
             OVERHEAD_FLOOR * 100.0
         )));
     }

@@ -27,8 +27,9 @@
 //!
 //! The per-cycle loop allocates nothing in steady state and is locked to
 //! its pre-optimization behavior by the byte-identical parity suite in
-//! `tests/parity.rs` (results *and* full event streams) plus the `icn
-//! bench` regression gate:
+//! `tests/parity.rs` (results *and* full event streams). Its speed is
+//! measured by the `perfbench` package's `sim_paper2048` workload
+//! (`BENCHMARK.json`), which also breaks a step down per layer:
 //!
 //! * **Packet arena** — every live packet occupies one slot in a
 //!   free-list [`PacketStore`]; queues, buffers, and the retry heap pass
@@ -41,10 +42,23 @@
 //!   from every grant and source entry.
 //! * **Flat stages** — each stage stores its ports module-major in two
 //!   contiguous arrays (see [`crate::module`]).
+//! * **Due-time arrays** — beside its queues, each stage keeps
+//!   `ready_at[p]` (the cycle port `p`'s ungranted front may request) and
+//!   `vacate_at[p]` (the cycle its granted front leaves) in two flat
+//!   `u64` arrays (see [`crate::module`]). The vacate sweep scans
+//!   `vacate_at` and touches only queues with a slot due; the grant sweep
+//!   jumps between modules with a due `ready_at` entry and reads a queue
+//!   front only for a ready port. On the 2048-port network about a third
+//!   of the 6,144 input ports hold a packet, so the old walk over every
+//!   queue spent most of the step on ports with nothing to do.
+//! * **Occupancy counts** — `ExecState::occ` holds every input queue's
+//!   length, updated as ports change (pushes, vacates, fault drops)
+//!   instead of re-counted each cycle; back-pressure, the watchdog's
+//!   stall report, telemetry samples and the heatmap all read it.
 //! * **Scratch buffers** — the per-module ready set and the per-stage
 //!   delivery/drop lists live in reusable engine-owned buffers; each
-//!   module probes its input fronts once per cycle (O(r)) instead of once
-//!   per output (O(r²)).
+//!   ready module probes its input fronts once per cycle (O(r)) instead
+//!   of once per output (O(r²)).
 //! * **Module sharding** — the vacate and grant phases run as per-stage
 //!   *module chunks* (see [`crate::shard`]); with
 //!   [`EngineOptions::threads`] > 1 the chunks execute on a persistent
@@ -69,7 +83,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultState, Health, StallReport};
 use crate::metrics::{LatencyStats, SimResult, StageCounters};
-use crate::module::{InputPort, OutputPort, Stage};
+use crate::module::Stage;
 use crate::options::EngineOptions;
 use crate::packet::Packet;
 use crate::pool::run_jobs;
@@ -187,7 +201,6 @@ pub struct Engine {
     now: u64,
     next_id: u64,
     flits: u64,
-    ready_offset: u64,
     // Precomputed routing (see the module docs).
     store: PacketStore,
     /// `routes[dest * stage_count + stage]` = output port at `stage`.
@@ -291,7 +304,7 @@ impl Engine {
         let stages: Vec<Stage> = radices
             .iter()
             .enumerate()
-            .map(|(i, &r)| Stage::new(r, config.plan.modules_in_stage(i as u32)))
+            .map(|(i, &r)| Stage::new(r, config.plan.modules_in_stage(i as u32), ready_offset))
             .collect();
         let ports = config.plan.ports();
         let stage_count = config.plan.stages() as usize;
@@ -341,7 +354,6 @@ impl Engine {
             now: 0,
             next_id: 0,
             flits,
-            ready_offset,
             store: PacketStore::default(),
             routes,
             entry,
@@ -619,7 +631,7 @@ impl Engine {
         if !self.telem.as_deref().is_some_and(|t| t.due(self.now)) {
             return;
         }
-        let stage_occupancy: Vec<u64> = self.stages.iter().map(Stage::occupancy).collect();
+        let stage_occupancy = self.stage_occupancy();
         let gauges = Gauges {
             cycle: self.now,
             live_packets: self.live_packets,
@@ -734,8 +746,16 @@ impl Engine {
         }
     }
 
+    /// Total packets buffered (or reserved) in each stage's inputs, from
+    /// the maintained occupancy counts.
+    fn stage_occupancy(&self) -> Vec<u64> {
+        (0..self.stage_count)
+            .map(|s| self.exec.stage_occ(s).iter().map(|&c| u64::from(c)).sum())
+            .collect()
+    }
+
     /// Free drained buffer slots across every stage (chunked over the
-    /// shard plan) and snapshot the post-vacate occupancy the grant
+    /// shard plan), taking them off the occupancy counts the grant
     /// phase's back-pressure checks read; returns the freed count (the
     /// profiler's per-cycle "advance" op tally).
     fn vacate_phase(&mut self) -> u64 {
@@ -760,10 +780,10 @@ impl Engine {
             let mut ci = 0;
             for (s, stage) in stages.iter_mut().enumerate() {
                 let radix = meta[s].radix as usize;
-                let mut in_rest: &mut [InputPort] = &mut stage.inputs;
+                let mut in_rest = stage.inputs();
                 while ci < chunks.len() && chunks[ci].stage == s {
                     let ports = chunks[ci].modules * radix;
-                    let (inputs, in_next) = std::mem::take(&mut in_rest).split_at_mut(ports);
+                    let (inputs, in_next) = in_rest.split_at(ports);
                     in_rest = in_next;
                     let (occ_chunk, occ_next) = std::mem::take(&mut occ_rest).split_at_mut(ports);
                     occ_rest = occ_next;
@@ -813,13 +833,9 @@ impl Engine {
         });
         if telem.heat_due(self.now) {
             for (s, stage) in self.stages.iter().enumerate() {
-                let radix = stage.radix as usize;
-                for m in 0..stage.module_count as usize {
-                    let occ: u64 = stage.inputs[m * radix..(m + 1) * radix]
-                        .iter()
-                        .map(|input| input.queue.len() as u64)
-                        .sum();
-                    telem.heat_occupancy(s, m, occ);
+                let module_occ = self.exec.stage_occ(s).chunks(stage.radix as usize);
+                for (m, occ) in module_occ.enumerate() {
+                    telem.heat_occupancy(s, m, occ.iter().map(|&c| u64::from(c)).sum());
                 }
             }
         }
@@ -875,13 +891,16 @@ impl Engine {
                 traces,
                 events,
                 faults,
+                exec,
                 source_backlog,
                 last_progress,
                 ..
             } = self;
             let faults = faults.as_deref();
             let entry0: &[u32] = &entry[0];
-            let stage0 = &mut stages[0];
+            let mut stage0 = stages[0].inputs();
+            // Stage 0's counts start at `occ[0]`.
+            let occ0 = &mut exec.occ;
             for line in 0..ports {
                 match faults.map_or(Health::Up, |f| f.source_health(line, now)) {
                     Health::Up => {}
@@ -903,8 +922,8 @@ impl Engine {
                 if source.queue.is_empty() || source.busy_until > now {
                     continue;
                 }
-                let input = &mut stage0.inputs[entry0[line as usize] as usize];
-                if !input.has_space(capacity) {
+                let port = entry0[line as usize] as usize;
+                if !stage0.has_space(port, capacity) {
                     continue;
                 }
                 let Some(r) = source.queue.pop_front() else {
@@ -919,7 +938,8 @@ impl Engine {
                 if trace != NO_TRACE {
                     traces[trace as usize].entered_at = Some(now);
                 }
-                input.push(r, now);
+                stage0.push(port, r, now);
+                occ0[port] += 1;
                 *last_progress = now;
                 if let Some(sink) = events.as_mut() {
                     sink.0.record(&SimEvent::Enter {
@@ -951,7 +971,6 @@ impl Engine {
     fn dispatch_grants(&mut self) {
         let now = self.now;
         let flits = self.flits;
-        let ready_offset = self.ready_offset;
         let capacity = self.config.buffer_capacity;
         let arbitration = self.config.arbitration;
         let stage_count = self.stage_count;
@@ -982,7 +1001,6 @@ impl Engine {
         let shared = GrantShared {
             now,
             flits,
-            ready_offset,
             capacity,
             arbitration,
             stage_count,
@@ -1004,12 +1022,11 @@ impl Engine {
             let mut ci = 0;
             for (s, stage) in stages.iter_mut().enumerate() {
                 let radix = meta[s].radix as usize;
-                let mut in_rest: &mut [InputPort] = &mut stage.inputs;
-                let mut out_rest: &mut [OutputPort] = &mut stage.outputs;
+                let (mut in_rest, mut out_rest) = stage.split();
                 while ci < chunks.len() && chunks[ci].stage == s {
                     let desc = chunks[ci];
                     let ports = desc.modules * radix;
-                    let (inputs, in_next) = std::mem::take(&mut in_rest).split_at_mut(ports);
+                    let (inputs, in_next) = in_rest.split_at(ports);
                     in_rest = in_next;
                     let (outputs, out_next) = std::mem::take(&mut out_rest).split_at_mut(ports);
                     out_rest = out_next;
@@ -1073,11 +1090,20 @@ impl Engine {
                 // one push per cycle (its upstream line is unique), so
                 // applying them here is behavior-identical to the serial
                 // sweep's in-place pushes.
-                for (port, r, head_arrival) in fx.pushes.drain(..) {
-                    self.stages[s + 1].inputs[port as usize].push(r, head_arrival);
+                if !fx.pushes.is_empty() {
+                    let mut next = self.stages[s + 1].inputs();
+                    let next_occ = self.exec.occ_base[s + 1];
+                    for (port, r, head_arrival) in fx.pushes.drain(..) {
+                        next.push(port as usize, r, head_arrival);
+                        self.exec.occ[next_occ + port as usize] += 1;
+                    }
                 }
                 deliveries.extend_from_slice(&fx.deliveries);
-                drops.extend_from_slice(&fx.drops);
+                let occ_base = self.exec.occ_base[s];
+                for &(port, r) in &fx.drops {
+                    self.exec.occ[occ_base + port as usize] -= 1;
+                    drops.push(r);
+                }
                 ci += 1;
             }
             for (r, out_line, delivered_at) in deliveries.drain(..) {
@@ -1243,7 +1269,7 @@ impl Engine {
             live_packets: self.live_packets,
             retry_waiting,
             source_backlog: self.source_backlog,
-            stage_occupancy: self.stages.iter().map(Stage::occupancy).collect(),
+            stage_occupancy: self.stage_occupancy(),
         });
         if let Some(sink) = self.events.as_mut() {
             sink.0.record(&SimEvent::Stall {
@@ -1256,8 +1282,9 @@ impl Engine {
     /// The conservation invariant, checked every cycle in debug builds:
     /// every packet ever injected is delivered, finally dropped, or still
     /// live — for the full population and the tracked subset — the
-    /// source-backlog counter matches the queues it summarizes, and the
-    /// packet arena holds exactly the live packets.
+    /// source-backlog counter matches the queues it summarizes, every
+    /// input occupancy count matches its queue's length, and the packet
+    /// arena holds exactly the live packets.
     #[cfg(debug_assertions)]
     fn debug_assert_conservation(&self) {
         debug_assert_eq!(
@@ -1278,6 +1305,16 @@ impl Engine {
             "source backlog drifted at {}",
             self.now
         );
+        for (s, stage) in self.stages.iter().enumerate() {
+            for (port, (len, &count)) in stage.queue_lens().zip(self.exec.stage_occ(s)).enumerate()
+            {
+                debug_assert_eq!(
+                    len, count as usize,
+                    "occupancy count drifted at stage {s} port {port}, cycle {}",
+                    self.now
+                );
+            }
+        }
         debug_assert_eq!(
             self.store.live(),
             self.live_packets,

@@ -15,18 +15,25 @@
 //! produces is merged in **chunk index order** (= module index order),
 //! never thread completion order:
 //!
-//! * **Reads are pre-phase state.** Back-pressure reads the post-vacate
-//!   occupancy snapshot taken during the vacate phase — exactly what the
-//!   serial sweep observed, because within one grant pass the only writer
-//!   to a downstream port is its unique upstream line, which reads the
-//!   port before pushing. The packet arena, route/entry tables, and fault
+//! * **Reads are pre-phase state.** Back-pressure reads the occupancy
+//!   counts ([`ExecState::occ`]), which change only before the grant
+//!   barrier (vacate chunks subtract what they free; source grants add to
+//!   stage 0, which no grant reads) or at the merge (downstream pushes
+//!   add, fault drops subtract). During the grant phase they therefore
+//!   hold post-vacate occupancy — exactly what the serial sweep
+//!   observed, because within one grant pass the only writer to a
+//!   downstream port is its unique upstream line, which reads the port
+//!   before pushing. The packet arena, route/entry tables, and fault
 //!   health are read-only during the grant phase.
 //! * **Writes are chunk-local or deferred.** A chunk mutates only its own
-//!   slice of input/output ports; everything with a global ordering —
-//!   events, trace hops, downstream pushes, deliveries, fault drops,
-//!   stage counters, telemetry — is buffered in the chunk's
-//!   [`ShardEffects`] and applied serially at the barrier, stage by stage
-//!   in chunk order, reproducing the serial sweep's exact order.
+//!   slice of input/output ports, and the due-time arrays (`ready_at`,
+//!   `vacate_at`; see [`crate::module`]) are split into the same chunks,
+//!   so refreshing them is a chunk-local write too. Everything with a
+//!   global ordering — events, trace hops, downstream pushes,
+//!   deliveries, fault drops (and their occupancy decrements), stage
+//!   counters, telemetry — is buffered in the chunk's [`ShardEffects`]
+//!   and applied serially at the barrier, stage by stage in chunk order,
+//!   reproducing the serial sweep's exact order.
 //!
 //! Chunk boundaries therefore cannot be observed either: any
 //! `chunk_modules` (and any thread count, including the serial
@@ -40,7 +47,7 @@ use rand_chacha::ChaCha12Rng;
 use crate::config::Arbitration;
 use crate::fault::{FaultState, Health};
 use crate::metrics::StageCounters;
-use crate::module::{InputPort, OutputPort};
+use crate::module::{InputPorts, OutputPort};
 use crate::options::EngineOptions;
 use crate::pool::WorkerPool;
 use crate::store::{PacketRef, PacketStore, NO_TRACE};
@@ -108,8 +115,10 @@ pub(crate) struct ShardEffects {
     pub pushes: Vec<(u32, PacketRef, u64)>,
     /// Last-stage exits: `(packet, out line, delivered-at cycle)`.
     pub deliveries: Vec<(PacketRef, u32, u64)>,
-    /// Packets dropped by permanent faults in this chunk.
-    pub drops: Vec<PacketRef>,
+    /// Packets dropped by permanent faults in this chunk, with the
+    /// stage-flat input port each left (its occupancy count drops at the
+    /// merge, so back-pressure reads stay post-vacate until then).
+    pub drops: Vec<(u32, PacketRef)>,
 }
 
 impl ShardEffects {
@@ -188,7 +197,11 @@ pub(crate) struct ExecState {
     pub scratch: Vec<ShardScratch>,
     /// Per-chunk freed-slot counts from the vacate phase.
     pub freed: Vec<u64>,
-    /// Post-vacate input occupancy, flat: `occ[occ_base[stage] + port]`.
+    /// Input occupancy, flat: `occ[occ_base[stage] + port]`. Kept equal
+    /// to each queue's length as ports change: a push adds one (source
+    /// grants, merge), the vacate phase subtracts what it frees, and the
+    /// merge subtracts fault drops. During the grant phase it therefore
+    /// holds post-vacate occupancy, which back-pressure reads.
     pub occ: Vec<u32>,
     /// Per-stage offsets into `occ`.
     pub occ_base: Vec<usize>,
@@ -251,6 +264,13 @@ impl ExecState {
             perturb,
         }
     }
+
+    /// Stage `stage`'s input occupancy counts, in port order.
+    pub fn stage_occ(&self, stage: usize) -> &[u32] {
+        let m = &self.meta[stage];
+        let base = self.occ_base[stage];
+        &self.occ[base..base + (m.modules * m.radix) as usize]
+    }
 }
 
 /// Draw this broadcast's dispatch schedule: the perturbation permutation
@@ -273,21 +293,30 @@ pub(crate) fn schedule<'a>(
 }
 
 /// One vacate-phase job: free drained slots in the chunk's input ports
-/// and snapshot the resulting occupancy for the grant phase's
-/// back-pressure reads.
+/// and take them off the chunk's occupancy counts, which the grant
+/// phase's back-pressure reads.
 pub(crate) struct VacateJob<'a> {
     pub now: u64,
-    pub inputs: &'a mut [InputPort],
+    pub inputs: InputPorts<'a>,
     pub occ: &'a mut [u32],
     pub freed: &'a mut u64,
 }
 
-/// Run one vacate chunk.
+/// Run one vacate chunk: scan the `vacate_at` array and touch only the
+/// queues whose granted front leaves by now.
 pub(crate) fn vacate_chunk(job: &mut VacateJob<'_>) {
+    let now = job.now;
     let mut freed = 0;
-    for (input, occ) in job.inputs.iter_mut().zip(job.occ.iter_mut()) {
-        freed += input.vacate(job.now);
-        *occ = input.queue.len() as u32;
+    let mut scan = 0;
+    while let Some(offset) = job.inputs.vacate_at()[scan..]
+        .iter()
+        .position(|&t| t <= now)
+    {
+        let p = scan + offset;
+        let n = job.inputs.vacate(p, now);
+        job.occ[p] -= n as u32;
+        freed += n;
+        scan = p + 1;
     }
     *job.freed = freed;
 }
@@ -296,7 +325,6 @@ pub(crate) fn vacate_chunk(job: &mut VacateJob<'_>) {
 pub(crate) struct GrantShared<'a> {
     pub now: u64,
     pub flits: u64,
-    pub ready_offset: u64,
     pub capacity: u32,
     pub arbitration: Arbitration,
     pub stage_count: usize,
@@ -307,7 +335,7 @@ pub(crate) struct GrantShared<'a> {
     pub entry: &'a [Vec<u32>],
     pub faults: Option<&'a FaultState>,
     pub meta: &'a [StageMeta],
-    /// Post-vacate occupancy snapshot (see [`VacateJob`]).
+    /// Post-vacate occupancy counts (see [`ExecState::occ`]).
     pub occ: &'a [u32],
     pub occ_base: &'a [usize],
     /// An event sink is attached: buffer grant events.
@@ -323,7 +351,7 @@ pub(crate) struct GrantShared<'a> {
 pub(crate) struct GrantJob<'a> {
     pub desc: ChunkDesc,
     /// The chunk's input ports (local index 0 = the chunk's first port).
-    pub inputs: &'a mut [InputPort],
+    pub inputs: InputPorts<'a>,
     /// The chunk's output ports, same layout.
     pub outputs: &'a mut [OutputPort],
     pub scratch: &'a mut ShardScratch,
@@ -333,13 +361,14 @@ pub(crate) struct GrantJob<'a> {
 /// Arbitrate and grant every free output of one module chunk — the exact
 /// serial sweep over `module_base .. module_base + modules`, with every
 /// globally-ordered effect deferred into [`ShardEffects`] (see the module
-/// docs for why that is behavior-identical).
+/// docs for why that is behavior-identical). Modules with no ready head
+/// can grant, block or drop nothing, so the sweep jumps from one module
+/// with a due `ready_at` entry to the next.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     let GrantShared {
         now,
         flits,
-        ready_offset,
         capacity,
         arbitration,
         stage_count,
@@ -369,8 +398,14 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     // Routing is a pure function of the destination; `stage_idx`'s tag is
     // the destination's digit for this stage.
     let tag_of = |r: PacketRef| routes[store.get(r).dest as usize * stage_count + stage_idx];
+    // Stage-flat index of the chunk's first port (fault drops carry it).
+    let port_base = job.desc.module_base * radix;
+    let inputs = &mut job.inputs;
 
-    for local_m in 0..job.desc.modules {
+    let mut scan = 0;
+    while let Some(offset) = inputs.ready_at()[scan..].iter().position(|&t| t <= now) {
+        let local_m = (scan + offset) / radix;
+        scan = (local_m + 1) * radix;
         let module_idx = job.desc.module_base + local_m;
         let base = local_m * radix;
         let global_base = module_idx * radix;
@@ -382,10 +417,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             // wait it out under ordinary back-pressure.
             Health::TransientDown => {
                 for in_port in 0..radix {
-                    if job.inputs[base + in_port]
-                        .requesting_head(now, ready_offset)
-                        .is_some()
-                    {
+                    if inputs.ready_head(base + in_port, now).is_some() {
                         counters.blocked_fault += 1;
                     }
                 }
@@ -395,13 +427,12 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             // packet inside it: drain each input's ready heads as drops.
             // (Heads arriving later drop on the cycle they become ready.)
             Health::PermanentDown => {
-                for in_port in 0..radix {
-                    let input = &mut job.inputs[base + in_port];
-                    while input.requesting_head(now, ready_offset).is_some() {
-                        let Some(dropped) = input.drop_front() else {
+                for p in base..base + radix {
+                    while inputs.ready_head(p, now).is_some() {
+                        let Some(dropped) = inputs.drop_front(p) else {
                             break;
                         };
-                        fx.drops.push(dropped);
+                        fx.drops.push(((port_base + p) as u32, dropped));
                         counters.dropped += 1;
                     }
                 }
@@ -410,26 +441,24 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
         }
 
         // One pass over the inputs: each ready head's requested output.
-        let mut any_ready = false;
         tag_count.fill(0);
         for (in_port, slot) in ready.iter_mut().enumerate() {
-            *slot = match job.inputs[base + in_port].requesting_head(now, ready_offset) {
+            *slot = match inputs.ready_head(base + in_port, now) {
                 Some(r) => {
                     let tag = tag_of(r);
                     tag_count[tag as usize] += 1;
-                    any_ready = true;
                     tag
                 }
                 None => NO_TAG,
             };
         }
-        if !any_ready {
-            // Nothing can be granted, blocked, or fault-dropped here this
-            // cycle.
-            continue;
-        }
 
         for out_port in 0..radix {
+            // No ready head wants this output: nothing to grant, block,
+            // or fault-drop here.
+            if tag_count[out_port] == 0 {
+                continue;
+            }
             let out_port_u = out_port as u32;
             let out_line = (global_base + out_port) as u32;
             match faults.map_or(Health::Up, |f| {
@@ -437,9 +466,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             }) {
                 Health::Up => {}
                 Health::TransientDown => {
-                    if tag_count[out_port] > 0 {
-                        counters.blocked_fault += 1;
-                    }
+                    counters.blocked_fault += 1;
                     continue;
                 }
                 Health::PermanentDown => {
@@ -449,17 +476,17 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                     // outputs see it this cycle (exactly as the serial
                     // sweep did).
                     for (in_port, slot) in ready.iter_mut().enumerate() {
+                        let p = base + in_port;
                         while *slot == out_port_u {
-                            let input = &mut job.inputs[base + in_port];
-                            let Some(dropped) = input.drop_front() else {
+                            let Some(dropped) = inputs.drop_front(p) else {
                                 tag_count[out_port] -= 1;
                                 *slot = NO_TAG;
                                 break;
                             };
-                            fx.drops.push(dropped);
+                            fx.drops.push(((port_base + p) as u32, dropped));
                             counters.dropped += 1;
                             tag_count[out_port] -= 1;
-                            *slot = match input.requesting_head(now, ready_offset) {
+                            *slot = match inputs.ready_head(p, now) {
                                 Some(r) => {
                                     let tag = tag_of(r);
                                     tag_count[tag as usize] += 1;
@@ -473,9 +500,6 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                 }
             }
             let matching = tag_count[out_port];
-            if matching == 0 {
-                continue;
-            }
             if !job.outputs[base + out_port].free(now) {
                 // Every ready head wanting this output waits for it.
                 counters.blocked_output_busy += u64::from(matching);
@@ -529,18 +553,16 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             // Count the losers as output-busy blocked for this cycle.
             counters.blocked_output_busy += u64::from(matching - 1);
 
+            let winner_port = base + winner as usize;
             if record_waits {
                 // Cycles the winning head sat ready (arbitration loss,
                 // busy output, or back-pressure) before this grant.
-                if let Some(front) = job.inputs[base + winner as usize].queue.front() {
-                    fx.stage_waits
-                        .push(now - (front.head_arrival + ready_offset));
-                }
+                fx.stage_waits.push(now - inputs.ready_at()[winner_port]);
             }
             if record_heat {
                 fx.heat_grants.push(module_idx as u32);
             }
-            let Some(r) = job.inputs[base + winner as usize].grant_front(now + flits) else {
+            let Some(r) = inputs.grant_front(winner_port, now + flits) else {
                 debug_assert!(false, "arbitration winner has no front slot");
                 continue;
             };
