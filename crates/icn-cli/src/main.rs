@@ -25,8 +25,9 @@
 //!                              dump (simulate --profile), or a job's
 //!                              wall-clock trace fetched live from
 //!                              http://HOST:PORT/v1/jobs/ID/trace
-//! icn metrics <URL | file>     scrape a Prometheus text exposition and
-//!                              validate it with the service's parser
+//! icn metrics <URL | file>     scrape a Prometheus text exposition (or read
+//!                              `serve --telemetry-out`'s file) and validate
+//!                              it with the service's parser
 //! icn bench [--smoke]          observability-overhead gate: simulator
 //!                              cycles/sec with the span profiler on must
 //!                              stay >= 95% of the telemetry-off run
@@ -46,7 +47,8 @@
 //!                              --cache-dir spills results to disk (both together
 //!                              make restarts lossless), --deadline-ms sets a
 //!                              default per-job wall-clock budget,
-//!                              --telemetry-out records a dump for `icn inspect`
+//!                              --telemetry-out writes the final /v1/metrics
+//!                              exposition at shutdown for `icn metrics`
 //!
 //! options: --tech <preset>  --json  --full
 //! ```
@@ -150,7 +152,7 @@ fn usage() -> &'static str {
      \t lint config <spec.json> [--json]\n\
      \t serve [--addr HOST:PORT] [--workers N] [--sim-threads N]\n\
      \t       [--queue-depth N] [--cache-entries N] [--journal FILE]\n\
-     \t       [--cache-dir DIR] [--deadline-ms N] [--telemetry-out dump.jsonl]"
+     \t       [--cache-dir DIR] [--deadline-ms N] [--telemetry-out serve.prom]"
 }
 
 struct Options {
@@ -482,24 +484,19 @@ fn emit(record: &ExperimentRecord, json: bool) {
 /// Shade glyphs for the occupancy heatmap, lowest to highest.
 const SHADES: [char; 5] = ['·', '░', '▒', '▓', '█'];
 
-/// Parse a telemetry JSONL dump and render it: top-line rates, per-stage
-/// occupancy sparklines and heatmap, histogram quantiles, event counts.
-///
-/// Reads both dump dialects: the engine's `DumpLine` (from
-/// `icn simulate --telemetry-out`) and the service's `ServeDumpLine`
-/// (from `icn serve --telemetry-out`) — `Sample` and `Histogram` lines
-/// are shared between them, so the renderers below apply to either.
+/// Parse a telemetry JSONL dump (from `icn simulate --telemetry-out`) and
+/// render it: top-line rates, per-stage occupancy sparklines and heatmap,
+/// histogram quantiles, event counts. The service's `--telemetry-out` file
+/// is a metrics exposition instead; `icn metrics <file>` reads that.
 fn inspect(path: &str) -> Result<(), Failure> {
     let text =
         std::fs::read_to_string(path).map_err(|e| Failure::Io(format!("reading {path}: {e}")))?;
     let mut meta: Option<DumpMeta> = None;
-    let mut serve_meta: Option<icn_serve::ServeMeta> = None;
     let mut samples: Vec<Sample> = Vec::new();
     let mut histograms: Vec<NamedHistogram> = Vec::new();
     let mut event_counts: std::collections::BTreeMap<&'static str, u64> =
         std::collections::BTreeMap::new();
     let mut has_profile = false;
-    let mut cache_stats: Option<icn_serve::CacheStats> = None;
     let mut unknown_tags: std::collections::BTreeMap<String, u64> =
         std::collections::BTreeMap::new();
     for (number, line) in text.lines().enumerate() {
@@ -514,30 +511,20 @@ fn inspect(path: &str) -> Result<(), Failure> {
             // Profiler lines have their own renderer (`icn trace`); note
             // their presence rather than drowning the summary here.
             Ok(DumpLine::Span(_) | DumpLine::Heatmap(_)) => has_profile = true,
-            // Not an engine line: try the service dialect before failing.
-            Err(engine_error) => match serde_json::from_str::<icn_serve::ServeDumpLine>(line) {
-                Ok(icn_serve::ServeDumpLine::ServeMeta(m)) => serve_meta = Some(m),
-                Ok(icn_serve::ServeDumpLine::Sample(s)) => samples.push(s),
-                Ok(icn_serve::ServeDumpLine::Histogram(h)) => histograms.push(h),
-                Ok(icn_serve::ServeDumpLine::ServeEvent(e)) => {
-                    *event_counts.entry(e.kind()).or_insert(0) += 1;
+            // A line the engine dialect does not know. A future dialect's
+            // tagged line ({"Tag":{...}}) is tallied and reported instead
+            // of aborting the whole render; anything else is garbage.
+            Err(engine_error) => match serde_json::from_str::<serde_json::Value>(line) {
+                Ok(serde_json::Value::Object(map)) if map.len() == 1 => {
+                    let tag = map.keys().next().expect("single-key object").clone();
+                    *unknown_tags.entry(tag).or_insert(0) += 1;
                 }
-                Ok(icn_serve::ServeDumpLine::CacheStats(s)) => cache_stats = Some(s),
-                // A line neither dialect knows. A future dialect's tagged
-                // line ({"Tag":{...}}) is tallied and reported instead of
-                // aborting the whole render; anything else is garbage.
-                Err(_) => match serde_json::from_str::<serde_json::Value>(line) {
-                    Ok(serde_json::Value::Object(map)) if map.len() == 1 => {
-                        let tag = map.keys().next().expect("single-key object").clone();
-                        *unknown_tags.entry(tag).or_insert(0) += 1;
-                    }
-                    _ => {
-                        return Err(Failure::Io(format!(
-                            "{path}:{}: not a telemetry dump line: {engine_error}",
-                            number + 1
-                        )))
-                    }
-                },
+                _ => {
+                    return Err(Failure::Io(format!(
+                        "{path}:{}: not a telemetry dump line: {engine_error}",
+                        number + 1
+                    )))
+                }
             },
         }
     }
@@ -563,18 +550,6 @@ fn inspect(path: &str) -> Result<(), Failure> {
             m.sample_interval,
             samples.len(),
             m.dropped_samples
-        );
-    } else if let Some(m) = &serve_meta {
-        println!(
-            "service telemetry dump: {} workers, queue capacity {}, cache capacity {}, \
-             {} requests ({} samples, {} samples / {} events dropped to ring wrap)",
-            m.workers,
-            m.queue_capacity,
-            m.cache_capacity,
-            m.requests,
-            samples.len(),
-            m.dropped_samples,
-            m.dropped_events
         );
     } else {
         println!(
@@ -711,21 +686,6 @@ fn inspect(path: &str) -> Result<(), Failure> {
             ]);
         }
         println!("{}", t.render());
-    }
-
-    if let Some(c) = &cache_stats {
-        println!(
-            "cache: {} hits, {} misses, {} evictions, {}/{} entries in memory, \
-             {} spill writes, {} disk hits, {} disk entries discarded",
-            c.hits,
-            c.misses,
-            c.evictions,
-            c.entries,
-            c.capacity,
-            c.spill_writes,
-            c.disk_hits,
-            c.disk_discarded
-        );
     }
 
     if !event_counts.is_empty() {

@@ -491,14 +491,15 @@ fn exit_codes_are_distinct_and_stable() {
 
 /// `icn serve` end to end through the real binary: healthz, a cached
 /// evaluate pair, graceful shutdown with a JSON summary on stdout, and
-/// `icn inspect` rendering the service telemetry dump.
+/// `icn metrics` validating the `--telemetry-out` file, which carries the
+/// summary's numbers.
 #[test]
-fn serve_round_trips_over_http_and_inspect_reads_the_dump() {
+fn serve_round_trips_over_http_and_metrics_reads_the_dump() {
     use std::io::{BufRead, BufReader, Read, Write};
 
     let dir = std::env::temp_dir().join(format!("icn-serve-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let dump = dir.join("serve.dump.jsonl");
+    let dump = dir.join("serve.prom");
     let dump_arg = dump.to_str().unwrap().to_string();
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_icn"))
@@ -582,17 +583,27 @@ fn serve_round_trips_over_http_and_inspect_reads_the_dump() {
     assert!(summary["requests"].as_u64().unwrap() >= 4, "{summary}");
     assert!(summary["cache"]["hits"].as_u64().unwrap() >= 1, "{summary}");
 
-    let (ok, stdout, stderr) = icn(&["inspect", &dump_arg]);
+    let (ok, stdout, stderr) = icn(&["metrics", &dump_arg]);
     assert!(ok, "{stderr}");
+    assert!(stdout.contains("valid Prometheus exposition"), "{stdout}");
     assert!(
-        stdout.contains("service telemetry dump: 1 workers"),
+        stdout.contains("icn_request_latency_us (histogram"),
         "{stdout}"
     );
-    assert!(stdout.contains("request_latency_us"), "{stdout}");
-    assert!(stdout.contains("events:"), "{stdout}");
-    // The dump's CacheStats line renders as a counter summary, spill
-    // counters included.
-    assert!(stdout.contains("cache: "), "{stdout}");
-    assert!(stdout.contains("spill writes"), "{stdout}");
+    // The dump carries the summary's numbers, spill counters included.
+    let dumped = icn_serve::parse_exposition(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+    assert_eq!(dumped.value("icn_queue_capacity"), Some(4.0));
+    assert_eq!(
+        dumped.value("icn_requests_total"),
+        summary["requests"].as_f64()
+    );
+    assert_eq!(
+        dumped.value("icn_cache_hits_total"),
+        summary["cache"]["hits"].as_f64()
+    );
+    assert_eq!(
+        dumped.value("icn_cache_spill_writes_total"),
+        summary["cache"]["spill_writes"].as_f64()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,10 +21,10 @@
 //! `O(grid)`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use icn_core::pareto::Frontier;
 use icn_sim::WorkerPool;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::eval::{resolve_techs, Evaluator, FrontierPoint, OBJECTIVES};
@@ -164,7 +164,7 @@ pub fn explore(
                 }
             }
             if let Some(slot) = slots_ref.get(slot_index) {
-                *slot.lock() = Some(ChunkResult {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(ChunkResult {
                     evaluated: end - start,
                     feasible: local_feasible,
                     frontier: local,
@@ -176,7 +176,7 @@ pub fn explore(
             None => work(0),
         }
         for slot in slots {
-            if let Some(result) = slot.into_inner() {
+            if let Some(result) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 evaluated += result.evaluated;
                 feasible += result.feasible;
                 frontier.merge(result.frontier);
@@ -255,10 +255,10 @@ mod tests {
         let outcome = explore(
             &spec,
             &options,
-            Some(&|evaluated, frontier| seen.lock().push((evaluated, frontier))),
+            Some(&|evaluated, frontier| seen.lock().unwrap().push((evaluated, frontier))),
         )
         .unwrap();
-        let seen = seen.into_inner();
+        let seen = seen.into_inner().unwrap();
         assert!(!seen.is_empty());
         assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(seen.last().unwrap().0, outcome.evaluated);

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::spill::DiskStore;
 
@@ -50,9 +50,9 @@ pub struct ResultCache {
     spill: Option<Arc<DiskStore>>,
 }
 
-/// Counter snapshot for `/v1/stats`, the shutdown summary, and the
-/// telemetry dump (where it round-trips through serde for `icn inspect`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Counter snapshot, one part of the service's [`crate::MetricsSnapshot`]
+/// (serialized as-is into `/v1/stats` and the shutdown summary).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups that returned a cached body (memory or disk).
     pub hits: u64,

@@ -22,10 +22,9 @@
 //! come back with their results, unfinished jobs re-enter the queue, and
 //! the id counter never moves backwards.
 //!
-//! Synchronization is `std::sync::{Mutex, Condvar}` (the vendored
-//! `parking_lot` stand-in provides no condition variables). Lock poisoning
-//! is survived via [`PoisonError::into_inner`]: a panicking worker must not
-//! take the whole service down with it.
+//! Synchronization is `std::sync::{Mutex, Condvar}`, the workspace's one
+//! lock idiom. Lock poisoning is survived via [`PoisonError::into_inner`]:
+//! a panicking worker must not take the whole service down with it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;

@@ -22,7 +22,10 @@
 //! journal no longer needs any of its records (the spill is keyed by
 //! content, not job id), and a compaction rewrites the file with only the
 //! still-live jobs. Compaction runs at recovery and whenever the file
-//! passes [`COMPACT_THRESHOLD_BYTES`].
+//! passes the larger of [`COMPACT_THRESHOLD_BYTES`] and twice its size
+//! after the previous compaction. That hysteresis matters once the live
+//! records alone outgrow the fixed threshold: without it, every job
+//! would rewrite and fsync the whole file.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -35,8 +38,12 @@ use crate::api::Priority;
 /// File magic: identifies a journal and versions its framing.
 const MAGIC: &[u8; 8] = b"ICNJRNL1";
 
-/// Compact once the file grows past this many bytes.
+/// Never compact a file smaller than this many bytes.
 pub const COMPACT_THRESHOLD_BYTES: u64 = 256 * 1024;
+
+/// Compact again only once the file has grown to this multiple of its
+/// size right after the previous compaction.
+const COMPACT_GROWTH_FACTOR: u64 = 2;
 
 /// Largest accepted record payload; anything bigger is corruption (the
 /// biggest legitimate payload is a `Complete` with an inline result body,
@@ -133,6 +140,8 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     bytes: u64,
+    /// File size right after the last compaction (0 before the first).
+    compacted_bytes: u64,
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — first-party, table-driven.
@@ -209,6 +218,7 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             bytes,
+            compacted_bytes: 0,
         })
     }
 
@@ -227,10 +237,11 @@ impl Journal {
         Ok(())
     }
 
-    /// Whether the file has grown past the compaction threshold.
+    /// Whether the file has grown past both [`COMPACT_THRESHOLD_BYTES`]
+    /// and twice its size after the last compaction.
     #[must_use]
     pub fn wants_compaction(&self) -> bool {
-        self.bytes > COMPACT_THRESHOLD_BYTES
+        self.bytes > COMPACT_THRESHOLD_BYTES.max(COMPACT_GROWTH_FACTOR * self.compacted_bytes)
     }
 
     /// Current journal size in bytes (header included).
@@ -268,6 +279,7 @@ impl Journal {
         let bytes = file.seek(SeekFrom::End(0))?;
         self.file = file;
         self.bytes = bytes;
+        self.compacted_bytes = bytes;
         Ok(())
     }
 

@@ -68,9 +68,12 @@
 //!    `Retry-After` is computed from the observed mean service time, not
 //!    a constant.
 //!
-//! Service [`telemetry`] reuses the PR 2 vocabulary — a request-latency
-//! histogram, queue-depth samples, and a typed event stream — dumped as
-//! JSONL that `icn inspect` can read.
+//! The service observes itself through one [`telemetry`] registry —
+//! request counters, a request-latency histogram, journal counters —
+//! snapshotted with the queue and cache statistics; `/v1/metrics`,
+//! `/v1/stats`, the shutdown summary and the `--telemetry-out` file (the
+//! final exposition, read by `icn metrics <file>`) all render that one
+//! snapshot.
 
 pub mod api;
 pub mod cache;
@@ -96,7 +99,5 @@ pub use journal::{Journal, Record, Recovery};
 pub use metrics::{parse_exposition, Exposition, MetricFamily, MetricSample, MetricsSnapshot};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
 pub use spill::DiskStore;
-pub use telemetry::{
-    Progress, ProgressSink, ServeCounters, ServeDumpLine, ServeEvent, ServeMeta, ServeTelemetry,
-};
+pub use telemetry::{Progress, ProgressSink, ServeCounters, ServeTelemetry};
 pub use trace::{generate_trace_id, resolve_trace_id, valid_trace_id, TraceBuilder, TraceStore};

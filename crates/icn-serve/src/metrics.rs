@@ -1,6 +1,6 @@
 //! First-party Prometheus text exposition (format version 0.0.4).
 //!
-//! [`render`] turns one consistent snapshot of the service's telemetry —
+//! [`render`] turns one [`MetricsSnapshot`] of the service's registry —
 //! request counters, the latency histogram, queue and cache statistics,
 //! journal totals — into the plain-text exposition format a Prometheus
 //! scraper expects: `# HELP` / `# TYPE` headers followed by sample lines,
@@ -8,12 +8,16 @@
 //! involved; the format is simple enough to write (and, more importantly,
 //! to *validate*) by hand.
 //!
+//! The same text is `GET /v1/metrics` and the `--telemetry-out` file
+//! written at shutdown.
+//!
 //! [`parse_exposition`] is the validating parser used by the unit tests,
-//! the e2e scrape test, and the CI smoke job. It checks the properties a
-//! scraper relies on: every sample belongs to a declared family (`# HELP`
-//! then `# TYPE`), histogram buckets are cumulative and monotone with a
-//! terminal `+Inf` bucket equal to `_count`, and label values use the
-//! exposition escaping rules.
+//! the e2e scrape test, `icn metrics <URL | file>`, and the CI smoke job.
+//! It checks the properties a scraper relies on: every sample belongs to
+//! a declared family (`# HELP` then `# TYPE`), histogram buckets are
+//! cumulative and monotone with a terminal `+Inf` bucket equal to
+//! `_count`, and label values use the exposition escaping rules. It is
+//! total: any input, however mangled, yields `Ok` or `Err`.
 
 use icn_sim::telemetry::Histogram;
 
@@ -21,11 +25,13 @@ use crate::cache::CacheStats;
 use crate::jobs::QueueStats;
 use crate::telemetry::ServeCounters;
 
-/// Everything [`render`] needs, captured by the caller so all families in
-/// one scrape come from the same instant (per subsystem).
-#[derive(Debug)]
+/// Everything [`render`] needs, captured by
+/// [`crate::ServeTelemetry::snapshot`] so all families in one scrape come
+/// from the same instant (per subsystem). `/v1/stats`, the shutdown
+/// summary and the `--telemetry-out` file render the same snapshot.
+#[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Request totals from [`crate::ServeTelemetry::counters`].
+    /// The registry's request and journal totals.
     pub counters: ServeCounters,
     /// Request-latency distribution (microseconds).
     pub latency_us: Histogram,
@@ -33,10 +39,6 @@ pub struct MetricsSnapshot {
     pub queue: QueueStats,
     /// Result-cache statistics.
     pub cache: CacheStats,
-    /// Records appended to the write-ahead journal since startup.
-    pub journal_appends: u64,
-    /// Jobs re-enqueued from the journal at the last recovery.
-    pub journal_replayed_jobs: u64,
 }
 
 /// Escape a label value per the exposition format: backslash, double
@@ -68,21 +70,153 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push('\n');
 }
 
-/// Append a full single-sample family.
-fn family(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
-    header(out, name, kind, help);
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
-}
-
 /// Render the snapshot as Prometheus text exposition (version 0.0.4).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn render(snap: &MetricsSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
+    let (c, q, k) = (&snap.counters, &snap.queue, &snap.cache);
+    // Every single-sample family: name, type, help, value.
+    let families = [
+        (
+            "icn_requests_total",
+            "counter",
+            "HTTP requests handled.",
+            c.requests,
+        ),
+        (
+            "icn_responses_ok_total",
+            "counter",
+            "Responses with a 2xx status.",
+            c.responses_ok,
+        ),
+        (
+            "icn_requests_rejected_total",
+            "counter",
+            "Responses with a 429 or 503 status (shed or draining).",
+            c.rejected,
+        ),
+        (
+            "icn_deadline_expired_total",
+            "counter",
+            "Jobs abandoned because their wall-clock deadline expired.",
+            c.deadline_expired,
+        ),
+        (
+            "icn_queue_depth",
+            "gauge",
+            "Jobs currently waiting in the queue.",
+            q.depth as u64,
+        ),
+        (
+            "icn_queue_capacity",
+            "gauge",
+            "Configured job-queue capacity.",
+            q.capacity as u64,
+        ),
+        (
+            "icn_queue_running",
+            "gauge",
+            "Jobs currently being simulated.",
+            q.running as u64,
+        ),
+        (
+            "icn_jobs_enqueued_total",
+            "counter",
+            "Jobs accepted since startup.",
+            q.enqueued,
+        ),
+        (
+            "icn_jobs_completed_total",
+            "counter",
+            "Jobs finished successfully.",
+            q.completed,
+        ),
+        (
+            "icn_jobs_failed_total",
+            "counter",
+            "Jobs that failed.",
+            q.failed,
+        ),
+        (
+            "icn_jobs_shed_total",
+            "counter",
+            "Jobs rejected by the priority shed policy.",
+            q.shed,
+        ),
+        (
+            "icn_cache_hits_total",
+            "counter",
+            "Cache lookups answered from memory or disk.",
+            k.hits,
+        ),
+        (
+            "icn_cache_misses_total",
+            "counter",
+            "Cache lookups that found nothing.",
+            k.misses,
+        ),
+        (
+            "icn_cache_evictions_total",
+            "counter",
+            "Entries displaced from memory to make room.",
+            k.evictions,
+        ),
+        (
+            "icn_cache_entries",
+            "gauge",
+            "Result bodies currently held in memory.",
+            k.entries as u64,
+        ),
+        (
+            "icn_cache_capacity",
+            "gauge",
+            "Configured memory capacity in entries (0 = memory caching disabled).",
+            k.capacity as u64,
+        ),
+        (
+            "icn_cache_spill_writes_total",
+            "counter",
+            "Result bodies written through to the disk spill.",
+            k.spill_writes,
+        ),
+        (
+            "icn_cache_disk_hits_total",
+            "counter",
+            "Memory misses answered by the disk spill.",
+            k.disk_hits,
+        ),
+        (
+            "icn_cache_disk_discarded_total",
+            "counter",
+            "Corrupt or truncated disk entries discarded.",
+            k.disk_discarded,
+        ),
+        (
+            "icn_journal_appends_total",
+            "counter",
+            "Records appended to the write-ahead journal.",
+            c.journal_appends,
+        ),
+        (
+            "icn_journal_compactions_total",
+            "counter",
+            "Growth-triggered write-ahead journal compactions since startup.",
+            c.journal_compactions,
+        ),
+        (
+            "icn_journal_replayed_jobs_total",
+            "counter",
+            "Jobs re-enqueued from the journal at the last recovery.",
+            c.journal_replayed_jobs,
+        ),
+        (
+            "icn_journal_discarded_bytes_total",
+            "counter",
+            "Corrupt or truncated journal tail bytes discarded at the last recovery.",
+            c.journal_discarded_bytes,
+        ),
+    ];
 
+    let mut out = String::with_capacity(4096);
     header(
         &mut out,
         "icn_build_info",
@@ -93,41 +227,16 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         "icn_build_info{{service=\"icn-serve\",version=\"{}\"}} 1\n",
         escape_label(env!("CARGO_PKG_VERSION")),
     ));
-
-    let c = &snap.counters;
-    family(
-        &mut out,
-        "icn_requests_total",
-        "counter",
-        "HTTP requests handled.",
-        c.requests,
-    );
-    family(
-        &mut out,
-        "icn_responses_ok_total",
-        "counter",
-        "Responses with a 2xx status.",
-        c.responses_ok,
-    );
-    family(
-        &mut out,
-        "icn_requests_rejected_total",
-        "counter",
-        "Responses with a 429 or 503 status (shed or draining).",
-        c.rejected,
-    );
-    family(
-        &mut out,
-        "icn_deadline_expired_total",
-        "counter",
-        "Jobs abandoned because their wall-clock deadline expired.",
-        c.deadline_expired,
-    );
+    for (name, kind, help, value) in families {
+        header(&mut out, name, kind, help);
+        out.push_str(&format!("{name} {value}\n"));
+    }
 
     // The latency histogram, as cumulative le-labeled buckets. The
     // telemetry histogram stores log-bucketed value ranges; each range's
     // upper bound becomes one `le` boundary, in increasing order, and the
     // mandatory terminal `+Inf` bucket equals `_count`.
+    let latency = &snap.latency_us;
     header(
         &mut out,
         "icn_request_latency_us",
@@ -135,142 +244,18 @@ pub fn render(snap: &MetricsSnapshot) -> String {
         "Request handling latency in microseconds.",
     );
     let mut cumulative = 0u64;
-    for (_, high, count) in snap.latency_us.buckets() {
+    for (_, high, count) in latency.buckets() {
         cumulative += count;
         out.push_str(&format!(
             "icn_request_latency_us_bucket{{le=\"{high}\"}} {cumulative}\n"
         ));
     }
+    let count = latency.count();
     out.push_str(&format!(
-        "icn_request_latency_us_bucket{{le=\"+Inf\"}} {}\n",
-        snap.latency_us.count()
+        "icn_request_latency_us_bucket{{le=\"+Inf\"}} {count}\n"
     ));
-    out.push_str(&format!(
-        "icn_request_latency_us_sum {}\n",
-        snap.latency_us.sum()
-    ));
-    out.push_str(&format!(
-        "icn_request_latency_us_count {}\n",
-        snap.latency_us.count()
-    ));
-
-    let q = &snap.queue;
-    family(
-        &mut out,
-        "icn_queue_depth",
-        "gauge",
-        "Jobs currently waiting in the queue.",
-        q.depth as u64,
-    );
-    family(
-        &mut out,
-        "icn_queue_capacity",
-        "gauge",
-        "Configured job-queue capacity.",
-        q.capacity as u64,
-    );
-    family(
-        &mut out,
-        "icn_queue_running",
-        "gauge",
-        "Jobs currently being simulated.",
-        q.running as u64,
-    );
-    family(
-        &mut out,
-        "icn_jobs_enqueued_total",
-        "counter",
-        "Jobs accepted since startup.",
-        q.enqueued,
-    );
-    family(
-        &mut out,
-        "icn_jobs_completed_total",
-        "counter",
-        "Jobs finished successfully.",
-        q.completed,
-    );
-    family(
-        &mut out,
-        "icn_jobs_failed_total",
-        "counter",
-        "Jobs that failed.",
-        q.failed,
-    );
-    family(
-        &mut out,
-        "icn_jobs_shed_total",
-        "counter",
-        "Jobs rejected by the priority shed policy.",
-        q.shed,
-    );
-
-    let k = &snap.cache;
-    family(
-        &mut out,
-        "icn_cache_hits_total",
-        "counter",
-        "Cache lookups answered from memory or disk.",
-        k.hits,
-    );
-    family(
-        &mut out,
-        "icn_cache_misses_total",
-        "counter",
-        "Cache lookups that found nothing.",
-        k.misses,
-    );
-    family(
-        &mut out,
-        "icn_cache_evictions_total",
-        "counter",
-        "Entries displaced from memory to make room.",
-        k.evictions,
-    );
-    family(
-        &mut out,
-        "icn_cache_entries",
-        "gauge",
-        "Result bodies currently held in memory.",
-        k.entries as u64,
-    );
-    family(
-        &mut out,
-        "icn_cache_spill_writes_total",
-        "counter",
-        "Result bodies written through to the disk spill.",
-        k.spill_writes,
-    );
-    family(
-        &mut out,
-        "icn_cache_disk_hits_total",
-        "counter",
-        "Memory misses answered by the disk spill.",
-        k.disk_hits,
-    );
-    family(
-        &mut out,
-        "icn_cache_disk_discarded_total",
-        "counter",
-        "Corrupt or truncated disk entries discarded.",
-        k.disk_discarded,
-    );
-
-    family(
-        &mut out,
-        "icn_journal_appends_total",
-        "counter",
-        "Records appended to the write-ahead journal.",
-        snap.journal_appends,
-    );
-    family(
-        &mut out,
-        "icn_journal_replayed_jobs_total",
-        "counter",
-        "Jobs re-enqueued from the journal at the last recovery.",
-        snap.journal_replayed_jobs,
-    );
-
+    out.push_str(&format!("icn_request_latency_us_sum {}\n", latency.sum()));
+    out.push_str(&format!("icn_request_latency_us_count {count}\n"));
     out
 }
 
@@ -614,6 +599,7 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
 mod tests {
     use super::*;
     use icn_sim::telemetry::DEFAULT_PRECISION;
+    use proptest::prelude::*;
 
     fn snapshot() -> MetricsSnapshot {
         let mut latency = Histogram::new(DEFAULT_PRECISION);
@@ -626,6 +612,10 @@ mod tests {
                 responses_ok: 14,
                 rejected: 2,
                 deadline_expired: 1,
+                journal_appends: 23,
+                journal_compactions: 2,
+                journal_replayed_jobs: 4,
+                journal_discarded_bytes: 9,
             },
             latency_us: latency,
             queue: QueueStats {
@@ -649,8 +639,6 @@ mod tests {
                 disk_hits: 2,
                 disk_discarded: 0,
             },
-            journal_appends: 23,
-            journal_replayed_jobs: 4,
         }
     }
 
@@ -669,6 +657,9 @@ mod tests {
         assert_eq!(parsed.value("icn_cache_disk_hits_total"), Some(2.0));
         assert_eq!(parsed.value("icn_journal_appends_total"), Some(23.0));
         assert_eq!(parsed.value("icn_journal_replayed_jobs_total"), Some(4.0));
+        assert_eq!(parsed.value("icn_journal_compactions_total"), Some(2.0));
+        assert_eq!(parsed.value("icn_journal_discarded_bytes_total"), Some(9.0));
+        assert_eq!(parsed.value("icn_cache_capacity"), Some(64.0));
 
         let build = parsed.family("icn_build_info").unwrap();
         assert_eq!(build.kind, "gauge");
@@ -760,5 +751,159 @@ b 1
             Some("quote \" slash \\ nl \n end")
         );
         assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    /// Every single-sample family [`render`] writes, paired with the
+    /// snapshot value it must carry.
+    fn expected_values(s: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
+        let (c, q, k) = (&s.counters, &s.queue, &s.cache);
+        vec![
+            ("icn_requests_total", c.requests),
+            ("icn_responses_ok_total", c.responses_ok),
+            ("icn_requests_rejected_total", c.rejected),
+            ("icn_deadline_expired_total", c.deadline_expired),
+            ("icn_queue_depth", q.depth as u64),
+            ("icn_queue_capacity", q.capacity as u64),
+            ("icn_queue_running", q.running as u64),
+            ("icn_jobs_enqueued_total", q.enqueued),
+            ("icn_jobs_completed_total", q.completed),
+            ("icn_jobs_failed_total", q.failed),
+            ("icn_jobs_shed_total", q.shed),
+            ("icn_cache_hits_total", k.hits),
+            ("icn_cache_misses_total", k.misses),
+            ("icn_cache_evictions_total", k.evictions),
+            ("icn_cache_entries", k.entries as u64),
+            ("icn_cache_capacity", k.capacity as u64),
+            ("icn_cache_spill_writes_total", k.spill_writes),
+            ("icn_cache_disk_hits_total", k.disk_hits),
+            ("icn_cache_disk_discarded_total", k.disk_discarded),
+            ("icn_journal_appends_total", c.journal_appends),
+            ("icn_journal_compactions_total", c.journal_compactions),
+            ("icn_journal_replayed_jobs_total", c.journal_replayed_jobs),
+            (
+                "icn_journal_discarded_bytes_total",
+                c.journal_discarded_bytes,
+            ),
+        ]
+    }
+
+    /// A snapshot built from 25 drawn counters and a drawn latency sample
+    /// set. Counters stay below 2^53 so every value is exact as an `f64`.
+    fn drawn_snapshot(n: &[u64], latencies: &[u64]) -> MetricsSnapshot {
+        let mut latency_us = Histogram::new(DEFAULT_PRECISION);
+        for &us in latencies {
+            latency_us.record(us);
+        }
+        let z = |i: usize| usize::try_from(n[i]).unwrap_or(usize::MAX);
+        MetricsSnapshot {
+            counters: ServeCounters {
+                requests: n[0],
+                responses_ok: n[1],
+                rejected: n[2],
+                deadline_expired: n[3],
+                journal_appends: n[4],
+                journal_compactions: n[5],
+                journal_replayed_jobs: n[6],
+                journal_discarded_bytes: n[7],
+            },
+            latency_us,
+            queue: QueueStats {
+                depth: z(8),
+                capacity: z(9),
+                high_water: z(10),
+                running: z(11),
+                enqueued: n[12],
+                completed: n[13],
+                failed: n[14],
+                shed: n[15],
+                mean_service_us: n[16],
+            },
+            cache: CacheStats {
+                hits: n[17],
+                misses: n[18],
+                evictions: n[19],
+                entries: z(20),
+                capacity: z(21),
+                spill_writes: n[22],
+                disk_hits: n[23],
+                disk_discarded: n[24],
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `render` of any snapshot validates, declares exactly the
+        /// expected families, and every value reads back as the
+        /// snapshot's.
+        #[test]
+        fn rendered_snapshot_parses_back_to_its_values(
+            n in proptest::collection::vec(0u64..(1 << 53), 25),
+            latencies in proptest::collection::vec(0u64..10_000_000, 0..40),
+        ) {
+            let snap = drawn_snapshot(&n, &latencies);
+            let text = render(&snap);
+            let parsed = parse_exposition(&text)
+                .map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
+            let expected = expected_values(&snap);
+            prop_assert_eq!(parsed.families.len(), expected.len() + 2);
+            for (name, value) in &expected {
+                prop_assert_eq!(parsed.value(name), Some(*value as f64), "{}", name);
+            }
+            let hist = parsed.family("icn_request_latency_us").expect("histogram family");
+            let sample = |name: &str| hist.samples.iter().find(|s| s.name == name).map(|s| s.value);
+            let h = &snap.latency_us;
+            prop_assert_eq!(sample("icn_request_latency_us_count"), Some(h.count() as f64));
+            prop_assert_eq!(sample("icn_request_latency_us_sum"), Some(h.sum() as f64));
+            let buckets: Vec<f64> = hist
+                .samples
+                .iter()
+                .filter(|s| s.name == "icn_request_latency_us_bucket")
+                .map(|s| s.value)
+                .collect();
+            let mut cumulative = 0u64;
+            let mut want: Vec<f64> = h
+                .buckets()
+                .map(|(_, _, count)| {
+                    cumulative += count;
+                    cumulative as f64
+                })
+                .collect();
+            want.push(h.count() as f64);
+            prop_assert_eq!(buckets, want);
+        }
+
+        /// Byte flips, truncations and duplicated lines of a rendered
+        /// document yield `Ok` or `Err` from the parser, never a panic:
+        /// `icn metrics <file>` reads whatever is on disk.
+        #[test]
+        fn mutated_exposition_never_panics_the_parser(
+            n in proptest::collection::vec(0u64..(1 << 53), 25),
+            latencies in proptest::collection::vec(0u64..10_000_000, 0..20),
+            edits in proptest::collection::vec(any::<u64>(), 1..8),
+        ) {
+            let mut bytes = render(&drawn_snapshot(&n, &latencies)).into_bytes();
+            for edit in edits {
+                let at = (edit >> 8) as usize;
+                match edit % 3 {
+                    0 if !bytes.is_empty() => {
+                        let i = at % bytes.len();
+                        bytes[i] ^= (edit >> 56) as u8 | 1;
+                    }
+                    1 => bytes.truncate(at % (bytes.len() + 1)),
+                    _ => {
+                        let text = String::from_utf8_lossy(&bytes).into_owned();
+                        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+                        if !lines.is_empty() {
+                            let line = lines[at % lines.len()];
+                            lines.insert((at >> 16) % (lines.len() + 1), line);
+                        }
+                        bytes = lines.concat().into_bytes();
+                    }
+                }
+            }
+            let _ = parse_exposition(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -24,16 +24,22 @@
 //! high-water mark and everything at capacity, each 429 carrying an
 //! honest `Retry-After` derived from the observed mean service time.
 //!
+//! The server observes itself through one registry ([`ServeTelemetry`]):
+//! [`ServeTelemetry::snapshot`] captures it with the queue and cache
+//! statistics, and `/v1/metrics`, `/v1/stats`, the [`ServeSummary`] and
+//! the `--telemetry-out` file all render that one snapshot.
+//!
 //! Graceful shutdown (`POST /v1/shutdown` or [`ServerHandle::shutdown`])
-//! stops accepting, drains queued connections and jobs, writes the
-//! telemetry dump if one was requested, and returns a [`ServeSummary`].
+//! stops accepting, drains queued connections and jobs, writes the final
+//! `/v1/metrics` exposition to `--telemetry-out` if one was requested, and
+//! returns a [`ServeSummary`] of the same snapshot.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use icn_sim::{SimConfig, SimError};
@@ -44,13 +50,13 @@ use crate::api::{content_key, ExploreRequest, Limits, ResolvedExplore, SimulateR
 use crate::cache::{CacheStats, ResultCache};
 use crate::http::{read_request, ChunkedResponse, HttpError, Request, Response};
 use crate::jobs::{
-    retry_after_secs, Enqueue, JobPayload, JobQueue, JobRecord, JobSnapshot, JobState, QueueStats,
-    RestoredJob, TakenJob,
+    retry_after_secs, Enqueue, JobPayload, JobQueue, JobRecord, JobSnapshot, JobState, RestoredJob,
+    TakenJob,
 };
 use crate::journal::{compaction_records, CompactionJob, Journal, Record};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::spill::DiskStore;
-use crate::telemetry::{ProgressSink, ServeEvent, ServeTelemetry};
+use crate::telemetry::{ProgressSink, ServeTelemetry};
 use crate::trace::{resolve_trace_id, TraceBuilder, TraceStore};
 
 /// Connections buffered between the acceptor and the HTTP workers.
@@ -79,7 +85,7 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Result-cache capacity in entries (0 disables memory caching).
     pub cache_entries: usize,
-    /// Write a telemetry JSONL dump here on shutdown.
+    /// Write the final `/v1/metrics` exposition here on shutdown.
     pub telemetry_out: Option<String>,
     /// Write-ahead job journal path (None = no crash safety).
     pub journal: Option<String>,
@@ -115,7 +121,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// What the server did, returned by [`Server::run`] after shutdown.
+/// What the server did, returned by [`Server::run`] after shutdown: the
+/// final snapshot's totals, the same numbers the `--telemetry-out` file
+/// carries.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeSummary {
     /// HTTP requests handled.
@@ -126,6 +134,17 @@ pub struct ServeSummary {
     pub jobs_failed: u64,
     /// Final cache counters.
     pub cache: CacheStats,
+}
+
+impl From<&MetricsSnapshot> for ServeSummary {
+    fn from(snap: &MetricsSnapshot) -> Self {
+        Self {
+            requests: snap.counters.requests,
+            jobs_completed: snap.queue.completed,
+            jobs_failed: snap.queue.failed,
+            cache: snap.cache,
+        }
+    }
 }
 
 /// Bounded handoff queue between the acceptor and the HTTP workers.
@@ -176,8 +195,9 @@ impl ConnQueue {
 #[derive(Debug)]
 struct ServerState {
     config: ServeConfig,
-    cache: parking_lot::Mutex<ResultCache>,
+    cache: Mutex<ResultCache>,
     jobs: JobQueue,
+    /// The one observation registry (see [`snapshot`]).
     telemetry: ServeTelemetry,
     shutdown: AtomicBool,
     /// The write-ahead journal, when durability is enabled. Lock order:
@@ -189,10 +209,14 @@ struct ServerState {
     spill_active: bool,
     /// Per-job span traces for `GET /v1/jobs/:id/trace`.
     traces: TraceStore,
-    /// Records appended to the write-ahead journal (metrics counter).
-    journal_appends: AtomicU64,
-    /// Jobs re-enqueued from the journal at startup (metrics counter).
-    journal_replayed: AtomicU64,
+}
+
+impl ServerState {
+    /// The result cache, surviving a poisoned lock like every other lock
+    /// in the server.
+    fn cache(&self) -> MutexGuard<'_, ResultCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A handle for observing and stopping a running server from another
@@ -250,27 +274,22 @@ impl Server {
             None => ResultCache::new(config.cache_entries),
         };
 
+        let telemetry = ServeTelemetry::new();
         let mut journal = None;
-        let mut recovered_event = None;
-        let mut replayed_jobs = 0u64;
         let jobs = match config.journal.as_deref() {
             None => JobQueue::new(config.queue_depth),
             Some(path) => {
                 let (mut handle, recovery) = Journal::recover(Path::new(path))?;
                 let jobs = JobQueue::with_recovered(config.queue_depth, recovery.next_id);
-                let mut restored_cache = 0u64;
                 for (key, body) in recovery.orphan_results {
                     cache.insert(&key, Arc::new(body));
-                    restored_cache += 1;
                 }
-                let total_jobs = recovery.jobs.len() as u64;
                 let mut requeued = 0u64;
                 for job in recovery.jobs {
                     let outcome = match job.outcome {
                         Some(Ok(Some(body))) => {
                             let body = Arc::new(body);
                             cache.insert(&job.key, Arc::clone(&body));
-                            restored_cache += 1;
                             Some(Ok(body))
                         }
                         // Body lives in the spill (or is lost): a cache
@@ -320,33 +339,25 @@ impl Server {
                     next_id,
                     &compaction_jobs(records, spill_active),
                 ))?;
-                recovered_event = Some(ServeEvent::Recovered {
-                    jobs: total_jobs,
-                    requeued,
-                    cache_entries: restored_cache,
-                    discarded_bytes: recovery.discarded_bytes,
+                telemetry.update(|c| {
+                    c.journal_replayed_jobs = requeued;
+                    c.journal_discarded_bytes = recovery.discarded_bytes;
                 });
-                replayed_jobs = requeued;
                 journal = Some(Mutex::new(handle));
                 jobs
             }
         };
 
         let state = Arc::new(ServerState {
-            cache: parking_lot::Mutex::new(cache),
+            cache: Mutex::new(cache),
             jobs,
-            telemetry: ServeTelemetry::new(),
+            telemetry,
             shutdown: AtomicBool::new(false),
             journal,
             spill_active,
             traces: TraceStore::new(),
-            journal_appends: AtomicU64::new(0),
-            journal_replayed: AtomicU64::new(replayed_jobs),
             config,
         });
-        if let Some(event) = recovered_event {
-            state.telemetry.event(event);
-        }
         Ok(Self {
             listener,
             state,
@@ -373,7 +384,7 @@ impl Server {
     ///
     /// # Errors
     /// Returns an I/O error only for listener-level failures
-    /// (`set_nonblocking`) or a failed telemetry-dump write; per-connection
+    /// (`set_nonblocking`) or a failed `--telemetry-out` write; per-connection
     /// errors are answered on the wire and never abort the server.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         let Self {
@@ -429,39 +440,26 @@ impl Server {
             }
         });
 
+        let last = snapshot(&state);
         if let Some(path) = &state.config.telemetry_out {
-            let cache_stats = state.cache.lock().stats();
-            let mut buf = Vec::new();
-            state
-                .telemetry
-                .write_jsonl(
-                    state.config.workers,
-                    state.config.queue_depth,
-                    state.config.cache_entries,
-                    Some(cache_stats),
-                    &mut buf,
-                )
-                .and_then(|()| std::fs::write(path, buf))?;
+            std::fs::write(path, metrics::render(&last))?;
         }
-
-        let queue = state.jobs.stats();
-        let cache = state.cache.lock().stats();
-        Ok(ServeSummary {
-            requests: state.telemetry.requests(),
-            jobs_completed: queue.completed,
-            jobs_failed: queue.failed,
-            cache,
-        })
+        Ok(ServeSummary::from(&last))
     }
 }
 
-/// Flip the shutdown flag (idempotent) and log the event once.
+/// Flip the shutdown flag (idempotent); the acceptor sees it and drains.
 fn request_shutdown(state: &ServerState) {
-    if !state.shutdown.swap(true, Ordering::AcqRel) {
-        state.telemetry.event(ServeEvent::ShutdownRequested {
-            jobs_pending: state.jobs.depth() as u64,
-        });
-    }
+    state.shutdown.store(true, Ordering::Release);
+}
+
+/// Capture the registry with the queue and cache statistics: the one
+/// source of `/v1/metrics`, `/v1/stats`, the [`ServeSummary`] and the
+/// `--telemetry-out` file.
+fn snapshot(state: &ServerState) -> MetricsSnapshot {
+    let queue = state.jobs.stats();
+    let cache = state.cache().stats();
+    state.telemetry.snapshot(queue, cache)
 }
 
 /// Append one record to the journal, if one is configured. Append errors
@@ -471,7 +469,7 @@ fn journal_append(state: &ServerState, record: &Record) {
     if let Some(journal) = &state.journal {
         let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
         if journal.append(record).is_ok() {
-            state.journal_appends.fetch_add(1, Ordering::Relaxed);
+            state.telemetry.update(|c| c.journal_appends += 1);
         }
     }
 }
@@ -509,7 +507,6 @@ fn maybe_compact(state: &ServerState) {
     if !journal.wants_compaction() {
         return;
     }
-    let before_bytes = journal.bytes();
     let (next_id, records) = state.jobs.journal_view();
     if journal
         .compact(&compaction_records(
@@ -518,10 +515,7 @@ fn maybe_compact(state: &ServerState) {
         ))
         .is_ok()
     {
-        state.telemetry.event(ServeEvent::JournalCompacted {
-            before_bytes,
-            after_bytes: journal.bytes(),
-        });
+        state.telemetry.update(|c| c.journal_compactions += 1);
     }
 }
 
@@ -529,7 +523,6 @@ fn maybe_compact(state: &ServerState) {
 /// the job's progress counters and honoring its wall-clock deadline.
 fn run_job(
     state: &ServerState,
-    id: u64,
     config: SimConfig,
     progress: Arc<crate::telemetry::Progress>,
     deadline: Option<Instant>,
@@ -553,9 +546,7 @@ fn run_job(
         },
         Ok(Err(e)) => {
             if matches!(e, SimError::DeadlineExceeded { .. }) {
-                state
-                    .telemetry
-                    .event(ServeEvent::DeadlineExceeded { job: id });
+                state.telemetry.update(|c| c.deadline_expired += 1);
             }
             Err(e.to_string())
         }
@@ -612,25 +603,22 @@ fn job_worker(state: &ServerState) {
             progress,
         } = taken;
         journal_append(state, &Record::Start { id });
-        state.telemetry.event(ServeEvent::JobStarted { job: id });
         state.traces.started(id);
         let started = Instant::now();
         let outcome = match deadline {
             Some(deadline) if Instant::now() >= deadline => {
-                state
-                    .telemetry
-                    .event(ServeEvent::DeadlineExceeded { job: id });
+                state.telemetry.update(|c| c.deadline_expired += 1);
                 Err("deadline exceeded before the job started".to_string())
             }
             deadline => match payload {
-                JobPayload::Simulate(config) => run_job(state, id, *config, progress, deadline),
+                JobPayload::Simulate(config) => run_job(state, *config, progress, deadline),
                 JobPayload::Explore(resolved) => run_explore_job(state, &resolved, &progress),
             },
         };
         let micros = elapsed_micros(started);
         match &outcome {
             Ok(body) => {
-                state.cache.lock().insert(&key, Arc::clone(body));
+                state.cache().insert(&key, Arc::clone(body));
                 // With a spill, the body is already durable on disk under
                 // its content key; journaling it again would only bloat.
                 let inline = if state.spill_active {
@@ -646,9 +634,6 @@ fn job_worker(state: &ServerState) {
                         body: inline,
                     },
                 );
-                state
-                    .telemetry
-                    .event(ServeEvent::JobDone { job: id, micros });
             }
             Err(error) => {
                 journal_append(
@@ -658,10 +643,6 @@ fn job_worker(state: &ServerState) {
                         error: error.clone(),
                     },
                 );
-                state.telemetry.event(ServeEvent::JobFailed {
-                    job: id,
-                    error: error.clone(),
-                });
             }
         }
         state.traces.finished(id);
@@ -697,23 +678,16 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
             .and_then(|rest| rest.strip_suffix("/stream"))
         {
             if let Ok(id) = id_text.parse::<u64>() {
-                stream_job(state, stream, &request, id, started);
+                stream_job(state, stream, id, started);
                 return;
             }
         }
     }
     let trace_id = resolve_trace_id(request.header("x-icn-trace-id"));
     let response = route(state, &request, &trace_id, started);
-    let micros = elapsed_micros(started);
-    let queue = state.jobs.stats();
-    state.telemetry.record_request(
-        &request.method,
-        &request.path,
-        response.status,
-        micros,
-        queue.depth as u64,
-        queue.running as u64,
-    );
+    state
+        .telemetry
+        .record_request(response.status, elapsed_micros(started));
     let _ = response
         .with_header("x-icn-trace-id", trace_id)
         .write(stream);
@@ -723,23 +697,11 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
 /// [`STREAM_POLL`]) until the job reaches a terminal state, the client
 /// hangs up, or [`STREAM_MAX_TICKS`] elapse. Fed by the worker's
 /// [`ProgressSink`] counters.
-fn stream_job(
-    state: &ServerState,
-    stream: &mut TcpStream,
-    request: &Request,
-    id: u64,
-    started: Instant,
-) {
+fn stream_job(state: &ServerState, stream: &mut TcpStream, id: u64, started: Instant) {
     let record = |status: u16| {
-        let queue = state.jobs.stats();
-        state.telemetry.record_request(
-            &request.method,
-            &request.path,
-            status,
-            elapsed_micros(started),
-            queue.depth as u64,
-            queue.running as u64,
-        );
+        state
+            .telemetry
+            .record_request(status, elapsed_micros(started));
     };
     if state.jobs.snapshot(id).is_none() {
         record(404);
@@ -796,9 +758,6 @@ fn route(state: &ServerState, request: &Request, trace_id: &str, started: Instan
             Response::json(200, r#"{"status":"draining"}"#)
         }
         _ if state.shutdown.load(Ordering::Acquire) => {
-            state.telemetry.event(ServeEvent::Rejected {
-                reason: "draining".to_string(),
-            });
             Response::json(503, r#"{"error":"server is draining"}"#)
         }
         ("POST", "/v1/evaluate") => evaluate(state, &request.body),
@@ -817,17 +776,9 @@ fn route(state: &ServerState, request: &Request, trace_id: &str, started: Instan
     }
 }
 
-/// `GET /v1/metrics`: Prometheus text exposition of the live counters.
+/// `GET /v1/metrics`: Prometheus text exposition of the live snapshot.
 fn metrics_endpoint(state: &ServerState) -> Response {
-    let snapshot = MetricsSnapshot {
-        counters: state.telemetry.counters(),
-        latency_us: state.telemetry.latency_histogram(),
-        queue: state.jobs.stats(),
-        cache: state.cache.lock().stats(),
-        journal_appends: state.journal_appends.load(Ordering::Relaxed),
-        journal_replayed_jobs: state.journal_replayed.load(Ordering::Relaxed),
-    };
-    Response::metrics_text(200, metrics::render(&snapshot))
+    Response::metrics_text(200, metrics::render(&snapshot(state)))
 }
 
 /// `POST /v1/evaluate`: closed-form design evaluation, cached.
@@ -844,16 +795,12 @@ fn evaluate(state: &ServerState, body: &[u8]) -> Response {
         Err(e) => return Response::json(500, error_body(&format!("canonicalizing spec: {e}"))),
     };
     let key = content_key("evaluate", &canonical);
-    if let Some(body) = state.cache.lock().get(&key) {
-        state.telemetry.event(ServeEvent::CacheHit { key });
+    if let Some(body) = state.cache().get(&key) {
         return Response::json(200, body.as_str()).with_header("x-icn-cache", "hit");
     }
-    state
-        .telemetry
-        .event(ServeEvent::CacheMiss { key: key.clone() });
     let check = icn_lint::check_design("<request>", &spec);
     let body = Arc::new(icn_lint::render_design_json(&check));
-    state.cache.lock().insert(&key, Arc::clone(&body));
+    state.cache().insert(&key, Arc::clone(&body));
     Response::json(200, body.as_str()).with_header("x-icn-cache", "miss")
 }
 
@@ -893,28 +840,17 @@ fn simulate(state: &ServerState, body: &[u8], trace_id: &str, started: Instant) 
     trace.span("parse", parse_started);
     let key = content_key("simulate", &canonical);
     let lookup_started = Instant::now();
-    if let Some(body) = state.cache.lock().get(&key) {
-        state.telemetry.event(ServeEvent::CacheHit { key });
+    if let Some(body) = state.cache().get(&key) {
         return Response::json(200, body.as_str()).with_header("x-icn-cache", "hit");
     }
     trace.span("cache_lookup", lookup_started);
-    state
-        .telemetry
-        .event(ServeEvent::CacheMiss { key: key.clone() });
-    let priority = request.priority.unwrap_or_default();
-    // `deadline_ms: 0` explicitly opts out of the server default.
-    let deadline_ms = match request.deadline_ms {
-        Some(0) => None,
-        Some(ms) => Some(ms),
-        None => (state.config.default_deadline_ms > 0).then_some(state.config.default_deadline_ms),
-    };
     submit_job(
         state,
         &key,
         JobPayload::Simulate(Box::new(config)),
         Arc::new(canonical),
-        priority,
-        deadline_ms,
+        request.priority.unwrap_or_default(),
+        job_deadline(state, request.deadline_ms),
         trace,
     )
 }
@@ -943,29 +879,29 @@ fn explore(state: &ServerState, body: &[u8], trace_id: &str, started: Instant) -
     trace.span("parse", parse_started);
     let key = content_key("explore", &canonical);
     let lookup_started = Instant::now();
-    if let Some(body) = state.cache.lock().get(&key) {
-        state.telemetry.event(ServeEvent::CacheHit { key });
+    if let Some(body) = state.cache().get(&key) {
         return Response::json(200, body.as_str()).with_header("x-icn-cache", "hit");
     }
     trace.span("cache_lookup", lookup_started);
-    state
-        .telemetry
-        .event(ServeEvent::CacheMiss { key: key.clone() });
-    let priority = request.priority.unwrap_or_default();
-    let deadline_ms = match request.deadline_ms {
-        Some(0) => None,
-        Some(ms) => Some(ms),
-        None => (state.config.default_deadline_ms > 0).then_some(state.config.default_deadline_ms),
-    };
     submit_job(
         state,
         &key,
         JobPayload::Explore(Box::new(resolved)),
         Arc::new(canonical),
-        priority,
-        deadline_ms,
+        request.priority.unwrap_or_default(),
+        job_deadline(state, request.deadline_ms),
         trace,
     )
+}
+
+/// A job's wall-clock budget: the request's own, else the server default.
+/// `deadline_ms: 0` explicitly opts out of the server default.
+fn job_deadline(state: &ServerState, requested: Option<u64>) -> Option<u64> {
+    match requested {
+        Some(0) => None,
+        Some(ms) => Some(ms),
+        None => (state.config.default_deadline_ms > 0).then_some(state.config.default_deadline_ms),
+    }
 }
 
 /// The shared submit tail: enqueue a payload, journal the submit, and
@@ -998,35 +934,16 @@ fn submit_job(
             if state.journal.is_some() {
                 trace.span("journal_append", journal_started);
             }
-            state.telemetry.event(ServeEvent::JobEnqueued {
-                job: id,
-                key: key.to_string(),
-            });
             state.traces.submitted(id, trace);
             accepted(id, "queued")
         }
         Enqueue::Coalesced(id) => accepted(id, "coalesced"),
-        Enqueue::Full => {
-            state.telemetry.event(ServeEvent::Rejected {
-                reason: "queue-full".to_string(),
-            });
-            too_many_requests(state, "job queue is full; retry shortly")
-        }
-        Enqueue::Shed => {
-            state.telemetry.event(ServeEvent::Rejected {
-                reason: "shed-low-priority".to_string(),
-            });
-            too_many_requests(
-                state,
-                "queue past high water; low-priority work is shed under load",
-            )
-        }
-        Enqueue::ShuttingDown => {
-            state.telemetry.event(ServeEvent::Rejected {
-                reason: "draining".to_string(),
-            });
-            Response::json(503, r#"{"error":"server is draining"}"#)
-        }
+        Enqueue::Full => too_many_requests(state, "job queue is full; retry shortly"),
+        Enqueue::Shed => too_many_requests(
+            state,
+            "queue past high water; low-priority work is shed under load",
+        ),
+        Enqueue::ShuttingDown => Response::json(503, r#"{"error":"server is draining"}"#),
     }
 }
 
@@ -1109,7 +1026,8 @@ fn engine_profile(job: &JobSnapshot) -> Option<Value> {
     }
 }
 
-/// `GET /v1/stats`: counters for dashboards and the smoke tests.
+/// `GET /v1/stats`: the [`snapshot`] as nested JSON, for dashboards and
+/// the smoke tests.
 fn stats(state: &ServerState) -> Response {
     /// The response envelope (serialized, not hand-formatted: it nests).
     #[derive(Serialize)]
@@ -1144,11 +1062,15 @@ fn stats(state: &ServerState) -> Response {
         p99: u64,
         max: u64,
     }
-    let queue: QueueStats = state.jobs.stats();
-    let (count, p50, p95, p99, max) = state.telemetry.latency_summary();
+    let MetricsSnapshot {
+        counters,
+        latency_us,
+        queue,
+        cache,
+    } = snapshot(state);
     let body = StatsBody {
-        requests: state.telemetry.requests(),
-        cache: state.cache.lock().stats(),
+        requests: counters.requests,
+        cache,
         queue: QueueBody {
             depth: queue.depth,
             capacity: queue.capacity,
@@ -1164,11 +1086,11 @@ fn stats(state: &ServerState) -> Response {
             failed: queue.failed,
         },
         latency_us: LatencyBody {
-            count,
-            p50,
-            p95,
-            p99,
-            max,
+            count: latency_us.count(),
+            p50: latency_us.quantile(0.50),
+            p95: latency_us.quantile(0.95),
+            p99: latency_us.quantile(0.99),
+            max: latency_us.max(),
         },
     };
     match serde_json::to_string(&body) {

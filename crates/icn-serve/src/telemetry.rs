@@ -1,142 +1,31 @@
-//! Service telemetry, reusing the PR 2 engine-telemetry vocabulary.
+//! The service's one observation registry.
 //!
-//! The server records three things, mirroring what the simulator records
-//! for itself so `icn inspect` can read both kinds of dump:
+//! Everything icn-serve counts and times about itself lives in one
+//! [`ServeTelemetry`]: the request counters, the request-latency
+//! [`Histogram`] (microseconds), and the journal counters.
+//! [`ServeTelemetry::snapshot`] captures them under one lock, together
+//! with the job queue's [`QueueStats`] and the result cache's
+//! [`CacheStats`], into a [`MetricsSnapshot`]. Every output renders that
+//! snapshot: `GET /v1/metrics` ([`crate::metrics::render`]),
+//! `GET /v1/stats`, the shutdown [`crate::ServeSummary`], and the
+//! `--telemetry-out` file, which is the final `/v1/metrics` exposition
+//! written at shutdown (`icn metrics <file>` validates and summarizes it).
 //!
-//! * a request-latency [`Histogram`] (microseconds), dumped as the named
-//!   histogram `request_latency_us`;
-//! * a queue-depth time series of [`Sample`] lines, one per request, with
-//!   the service gauges mapped onto the engine's sample fields (the
-//!   mapping is documented on [`ServeTelemetry::record_request`]);
-//! * a bounded [`ServeEvent`] stream: one line per notable lifecycle
-//!   event, oldest dropped first.
-//!
-//! A dump is JSONL of [`ServeDumpLine`] values: a `ServeMeta` header, then
-//! samples, the histogram, and events — the same externally-tagged layout
-//! as the engine's `DumpLine`, with service-specific tags where the
-//! payloads differ.
+//! Per-job lifecycle timing is not kept here: the `/v1/jobs/:id/trace`
+//! spans time each job's `queue_wait` and `execute` (see [`crate::trace`]),
+//! and the queue counts enqueued, completed, failed and shed jobs. Live
+//! job progress ([`Progress`], fed by [`ProgressSink`]) is a per-job gauge
+//! for the status and stream endpoints, not a registry family.
 
-use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use icn_sim::telemetry::{Histogram, NamedHistogram, Sample, DEFAULT_PRECISION};
+use icn_sim::telemetry::{Histogram, DEFAULT_PRECISION};
 use icn_sim::{EventSink, SimEvent};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
-/// Samples and events retained before the oldest are dropped.
-const RING_CAPACITY: usize = 4096;
-
-/// One service lifecycle event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServeEvent {
-    /// An HTTP exchange completed.
-    Request {
-        /// Monotonic request sequence number.
-        seq: u64,
-        /// HTTP method.
-        method: String,
-        /// Request path.
-        path: String,
-        /// Response status code.
-        status: u16,
-        /// Wall-clock handling time in microseconds.
-        micros: u64,
-    },
-    /// A lookup was served from the result cache.
-    CacheHit {
-        /// Content key that hit.
-        key: String,
-    },
-    /// A lookup missed the result cache.
-    CacheMiss {
-        /// Content key that missed.
-        key: String,
-    },
-    /// A simulation job was accepted into the queue.
-    JobEnqueued {
-        /// Job id.
-        job: u64,
-        /// Content key the job computes.
-        key: String,
-    },
-    /// A worker claimed a job.
-    JobStarted {
-        /// Job id.
-        job: u64,
-    },
-    /// A job finished successfully.
-    JobDone {
-        /// Job id.
-        job: u64,
-        /// Simulation wall-clock time in microseconds.
-        micros: u64,
-    },
-    /// A job failed (engine error or worker panic).
-    JobFailed {
-        /// Job id.
-        job: u64,
-        /// The failure message.
-        error: String,
-    },
-    /// A request was turned away.
-    Rejected {
-        /// Why (`queue-full`, `shed-low-priority`, `draining`, ...).
-        reason: String,
-    },
-    /// Graceful shutdown began.
-    ShutdownRequested {
-        /// Jobs still queued when the drain started.
-        jobs_pending: u64,
-    },
-    /// Startup replayed a write-ahead journal.
-    Recovered {
-        /// Jobs reinstalled from the journal (all states).
-        jobs: u64,
-        /// Of those, jobs re-enqueued to run (were queued/running at the
-        /// crash).
-        requeued: u64,
-        /// Result bodies restored into the cache (journal + disk spill).
-        cache_entries: u64,
-        /// Corrupt/truncated journal tail bytes discarded.
-        discarded_bytes: u64,
-    },
-    /// The write-ahead journal was compacted.
-    JournalCompacted {
-        /// File size before, in bytes.
-        before_bytes: u64,
-        /// File size after, in bytes.
-        after_bytes: u64,
-    },
-    /// A job was abandoned because its wall-clock deadline expired.
-    DeadlineExceeded {
-        /// Job id.
-        job: u64,
-    },
-}
-
-impl ServeEvent {
-    /// Short lowercase label for event-count summaries (`icn inspect`).
-    #[must_use]
-    pub const fn kind(&self) -> &'static str {
-        match self {
-            Self::Request { .. } => "request",
-            Self::CacheHit { .. } => "cache-hit",
-            Self::CacheMiss { .. } => "cache-miss",
-            Self::JobEnqueued { .. } => "job-enqueued",
-            Self::JobStarted { .. } => "job-started",
-            Self::JobDone { .. } => "job-done",
-            Self::JobFailed { .. } => "job-failed",
-            Self::Rejected { .. } => "rejected",
-            Self::ShutdownRequested { .. } => "shutdown-requested",
-            Self::Recovered { .. } => "recovered",
-            Self::JournalCompacted { .. } => "journal-compacted",
-            Self::DeadlineExceeded { .. } => "deadline-exceeded",
-        }
-    }
-}
+use crate::cache::CacheStats;
+use crate::jobs::QueueStats;
+use crate::metrics::MetricsSnapshot;
 
 /// Live progress counters for one running job, shared between the worker
 /// (writer, via [`ProgressSink`]) and the status/stream endpoints
@@ -200,57 +89,8 @@ impl EventSink for ProgressSink {
     }
 }
 
-/// The dump header: what produced this dump and with what limits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeMeta {
-    /// Simulation worker threads.
-    pub workers: usize,
-    /// Job-queue capacity.
-    pub queue_capacity: usize,
-    /// Result-cache capacity.
-    pub cache_capacity: usize,
-    /// Total HTTP requests handled.
-    pub requests: u64,
-    /// Samples lost to ring wrap (oldest first).
-    pub dropped_samples: u64,
-    /// Events lost to ring wrap (oldest first).
-    pub dropped_events: u64,
-}
-
-/// One line of a service telemetry JSONL dump (externally tagged, like the
-/// engine's `DumpLine`; `Sample` and `Histogram` lines are shared with it
-/// so `icn inspect`'s existing parsers apply unchanged).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ServeDumpLine {
-    /// The dump header.
-    ServeMeta(ServeMeta),
-    /// One queue-depth sample (engine-shaped; see
-    /// [`ServeTelemetry::record_request`] for the field mapping).
-    Sample(Sample),
-    /// One named histogram (`request_latency_us`).
-    Histogram(NamedHistogram),
-    /// One service lifecycle event.
-    ServeEvent(ServeEvent),
-    /// Final result-cache counters (memory and disk-spill traffic).
-    CacheStats(crate::cache::CacheStats),
-}
-
-#[derive(Debug)]
-struct Inner {
-    latency_us: Histogram,
-    samples: VecDeque<Sample>,
-    dropped_samples: u64,
-    events: VecDeque<ServeEvent>,
-    dropped_events: u64,
-    seq: u64,
-    requests: u64,
-    responses_ok: u64,
-    rejected: u64,
-    deadline_expired: u64,
-}
-
-/// Monotone totals for the metrics endpoint, snapshot under one lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The registry's monotone totals, captured under one lock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Total HTTP requests handled.
     pub requests: u64,
@@ -260,9 +100,25 @@ pub struct ServeCounters {
     pub rejected: u64,
     /// Jobs abandoned because their wall-clock deadline expired.
     pub deadline_expired: u64,
+    /// Records appended to the write-ahead journal since startup.
+    pub journal_appends: u64,
+    /// Growth-triggered journal compactions since startup (the one
+    /// recovery always runs is not counted).
+    pub journal_compactions: u64,
+    /// Jobs re-enqueued from the journal at the last recovery.
+    pub journal_replayed_jobs: u64,
+    /// Corrupt or truncated journal tail bytes discarded at the last
+    /// recovery.
+    pub journal_discarded_bytes: u64,
 }
 
-/// Thread-safe service telemetry collector.
+#[derive(Debug)]
+struct Inner {
+    counters: ServeCounters,
+    latency_us: Histogram,
+}
+
+/// Thread-safe service registry: counters plus the latency histogram.
 #[derive(Debug)]
 pub struct ServeTelemetry {
     inner: Mutex<Inner>,
@@ -275,250 +131,107 @@ impl Default for ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    /// An empty collector.
+    /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
         Self {
             inner: Mutex::new(Inner {
+                counters: ServeCounters::default(),
                 latency_us: Histogram::new(DEFAULT_PRECISION),
-                samples: VecDeque::new(),
-                dropped_samples: 0,
-                events: VecDeque::new(),
-                dropped_events: 0,
-                seq: 0,
-                requests: 0,
-                responses_ok: 0,
-                rejected: 0,
-                deadline_expired: 0,
             }),
         }
     }
 
-    /// Record one completed HTTP exchange: latency into the histogram, a
-    /// `Request` event, and one queue-depth [`Sample`].
-    ///
-    /// The engine's sample fields are reinterpreted for the service:
-    /// `cycle` = request sequence number, `source_backlog` = queued jobs,
-    /// `live_packets` = running jobs, `injected_delta` = 1 (this request),
-    /// `delivered_delta` = 1 on 2xx, `dropped_delta` = 1 on 429/503, and
-    /// `stage_occupancy` = `[queued jobs]`.
-    pub fn record_request(
-        &self,
-        method: &str,
-        path: &str,
-        status: u16,
-        micros: u64,
-        queue_depth: u64,
-        running_jobs: u64,
-    ) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.seq += 1;
-        inner.requests += 1;
-        let ok = (200..300).contains(&status);
-        let shed = status == 429 || status == 503;
-        if ok {
-            inner.responses_ok += 1;
-        }
-        if shed {
-            inner.rejected += 1;
-        }
+    /// Poison-tolerant lock: a panicking recorder must not silence the
+    /// registry for everyone else.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record one completed HTTP exchange: its status class and latency.
+    pub fn record_request(&self, status: u16, micros: u64) {
+        let mut inner = self.lock();
+        let c = &mut inner.counters;
+        c.requests += 1;
+        c.responses_ok += u64::from((200..300).contains(&status));
+        c.rejected += u64::from(status == 429 || status == 503);
         inner.latency_us.record(micros);
-        let seq = inner.seq;
-        push_bounded(
-            &mut inner.samples,
-            Sample {
-                cycle: seq,
-                live_packets: running_jobs,
-                source_backlog: queue_depth,
-                retry_waiting: 0,
-                injected_delta: 1,
-                delivered_delta: u64::from(ok),
-                dropped_delta: u64::from(shed),
-                stage_occupancy: vec![queue_depth],
-                stage_grants_delta: vec![u64::from(ok)],
-                stage_blocked_delta: vec![u64::from(shed)],
-                stage_dropped_delta: vec![0],
-            },
-            &mut inner.dropped_samples,
-        );
-        push_bounded(
-            &mut inner.events,
-            ServeEvent::Request {
-                seq,
-                method: method.to_string(),
-                path: path.to_string(),
-                status,
-                micros,
-            },
-            &mut inner.dropped_events,
-        );
     }
 
-    /// Record a non-request lifecycle event.
-    pub fn event(&self, event: ServeEvent) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        if matches!(event, ServeEvent::DeadlineExceeded { .. }) {
-            inner.deadline_expired += 1;
-        }
-        push_bounded(&mut inner.events, event, &mut inner.dropped_events);
+    /// Update the counters under the registry lock, e.g.
+    /// `telemetry.update(|c| c.journal_appends += 1)`.
+    pub fn update(&self, change: impl FnOnce(&mut ServeCounters)) {
+        change(&mut self.lock().counters);
     }
 
-    /// Latency distribution summary for `/v1/stats`:
-    /// `(count, p50, p95, p99, max)` in microseconds.
+    /// Capture the registry together with the queue and cache statistics:
+    /// the single source every service output renders.
     #[must_use]
-    pub fn latency_summary(&self) -> (u64, u64, u64, u64, u64) {
-        let inner = self.inner.lock();
-        let h = &inner.latency_us;
-        (
-            h.count(),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.max(),
-        )
-    }
-
-    /// Total requests handled so far.
-    #[must_use]
-    pub fn requests(&self) -> u64 {
-        self.inner.lock().requests
-    }
-
-    /// Snapshot the monotone totals for the metrics endpoint.
-    #[must_use]
-    pub fn counters(&self) -> ServeCounters {
-        let inner = self.inner.lock();
-        ServeCounters {
-            requests: inner.requests,
-            responses_ok: inner.responses_ok,
-            rejected: inner.rejected,
-            deadline_expired: inner.deadline_expired,
+    pub fn snapshot(&self, queue: QueueStats, cache: CacheStats) -> MetricsSnapshot {
+        let inner = self.lock();
+        MetricsSnapshot {
+            counters: inner.counters,
+            latency_us: inner.latency_us.clone(),
+            queue,
+            cache,
         }
     }
-
-    /// Clone of the request-latency histogram, for exposition as
-    /// cumulative Prometheus buckets.
-    #[must_use]
-    pub fn latency_histogram(&self) -> Histogram {
-        self.inner.lock().latency_us.clone()
-    }
-
-    /// Write the full dump as JSONL of [`ServeDumpLine`]s. `cache` (when
-    /// given) becomes a `CacheStats` line after the header, so `icn
-    /// inspect` can show spill and disk-hit traffic.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from `out`.
-    pub fn write_jsonl<W: Write>(
-        &self,
-        workers: usize,
-        queue_capacity: usize,
-        cache_capacity: usize,
-        cache: Option<crate::cache::CacheStats>,
-        out: &mut W,
-    ) -> std::io::Result<()> {
-        let inner = self.inner.lock();
-        let write_line = |line: &ServeDumpLine, out: &mut W| -> std::io::Result<()> {
-            let json = serde_json::to_string(line).map_err(std::io::Error::other)?;
-            out.write_all(json.as_bytes())?;
-            out.write_all(b"\n")
-        };
-        write_line(
-            &ServeDumpLine::ServeMeta(ServeMeta {
-                workers,
-                queue_capacity,
-                cache_capacity,
-                requests: inner.requests,
-                dropped_samples: inner.dropped_samples,
-                dropped_events: inner.dropped_events,
-            }),
-            out,
-        )?;
-        if let Some(stats) = cache {
-            write_line(&ServeDumpLine::CacheStats(stats), out)?;
-        }
-        for sample in &inner.samples {
-            write_line(&ServeDumpLine::Sample(sample.clone()), out)?;
-        }
-        if !inner.latency_us.is_empty() {
-            write_line(
-                &ServeDumpLine::Histogram(NamedHistogram {
-                    name: "request_latency_us".to_string(),
-                    histogram: inner.latency_us.clone(),
-                }),
-                out,
-            )?;
-        }
-        for event in &inner.events {
-            write_line(&ServeDumpLine::ServeEvent(event.clone()), out)?;
-        }
-        Ok(())
-    }
-}
-
-/// Push into a ring, dropping the oldest element once at capacity.
-fn push_bounded<T>(ring: &mut VecDeque<T>, value: T, dropped: &mut u64) {
-    if ring.len() >= RING_CAPACITY {
-        ring.pop_front();
-        *dropped += 1;
-    }
-    ring.push_back(value);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn idle_queue() -> QueueStats {
+        QueueStats {
+            depth: 0,
+            capacity: 8,
+            high_water: 6,
+            running: 0,
+            enqueued: 0,
+            completed: 0,
+            failed: 0,
+            shed: 0,
+            mean_service_us: 0,
+        }
+    }
+
     #[test]
-    fn dump_round_trips_through_serde() {
+    fn snapshot_carries_every_registry_count() {
         let t = ServeTelemetry::new();
-        t.record_request("POST", "/v1/simulate", 202, 150, 3, 1);
-        t.record_request("GET", "/v1/healthz", 200, 20, 3, 1);
-        t.record_request("POST", "/v1/simulate", 429, 30, 8, 2);
-        t.event(ServeEvent::JobEnqueued {
-            job: 1,
-            key: "simulate:abc".to_string(),
+        t.update(|c| {
+            c.journal_replayed_jobs = 3;
+            c.journal_discarded_bytes = 17;
         });
-        let cache = crate::cache::CacheStats {
+        for (status, micros) in [(202, 150), (200, 20), (429, 30), (503, 40), (404, 50)] {
+            t.record_request(status, micros);
+        }
+        t.update(|c| c.deadline_expired += 1);
+        t.update(|c| c.journal_appends += 2);
+        t.update(|c| c.journal_compactions += 1);
+        let cache = CacheStats {
             hits: 2,
             spill_writes: 1,
-            disk_hits: 1,
-            ..Default::default()
+            ..CacheStats::default()
         };
-        let mut buf = Vec::new();
-        t.write_jsonl(2, 8, 64, Some(cache), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<ServeDumpLine> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        let ServeDumpLine::ServeMeta(meta) = &lines[0] else {
-            panic!("first line must be the meta header");
-        };
-        assert_eq!((meta.requests, meta.workers), (3, 2));
+        let snap = t.snapshot(idle_queue(), cache);
         assert_eq!(
-            lines
-                .iter()
-                .filter(|l| matches!(l, ServeDumpLine::Sample(_)))
-                .count(),
-            3
+            snap.counters,
+            ServeCounters {
+                requests: 5,
+                responses_ok: 2,
+                rejected: 2,
+                deadline_expired: 1,
+                journal_appends: 2,
+                journal_compactions: 1,
+                journal_replayed_jobs: 3,
+                journal_discarded_bytes: 17,
+            }
         );
-        assert!(lines.iter().any(|l| matches!(
-            l,
-            ServeDumpLine::Histogram(h) if h.name == "request_latency_us"
-        )));
-        assert!(lines
-            .iter()
-            .any(|l| matches!(l, ServeDumpLine::ServeEvent(ServeEvent::JobEnqueued { .. }))));
-        assert!(
-            lines.iter().any(|l| matches!(
-                l,
-                ServeDumpLine::CacheStats(s) if s.spill_writes == 1 && s.disk_hits == 1
-            )),
-            "cache counters round-trip through the dump"
-        );
+        assert_eq!(snap.latency_us.count(), 5);
+        assert_eq!(snap.latency_us.sum(), 290);
+        assert_eq!(snap.cache, cache);
+        assert_eq!(snap.queue, idle_queue());
     }
 
     #[test]
@@ -551,11 +264,16 @@ mod tests {
     fn latency_summary_reflects_recorded_values() {
         let t = ServeTelemetry::new();
         for us in [100u64, 200, 300, 400] {
-            t.record_request("GET", "/v1/stats", 200, us, 0, 0);
+            t.record_request(200, us);
         }
-        let (count, p50, _, _, max) = t.latency_summary();
-        assert_eq!(count, 4);
+        let latency = t.snapshot(idle_queue(), CacheStats::default()).latency_us;
+        let p50 = latency.quantile(0.50);
+        assert_eq!(latency.count(), 4);
         assert!((100..=400).contains(&p50), "p50 {p50}");
-        assert!(max >= 400, "max {max} (precision-bounded upper estimate)");
+        assert!(
+            latency.max() >= 400,
+            "max {} (precision-bounded upper estimate)",
+            latency.max()
+        );
     }
 }

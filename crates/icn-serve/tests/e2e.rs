@@ -230,11 +230,7 @@ fn evaluate_is_cached_and_reports_verdicts() {
     let (addr, handle, join) = start(test_config());
 
     // The paper's 2048-port example: feasible.
-    let spec = r#"{
-        "tech": "paper1986", "kind": "Dmc", "chip_radix": 16, "width": 4,
-        "board_ports": 256, "network_ports": 2048, "packet_bits": 100,
-        "clock_scheme": "MultiplePulse", "memory_access_ns": 100.0
-    }"#;
+    let spec = PAPER_SPEC;
     let first = call(addr, "POST", "/v1/evaluate", spec);
     assert_eq!(first.status, 200, "{}", first.body);
     assert_eq!(first.header("x-icn-cache"), Some("miss"));
@@ -569,37 +565,115 @@ fn metrics_endpoint_scrapes_clean_under_load() {
     join.join().expect("server thread");
 }
 
+/// The value of the unlabeled family `name` in a parsed exposition.
+fn family_value(exposition: &icn_serve::Exposition, name: &str) -> u64 {
+    let value = exposition
+        .value(name)
+        .unwrap_or_else(|| panic!("{name} missing from the exposition"));
+    value as u64
+}
+
+/// The paper's 2048-port design point, for `POST /v1/evaluate`.
+const PAPER_SPEC: &str = r#"{
+    "tech": "paper1986", "kind": "Dmc", "chip_radix": 16, "width": 4,
+    "board_ports": 256, "network_ports": 2048, "packet_bits": 100,
+    "clock_scheme": "MultiplePulse", "memory_access_ns": 100.0
+}"#;
+
+/// Every output renders one registry snapshot: after a fixed request mix
+/// on an otherwise idle server, `/v1/stats` and `/v1/metrics` agree, and
+/// the `--telemetry-out` file written at shutdown carries exactly the
+/// `ServeSummary` numbers.
 #[test]
 fn shutdown_endpoint_drains_and_telemetry_dump_is_written() {
-    let dump = std::env::temp_dir().join(format!("icn-serve-e2e-{}.jsonl", std::process::id()));
+    let dump = std::env::temp_dir().join(format!("icn-serve-e2e-{}.prom", std::process::id()));
     let config = ServeConfig {
         telemetry_out: Some(dump.to_string_lossy().into_owned()),
         ..test_config()
     };
     let (addr, _handle, join) = start(config);
 
-    assert_eq!(call(addr, "POST", "/v1/simulate", SMALL_SIM).status, 202);
+    // The mix: an evaluate miss and hit, a simulate job run to completion,
+    // and a cache hit on that job's result.
+    assert_eq!(call(addr, "POST", "/v1/evaluate", PAPER_SPEC).status, 200);
+    assert_eq!(call(addr, "POST", "/v1/evaluate", PAPER_SPEC).status, 200);
+    let first = call(addr, "POST", "/v1/simulate", SMALL_SIM);
+    assert_eq!(first.status, 202);
+    let result_url = json_str(&first.body, "result_url");
+    assert_eq!(
+        poll_result(addr, &result_url, Duration::from_secs(30)).status,
+        200
+    );
+    let hit = call(addr, "POST", "/v1/simulate", SMALL_SIM);
+    assert_eq!(hit.header("x-icn-cache"), Some("hit"));
+
+    // Idle now, so /v1/stats and the next scrape read the same registry;
+    // the scrape has also counted the /v1/stats exchange itself.
+    let stats = call(addr, "GET", "/v1/stats", "").body;
+    let scrape = call(addr, "GET", "/v1/metrics", "").body;
+    let live = icn_serve::parse_exposition(&scrape).expect("scrape parses");
+    let metric = |name: &str| family_value(&live, name);
+    assert_eq!(
+        metric("icn_requests_total"),
+        json_u64(&stats, "requests") + 1
+    );
+    assert_eq!(metric("icn_cache_hits_total"), json_u64(&stats, "hits"));
+    assert_eq!(metric("icn_cache_misses_total"), json_u64(&stats, "misses"));
+    assert_eq!(
+        metric("icn_jobs_completed_total"),
+        json_u64(&stats, "completed")
+    );
+    assert_eq!(json_u64(&stats, "hits"), 2, "{stats}");
+    assert_eq!(json_u64(&stats, "misses"), 2, "{stats}");
+    assert_eq!(json_u64(&stats, "completed"), 1, "{stats}");
+
+    // A second job, then shutdown: the drain must finish it.
+    let other = SMALL_SIM.replace("\"seed\":77", "\"seed\":78");
+    assert_eq!(call(addr, "POST", "/v1/simulate", &other).status, 202);
     let off = call(addr, "POST", "/v1/shutdown", "");
     assert_eq!(off.status, 200);
     assert!(off.body.contains("draining"), "{}", off.body);
 
     let summary = join.join().expect("server thread");
-    assert_eq!(summary.jobs_completed, 1, "shutdown must drain the job");
+    assert_eq!(summary.jobs_completed, 2, "shutdown must drain the job");
 
-    // The dump parses line-by-line as ServeDumpLine with a leading meta.
+    // The dump is the final exposition: exactly the summary's numbers.
     let text = std::fs::read_to_string(&dump).expect("telemetry dump written");
-    let lines: Vec<icn_serve::ServeDumpLine> = text
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("dump line parses"))
-        .collect();
-    assert!(
-        matches!(&lines[0], icn_serve::ServeDumpLine::ServeMeta(m) if m.requests >= 2),
-        "first line: {:?}",
-        lines.first()
-    );
-    assert!(lines
+    let dumped = icn_serve::parse_exposition(&text).expect("dump is a valid exposition");
+    let cache = summary.cache;
+    for (name, want) in [
+        ("icn_requests_total", summary.requests),
+        ("icn_jobs_completed_total", summary.jobs_completed),
+        ("icn_jobs_failed_total", summary.jobs_failed),
+        ("icn_cache_hits_total", cache.hits),
+        ("icn_cache_misses_total", cache.misses),
+        ("icn_cache_evictions_total", cache.evictions),
+        ("icn_cache_entries", cache.entries as u64),
+        ("icn_cache_capacity", cache.capacity as u64),
+        ("icn_cache_spill_writes_total", cache.spill_writes),
+        ("icn_cache_disk_hits_total", cache.disk_hits),
+        ("icn_cache_disk_discarded_total", cache.disk_discarded),
+    ] {
+        assert_eq!(
+            family_value(&dumped, name),
+            want,
+            "{name} in the dump vs the summary"
+        );
+    }
+    // Since the scrape: itself, the second submit, and the shutdown.
+    assert_eq!(summary.requests, metric("icn_requests_total") + 3);
+    let latency = dumped
+        .family("icn_request_latency_us")
+        .expect("latency histogram in the dump");
+    let count = latency
+        .samples
         .iter()
-        .any(|l| matches!(l, icn_serve::ServeDumpLine::Sample(_))));
+        .find(|s| s.name == "icn_request_latency_us_count")
+        .expect("_count sample");
+    assert_eq!(
+        count.value as u64, summary.requests,
+        "one latency per request"
+    );
     let _ = std::fs::remove_file(&dump);
 }
 

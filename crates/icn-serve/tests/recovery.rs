@@ -21,7 +21,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use icn_serve::journal::{Journal, Record};
+use icn_serve::journal::{
+    compaction_records, CompactionJob, Journal, Record, COMPACT_THRESHOLD_BYTES,
+};
 use icn_serve::{
     content_key, DiskStore, Limits, Priority, ResultCache, ServeConfig, Server, SimulateRequest,
 };
@@ -446,4 +448,106 @@ fn journaled_explore_job_is_rerun_after_a_crash() {
     handle.shutdown();
     join.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compaction hysteresis loses nothing. The loop drives a journal the way
+/// the server's `maybe_compact` does: after each job, if the journal wants
+/// compaction, rewrite it to the live set, with completed bodies in the
+/// disk spill. Bulky configs make the live set alone outgrow
+/// `COMPACT_THRESHOLD_BYTES`, so the file is over the fixed threshold after
+/// most jobs; compaction still runs only at doublings, and recovery brings
+/// back every job's latest state and every spilled body.
+#[test]
+fn compaction_hysteresis_loses_no_job_state() {
+    const JOBS: u64 = 200;
+    let dir = scratch("hysteresis");
+    let path = dir.join("jobs.journal");
+    let spill = DiskStore::open(&dir.join("spill")).unwrap();
+    let (mut journal, _) = Journal::recover(&path).unwrap();
+    let padding = "x".repeat(8 * 1024);
+    let body = |id: u64| format!("{{\"result\":{id}}}");
+    let mut live: Vec<CompactionJob> = Vec::new();
+    let (mut compactions, mut over_threshold) = (0u32, 0u32);
+    for id in 1..=JOBS {
+        let key = format!("k{id}");
+        let config = format!("{{\"seed\":{id},\"pad\":\"{padding}\"}}");
+        journal
+            .append(&Record::Submit {
+                id,
+                key: key.clone(),
+                priority: Priority::Normal,
+                deadline_ms: None,
+                config: config.clone(),
+            })
+            .unwrap();
+        // Every 7th job stays queued; the rest start, and of those every
+        // 11th is still running, every 5th fails, and the others complete
+        // with their body in the spill.
+        let outcome = if id % 7 == 0 {
+            None
+        } else {
+            journal.append(&Record::Start { id }).unwrap();
+            if id % 11 == 0 {
+                None
+            } else if id % 5 == 0 {
+                let error = format!("failure {id}");
+                journal
+                    .append(&Record::Fail {
+                        id,
+                        error: error.clone(),
+                    })
+                    .unwrap();
+                Some(Err(error))
+            } else {
+                spill.put(&key, &body(id)).unwrap();
+                journal
+                    .append(&Record::Complete {
+                        id,
+                        key: key.clone(),
+                        body: None,
+                    })
+                    .unwrap();
+                Some(Ok(None))
+            }
+        };
+        live.push(CompactionJob {
+            id,
+            key,
+            priority: Priority::Normal,
+            deadline_ms: None,
+            config,
+            outcome,
+        });
+        over_threshold += u32::from(journal.bytes() > COMPACT_THRESHOLD_BYTES);
+        if journal.wants_compaction() {
+            journal.compact(&compaction_records(id + 1, &live)).unwrap();
+            compactions += 1;
+        }
+    }
+    assert!(
+        over_threshold > 150,
+        "only {over_threshold} jobs ended over the threshold"
+    );
+    // The live set grows from 256 KiB to ~1.6 MiB: one compaction per
+    // doubling, not one per job.
+    assert!(
+        (2..=4).contains(&compactions),
+        "{compactions} compactions for {over_threshold} jobs over the threshold"
+    );
+    drop(journal);
+
+    let (_, recovery) = Journal::recover(&path).unwrap();
+    assert_eq!(recovery.discarded_bytes, 0);
+    assert_eq!(recovery.next_id, JOBS + 1);
+    assert_eq!(recovery.jobs.len(), live.len());
+    for (got, want) in recovery.jobs.iter().zip(&live) {
+        assert_eq!(got.id, want.id);
+        assert_eq!(got.key, want.key);
+        assert_eq!(got.config, want.config);
+        assert_eq!(got.outcome, want.outcome, "job {}", want.id);
+        if got.outcome == Some(Ok(None)) {
+            assert_eq!(spill.get(&got.key), Some(body(got.id)), "job {}", got.id);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

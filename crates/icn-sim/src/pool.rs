@@ -219,7 +219,7 @@ pub(crate) fn run_jobs<J: Send>(
         }
         return;
     };
-    let slots: Vec<parking_lot::Mutex<J>> = jobs.into_iter().map(parking_lot::Mutex::new).collect();
+    let slots: Vec<Mutex<J>> = jobs.into_iter().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     let work = move |_shard: usize| loop {
         let claim = next.fetch_add(1, Ordering::Relaxed);
@@ -231,7 +231,7 @@ pub(crate) fn run_jobs<J: Send>(
         }
         let index = perm.map_or(claim, |p| p[claim] as usize);
         // Uncontended by construction: each index is claimed exactly once.
-        run(&mut slots[index].lock());
+        run(&mut slots[index].lock().unwrap_or_else(PoisonError::into_inner));
     };
     pool.broadcast(&work);
 }

@@ -98,8 +98,8 @@ pub fn run_parallel(configs: Vec<SimConfig>) -> Vec<SimResult> {
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<SimResult>> = (0..configs.len()).map(|_| None).collect();
     // icn-lint: allow(ICN203) -- batch runner over whole independent sims, outside the engine cycle; no shard state is shared
-    let slots: Vec<parking_lot::Mutex<&mut Option<SimResult>>> =
-        results.iter_mut().map(parking_lot::Mutex::new).collect(); // icn-lint: allow(ICN203) -- same independent-sims hand-off as above
+    let slots: Vec<std::sync::Mutex<&mut Option<SimResult>>> =
+        results.iter_mut().map(std::sync::Mutex::new).collect(); // icn-lint: allow(ICN203) -- same independent-sims hand-off as above
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -110,7 +110,9 @@ pub fn run_parallel(configs: Vec<SimConfig>) -> Vec<SimResult> {
                     break;
                 }
                 let result = run(configs[i].clone());
-                **slots[i].lock() = Some(result);
+                **slots[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
             });
         }
     });

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -124,7 +124,7 @@ impl EventSink for NullSink {
 #[derive(Debug, Default, Clone)]
 pub struct MemorySink {
     // icn-lint: allow(ICN203) -- consumer-side sink handle shared with test/CLI code; the engine only appends at the serial merge, never from a shard
-    events: Arc<parking_lot::Mutex<Vec<SimEvent>>>,
+    events: Arc<std::sync::Mutex<Vec<SimEvent>>>,
 }
 
 impl MemorySink {
@@ -137,7 +137,10 @@ impl MemorySink {
     /// Snapshot the events recorded so far.
     #[must_use]
     pub fn events(&self) -> Vec<SimEvent> {
-        self.events.lock().clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// How many events of each kind have been recorded, keyed by
@@ -145,7 +148,12 @@ impl MemorySink {
     #[must_use]
     pub fn counts_by_kind(&self) -> BTreeMap<&'static str, u64> {
         let mut counts = BTreeMap::new();
-        for event in self.events.lock().iter() {
+        for event in self
+            .events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             *counts.entry(event.kind()).or_insert(0) += 1;
         }
         counts
@@ -154,7 +162,10 @@ impl MemorySink {
 
 impl EventSink for MemorySink {
     fn record(&mut self, event: &SimEvent) {
-        self.events.lock().push(*event);
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(*event);
     }
 }
 
@@ -211,7 +222,7 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 #[derive(Debug, Default, Clone)]
 pub struct TraceBuilder {
     // icn-lint: allow(ICN203) -- consumer-side trace handle, same sharing shape as MemorySink; never touched from shard code
-    traces: Arc<parking_lot::Mutex<BTreeMap<u64, PacketTrace>>>,
+    traces: Arc<std::sync::Mutex<BTreeMap<u64, PacketTrace>>>,
 }
 
 impl TraceBuilder {
@@ -224,7 +235,13 @@ impl TraceBuilder {
     /// The reconstructed traces, ordered by packet id.
     #[must_use]
     pub fn traces(&self) -> Vec<PacketTrace> {
-        let mut traces: Vec<PacketTrace> = self.traces.lock().values().cloned().collect();
+        let mut traces: Vec<PacketTrace> = self
+            .traces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .cloned()
+            .collect();
         traces.sort_by_key(|t| t.id);
         traces
     }
@@ -232,7 +249,7 @@ impl TraceBuilder {
 
 impl EventSink for TraceBuilder {
     fn record(&mut self, event: &SimEvent) {
-        let mut traces = self.traces.lock();
+        let mut traces = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         match *event {
             SimEvent::Inject {
                 cycle,
