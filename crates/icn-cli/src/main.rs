@@ -484,6 +484,13 @@ fn emit(record: &ExperimentRecord, json: bool) {
 /// Shade glyphs for the occupancy heatmap, lowest to highest.
 const SHADES: [char; 5] = ['·', '░', '▒', '▓', '█'];
 
+/// The shade of `value` on a scale whose top glyph is `peak` (> 0). Dump
+/// values are untrusted, so the arithmetic saturates.
+fn shade(value: u64, peak: u64) -> char {
+    let top = SHADES.len() as u64 - 1;
+    SHADES[(value.min(peak).saturating_mul(top).saturating_add(peak / 2) / peak) as usize]
+}
+
 /// Parse a telemetry JSONL dump (from `icn simulate --telemetry-out`) and
 /// render it: top-line rates, per-stage occupancy sparklines and heatmap,
 /// histogram quantiles, event counts. The service's `--telemetry-out` file
@@ -529,17 +536,43 @@ fn inspect(path: &str) -> Result<(), Failure> {
         }
     }
 
-    let interval = meta
-        .as_ref()
-        .map(|m| m.sample_interval)
-        .or_else(|| {
-            samples
-                .get(1)
-                .zip(samples.first())
-                .map(|(b, a)| b.cycle - a.cycle)
-        })
-        .unwrap_or(1)
-        .max(1);
+    // Everything below indexes per-stage arrays by stage and takes cycle
+    // differences, so a dump whose fields disagree is refused here.
+    let bad_dump =
+        |what: String| Failure::Io(format!("{path}: not a consistent telemetry dump: {what}"));
+    let stages = meta.as_ref().map_or_else(
+        || samples.first().map_or(0, |s| s.stage_occupancy.len()),
+        |m| m.stages as usize,
+    );
+    for s in &samples {
+        let arrays = [
+            &s.stage_occupancy,
+            &s.stage_grants_delta,
+            &s.stage_blocked_delta,
+            &s.stage_dropped_delta,
+        ];
+        if arrays.iter().any(|a| a.len() != stages) {
+            let cycle = s.cycle;
+            return Err(bad_dump(format!(
+                "the sample at cycle {cycle} does not carry {stages} per-stage entries"
+            )));
+        }
+    }
+    for h in &histograms {
+        h.histogram
+            .validate()
+            .map_err(|e| bad_dump(format!("histogram {}: {e}", h.name)))?;
+    }
+    let interval = match (&meta, samples.first(), samples.get(1)) {
+        (Some(m), _, _) => m.sample_interval,
+        (None, Some(a), Some(b)) => {
+            let (a, b) = (a.cycle, b.cycle);
+            b.checked_sub(a)
+                .ok_or_else(|| bad_dump(format!("sample cycles go back from {a} to {b}")))?
+        }
+        _ => 1,
+    }
+    .max(1);
     if let Some(m) = &meta {
         println!(
             "telemetry dump: {} ports, {} stages, {} cycles run, sampled every {} \
@@ -561,10 +594,13 @@ fn inspect(path: &str) -> Result<(), Failure> {
 
     const WIDTH: usize = 64;
     if !samples.is_empty() {
-        let covered = samples.len() as u64 * interval;
-        let injected: u64 = samples.iter().map(|s| s.injected_delta).sum();
-        let delivered: u64 = samples.iter().map(|s| s.delivered_delta).sum();
-        let dropped: u64 = samples.iter().map(|s| s.dropped_delta).sum();
+        let covered = (samples.len() as u64).saturating_mul(interval);
+        let total = |field: &dyn Fn(&Sample) -> u64| -> u64 {
+            samples.iter().map(field).fold(0, u64::saturating_add)
+        };
+        let injected = total(&|s| s.injected_delta);
+        let delivered = total(&|s| s.delivered_delta);
+        let dropped = total(&|s| s.dropped_delta);
         println!(
             "rates over the sampled window: injected {} pkt/cyc, delivered {} \
              pkt/cyc, dropped {} pkt/cyc",
@@ -586,9 +622,6 @@ fn inspect(path: &str) -> Result<(), Failure> {
             sparkline(&live, WIDTH),
             live.iter().max().copied().unwrap_or(0)
         );
-        let stages = samples
-            .first()
-            .map_or(0, |sample| sample.stage_occupancy.len());
         let occupancy_of = |stage: usize| -> Vec<u64> {
             samples.iter().map(|s| s.stage_occupancy[stage]).collect()
         };
@@ -616,8 +649,7 @@ fn inspect(path: &str) -> Result<(), Failure> {
                     let lo = col * occupancy.len() / columns;
                     let hi = ((col + 1) * occupancy.len() / columns).max(lo + 1);
                     let v = occupancy[lo..hi].iter().copied().max().unwrap_or(0);
-                    let level = ((v * (SHADES.len() as u64 - 1)) + global_peak / 2) / global_peak;
-                    row.push(SHADES[level as usize]);
+                    row.push(shade(v, global_peak));
                 }
                 println!("stage {stage} |{row}|");
             }
@@ -634,21 +666,9 @@ fn inspect(path: &str) -> Result<(), Failure> {
         for stage in 0..stages {
             t.row(vec![
                 stage.to_string(),
-                samples
-                    .iter()
-                    .map(|s| s.stage_grants_delta[stage])
-                    .sum::<u64>()
-                    .to_string(),
-                samples
-                    .iter()
-                    .map(|s| s.stage_blocked_delta[stage])
-                    .sum::<u64>()
-                    .to_string(),
-                samples
-                    .iter()
-                    .map(|s| s.stage_dropped_delta[stage])
-                    .sum::<u64>()
-                    .to_string(),
+                total(&|s| s.stage_grants_delta[stage]).to_string(),
+                total(&|s| s.stage_blocked_delta[stage]).to_string(),
+                total(&|s| s.stage_dropped_delta[stage]).to_string(),
                 occupancy_of(stage).iter().max().unwrap().to_string(),
             ]);
         }
@@ -758,8 +778,7 @@ fn render_engine_heatmap(heat: &Heatmap) {
                 .map(|m| m.utilization_ppm)
                 .max()
                 .unwrap_or(0);
-            let level = (ppm * (SHADES.len() as u64 - 1) + 500_000) / 1_000_000;
-            row.push(SHADES[level.min(SHADES.len() as u64 - 1) as usize]);
+            row.push(shade(ppm, 1_000_000));
         }
         let hottest = modules
             .iter()
@@ -1227,28 +1246,22 @@ fn run(args: &[String]) -> Result<(), Failure> {
             println!("wrote REPORT.md ({} experiments)", records.len());
         }
         "dump" => {
-            // Write every record (analytic + simulated) as .txt and .json
-            // into ./results — the one-command reproduction package.
+            // Write every record (analytic + simulated) as .txt into
+            // ./results — the one-command reproduction package. `--json`
+            // on each record's own command prints its structured form.
             let dir = std::path::Path::new("results");
             std::fs::create_dir_all(dir)
                 .map_err(|e| Failure::Io(format!("creating results/: {e}")))?;
             let mut records = experiments::analytic_experiments(&opts.tech);
             records.extend(experiments::simulation_experiments(effort));
             for r in &records {
-                let stem = r.id.replace('/', "_");
-                let txt = dir.join(format!("{stem}.txt"));
-                let json = dir.join(format!("{stem}.json"));
+                let txt = dir.join(format!("{}.txt", r.id.replace('/', "_")));
                 let mut text = format!("== {} — {} ==\n{}\n", r.id, r.title, r.text);
                 for note in &r.notes {
                     text.push_str(&format!("note: {note}\n"));
                 }
                 std::fs::write(&txt, text)
                     .map_err(|e| Failure::Io(format!("writing {txt:?}: {e}")))?;
-                std::fs::write(
-                    &json,
-                    serde_json::to_string_pretty(r).expect("records serialize"),
-                )
-                .map_err(|e| Failure::Io(format!("writing {json:?}: {e}")))?;
                 println!("wrote {} ({})", txt.display(), r.title);
             }
         }

@@ -334,6 +334,135 @@ fn trace_on_an_unprofiled_dump_says_how_to_record_one() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The per-stage arrays a dump's `Sample` lines carry.
+const STAGE_FIELDS: [&str; 4] = [
+    "stage_occupancy",
+    "stage_grants_delta",
+    "stage_blocked_delta",
+    "stage_dropped_delta",
+];
+
+/// `line` with its `field` array emptied.
+fn empty_stage_array(line: &str, field: &str) -> String {
+    let key = format!("\"{field}\":[");
+    let start = line.find(&key).expect("sample carries the field") + key.len();
+    let end = start + line[start..].find(']').expect("array closes");
+    format!("{}{}", &line[..start], &line[end..])
+}
+
+/// Mutated telemetry dumps never panic `inspect` or `trace`: every run
+/// exits 0 or with a `Failure` code (1–4), never with a panic's 101. The
+/// mutations are a fixed, seeded list over two dumps — the golden
+/// `simulate` fixture and a `--profile` dump — so any failure replays.
+#[test]
+fn mutated_dumps_never_panic_inspect_or_trace() {
+    let dir = std::env::temp_dir().join(format!("icn-mutated-dump-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mutant = dir.join("mutant.jsonl");
+    let mutant_arg = mutant.to_str().unwrap();
+    let profile = "simulate --ports 64 --load 0.01 --profile --telemetry-out";
+    let (ok, _, stderr) = icn(&[profile.split(' ').collect(), vec![mutant_arg]].concat());
+    assert!(ok, "{stderr}");
+    let lines_of = |path: &std::path::Path| -> Vec<String> {
+        let text = std::fs::read_to_string(path).unwrap();
+        text.lines().map(str::to_owned).collect()
+    };
+    // Keep the profile, samples and histograms whole but only the first
+    // events, so each run below takes milliseconds.
+    let mut events = 0;
+    let mut profiled = lines_of(&mutant);
+    profiled.retain(|line| {
+        events += usize::from(line.starts_with("{\"Event\""));
+        events <= 100
+    });
+    let golden = lines_of(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/simulate.dump.jsonl"),
+    );
+
+    let join = |lines: &[String]| (lines.join("\n") + "\n").into_bytes();
+    // The `inspect` exit code; both commands must exit 0–4.
+    let run = |bytes: Vec<u8>, what: &str| -> i32 {
+        std::fs::write(&mutant, bytes).unwrap();
+        ["inspect", "trace"].map(|command| {
+            let (code, _, stderr) = icn_status(&[command, mutant_arg]);
+            assert!(
+                (0..=4).contains(&code),
+                "`icn {command}` exited {code} on {what}:\n{stderr}"
+            );
+            code
+        })[0]
+    };
+
+    // The reported defects: an emptied per-stage array, and samples out
+    // of cycle order with no Meta line to give the interval. `inspect`
+    // refuses each with the I/O code.
+    for field in STAGE_FIELDS {
+        let mut lines = golden.clone();
+        lines[2] = empty_stage_array(&lines[2], field);
+        assert_eq!(run(join(&lines), field), 4, "emptied {field}");
+    }
+    let mut lines = golden[1..].to_vec();
+    lines.swap(0, 1);
+    assert_eq!(run(join(&lines), "swapped samples"), 4);
+    // A histogram whose min passes its max: quantiles clamp between them.
+    let mut lines = golden.clone();
+    let h = lines
+        .iter()
+        .position(|l| l.starts_with("{\"Histogram\""))
+        .unwrap();
+    lines[h] = lines[h].replacen("\"min\":", "\"min\":9", 1);
+    assert_eq!(run(join(&lines), "histogram min above max"), 4);
+
+    // Seeded mutations of both dumps (xorshift64, fixed seed).
+    let mut state = 0x1986_0106_5eed_u64;
+    let mut next = move |bound: usize| -> usize {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    for (name, dump) in [("golden", &golden), ("profiled", &profiled)] {
+        let n = dump.len();
+        let samples: Vec<usize> = (0..n)
+            .filter(|&l| dump[l].starts_with("{\"Sample\""))
+            .collect();
+        for i in 0..30 {
+            let mut lines = dump.clone();
+            let bytes = match i % 5 {
+                0 => {
+                    let mut bytes = join(dump);
+                    let at = next(bytes.len());
+                    bytes[at] ^= 1 << next(8);
+                    bytes
+                }
+                1 => {
+                    let mut bytes = join(dump);
+                    bytes.truncate(next(bytes.len()));
+                    bytes
+                }
+                2 => {
+                    let (at, from) = (next(n), next(n));
+                    lines.insert(at, dump[from].clone());
+                    join(&lines)
+                }
+                3 => {
+                    let (a, b) = (next(n), next(n));
+                    lines.swap(a, b);
+                    join(&lines)
+                }
+                _ => {
+                    let at = samples[next(samples.len())];
+                    lines[at] = empty_stage_array(&dump[at], STAGE_FIELDS[next(4)]);
+                    join(&lines)
+                }
+            };
+            run(bytes, &format!("the {name} dump, mutation {i}"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn inspect_labels_unknown_dump_tags_instead_of_aborting() {
     let dir = std::env::temp_dir().join(format!("icn-unknown-tag-test-{}", std::process::id()));
@@ -374,25 +503,50 @@ fn fig1_dot_emits_graphviz() {
     assert!(stdout.contains("-> out15;"));
 }
 
+/// The published reproduction is what the code writes: `dump` rewrites
+/// every committed `results/*.txt` byte for byte (no file more, none
+/// less), and `report` rewrites `REPORT.md`.
 #[test]
 fn dump_writes_results_files() {
     // Run in a temp dir so the test doesn't clobber the repo's results/.
     let dir = std::env::temp_dir().join(format!("icn-dump-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_icn"))
-        .args(["dump"])
-        .current_dir(&dir)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let results = dir.join("results");
-    assert!(results.join("E2.txt").exists());
-    assert!(results.join("E2.json").exists());
+    for command in ["dump", "report"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_icn"))
+            .arg(command)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let listing = |dir: std::path::PathBuf| -> std::collections::BTreeSet<String> {
+        let entries = std::fs::read_dir(dir).unwrap();
+        entries
+            .map(|e| format!("results/{}", e.unwrap().file_name().to_string_lossy()))
+            .collect()
+    };
+    let written = listing(dir.join("results"));
+    assert_eq!(written, listing(repo.join("results")), "results/ file set");
     assert!(
-        results.join("E7_E8.txt").exists(),
+        written.contains("results/E7_E8.txt"),
         "slash in id must be sanitized"
     );
-    assert!(results.join("X1.json").exists());
+    assert!(
+        written.iter().all(|name| name.ends_with(".txt")),
+        "{written:?}"
+    );
+    for name in written.iter().chain([&"REPORT.md".to_owned()]) {
+        let fresh = std::fs::read(dir.join(name)).unwrap();
+        assert!(
+            fresh == std::fs::read(repo.join(name)).unwrap(),
+            "{name} differs from what `icn dump`/`icn report` write; regenerate it"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

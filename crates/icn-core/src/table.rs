@@ -123,7 +123,9 @@ pub fn sparkline(values: &[u64], width: usize) -> String {
         let hi = ((col + 1) * values.len() / columns).max(lo + 1);
         let v = values[lo..hi].iter().copied().max().unwrap_or(0);
         // Scale so only the true peak reaches the top glyph.
-        let level = ((v * (BARS.len() as u64 - 1)) + peak / 2)
+        let level = v
+            .saturating_mul(BARS.len() as u64 - 1)
+            .saturating_add(peak / 2)
             .checked_div(peak)
             .unwrap_or(0);
         out.push(BARS[level as usize]);

@@ -192,6 +192,10 @@ fn canonical_sim(seed: u64) -> (String, String, String) {
     (request_json, canonical, key)
 }
 
+/// A resolved simulate configuration as an older build journaled it,
+/// with the `trace_packets` field that `SimConfig` no longer has.
+const OLDER_FORMAT_CONFIG: &str = r#"{"plan":{"radices":[16]},"chip":"Dmc","width":4,"packet_bits":100,"buffer_capacity":1,"cut_through":true,"arbitration":"RoundRobin","workload":{"load":0.02,"pattern":"Uniform"},"seed":9003,"trace_packets":0,"warmup_cycles":200,"measure_cycles":500,"drain_cycles":2000,"faults":{"events":[]},"retry":{"max_retries":3,"backoff_base":16,"backoff_cap":1024},"watchdog_cycles":10000,"telemetry":{"sample_interval":0,"ring_capacity":4096,"histogram_precision":7,"profile":false}}"#;
+
 fn serve_config(dir: &std::path::Path) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -261,6 +265,15 @@ fn recovered_journal_serves_completed_and_reruns_unfinished() {
                 error: "synthetic pre-crash failure".into(),
             })
             .unwrap();
+        journal
+            .append(&Record::Submit {
+                id: 4,
+                key: content_key("simulate", OLDER_FORMAT_CONFIG),
+                priority: Priority::Normal,
+                deadline_ms: None,
+                config: OLDER_FORMAT_CONFIG.into(),
+            })
+            .unwrap();
     }
     let mut raw = std::fs::read(&journal_path).unwrap();
     raw.extend_from_slice(&[200, 1, 0, 0, 9, 9, 9]); // torn tail
@@ -285,6 +298,12 @@ fn recovered_journal_serves_completed_and_reruns_unfinished() {
     let (status, sim_body) = poll_result(addr, 2);
     assert_eq!(status, 200, "re-run finished: {sim_body}");
     assert!(sim_body.contains("\"delivered_total\""), "got {sim_body}");
+
+    // Job 4: journaled by a build whose configuration still carried the
+    // since-removed `trace_packets` field; it re-runs all the same.
+    let (status, body) = poll_result(addr, 4);
+    assert_eq!(status, 200, "older-format job re-ran: {body}");
+    assert!(body.contains("\"delivered_total\""), "got {body}");
 
     // Re-POST the same configuration: the re-run populated the cache, so
     // this answers byte-identical with a cache hit.

@@ -86,9 +86,6 @@ pub struct SimConfig {
     pub workload: Workload,
     /// RNG seed (simulations are fully deterministic given the seed).
     pub seed: u64,
-    /// Record full event traces for the first N tracked packets
-    /// (0 = tracing off; see [`crate::PacketTrace`]).
-    pub trace_packets: u32,
     /// Cycles to run before measurement starts.
     pub warmup_cycles: u64,
     /// Cycles during which injected packets are tracked for statistics.
@@ -152,7 +149,6 @@ impl SimConfig {
             arbitration: Arbitration::RoundRobin,
             workload,
             seed: 0x1986_0106,
-            trace_packets: 0,
             warmup_cycles: 2_000,
             measure_cycles: 10_000,
             drain_cycles: 20_000,

@@ -91,9 +91,8 @@ use crate::shard::{
     add_counters, grant_chunk, schedule, vacate_chunk, ExecState, GrantJob, GrantShared,
     ShardEffects, ShardScratch, StageMeta, VacateJob,
 };
-use crate::store::{PacketRef, PacketStore, NO_TRACE};
+use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::{EventSink, Gauges, PhaseGauges, SimEvent, StageDims, TelemetryState};
-use crate::trace::PacketTrace;
 
 /// How often (in cycles) [`Engine::run_bounded`] polls its stop predicate.
 /// Coarse on purpose: the predicate typically reads a wall clock, and a
@@ -101,16 +100,6 @@ use crate::trace::PacketTrace;
 /// still bounding overshoot to well under a second at any realistic
 /// cycles-per-second rate.
 pub const STOP_POLL_CYCLES: u64 = 1024;
-
-/// The engine's attached event sink (kept behind a wrapper so `Engine`
-/// can keep deriving `Debug`).
-struct SinkHandle(Box<dyn EventSink>);
-
-impl std::fmt::Debug for SinkHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SinkHandle(..)")
-    }
-}
 
 /// Per-network-input source: an open-loop queue feeding stage 0.
 #[derive(Debug, Default)]
@@ -230,7 +219,6 @@ pub struct Engine {
     peak_source_backlog: u64,
     collect_deliveries: bool,
     recent_deliveries: Vec<Delivery>,
-    traces: Vec<PacketTrace>,
     // Fault machinery (None for an empty fault plan: the zero-cost path).
     faults: Option<Box<FaultState>>,
     retry_queue: BinaryHeap<Reverse<RetryEntry>>,
@@ -243,51 +231,30 @@ pub struct Engine {
     // Telemetry (None when disabled / no sink attached: the zero-cost
     // path — telemetry observes the simulation and never participates).
     telem: Option<Box<TelemetryState>>,
-    events: Option<SinkHandle>,
+    events: Option<Box<dyn EventSink>>,
 }
 
 impl Engine {
-    /// Build an engine for the given configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see [`SimConfig::validate`]);
-    /// use [`Engine::try_new`] for a typed error instead.
-    #[must_use]
-    pub fn new(config: SimConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(engine) => engine,
-            // icn-lint: allow(ICN003) -- documented panicking wrapper; try_new returns the typed error
-            Err(e) => panic!("invalid simulation config: {e}"),
-        }
-    }
-
-    /// Build an engine for the given configuration, reporting an invalid
-    /// configuration (including an invalid fault plan) as a typed error.
-    /// Runs serially; use [`Engine::try_with_options`] for a sharded run.
-    ///
-    /// # Errors
-    /// Returns whatever [`SimConfig::validate`] rejects.
-    pub fn try_new(config: SimConfig) -> Result<Self, SimError> {
-        Self::try_with_options(config, EngineOptions::default())
-    }
-
-    /// Build an engine with explicit [`EngineOptions`] (thread budget,
-    /// chunking). Options steer *how* the run executes, never what it
-    /// computes: results are byte-identical across every option value.
+    /// Build an engine for the given configuration, running serially.
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see [`SimConfig::validate`]);
     /// use [`Engine::try_with_options`] for a typed error instead.
     #[must_use]
-    pub fn with_options(config: SimConfig, options: EngineOptions) -> Self {
-        match Self::try_with_options(config, options) {
+    pub fn new(config: SimConfig) -> Self {
+        match Self::try_with_options(config, EngineOptions::default()) {
             Ok(engine) => engine,
             // icn-lint: allow(ICN003) -- documented panicking wrapper; try_with_options returns the typed error
             Err(e) => panic!("invalid simulation config: {e}"),
         }
     }
 
-    /// [`Engine::try_new`] with explicit [`EngineOptions`].
+    /// Build an engine with explicit [`EngineOptions`] (thread budget,
+    /// chunking), reporting an invalid configuration (including an
+    /// invalid fault plan) as a typed error. Options steer *how* the run
+    /// executes, never what it computes: results are byte-identical
+    /// across every option value; [`EngineOptions::default`] is the
+    /// serial path.
     ///
     /// # Errors
     /// Returns whatever [`SimConfig::validate`] rejects.
@@ -375,7 +342,6 @@ impl Engine {
             peak_source_backlog: 0,
             collect_deliveries: false,
             recent_deliveries: Vec::new(),
-            traces: Vec::new(),
             faults,
             retry_queue: BinaryHeap::new(),
             dropped_total: 0,
@@ -394,7 +360,7 @@ impl Engine {
     /// the engine emits from now on (see [`crate::telemetry`]). With no
     /// sink attached each emission site is a single `Option` check.
     pub fn set_event_sink(&mut self, sink: impl EventSink + 'static) {
-        self.events = Some(SinkHandle(Box::new(sink)));
+        self.events = Some(Box::new(sink));
     }
 
     /// Current cycle.
@@ -553,12 +519,6 @@ impl Engine {
             self.tracked_injected += 1;
             self.pending_tracked += 1;
         }
-        let trace = if tracked && (self.traces.len() as u32) < self.config.trace_packets {
-            self.traces.push(PacketTrace::new(id, src, dest, self.now));
-            (self.traces.len() - 1) as u32
-        } else {
-            NO_TRACE
-        };
         let packet = Packet {
             id,
             src,
@@ -568,12 +528,12 @@ impl Engine {
             attempts: 0,
             tracked,
         };
-        let r = self.store.insert(packet, trace);
+        let r = self.store.insert(packet);
         self.sources[src as usize].queue.push_back(r);
         self.source_backlog += 1;
         self.peak_source_backlog = self.peak_source_backlog.max(self.source_backlog);
         if let Some(sink) = self.events.as_mut() {
-            sink.0.record(&SimEvent::Inject {
+            sink.record(&SimEvent::Inject {
                 cycle: self.now,
                 id,
                 src,
@@ -582,16 +542,6 @@ impl Engine {
             });
         }
         Ok(id)
-    }
-
-    /// Drain the event traces recorded so far (ordered by packet id).
-    /// Tracing is enabled by setting [`SimConfig::trace_packets`].
-    pub fn take_traces(&mut self) -> Vec<PacketTrace> {
-        // Live packets must not keep indices into the drained table.
-        self.store.clear_traces();
-        let mut traces = std::mem::take(&mut self.traces);
-        traces.sort_by_key(|t| t.id);
-        traces
     }
 
     /// Advance one clock cycle.
@@ -603,7 +553,7 @@ impl Engine {
                     // FaultEvent is Copy; detach from the fault-state borrow.
                     let batch: Vec<FaultEvent> = faults.events()[activated].to_vec();
                     for event in batch {
-                        sink.0.record(&SimEvent::FaultActivate {
+                        sink.record(&SimEvent::FaultActivate {
                             cycle: self.now,
                             target: event.target,
                             permanent: event.duration.is_none(),
@@ -711,9 +661,6 @@ impl Engine {
     /// Consume the engine and summarize.
     #[must_use]
     pub fn finish(mut self) -> SimResult {
-        if let Some(sink) = self.events.as_mut() {
-            sink.0.flush();
-        }
         let telemetry = self.telem.take().map(|t| t.into_report());
         SimResult {
             ports: self.topology.ports(),
@@ -888,7 +835,6 @@ impl Engine {
                 sources,
                 store,
                 entry,
-                traces,
                 events,
                 faults,
                 exec,
@@ -934,15 +880,11 @@ impl Engine {
                 let packet = store.get_mut(r);
                 packet.entered_at = Some(now);
                 let packet_id = packet.id;
-                let trace = store.trace_of(r);
-                if trace != NO_TRACE {
-                    traces[trace as usize].entered_at = Some(now);
-                }
                 stage0.push(port, r, now);
                 occ0[port] += 1;
                 *last_progress = now;
                 if let Some(sink) = events.as_mut() {
-                    sink.0.record(&SimEvent::Enter {
+                    sink.record(&SimEvent::Enter {
                         cycle: now,
                         id: packet_id,
                         src: line,
@@ -1072,11 +1014,8 @@ impl Engine {
                 }
                 if let Some(sink) = self.events.as_mut() {
                     for event in &fx.events {
-                        sink.0.record(event);
+                        sink.record(event);
                     }
-                }
-                for (trace, hop) in fx.hops.drain(..) {
-                    self.traces[trace as usize].hops.push(hop);
                 }
                 if let Some(telem) = self.telem.as_deref_mut() {
                     for &waited in &fx.stage_waits {
@@ -1119,7 +1058,6 @@ impl Engine {
     }
 
     fn deliver(&mut self, r: PacketRef, out_line: u32, delivered_at: u64) {
-        let trace = self.store.trace_of(r);
         let packet = self.store.remove(r);
         assert_eq!(
             out_line, packet.dest,
@@ -1128,9 +1066,6 @@ impl Engine {
         );
         self.delivered_total += 1;
         self.live_packets -= 1;
-        if trace != NO_TRACE {
-            self.traces[trace as usize].delivered_at = Some(delivered_at);
-        }
         if self.collect_deliveries {
             self.recent_deliveries.push(Delivery {
                 id: packet.id,
@@ -1160,7 +1095,7 @@ impl Engine {
             }
         }
         if let Some(sink) = self.events.as_mut() {
-            sink.0.record(&SimEvent::Deliver {
+            sink.record(&SimEvent::Deliver {
                 cycle: delivered_at,
                 id: packet.id,
                 dest: packet.dest,
@@ -1192,7 +1127,7 @@ impl Engine {
             self.retries_total += 1;
             self.last_progress = self.now;
             if let Some(sink) = self.events.as_mut() {
-                sink.0.record(&SimEvent::Retry {
+                sink.record(&SimEvent::Retry {
                     cycle: self.now,
                     id,
                     attempt,
@@ -1213,7 +1148,6 @@ impl Engine {
     /// watchdog: the network's state changed, and the conservation sum
     /// still closes.
     fn finalize_drop(&mut self, r: PacketRef) {
-        let trace = self.store.trace_of(r);
         let packet = self.store.remove(r);
         self.dropped_total += 1;
         self.live_packets -= 1;
@@ -1221,9 +1155,6 @@ impl Engine {
         if packet.tracked {
             self.tracked_dropped += 1;
             self.pending_tracked -= 1;
-        }
-        if trace != NO_TRACE {
-            self.traces[trace as usize].dropped_at = Some(self.now);
         }
         if self.collect_deliveries {
             self.recent_drops.push(DroppedPacket {
@@ -1237,7 +1168,7 @@ impl Engine {
             });
         }
         if let Some(sink) = self.events.as_mut() {
-            sink.0.record(&SimEvent::Drop {
+            sink.record(&SimEvent::Drop {
                 cycle: self.now,
                 id: packet.id,
                 src: packet.src,
@@ -1272,7 +1203,7 @@ impl Engine {
             stage_occupancy: self.stage_occupancy(),
         });
         if let Some(sink) = self.events.as_mut() {
-            sink.0.record(&SimEvent::Stall {
+            sink.record(&SimEvent::Stall {
                 cycle: self.now,
                 live_packets: self.live_packets,
             });
@@ -1508,25 +1439,23 @@ mod tests {
     /// network, and zero waiting cycles.
     #[test]
     fn traces_match_topology_and_timing() {
+        use crate::telemetry::TraceBuilder;
         use icn_topology::Topology;
         let plan = StagePlan::uniform(4, 3);
-        let mut config = quiet_config(plan.clone(), ChipModel::Dmc, 4);
-        config.trace_packets = 4;
+        let config = quiet_config(plan.clone(), ChipModel::Dmc, 4);
         let head_latency = config.stage_head_latency(4);
         let flits = config.flits_per_packet();
+        let builder = TraceBuilder::new();
         let mut engine = Engine::new(config);
+        engine.set_event_sink(builder.clone());
         engine.inject(11, 50);
-        let mut engine = {
-            // Run to completion but keep the engine to read traces.
-            for _ in 0..10_000 {
-                engine.step();
-                if engine.pending_tracked() == 0 {
-                    break;
-                }
+        for _ in 0..10_000 {
+            engine.step();
+            if engine.pending_tracked() == 0 {
+                break;
             }
-            engine
-        };
-        let traces = engine.take_traces();
+        }
+        let traces = builder.traces();
         assert_eq!(traces.len(), 1);
         let trace = &traces[0];
         assert!(trace.complete(), "{trace}");
@@ -1547,25 +1476,6 @@ mod tests {
         }
         let last = trace.hops.last().unwrap();
         assert_eq!(trace.delivered_at, Some(last.head_out_at + flits));
-    }
-
-    /// The trace budget caps how many packets are recorded.
-    #[test]
-    fn trace_budget_is_respected() {
-        let plan = StagePlan::uniform(4, 2);
-        let mut config = quiet_config(plan, ChipModel::Mcc, 4);
-        config.trace_packets = 2;
-        let mut engine = Engine::new(config);
-        for src in 0..8 {
-            engine.inject(src, (src + 1) % 16);
-        }
-        for _ in 0..5_000 {
-            engine.step();
-            if engine.pending_tracked() == 0 {
-                break;
-            }
-        }
-        assert_eq!(engine.take_traces().len(), 2);
     }
 
     /// Throughput accounting: delivered-in-window per port per cycle.

@@ -63,15 +63,15 @@ pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, RetryPolicy, StallReport};
 pub use metrics::{LatencyStats, SimResult, StageCounters};
 pub use options::EngineOptions;
-pub use packet::{Packet, PacketStatus};
+pub use packet::Packet;
 pub use pool::WorkerPool;
 pub use roundtrip::{run_roundtrip, RoundTripConfig, RoundTripResult};
 pub use runner::{
-    run, run_parallel, run_trace, run_with_sink, sweep_load, sweep_module_failures, try_run,
-    FaultSweepPoint, LoadSweepPoint,
+    run, run_parallel, run_trace, sweep_load, sweep_module_failures, try_run, FaultSweepPoint,
+    LoadSweepPoint,
 };
 pub use telemetry::{
-    EventSink, Histogram, JsonlSink, MemorySink, NullSink, Sample, SimEvent, TelemetryConfig,
-    TelemetryReport, TimeSeries, TraceBuilder,
+    EventSink, Histogram, MemorySink, Sample, SimEvent, TelemetryConfig, TelemetryReport,
+    TimeSeries, TraceBuilder,
 };
 pub use trace::{HopTrace, PacketTrace};

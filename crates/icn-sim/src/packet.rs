@@ -1,20 +1,6 @@
-//! Packets and their lifecycle bookkeeping.
+//! The packet value the engine moves through the network.
 
 use serde::{Deserialize, Serialize};
-
-/// Where a packet is in its lifecycle (recorded for tracked packets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PacketStatus {
-    /// Generated, waiting in the source queue.
-    Queued,
-    /// Somewhere inside the network.
-    InFlight,
-    /// Tail fully delivered to the destination.
-    Delivered {
-        /// Cycle at which the tail cleared the destination port.
-        at: u64,
-    },
-}
 
 /// A fixed-size packet travelling through the network.
 ///

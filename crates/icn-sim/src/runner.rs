@@ -6,7 +6,7 @@ use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::metrics::SimResult;
-use crate::telemetry::EventSink;
+use crate::options::EngineOptions;
 
 /// Run one configuration to completion.
 #[must_use]
@@ -20,24 +20,10 @@ pub fn run(config: SimConfig) -> SimResult {
 ///
 /// # Errors
 /// Returns the [`crate::error::SimError`] from [`SimConfig::validate`] /
-/// [`Engine::try_new`] when the configuration or fault plan is invalid.
+/// [`Engine::try_with_options`] when the configuration or fault plan is
+/// invalid.
 pub fn try_run(config: SimConfig) -> Result<SimResult, crate::error::SimError> {
-    Ok(Engine::try_new(config)?.run())
-}
-
-/// Run one configuration to completion with an [`EventSink`] attached,
-/// streaming every structured [`crate::telemetry::SimEvent`] the engine
-/// emits. Use a [`crate::telemetry::MemorySink`] clone (or a
-/// [`crate::telemetry::JsonlSink`] over a file) to keep a handle on the
-/// events while the engine owns the sink.
-///
-/// # Panics
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_with_sink(config: SimConfig, sink: impl EventSink + 'static) -> SimResult {
-    let mut engine = Engine::new(config);
-    engine.set_event_sink(sink);
-    engine.run()
+    Ok(Engine::try_with_options(config, EngineOptions::default())?.run())
 }
 
 /// Replay a recorded [`icn_workloads::TrafficTrace`] through the network:
@@ -284,7 +270,6 @@ mod tests {
     #[test]
     fn threaded_engine_matches_serial() {
         use crate::fault::{FaultPlan, RetryPolicy};
-        use crate::options::EngineOptions;
         use crate::telemetry::TelemetryConfig;
 
         let mut config = small_config(0.02, 9);
@@ -300,7 +285,8 @@ mod tests {
                     chunk_modules,
                     perturb_seed: Some(7),
                 };
-                let threaded = Engine::with_options(config.clone(), options).run();
+                let engine = Engine::try_with_options(config.clone(), options).unwrap();
+                let threaded = engine.run();
                 assert_eq!(serial, threaded, "threads={threads} chunk={chunk_modules}");
             }
         }

@@ -29,7 +29,7 @@
 //!   slice of input/output ports, and the due-time arrays (`ready_at`,
 //!   `vacate_at`; see [`crate::module`]) are split into the same chunks,
 //!   so refreshing them is a chunk-local write too. Everything with a
-//!   global ordering — events, trace hops, downstream pushes,
+//!   global ordering — events, downstream pushes,
 //!   deliveries, fault drops (and their occupancy decrements), stage
 //!   counters, telemetry — is buffered in the chunk's [`ShardEffects`]
 //!   and applied serially at the barrier, stage by stage in chunk order,
@@ -50,9 +50,8 @@ use crate::metrics::StageCounters;
 use crate::module::{InputPorts, OutputPort};
 use crate::options::EngineOptions;
 use crate::pool::WorkerPool;
-use crate::store::{PacketRef, PacketStore, NO_TRACE};
+use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::SimEvent;
-use crate::trace::HopTrace;
 
 /// Sentinel for "this input has no ready head" in the grant scratch.
 pub(crate) const NO_TAG: u32 = u32::MAX;
@@ -103,8 +102,6 @@ pub(crate) struct ShardEffects {
     pub progressed: bool,
     /// Grant events, in (module, out_port) order.
     pub events: Vec<SimEvent>,
-    /// Trace hops: `(trace table index, hop)`.
-    pub hops: Vec<(u32, HopTrace)>,
     /// Pre-grant waiting cycles per granted head (stage-wait histogram).
     pub stage_waits: Vec<u64>,
     /// Granted module indices (hotspot heatmap), one per grant.
@@ -127,7 +124,6 @@ impl ShardEffects {
         self.counters = StageCounters::default();
         self.progressed = false;
         self.events.clear();
-        self.hops.clear();
         self.stage_waits.clear();
         self.heat_grants.clear();
         self.pushes.clear();
@@ -579,20 +575,6 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                     out_port: out_port_u,
                     head_out_at: head_arrival,
                 });
-            }
-            let trace = store.trace_of(r);
-            if trace != NO_TRACE {
-                fx.hops.push((
-                    trace,
-                    HopTrace {
-                        stage: stage_idx as u32,
-                        module: module_idx as u32,
-                        in_port: winner,
-                        out_port: out_port_u,
-                        granted_at: now,
-                        head_out_at: head_arrival,
-                    },
-                ));
             }
             match next_entry {
                 Some(next_entry) if !is_last => {

@@ -16,9 +16,6 @@
 
 use crate::packet::Packet;
 
-/// Sentinel trace index: the packet is not being traced.
-pub(crate) const NO_TRACE: u32 = u32::MAX;
-
 /// A handle to a live packet in the [`PacketStore`]. Copyable, 4 bytes,
 /// valid from [`PacketStore::insert`] until [`PacketStore::remove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +24,6 @@ pub(crate) struct PacketRef(pub(crate) u32);
 #[derive(Debug)]
 struct StoreSlot {
     packet: Packet,
-    /// Index into the engine's trace table, or [`NO_TRACE`].
-    trace: u32,
     /// Free-list discipline guard (checked in debug builds only).
     occupied: bool,
 }
@@ -41,14 +36,12 @@ pub(crate) struct PacketStore {
 }
 
 impl PacketStore {
-    /// Add a packet (with its trace-table index, or [`NO_TRACE`]),
-    /// reusing a freed slot when one is available.
-    pub fn insert(&mut self, packet: Packet, trace: u32) -> PacketRef {
+    /// Add a packet, reusing a freed slot when one is available.
+    pub fn insert(&mut self, packet: Packet) -> PacketRef {
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
             debug_assert!(!slot.occupied, "free list handed out a live slot");
             slot.packet = packet;
-            slot.trace = trace;
             slot.occupied = true;
             PacketRef(idx)
         } else {
@@ -56,7 +49,6 @@ impl PacketStore {
             let idx = u32::try_from(self.slots.len()).expect("more than u32::MAX live packets");
             self.slots.push(StoreSlot {
                 packet,
-                trace,
                 occupied: true,
             });
             PacketRef(idx)
@@ -79,41 +71,13 @@ impl PacketStore {
         &mut slot.packet
     }
 
-    /// The packet's trace-table index ([`NO_TRACE`] when untraced).
-    #[inline]
-    pub fn trace_of(&self, r: PacketRef) -> u32 {
-        let slot = &self.slots[r.0 as usize];
-        debug_assert!(slot.occupied, "read through a stale PacketRef");
-        slot.trace
-    }
-
     /// Remove a packet in its terminal state, recycling the slot.
     pub fn remove(&mut self, r: PacketRef) -> Packet {
         let slot = &mut self.slots[r.0 as usize];
         debug_assert!(slot.occupied, "double remove through a PacketRef");
         slot.occupied = false;
-        slot.trace = NO_TRACE;
         self.free.push(r.0);
         slot.packet
-    }
-
-    /// Detach every live packet from the trace table (the engine calls
-    /// this when [`crate::Engine::take_traces`] drains the table, so no
-    /// stale indices survive into the next trace budget).
-    pub fn clear_traces(&mut self) {
-        for slot in &mut self.slots {
-            slot.trace = NO_TRACE;
-        }
-    }
-
-    /// Re-point a live packet at a trace slot (unused by the engine's
-    /// normal flow — traces are assigned at insert — but kept so the
-    /// store's API is closed under the trace lifecycle).
-    #[cfg(test)]
-    pub fn set_trace(&mut self, r: PacketRef, trace: u32) {
-        let slot = &mut self.slots[r.0 as usize];
-        debug_assert!(slot.occupied);
-        slot.trace = trace;
     }
 
     /// Number of live (occupied) slots. Referenced only by the engine's
@@ -150,8 +114,8 @@ mod tests {
     #[test]
     fn slots_are_recycled_through_the_free_list() {
         let mut store = PacketStore::default();
-        let a = store.insert(packet(0), NO_TRACE);
-        let b = store.insert(packet(1), NO_TRACE);
+        let a = store.insert(packet(0));
+        let b = store.insert(packet(1));
         assert_eq!(store.live(), 2);
         assert_eq!(store.get(a).id, 0);
         assert_eq!(store.get(b).id, 1);
@@ -161,37 +125,16 @@ mod tests {
         assert_eq!(store.live(), 1);
 
         // The freed slot is reused: no arena growth.
-        let c = store.insert(packet(2), NO_TRACE);
+        let c = store.insert(packet(2));
         assert_eq!(c, a);
         assert_eq!(store.capacity(), 2);
         assert_eq!(store.get(c).id, 2);
     }
 
     #[test]
-    fn trace_indices_follow_the_packet() {
-        let mut store = PacketStore::default();
-        let a = store.insert(packet(0), 7);
-        let b = store.insert(packet(1), NO_TRACE);
-        assert_eq!(store.trace_of(a), 7);
-        assert_eq!(store.trace_of(b), NO_TRACE);
-        store.set_trace(b, 3);
-        assert_eq!(store.trace_of(b), 3);
-
-        store.clear_traces();
-        assert_eq!(store.trace_of(a), NO_TRACE);
-        assert_eq!(store.trace_of(b), NO_TRACE);
-
-        // A recycled slot never inherits the previous tenant's trace.
-        store.remove(a);
-        let c = store.insert(packet(2), NO_TRACE);
-        assert_eq!(c, a);
-        assert_eq!(store.trace_of(c), NO_TRACE);
-    }
-
-    #[test]
     fn mutation_is_in_place() {
         let mut store = PacketStore::default();
-        let a = store.insert(packet(5), NO_TRACE);
+        let a = store.insert(packet(5));
         store.get_mut(a).attempts = 3;
         store.get_mut(a).entered_at = Some(40);
         assert_eq!(store.get(a).attempts, 3);

@@ -7,13 +7,11 @@
 //! it happens; with no sink attached the emission sites compile down to a
 //! single `Option` check, preserving the zero-cost-when-disabled guarantee.
 //!
-//! This generalizes the fixed-budget per-packet tracing of
-//! [`crate::PacketTrace`]: a [`TraceBuilder`] sink reconstructs complete
-//! `PacketTrace`s for *every* packet from the event stream alone (asserted
-//! equivalent to the engine's built-in traces in `tests/telemetry.rs`).
+//! The stream is the engine's only packet tracer: a [`TraceBuilder`] sink
+//! reconstructs a complete [`crate::PacketTrace`] for every packet from
+//! the events alone.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::{Arc, PoisonError};
 
 use serde::{Deserialize, Serialize};
@@ -100,22 +98,10 @@ impl SimEvent {
 
 /// Where engine events go. Implementations must be cheap per call: the
 /// engine invokes `record` from its hot loop (only when a sink is
-/// attached).
-pub trait EventSink: Send {
+/// attached). `Debug` lets the engine that owns a sink derive it too.
+pub trait EventSink: Send + std::fmt::Debug {
     /// Observe one event.
     fn record(&mut self, event: &SimEvent);
-
-    /// Flush any buffered output (called when the engine finishes).
-    fn flush(&mut self) {}
-}
-
-/// A sink that discards everything (useful as an explicit placeholder;
-/// attaching no sink at all is equally fast).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _event: &SimEvent) {}
 }
 
 /// An in-memory sink for tests and in-process consumers. Cloning shares
@@ -169,56 +155,8 @@ impl EventSink for MemorySink {
     }
 }
 
-/// A sink that writes each event as one JSON line (the `{"Grant":{...}}`
-/// externally-tagged form). IO errors are counted, not propagated — the
-/// simulation must not change behaviour because a disk filled up.
-pub struct JsonlSink<W: Write + Send> {
-    writer: W,
-    /// Write errors swallowed so far (readable after the run).
-    pub io_errors: u64,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            io_errors: 0,
-        }
-    }
-
-    /// Unwrap the writer (flushing first).
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn record(&mut self, event: &SimEvent) {
-        // Serialization failures are counted with the write errors: the
-        // simulation must not abort because its observer could not keep up.
-        match serde_json::to_string(event) {
-            Ok(line) => {
-                if writeln!(self.writer, "{line}").is_err() {
-                    self.io_errors += 1;
-                }
-            }
-            Err(_) => self.io_errors += 1,
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.writer.flush().is_err() {
-            self.io_errors += 1;
-        }
-    }
-}
-
-/// Reconstructs a [`PacketTrace`] per packet from the event stream —
-/// the generalization of the engine's fixed-budget built-in tracing
-/// (which records only the first `trace_packets` tracked packets).
-/// Cloning shares the underlying map, like [`MemorySink`].
+/// Reconstructs a [`PacketTrace`] for every packet from the event
+/// stream. Cloning shares the underlying map, like [`MemorySink`].
 #[derive(Debug, Default, Clone)]
 pub struct TraceBuilder {
     // icn-lint: allow(ICN203) -- consumer-side trace handle, same sharing shape as MemorySink; never touched from shard code
@@ -262,8 +200,8 @@ impl EventSink for TraceBuilder {
             }
             SimEvent::Enter { cycle, id, .. } => {
                 if let Some(t) = traces.get_mut(&id) {
-                    // A retried packet re-enters; keep its first entry like
-                    // the engine's built-in traces do.
+                    // A retried packet re-enters; its trace keeps the
+                    // first entry, so hops from every attempt follow it.
                     t.entered_at.get_or_insert(cycle);
                 }
             }
@@ -350,63 +288,69 @@ mod tests {
         assert_eq!(sink.events().len(), 3);
     }
 
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&SimEvent::Stall {
-            cycle: 9,
-            live_packets: 4,
-        });
-        sink.record(&SimEvent::Enter {
-            cycle: 1,
-            id: 0,
-            src: 2,
-        });
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: SimEvent = serde_json::from_str(lines[0]).unwrap();
-        assert!(matches!(first, SimEvent::Stall { cycle: 9, .. }));
-    }
-
+    /// A packet dropped by a fault, re-offered and then delivered keeps
+    /// its first entry, and the hops of both attempts. (In the unique-path
+    /// network a permanent fault never heals, so the engine itself finally
+    /// drops such a packet; `tests/telemetry.rs` runs that case.)
     #[test]
     fn trace_builder_reconstructs_a_life() {
         let builder = TraceBuilder::new();
         let mut sink = builder.clone();
-        sink.record(&SimEvent::Inject {
-            cycle: 5,
+        let enter = |cycle| SimEvent::Enter {
+            cycle,
             id: 7,
             src: 1,
-            dest: 9,
-            tracked: true,
-        });
-        sink.record(&SimEvent::Enter {
-            cycle: 6,
-            id: 7,
-            src: 1,
-        });
-        sink.record(&SimEvent::Grant {
-            cycle: 8,
+        };
+        let grant = |cycle, head_out_at| SimEvent::Grant {
+            cycle,
             id: 7,
             stage: 0,
             module: 0,
             in_port: 1,
             out_port: 2,
-            head_out_at: 10,
-        });
-        sink.record(&SimEvent::Deliver {
-            cycle: 35,
-            id: 7,
-            dest: 9,
-            latency: 30,
-        });
+            head_out_at,
+        };
+        let (inject, retry, deliver) = (
+            SimEvent::Inject {
+                cycle: 5,
+                id: 7,
+                src: 1,
+                dest: 9,
+                tracked: true,
+            },
+            SimEvent::Retry {
+                cycle: 12,
+                id: 7,
+                attempt: 1,
+                retry_at: 20,
+            },
+            SimEvent::Deliver {
+                cycle: 35,
+                id: 7,
+                dest: 9,
+                latency: 30,
+            },
+        );
+        for event in [
+            inject,
+            enter(6),
+            grant(8, 10),
+            retry,
+            enter(20),
+            grant(21, 23),
+            deliver,
+        ] {
+            sink.record(&event);
+        }
         let traces = builder.traces();
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!((t.id, t.src, t.dest, t.injected_at), (7, 1, 9, 5));
         assert_eq!(t.entered_at, Some(6));
         assert_eq!(t.delivered_at, Some(35));
-        assert_eq!(t.hops.len(), 1);
+        assert_eq!(t.hops.len(), 2);
         assert!(t.complete());
+        // 2 before the first grant + (21 − 10) between the attempts.
+        assert_eq!(t.waiting_cycles(), Some(13));
     }
 }

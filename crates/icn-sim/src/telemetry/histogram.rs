@@ -145,6 +145,32 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// Check a histogram read from outside the process (a telemetry
+    /// dump): deserialization takes any field values, but the quantile
+    /// walk relies on their invariants. One this accepts renders without
+    /// panicking.
+    ///
+    /// # Errors
+    /// Names the first invariant the fields break.
+    pub fn validate(&self) -> Result<(), String> {
+        let (p, count, min, max) = (self.precision, self.count, self.min, self.max);
+        let sum = self
+            .counts
+            .iter()
+            .try_fold(0u64, |acc, &n| acc.checked_add(n));
+        if !(1..=20).contains(&p) {
+            Err(format!("precision {p} outside 1..=20"))
+        } else if self.counts.len() > self.index_for(u64::MAX) + 1 {
+            Err(format!("more buckets than precision {p} has"))
+        } else if sum != Some(count) {
+            Err(format!("bucket counts do not sum to count {count}"))
+        } else if count > 0 && min > max {
+            Err(format!("min {min} above max {max}"))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Sub-bucket precision in bits.
     #[must_use]
     pub fn precision(&self) -> u32 {
@@ -324,6 +350,18 @@ mod tests {
         let back: Histogram = serde_json::from_str(&json).unwrap();
         assert_eq!(h, back);
         assert_eq!(h.quantile(0.5), back.quantile(0.5));
+        assert_eq!(back.validate(), Ok(()));
+        // Deserialization takes any field values; `validate` refuses the
+        // ones the quantile walk cannot survive.
+        for (field, broken) in [
+            ("\"precision\":7", "\"precision\":64"),
+            ("\"count\":5", "\"count\":4"),
+            ("\"min\":3", "\"min\":2000000"),
+        ] {
+            assert!(json.contains(field), "{json}");
+            let back: Histogram = serde_json::from_str(&json.replace(field, broken)).unwrap();
+            assert!(back.validate().is_err(), "{broken} accepted");
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   distributions with arbitrary quantiles and bounded memory at any run
 //!   length (error bound: relative `2^−(p+1)`, see [`histogram`]);
 //! * [`SimEvent`] / [`EventSink`] — a structured event stream (inject,
-//!   enter, grant, deliver, drop, retry, fault-activate, stall) with
-//!   pluggable sinks: [`NullSink`], in-memory [`MemorySink`] for tests,
-//!   [`JsonlSink`] for files, and [`TraceBuilder`] which reconstructs
-//!   [`crate::PacketTrace`]s and thereby generalizes the engine's
-//!   fixed-budget built-in tracing.
+//!   enter, grant, deliver, drop, retry, fault-activate, stall). This crate
+//!   has two sinks: [`MemorySink`], which buffers the events (the CLI writes them
+//!   into a dump as [`DumpLine::Event`] lines), and [`TraceBuilder`],
+//!   which reconstructs a [`crate::PacketTrace`] per packet — the
+//!   engine's only packet tracer.
 //!
 //! **The disabled path is guaranteed inert**: with
 //! [`TelemetryConfig::sample_interval`] = 0 and no sink attached the
@@ -29,7 +29,7 @@ pub mod event;
 pub mod histogram;
 pub mod timeseries;
 
-pub use event::{EventSink, JsonlSink, MemorySink, NullSink, SimEvent, TraceBuilder};
+pub use event::{EventSink, MemorySink, SimEvent, TraceBuilder};
 pub use histogram::{Histogram, DEFAULT_PRECISION};
 pub use timeseries::{Sample, TimeSeries};
 
@@ -150,7 +150,9 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// Write the report as a JSONL dump: one `{"Meta":{...}}` line, then
     /// one line per sample and per histogram (the format `icn inspect`
-    /// reads). Events are streamed separately by a [`JsonlSink`].
+    /// reads). Events are not part of the report: a caller that wants
+    /// them in the dump collects them with a [`MemorySink`] and appends
+    /// one [`DumpLine::Event`] line per event.
     ///
     /// # Errors
     /// Propagates writer errors; a line that fails to serialize is

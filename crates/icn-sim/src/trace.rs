@@ -1,8 +1,9 @@
 //! Per-packet event traces for debugging and timing audits.
 //!
-//! When [`crate::SimConfig::trace_packets`] is non-zero, the engine records
-//! a full event trace — source entry, every module grant with its head-out
-//! time, and delivery — for the first N tracked packets. Traces make the
+//! A [`crate::TraceBuilder`] attached as the engine's event sink (see
+//! [`crate::Engine::set_event_sink`]) rebuilds a full trace — source
+//! entry, every module grant with its head-out time, and delivery or
+//! final drop — for every packet from the event stream. Traces make the
 //! lock-step timing model auditable: tests assert that a traced packet's
 //! hops coincide with `Topology::route` and that consecutive grants are
 //! spaced exactly as the §4 pipeline model says.
@@ -38,14 +39,18 @@ pub struct PacketTrace {
     pub dest: u32,
     /// Cycle the packet was generated.
     pub injected_at: u64,
-    /// Cycle the head entered the first-stage buffer.
+    /// Cycle the head first entered the first-stage buffer. A packet
+    /// that a fault dropped and its source re-offered enters again; the
+    /// trace keeps the first entry, so it never lies after the first hop
+    /// (the hops of every attempt stay in [`PacketTrace::hops`]).
     pub entered_at: Option<u64>,
     /// Cycle the tail cleared the destination.
     pub delivered_at: Option<u64>,
     /// Cycle the packet was finally dropped by a fault (after exhausting
     /// retries), if it was.
     pub dropped_at: Option<u64>,
-    /// Module crossings, in stage order.
+    /// Module crossings in grant order: stage order within an attempt,
+    /// attempt after attempt for a retried packet.
     pub hops: Vec<HopTrace>,
 }
 

@@ -98,7 +98,6 @@ pub fn cases() -> Vec<ParityCase> {
             FaultEvent::permanent(FaultTarget::SourcePort { port: 3 }, 200),
         ]));
     faulty.retry = RetryPolicy::retries(2);
-    faulty.trace_packets = 4;
     faulty.warmup_cycles = 100;
     faulty.measure_cycles = 300;
     faulty.drain_cycles = 10_000;
@@ -238,7 +237,7 @@ pub fn render(case: &ParityCase) -> (String, Option<String>) {
 /// serial-vs-parallel matrix.
 #[must_use]
 pub fn render_with_options(case: &ParityCase, options: EngineOptions) -> (String, Option<String>) {
-    let mut engine = Engine::with_options(case.config.clone(), options);
+    let mut engine = Engine::try_with_options(case.config.clone(), options).unwrap();
     let sink = MemorySink::new();
     if case.record_events {
         engine.set_event_sink(sink.clone());

@@ -11,7 +11,8 @@
 //! never succeed, and the accounting must say so.
 
 use icn_sim::{
-    ChipModel, Engine, FaultEvent, FaultPlan, FaultTarget, RetryPolicy, SimConfig, SimError,
+    ChipModel, Engine, EngineOptions, FaultEvent, FaultPlan, FaultTarget, RetryPolicy, SimConfig,
+    SimError,
 };
 use icn_topology::StagePlan;
 use icn_workloads::Workload;
@@ -401,7 +402,8 @@ fn dead_source_drains_its_queue() {
 }
 
 /// The panic-free API surface: invalid configurations and fault plans are
-/// typed errors from `try_new`, and `try_inject` validates *both* ports.
+/// typed errors from `try_with_options`, and `try_inject` validates *both*
+/// ports.
 #[test]
 fn typed_errors_instead_of_panics() {
     let mut config = loaded(0.0, 0);
@@ -412,7 +414,7 @@ fn typed_errors_instead_of_panics() {
         },
         0,
     )]);
-    match Engine::try_new(config) {
+    match Engine::try_with_options(config, EngineOptions::default()) {
         Err(SimError::InvalidFault(msg)) => assert!(msg.contains("stage 7"), "{msg}"),
         other => panic!("expected InvalidFault, got {other:?}"),
     }
@@ -420,7 +422,7 @@ fn typed_errors_instead_of_panics() {
     let mut bad = loaded(0.0, 0);
     bad.width = 0;
     assert!(matches!(
-        Engine::try_new(bad),
+        Engine::try_with_options(bad, EngineOptions::default()),
         Err(SimError::InvalidConfig(_))
     ));
 

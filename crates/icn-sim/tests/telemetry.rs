@@ -2,10 +2,9 @@
 //! telemetry-off parity guarantee, event-stream reconciliation, and the
 //! histogram error bound on a million-sample property run.
 
-use icn_sim::telemetry::TraceBuilder;
 use icn_sim::{
     ChipModel, Engine, FaultEvent, FaultPlan, FaultTarget, Histogram, MemorySink, RetryPolicy,
-    SimConfig, SimEvent, TelemetryConfig,
+    SimConfig, SimEvent, TelemetryConfig, TraceBuilder,
 };
 use icn_topology::StagePlan;
 use icn_workloads::Workload;
@@ -55,8 +54,9 @@ fn telemetry_is_deterministic_across_runs() {
         let mut config = faulty_config(seed);
         config.telemetry = TelemetryConfig::sampled(50);
         let sink = MemorySink::new();
-        let result = icn_sim::run_with_sink(config, sink.clone());
-        (result, sink.events())
+        let mut engine = Engine::new(config);
+        engine.set_event_sink(sink.clone());
+        (engine.run(), sink.events())
     };
     let (a, a_events) = run_once(11);
     let (b, b_events) = run_once(11);
@@ -87,7 +87,9 @@ fn disabled_telemetry_equals_enabled_field_for_field() {
 
         let mut on_config = config;
         on_config.telemetry = TelemetryConfig::sampled(25);
-        let mut on = icn_sim::run_with_sink(on_config, MemorySink::new());
+        let mut engine = Engine::new(on_config);
+        engine.set_event_sink(MemorySink::new());
+        let mut on = engine.run();
         assert!(on.telemetry.is_some());
         on.telemetry = None;
         assert_eq!(
@@ -178,7 +180,9 @@ fn profiler_is_observational_deterministic_and_reconciles() {
 #[test]
 fn event_counts_reconcile_with_result_totals() {
     let sink = MemorySink::new();
-    let result = icn_sim::run_with_sink(faulty_config(5), sink.clone());
+    let mut engine = Engine::new(faulty_config(5));
+    engine.set_event_sink(sink.clone());
+    let result = engine.run();
     let counts = sink.counts_by_kind();
     let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
     assert_eq!(count("inject"), result.injected_total);
@@ -205,37 +209,38 @@ fn event_counts_reconcile_with_result_totals() {
     }
 }
 
-/// A `TraceBuilder` sink reconstructs exactly the traces the engine's
-/// built-in fixed-budget tracer records — for every packet, not just the
-/// budgeted ones.
+/// A packet that a permanent fault drops is re-offered by its source and
+/// enters the network again on every attempt. Its trace keeps the first
+/// entry, so `entered_at` never lies after the first hop and
+/// `waiting_cycles` is defined once the loss is final.
 #[test]
-fn trace_builder_matches_builtin_traces() {
-    let mut config = loaded_config(0.03, 9);
-    config.trace_packets = 1_000_000; // budget large enough for all
+fn retried_packet_trace_keeps_its_first_entry() {
+    let mut config = loaded_config(0.0, 1);
+    config.warmup_cycles = 0;
+    config.retry = RetryPolicy::retries(2);
+    // Sever the stage-1 link serving destination 1.
+    let link = FaultTarget::Link {
+        stage: 1,
+        module: 0,
+        out_port: 1,
+    };
+    config.faults = FaultPlan::new(vec![FaultEvent::permanent(link, 0)]);
     let builder = TraceBuilder::new();
     let mut engine = Engine::new(config);
     engine.set_event_sink(builder.clone());
-    let measure_end = engine.config().warmup_cycles + engine.config().measure_cycles;
-    let hard_end = measure_end + engine.config().drain_cycles;
-    while engine.now() < hard_end {
-        if engine.now() >= measure_end && engine.pending_tracked() == 0 {
-            break;
-        }
-        engine.step();
-    }
-    let builtin = engine.take_traces();
-    assert!(!builtin.is_empty());
-    let rebuilt = builder.traces();
-    // The builtin tracer only records *tracked* packets; the event stream
-    // covers everything. Compare on the builtin set.
-    let rebuilt_by_id: std::collections::HashMap<u64, _> =
-        rebuilt.into_iter().map(|t| (t.id, t)).collect();
-    for trace in &builtin {
-        let from_events = rebuilt_by_id
-            .get(&trace.id)
-            .expect("every builtin trace present in the event stream");
-        assert_eq!(trace, from_events, "trace #{} diverged", trace.id);
-    }
+    engine.inject(0, 1);
+    let result = engine.run();
+    assert_eq!((result.retries_total, result.dropped_total), (2, 1));
+
+    let traces = builder.traces();
+    let trace = &traces[0];
+    assert!(trace.complete(), "{trace}");
+    // Injected into an idle network, the packet first enters at cycle 0;
+    // each of its three attempts crosses stage 0 before the severed link.
+    assert_eq!(trace.entered_at, Some(0), "{trace}");
+    assert_eq!(trace.hops.len(), 3, "{trace}");
+    assert!(trace.hops[1].granted_at > trace.hops[0].head_out_at);
+    assert!(trace.waiting_cycles().is_some(), "{trace}");
 }
 
 /// The acceptance-criteria property test: on 1e6 samples spanning six
