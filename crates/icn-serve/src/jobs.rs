@@ -22,6 +22,11 @@
 //! come back with their results, unfinished jobs re-enter the queue, and
 //! the id counter never moves backwards.
 //!
+//! The queue entry is the server's only record of a job. It owns the
+//! job's wall-clock trace ([`TraceBuilder`]), whose claim and end instants
+//! [`JobQueue::take`] and [`JobQueue::finish`] stamp, and it converts to
+//! and from the journal's [`JobRecord`] for replay and compaction.
+//!
 //! Synchronization is `std::sync::{Mutex, Condvar}`, the workspace's one
 //! lock idiom. Lock poisoning is survived via [`PoisonError::into_inner`]:
 //! a panicking worker must not take the whole service down with it.
@@ -34,7 +39,9 @@ use std::time::Instant;
 use icn_sim::SimConfig;
 
 use crate::api::{Priority, ResolvedExplore};
+use crate::journal::JobRecord;
 use crate::telemetry::Progress;
+use crate::trace::TraceBuilder;
 
 /// What a claimed job actually computes. `/v1/simulate` and
 /// `/v1/explore` share one queue — admission, coalescing, shedding,
@@ -49,13 +56,31 @@ pub enum JobPayload {
     Explore(Box<ResolvedExplore>),
 }
 
+impl JobPayload {
+    /// Parse a journaled canonical configuration back into work; the
+    /// content key's endpoint prefix says which parser applies. `None`
+    /// when it no longer parses.
+    fn from_journal(key: &str, config: &str) -> Option<Self> {
+        if key.starts_with("explore:") {
+            serde_json::from_str(config)
+                .ok()
+                .map(|r| Self::Explore(Box::new(r)))
+        } else {
+            serde_json::from_str(config)
+                .ok()
+                .map(|c| Self::Simulate(Box::new(c)))
+        }
+    }
+}
+
 /// Mean service time assumed before any job has completed, in
 /// microseconds (the `Retry-After` fallback; half a second).
 pub const DEFAULT_MEAN_SERVICE_US: u64 = 500_000;
 
 /// Terminal jobs kept in memory for status lookups; older ones are pruned
 /// so an unattended server's job table stays bounded. (Their *results*
-/// outlive pruning in the content-addressed cache.)
+/// outlive pruning in the content-addressed cache; their traces go with
+/// them.)
 pub const RETAINED_FINISHED_JOBS: usize = 4096;
 
 /// Lifecycle of one job.
@@ -101,6 +126,9 @@ pub struct JobSnapshot {
     pub error: Option<String>,
     /// Live simulation progress counters (shared with the worker).
     pub progress: Arc<Progress>,
+    /// The job's wall-clock trace (`None` for a job restored from the
+    /// journal).
+    pub trace: Option<TraceBuilder>,
 }
 
 /// Outcome of an enqueue attempt.
@@ -159,43 +187,6 @@ pub struct TakenJob {
     pub progress: Arc<Progress>,
 }
 
-/// A journal-recovered job to reinstall via [`JobQueue::restore`].
-#[derive(Debug)]
-pub struct RestoredJob {
-    /// Original job id (preserved across the restart).
-    pub id: u64,
-    /// Content key.
-    pub key: String,
-    /// Admission priority.
-    pub priority: Priority,
-    /// Wall-clock budget to re-grant from *now* (the pre-crash wait is
-    /// forgiven), in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Canonical configuration JSON (journaled form).
-    pub canonical: Arc<String>,
-    /// Parsed payload; required when `outcome` is `None`.
-    pub payload: Option<JobPayload>,
-    /// Terminal outcome, if the job reached one before the crash.
-    pub outcome: Option<Result<Arc<String>, String>>,
-}
-
-/// One job as the journal compactor needs it.
-#[derive(Debug, Clone)]
-pub struct JobRecord {
-    /// Job id.
-    pub id: u64,
-    /// Content key.
-    pub key: String,
-    /// Admission priority.
-    pub priority: Priority,
-    /// Original wall-clock budget in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Canonical configuration JSON.
-    pub canonical: Arc<String>,
-    /// Terminal outcome (`None` = still pending, must be re-journaled).
-    pub outcome: Option<Result<Arc<String>, String>>,
-}
-
 #[derive(Debug)]
 struct Inner {
     /// One FIFO per band, drained high-to-low.
@@ -233,6 +224,9 @@ struct Job {
     /// key (an append-race artifact): this job defers to that one, and its
     /// snapshot resolves through it — the work runs exactly once.
     alias_of: Option<u64>,
+    /// The job's wall-clock trace (`None` for a job restored from the
+    /// journal).
+    trace: Option<TraceBuilder>,
 }
 
 /// The shared job queue (cheaply clonable via `Arc` by the server).
@@ -311,7 +305,9 @@ impl JobQueue {
     /// Try to enqueue a job for `payload` under content `key`.
     ///
     /// `canonical` is the resolved configuration's canonical JSON (kept
-    /// for journaling); `deadline_ms` is the job's wall-clock budget.
+    /// for journaling); `deadline_ms` is the job's wall-clock budget;
+    /// `trace` is the submit side of the job's trace, which the new job
+    /// owns from here on.
     pub fn enqueue(
         &self,
         key: &str,
@@ -319,6 +315,7 @@ impl JobQueue {
         canonical: Arc<String>,
         priority: Priority,
         deadline_ms: Option<u64>,
+        trace: TraceBuilder,
     ) -> Enqueue {
         let mut inner = lock(&self.inner);
         if inner.shutting_down {
@@ -354,6 +351,7 @@ impl JobQueue {
                 error: None,
                 progress: Arc::new(Progress::default()),
                 alias_of: None,
+                trace: Some(trace),
             },
         );
         inner.active_by_key.insert(key.to_string(), id);
@@ -364,21 +362,57 @@ impl JobQueue {
         Enqueue::Enqueued(id)
     }
 
-    /// Reinstall a journal-recovered job under its original id. Terminal
-    /// jobs come back terminal; unfinished jobs re-enter their band with a
-    /// fresh deadline. A pending job whose key is already pending (a
-    /// journal append-race artifact) becomes an *alias* of the earlier
-    /// job, so the simulation still runs exactly once. Recovery may
-    /// restore more pending jobs than `capacity` — the backlog is honored,
-    /// not shed.
-    pub fn restore(&self, job: RestoredJob) {
+    /// Record a submit-side span that ran after job `id` entered the
+    /// queue (the `Submit` journal append).
+    pub fn trace_span(&self, id: u64, name: &'static str, started: Instant) {
         let mut inner = lock(&self.inner);
-        inner.next_id = inner.next_id.max(job.id + 1);
+        if let Some(trace) = inner.jobs.get_mut(&id).and_then(|job| job.trace.as_mut()) {
+            trace.span(name, started);
+        }
+    }
+
+    /// Reinstall a journal-recovered job under its original id, returning
+    /// whether it is pending again. A completed job comes back done when
+    /// `body` (its result, from the journal or the disk spill) is present
+    /// and re-runs otherwise; a failed job keeps its error. Unfinished jobs
+    /// re-enter their band with a fresh deadline, or fail closed when their
+    /// configuration no longer parses. A pending job whose key is already
+    /// pending (a journal append-race artifact) becomes an *alias* of the
+    /// earlier job, so the simulation still runs exactly once. Recovery may
+    /// restore more pending jobs than `capacity` — the backlog is honored,
+    /// not shed. Restored jobs carry no trace.
+    pub fn restore(&self, record: JobRecord, body: Option<Arc<String>>) -> bool {
+        let JobRecord {
+            id,
+            key,
+            priority,
+            deadline_ms,
+            config,
+            outcome,
+        } = record;
+        let outcome = match outcome {
+            Some(Ok(_)) => body.map(Ok),
+            Some(Err(message)) => Some(Err(message)),
+            None => None,
+        };
+        let payload = match outcome {
+            None => JobPayload::from_journal(&key, &config),
+            Some(_) => None,
+        };
+        let outcome = match (outcome, &payload) {
+            (None, None) => Some(Err(
+                "unrecoverable: journaled configuration no longer parses".to_string(),
+            )),
+            (outcome, _) => outcome,
+        };
+        let pending = outcome.is_none();
+        let mut inner = lock(&self.inner);
+        inner.next_id = inner.next_id.max(id + 1);
         let mut entry = Job {
-            key: job.key.clone(),
-            canonical: job.canonical,
-            priority: job.priority,
-            deadline_ms: job.deadline_ms,
+            key: key.clone(),
+            canonical: Arc::new(config),
+            priority,
+            deadline_ms,
             deadline: None,
             payload: None,
             state: JobState::Queued,
@@ -386,39 +420,40 @@ impl JobQueue {
             error: None,
             progress: Arc::new(Progress::default()),
             alias_of: None,
+            trace: None,
         };
-        match job.outcome {
+        match outcome {
             Some(Ok(body)) => {
                 entry.state = JobState::Done;
                 entry.result = Some(body);
                 inner.completed += 1;
-                inner.jobs.insert(job.id, entry);
+                inner.jobs.insert(id, entry);
             }
             Some(Err(message)) => {
                 entry.state = JobState::Failed;
                 entry.error = Some(message);
                 inner.failed += 1;
-                inner.jobs.insert(job.id, entry);
+                inner.jobs.insert(id, entry);
             }
             None => {
-                if let Some(&earlier) = inner.active_by_key.get(&job.key) {
+                if let Some(&earlier) = inner.active_by_key.get(&key) {
                     entry.alias_of = Some(earlier);
-                    inner.jobs.insert(job.id, entry);
-                    return;
+                    inner.jobs.insert(id, entry);
+                    return true;
                 }
-                entry.deadline = job
-                    .deadline_ms
+                entry.deadline = deadline_ms
                     .filter(|&ms| ms > 0)
                     .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-                entry.payload = job.payload;
-                inner.active_by_key.insert(job.key.clone(), job.id);
-                inner.bands[band(job.priority)].push_back(job.id);
+                entry.payload = payload;
+                inner.active_by_key.insert(key, id);
+                inner.bands[band(priority)].push_back(id);
                 inner.enqueued += 1;
-                inner.jobs.insert(job.id, entry);
+                inner.jobs.insert(id, entry);
                 drop(inner);
                 self.work_ready.notify_one();
             }
         }
+        pending
     }
 
     /// Block until a job is available and claim it, or return `None` when
@@ -431,6 +466,9 @@ impl JobQueue {
                 inner.running += 1;
                 let job = inner.jobs.get_mut(&id).expect("queued job exists");
                 job.state = JobState::Running;
+                if let Some(trace) = &mut job.trace {
+                    trace.claimed = Some(Instant::now());
+                }
                 let payload = job.payload.take().expect("queued job holds its payload");
                 return Some(TakenJob {
                     id,
@@ -451,8 +489,9 @@ impl JobQueue {
     }
 
     /// Record a claimed job's outcome, its service time (for the
-    /// `Retry-After` mean), and release its coalescing slot. Prunes the
-    /// oldest terminal jobs past [`RETAINED_FINISHED_JOBS`].
+    /// `Retry-After` mean), and its trace's end; release its coalescing
+    /// slot. Prunes the oldest terminal jobs, traces and all, past
+    /// [`RETAINED_FINISHED_JOBS`].
     pub fn finish(&self, id: u64, outcome: Result<Arc<String>, String>, service_us: u64) {
         let mut inner = lock(&self.inner);
         inner.running = inner.running.saturating_sub(1);
@@ -464,6 +503,9 @@ impl JobQueue {
             inner.failed += 1;
         }
         if let Some(job) = inner.jobs.get_mut(&id) {
+            if let Some(trace) = &mut job.trace {
+                trace.finished = Some(Instant::now());
+            }
             match outcome {
                 Ok(body) => {
                     job.state = JobState::Done;
@@ -513,13 +555,16 @@ impl JobQueue {
             result: job.result.clone(),
             error: job.error.clone(),
             progress: Arc::clone(&job.progress),
+            trace: job.trace.clone(),
         })
     }
 
-    /// Project every known job for the journal compactor, together with
-    /// the id floor to persist. Alias jobs report their target's outcome.
+    /// Project every known job into journal form for the compactor,
+    /// together with the id floor to persist. `inline` decides what a
+    /// completed job's `Complete` record carries of its body. Alias jobs
+    /// report their target's outcome.
     #[must_use]
-    pub fn journal_view(&self) -> (u64, Vec<JobRecord>) {
+    pub fn journal_view(&self, inline: impl Fn(&str) -> Option<String>) -> (u64, Vec<JobRecord>) {
         let inner = lock(&self.inner);
         let records = inner
             .jobs
@@ -527,10 +572,9 @@ impl JobQueue {
             .map(|(&id, job)| {
                 let resolved = job.alias_of.and_then(|t| inner.jobs.get(&t)).unwrap_or(job);
                 let outcome = match resolved.state {
-                    JobState::Done => Some(Ok(resolved
-                        .result
-                        .clone()
-                        .unwrap_or_else(|| Arc::new(String::new())))),
+                    JobState::Done => Some(Ok(inline(
+                        resolved.result.as_deref().map_or("", String::as_str),
+                    ))),
                     JobState::Failed => Some(Err(resolved
                         .error
                         .clone()
@@ -542,7 +586,7 @@ impl JobQueue {
                     key: job.key.clone(),
                     priority: job.priority,
                     deadline_ms: job.deadline_ms,
-                    canonical: Arc::clone(&job.canonical),
+                    config: job.canonical.as_str().to_string(),
                     outcome,
                 }
             })
@@ -624,7 +668,38 @@ mod tests {
             canon(seed),
             priority,
             None,
+            TraceBuilder::new(crate::trace::generate_trace_id(), Instant::now()),
         )
+    }
+
+    /// A journal record of job `id` with the given outcome.
+    fn record(
+        id: u64,
+        key: &str,
+        priority: Priority,
+        outcome: Option<Result<Option<String>, String>>,
+    ) -> JobRecord {
+        JobRecord {
+            id,
+            key: key.into(),
+            priority,
+            deadline_ms: None,
+            config: serde_json::to_string(&config(id)).unwrap(),
+            outcome,
+        }
+    }
+
+    /// The names of job `id`'s rendered spans that are closed.
+    fn closed_spans(q: &JobQueue, id: u64) -> Vec<String> {
+        let body = crate::trace::render(&q.snapshot(id).unwrap()).expect("trace renders");
+        let tree: serde_json::Value = serde_json::from_str(&body).unwrap();
+        tree["spans"]["children"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|span| span["duration_us"].as_u64().is_some())
+            .map(|span| span["name"].as_str().unwrap().to_string())
+            .collect()
     }
 
     #[test]
@@ -747,27 +822,20 @@ mod tests {
     #[test]
     fn restore_rebuilds_terminal_and_pending_jobs() {
         let q = JobQueue::with_recovered(4, 10);
-        q.restore(RestoredJob {
-            id: 3,
-            key: "done".into(),
-            priority: Priority::Normal,
-            deadline_ms: None,
-            canonical: canon(3),
-            payload: None,
-            outcome: Some(Ok(Arc::new("{\"x\":1}".into()))),
-        });
-        q.restore(RestoredJob {
-            id: 5,
-            key: "pending".into(),
-            priority: Priority::High,
-            deadline_ms: Some(60_000),
-            canonical: canon(5),
-            payload: Some(JobPayload::Simulate(Box::new(config(5)))),
-            outcome: None,
-        });
+        let done = record(3, "done", Priority::Normal, Some(Ok(None)));
+        assert!(!q.restore(done, Some(Arc::new("{\"x\":1}".into()))));
+        let mut pending = record(5, "pending", Priority::High, None);
+        pending.deadline_ms = Some(60_000);
+        assert!(q.restore(pending, None));
+        // A configuration that no longer parses fails closed, not pending.
+        let mut broken = record(6, "broken", Priority::Normal, None);
+        broken.config = "{".into();
+        assert!(!q.restore(broken, None));
+        assert_eq!(q.snapshot(6).unwrap().state, JobState::Failed);
         let done = q.snapshot(3).unwrap();
         assert_eq!(done.state, JobState::Done);
         assert_eq!(done.result.unwrap().as_str(), "{\"x\":1}");
+        assert!(done.trace.is_none(), "restored jobs carry no trace");
         let taken = q.take().unwrap();
         assert_eq!(taken.id, 5);
         assert!(taken.deadline.is_some(), "budget re-granted from now");
@@ -781,24 +849,8 @@ mod tests {
     #[test]
     fn duplicate_pending_key_becomes_an_alias_and_runs_once() {
         let q = JobQueue::new(4);
-        q.restore(RestoredJob {
-            id: 1,
-            key: "k".into(),
-            priority: Priority::Normal,
-            deadline_ms: None,
-            canonical: canon(1),
-            payload: Some(JobPayload::Simulate(Box::new(config(1)))),
-            outcome: None,
-        });
-        q.restore(RestoredJob {
-            id: 2,
-            key: "k".into(),
-            priority: Priority::Normal,
-            deadline_ms: None,
-            canonical: canon(1),
-            payload: Some(JobPayload::Simulate(Box::new(config(1)))),
-            outcome: None,
-        });
+        assert!(q.restore(record(1, "k", Priority::Normal, None), None));
+        assert!(q.restore(record(2, "k", Priority::Normal, None), None));
         let taken = q.take().unwrap();
         assert_eq!(taken.id, 1);
         q.finish(1, Ok(Arc::new("{\"once\":true}".into())), 100);
@@ -817,23 +869,56 @@ mod tests {
         let Enqueue::Enqueued(id) = push(&q, "a", 1, Priority::Low) else {
             panic!("expected accept");
         };
-        let (_, records) = q.journal_view();
+        let (_, records) = q.journal_view(|body| Some(body.to_string()));
         assert_eq!(records.len(), 1);
         assert!(records[0].outcome.is_none());
         assert_eq!(records[0].priority, Priority::Low);
         let _ = q.take().unwrap();
         q.finish(id, Ok(Arc::new("{\"r\":1}".into())), 10);
-        let (next_id, records) = q.journal_view();
+        let (next_id, records) = q.journal_view(|body| Some(body.to_string()));
         assert!(next_id > id);
+        assert_eq!(records[0].outcome, Some(Ok(Some("{\"r\":1}".to_string()))));
+        // Left to the spill, the body stays out of the journal.
+        let (_, records) = q.journal_view(|_| None);
+        assert_eq!(records[0].outcome, Some(Ok(None)));
+    }
+
+    #[test]
+    fn trace_retention_equals_job_retention() {
+        let q = JobQueue::new(4);
+        let jobs = RETAINED_FINISHED_JOBS as u64 + 1;
+        for seed in 0..jobs {
+            let Enqueue::Enqueued(id) = push(&q, &format!("k{seed}"), seed, Priority::Normal)
+            else {
+                panic!("expected accept");
+            };
+            let _ = q.take().unwrap();
+            q.finish(id, Ok(Arc::new("{}".into())), 1);
+        }
+        // The oldest job and its trace are pruned together ...
+        assert!(q.snapshot(1).is_none(), "oldest job pruned");
+        // ... and every retained job still renders its closed spans.
+        for id in 2..=jobs {
+            assert_eq!(closed_spans(&q, id), ["queue_wait", "execute"], "job {id}");
+        }
+    }
+
+    #[test]
+    fn job_finished_before_its_submit_returns_renders_closed_spans() {
+        // An idle worker can claim and finish a job while the submit
+        // handler is still journaling it; the span the handler adds
+        // afterwards lands on the same record.
+        let q = JobQueue::new(4);
+        let Enqueue::Enqueued(id) = push(&q, "a", 1, Priority::Normal) else {
+            panic!("expected accept");
+        };
+        let journal_started = Instant::now();
+        let _ = q.take().unwrap();
+        q.finish(id, Ok(Arc::new("{}".into())), 1);
+        q.trace_span(id, "journal_append", journal_started);
         assert_eq!(
-            records[0]
-                .outcome
-                .as_ref()
-                .unwrap()
-                .as_ref()
-                .unwrap()
-                .as_str(),
-            "{\"r\":1}"
+            closed_spans(&q, id),
+            ["journal_append", "queue_wait", "execute"]
         );
     }
 }

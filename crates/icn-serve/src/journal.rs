@@ -99,9 +99,11 @@ pub enum Record {
     },
 }
 
-/// A job reconstructed by replay.
+/// One job in journal form: what replay reconstructs and what compaction
+/// rewrites. The job queue converts to and from it
+/// ([`crate::jobs::JobQueue::restore`], [`crate::jobs::JobQueue::journal_view`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredJob {
+pub struct JobRecord {
     /// Original job id (preserved across the restart).
     pub id: u64,
     /// Content key of the resolved configuration.
@@ -110,12 +112,12 @@ pub struct RecoveredJob {
     pub priority: Priority,
     /// Wall-clock budget to re-grant, if the submit carried one.
     pub deadline_ms: Option<u64>,
-    /// Canonical resolved `SimConfig` JSON.
+    /// Canonical resolved configuration JSON.
     pub config: String,
-    /// Terminal outcome, if the job reached one before the crash:
-    /// `Some(Ok(body))` for completed (body present iff recoverable),
-    /// `Some(Err(message))` for failed, `None` for queued/running —
-    /// re-enqueue it.
+    /// Terminal outcome, if the job reached one: `Some(Ok(Some(body)))`
+    /// completed with its body inline, `Some(Ok(None))` completed with its
+    /// body in the disk spill (or lost), `Some(Err(message))` failed, and
+    /// `None` still queued or running — re-enqueue it.
     pub outcome: Option<Result<Option<String>, String>>,
 }
 
@@ -123,7 +125,7 @@ pub struct RecoveredJob {
 #[derive(Debug, Default)]
 pub struct Recovery {
     /// Replayed jobs in id order.
-    pub jobs: Vec<RecoveredJob>,
+    pub jobs: Vec<JobRecord>,
     /// The id counter floor (max of every id seen + 1 and any `Meta`).
     pub next_id: u64,
     /// Bytes of corrupt/truncated tail that were discarded.
@@ -357,7 +359,7 @@ fn parse_records(raw: &[u8]) -> (Vec<Record>, u64) {
 fn reduce_records(records: Vec<Record>, recovery: &mut Recovery) {
     use std::collections::BTreeMap;
 
-    let mut submits: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
+    let mut submits: BTreeMap<u64, JobRecord> = BTreeMap::new();
     let mut outcomes: BTreeMap<u64, Result<Option<String>, String>> = BTreeMap::new();
     let mut orphan_completes: Vec<(u64, String, Option<String>)> = Vec::new();
     let mut max_id = 0u64;
@@ -375,7 +377,7 @@ fn reduce_records(records: Vec<Record>, recovery: &mut Recovery) {
                 max_id = max_id.max(id);
                 submits.insert(
                     id,
-                    RecoveredJob {
+                    JobRecord {
                         id,
                         key,
                         priority,
@@ -417,12 +419,11 @@ fn reduce_records(records: Vec<Record>, recovery: &mut Recovery) {
     recovery.jobs = submits.into_values().collect();
 }
 
-/// Build the compacted record set for the given live jobs: a `Meta` id
-/// floor, `Submit` (+ terminal record) for every job that must survive.
-/// Jobs whose `keep` flag is false — completed jobs whose bodies live in
-/// the disk spill — are dropped entirely.
+/// Build the compacted record set for `jobs`: a `Meta` id floor, then a
+/// `Submit` (plus its terminal record) for every job. Jobs left out are
+/// dropped from the journal.
 #[must_use]
-pub fn compaction_records(next_id: u64, jobs: &[CompactionJob]) -> Vec<Record> {
+pub fn compaction_records(next_id: u64, jobs: &[JobRecord]) -> Vec<Record> {
     let mut records = Vec::with_capacity(1 + jobs.len() * 2);
     records.push(Record::Meta { next_id });
     for job in jobs {
@@ -447,25 +448,6 @@ pub fn compaction_records(next_id: u64, jobs: &[CompactionJob]) -> Vec<Record> {
         }
     }
     records
-}
-
-/// One job as the compactor needs it (a projection of the queue's state).
-#[derive(Debug, Clone)]
-pub struct CompactionJob {
-    /// Job id.
-    pub id: u64,
-    /// Content key.
-    pub key: String,
-    /// Admission priority.
-    pub priority: Priority,
-    /// Original wall-clock budget.
-    pub deadline_ms: Option<u64>,
-    /// Canonical config JSON.
-    pub config: String,
-    /// Terminal outcome to preserve (`Ok(None)` = completed, body in the
-    /// spill; `Ok(Some(_))` = completed with inline body; `Err` = failed;
-    /// `None` = still pending).
-    pub outcome: Option<Result<Option<String>, String>>,
 }
 
 #[cfg(test)]
@@ -612,7 +594,7 @@ mod tests {
 
         let records = compaction_records(
             32,
-            &[CompactionJob {
+            &[JobRecord {
                 id: 31,
                 key: "pending".into(),
                 priority: Priority::High,

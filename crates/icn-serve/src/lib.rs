@@ -95,9 +95,9 @@ pub use jobs::{
     retry_after_secs, Enqueue, JobPayload, JobQueue, JobSnapshot, JobState, QueueStats,
     DEFAULT_MEAN_SERVICE_US,
 };
-pub use journal::{Journal, Record, Recovery};
+pub use journal::{JobRecord, Journal, Record, Recovery};
 pub use metrics::{parse_exposition, Exposition, MetricFamily, MetricSample, MetricsSnapshot};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
 pub use spill::DiskStore;
 pub use telemetry::{Progress, ProgressSink, ServeCounters, ServeTelemetry};
-pub use trace::{generate_trace_id, resolve_trace_id, valid_trace_id, TraceBuilder, TraceStore};
+pub use trace::{generate_trace_id, resolve_trace_id, valid_trace_id, TraceBuilder};

@@ -35,7 +35,7 @@
 //! returns a [`ServeSummary`] of the same snapshot.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,26 +44,19 @@ use std::time::{Duration, Instant};
 
 use icn_sim::{SimConfig, SimError};
 use serde::Serialize;
-use serde_json::Value;
 
 use crate::api::{content_key, ExploreRequest, Limits, ResolvedExplore, SimulateRequest};
 use crate::cache::{CacheStats, ResultCache};
 use crate::http::{read_request, ChunkedResponse, HttpError, Request, Response};
-use crate::jobs::{
-    retry_after_secs, Enqueue, JobPayload, JobQueue, JobRecord, JobSnapshot, JobState, RestoredJob,
-    TakenJob,
-};
-use crate::journal::{compaction_records, CompactionJob, Journal, Record};
+use crate::jobs::{retry_after_secs, Enqueue, JobPayload, JobQueue, JobState, TakenJob};
+use crate::journal::{compaction_records, Journal, Record, Recovery};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::spill::DiskStore;
 use crate::telemetry::{ProgressSink, ServeTelemetry};
-use crate::trace::{resolve_trace_id, TraceBuilder, TraceStore};
+use crate::trace::{self, resolve_trace_id, TraceBuilder};
 
 /// Connections buffered between the acceptor and the HTTP workers.
 const CONN_QUEUE_CAPACITY: usize = 128;
-
-/// How long the acceptor sleeps between polls when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// How often `/v1/jobs/:id/stream` emits a progress line.
 const STREAM_POLL: Duration = Duration::from_millis(100);
@@ -195,6 +188,8 @@ impl ConnQueue {
 #[derive(Debug)]
 struct ServerState {
     config: ServeConfig,
+    /// The bound listen address.
+    addr: SocketAddr,
     cache: Mutex<ResultCache>,
     jobs: JobQueue,
     /// The one observation registry (see [`snapshot`]).
@@ -204,11 +199,9 @@ struct ServerState {
     /// journal before jobs (compaction holds the journal lock while
     /// snapshotting the queue); nothing locks the other way around.
     journal: Option<Mutex<Journal>>,
-    /// Whether the cache has a disk spill (decides whether `Complete`
-    /// records need their body inline).
+    /// Whether the cache has a disk spill; read only by
+    /// [`ServerState::journal_body`].
     spill_active: bool,
-    /// Per-job span traces for `GET /v1/jobs/:id/trace`.
-    traces: TraceStore,
 }
 
 impl ServerState {
@@ -217,6 +210,53 @@ impl ServerState {
     fn cache(&self) -> MutexGuard<'_, ResultCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// A completed body as the journal carries it, for both a worker's
+    /// `Complete` record and compaction. With a disk spill the body is
+    /// already durable under its content key, so the journal leaves it
+    /// out; without one it goes inline.
+    fn journal_body(&self, body: &str) -> Option<String> {
+        (!self.spill_active).then(|| body.to_string())
+    }
+
+    /// Reinstall a replayed journal: orphan results and inline bodies warm
+    /// the cache, and every job returns under its original id.
+    fn replay(&self, recovery: Recovery) {
+        for (key, body) in recovery.orphan_results {
+            self.cache().insert(&key, Arc::new(body));
+        }
+        let mut requeued = 0u64;
+        for mut job in recovery.jobs {
+            // A completed job's body is inline in its `Complete` record or
+            // in the spill, which a cache probe reaches; a lost body makes
+            // the job re-run.
+            let body = match job.outcome.as_mut() {
+                Some(Ok(inline)) => {
+                    let mut cache = self.cache();
+                    match inline.take() {
+                        Some(inline) => {
+                            let body = Arc::new(inline);
+                            cache.insert(&job.key, Arc::clone(&body));
+                            Some(body)
+                        }
+                        None => cache.get(&job.key),
+                    }
+                }
+                _ => None,
+            };
+            requeued += u64::from(self.jobs.restore(job, body));
+        }
+        self.telemetry.update(|c| {
+            c.journal_replayed_jobs = requeued;
+            c.journal_discarded_bytes = recovery.discarded_bytes;
+        });
+    }
+
+    /// Rewrite `journal` down to the queue's jobs.
+    fn compact(&self, journal: &mut Journal) -> std::io::Result<()> {
+        let (next_id, jobs) = self.jobs.journal_view(|body| self.journal_body(body));
+        journal.compact(&compaction_records(next_id, &jobs))
+    }
 }
 
 /// A handle for observing and stopping a running server from another
@@ -224,14 +264,13 @@ impl ServerState {
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    addr: SocketAddr,
 }
 
 impl ServerHandle {
     /// The bound listen address (useful when the config asked for port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Request graceful shutdown: stop accepting, drain, return.
@@ -245,7 +284,6 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    addr: SocketAddr,
 }
 
 impl Server {
@@ -268,107 +306,45 @@ impl Server {
             .as_deref()
             .map(|dir| DiskStore::open(Path::new(dir)).map(Arc::new))
             .transpose()?;
-        let spill_active = spill.is_some();
-        let mut cache = match &spill {
-            Some(store) => ResultCache::with_spill(config.cache_entries, Arc::clone(store)),
+        let cache = match spill {
+            Some(store) => ResultCache::with_spill(config.cache_entries, store),
             None => ResultCache::new(config.cache_entries),
         };
+        let recovered = config
+            .journal
+            .as_deref()
+            .map(|path| Journal::recover(Path::new(path)))
+            .transpose()?;
+        let next_id = recovered
+            .as_ref()
+            .map_or(1, |(_, recovery)| recovery.next_id);
 
-        let telemetry = ServeTelemetry::new();
-        let mut journal = None;
-        let jobs = match config.journal.as_deref() {
-            None => JobQueue::new(config.queue_depth),
-            Some(path) => {
-                let (mut handle, recovery) = Journal::recover(Path::new(path))?;
-                let jobs = JobQueue::with_recovered(config.queue_depth, recovery.next_id);
-                for (key, body) in recovery.orphan_results {
-                    cache.insert(&key, Arc::new(body));
-                }
-                let mut requeued = 0u64;
-                for job in recovery.jobs {
-                    let outcome = match job.outcome {
-                        Some(Ok(Some(body))) => {
-                            let body = Arc::new(body);
-                            cache.insert(&job.key, Arc::clone(&body));
-                            Some(Ok(body))
-                        }
-                        // Body lives in the spill (or is lost): a cache
-                        // probe either restores it or the job re-runs.
-                        Some(Ok(None)) => cache.get(&job.key).map(Ok),
-                        Some(Err(message)) => Some(Err(message)),
-                        None => None,
-                    };
-                    // The journal's `config` field is the endpoint's
-                    // canonical form; the content key's endpoint prefix
-                    // says which parser applies.
-                    let parsed = if outcome.is_none() {
-                        if job.key.starts_with("explore:") {
-                            serde_json::from_str::<ResolvedExplore>(&job.config)
-                                .ok()
-                                .map(|r| JobPayload::Explore(Box::new(r)))
-                        } else {
-                            serde_json::from_str::<SimConfig>(&job.config)
-                                .ok()
-                                .map(|c| JobPayload::Simulate(Box::new(c)))
-                        }
-                    } else {
-                        None
-                    };
-                    let outcome = match (outcome, parsed.is_some()) {
-                        (None, false) => Some(Err(
-                            "unrecoverable: journaled configuration no longer parses".to_string(),
-                        )),
-                        (outcome, _) => outcome,
-                    };
-                    if outcome.is_none() {
-                        requeued += 1;
-                    }
-                    jobs.restore(RestoredJob {
-                        id: job.id,
-                        key: job.key,
-                        priority: job.priority,
-                        deadline_ms: job.deadline_ms,
-                        canonical: Arc::new(job.config),
-                        payload: parsed,
-                        outcome,
-                    });
-                }
-                // Compact away everything the spill now owns.
-                let (next_id, records) = jobs.journal_view();
-                handle.compact(&compaction_records(
-                    next_id,
-                    &compaction_jobs(records, spill_active),
-                ))?;
-                telemetry.update(|c| {
-                    c.journal_replayed_jobs = requeued;
-                    c.journal_discarded_bytes = recovery.discarded_bytes;
-                });
-                journal = Some(Mutex::new(handle));
-                jobs
-            }
-        };
-
-        let state = Arc::new(ServerState {
+        let mut state = ServerState {
+            addr,
             cache: Mutex::new(cache),
-            jobs,
-            telemetry,
+            jobs: JobQueue::with_recovered(config.queue_depth, next_id),
+            telemetry: ServeTelemetry::new(),
             shutdown: AtomicBool::new(false),
-            journal,
-            spill_active,
-            traces: TraceStore::new(),
+            journal: None,
+            spill_active: config.cache_dir.is_some(),
             config,
-        });
+        };
+        if let Some((mut journal, recovery)) = recovered {
+            state.replay(recovery);
+            // Compact away everything the spill now owns.
+            state.compact(&mut journal)?;
+            state.journal = Some(Mutex::new(journal));
+        }
         Ok(Self {
             listener,
-            state,
-            addr,
+            state: Arc::new(state),
         })
     }
 
     /// The bound listen address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// A handle for stopping the server from another thread.
@@ -376,21 +352,17 @@ impl Server {
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             state: Arc::clone(&self.state),
-            addr: self.addr,
         }
     }
 
     /// Serve until shutdown is requested, then drain and summarize.
     ///
     /// # Errors
-    /// Returns an I/O error only for listener-level failures
-    /// (`set_nonblocking`) or a failed `--telemetry-out` write; per-connection
-    /// errors are answered on the wire and never abort the server.
+    /// Returns an I/O error only for a failed `--telemetry-out` write;
+    /// per-connection errors are answered on the wire and never abort the
+    /// server.
     pub fn run(self) -> std::io::Result<ServeSummary> {
-        let Self {
-            listener, state, ..
-        } = self;
-        listener.set_nonblocking(true)?;
+        let Self { listener, state } = self;
         let conns = Arc::new(ConnQueue::default());
 
         std::thread::scope(|scope| {
@@ -410,9 +382,14 @@ impl Server {
                 job_handles.push(scope.spawn(move || job_worker(&state)));
             }
 
-            // Acceptor: poll so the shutdown flag is observed promptly.
-            while !state.shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
+            // Acceptor: block in `accept`; `request_shutdown` wakes it
+            // with a connection of its own once the flag is set.
+            loop {
+                let accepted = listener.accept();
+                if state.shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _)) => {
                         if let Err(mut stream) = conns.push(stream) {
                             // Handoff queue full: shed load at the door.
@@ -421,10 +398,8 @@ impl Server {
                                 .write(&mut stream);
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    // Out of descriptors, say: back off rather than spin.
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
                 }
             }
 
@@ -448,9 +423,19 @@ impl Server {
     }
 }
 
-/// Flip the shutdown flag (idempotent); the acceptor sees it and drains.
+/// Flip the shutdown flag (idempotent) and wake the acceptor, blocked in
+/// `accept`, by connecting to the listener: on its own address, or on
+/// loopback when it is bound to the unspecified address.
 fn request_shutdown(state: &ServerState) {
     state.shutdown.store(true, Ordering::Release);
+    let mut wake = state.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
 }
 
 /// Capture the registry with the queue and cache statistics: the one
@@ -474,30 +459,6 @@ fn journal_append(state: &ServerState, record: &Record) {
     }
 }
 
-/// Project the queue's jobs into the journal compactor's shape. With a
-/// disk spill active, completed bodies are *not* inlined — the spill owns
-/// them, keyed by content — which is what lets compaction drop them.
-fn compaction_jobs(records: Vec<JobRecord>, spill_active: bool) -> Vec<CompactionJob> {
-    records
-        .into_iter()
-        .map(|r| CompactionJob {
-            id: r.id,
-            key: r.key,
-            priority: r.priority,
-            deadline_ms: r.deadline_ms,
-            config: r.canonical.as_str().to_string(),
-            outcome: r.outcome.map(|outcome| match outcome {
-                Ok(body) => Ok(if spill_active {
-                    None
-                } else {
-                    Some(body.as_str().to_string())
-                }),
-                Err(message) => Err(message),
-            }),
-        })
-        .collect()
-}
-
 /// Compact the journal if it has outgrown its threshold.
 fn maybe_compact(state: &ServerState) {
     let Some(journal) = &state.journal else {
@@ -507,14 +468,7 @@ fn maybe_compact(state: &ServerState) {
     if !journal.wants_compaction() {
         return;
     }
-    let (next_id, records) = state.jobs.journal_view();
-    if journal
-        .compact(&compaction_records(
-            next_id,
-            &compaction_jobs(records, state.spill_active),
-        ))
-        .is_ok()
-    {
+    if state.compact(&mut journal).is_ok() {
         state.telemetry.update(|c| c.journal_compactions += 1);
     }
 }
@@ -603,7 +557,6 @@ fn job_worker(state: &ServerState) {
             progress,
         } = taken;
         journal_append(state, &Record::Start { id });
-        state.traces.started(id);
         let started = Instant::now();
         let outcome = match deadline {
             Some(deadline) if Instant::now() >= deadline => {
@@ -619,19 +572,12 @@ fn job_worker(state: &ServerState) {
         match &outcome {
             Ok(body) => {
                 state.cache().insert(&key, Arc::clone(body));
-                // With a spill, the body is already durable on disk under
-                // its content key; journaling it again would only bloat.
-                let inline = if state.spill_active {
-                    None
-                } else {
-                    Some(body.as_str().to_string())
-                };
                 journal_append(
                     state,
                     &Record::Complete {
                         id,
                         key: key.clone(),
-                        body: inline,
+                        body: state.journal_body(body),
                     },
                 );
             }
@@ -645,7 +591,6 @@ fn job_worker(state: &ServerState) {
                 );
             }
         }
-        state.traces.finished(id);
         state.jobs.finish(id, outcome, micros);
         maybe_compact(state);
     }
@@ -904,8 +849,9 @@ fn job_deadline(state: &ServerState, requested: Option<u64>) -> Option<u64> {
     }
 }
 
-/// The shared submit tail: enqueue a payload, journal the submit, and
-/// answer 202/429/503 — identical semantics for every job endpoint.
+/// The shared submit tail: enqueue a payload with its trace, journal the
+/// submit, and answer 202/429/503 — identical semantics for every job
+/// endpoint.
 fn submit_job(
     state: &ServerState,
     key: &str,
@@ -913,12 +859,16 @@ fn submit_job(
     canonical: Arc<String>,
     priority: crate::api::Priority,
     deadline_ms: Option<u64>,
-    mut trace: TraceBuilder,
+    trace: TraceBuilder,
 ) -> Response {
-    match state
-        .jobs
-        .enqueue(key, payload, Arc::clone(&canonical), priority, deadline_ms)
-    {
+    match state.jobs.enqueue(
+        key,
+        payload,
+        Arc::clone(&canonical),
+        priority,
+        deadline_ms,
+        trace,
+    ) {
         Enqueue::Enqueued(id) => {
             let journal_started = Instant::now();
             journal_append(
@@ -932,9 +882,8 @@ fn submit_job(
                 },
             );
             if state.journal.is_some() {
-                trace.span("journal_append", journal_started);
+                state.jobs.trace_span(id, "journal_append", journal_started);
             }
-            state.traces.submitted(id, trace);
             accepted(id, "queued")
         }
         Enqueue::Coalesced(id) => accepted(id, "coalesced"),
@@ -975,11 +924,9 @@ fn job_endpoints(state: &ServerState, path: &str) -> Response {
         return Response::json(404, error_body(&format!("no such job: {id}")));
     };
     if want_trace {
-        let engine = engine_profile(&job);
-        return match state.traces.render(id, job.state.label(), engine) {
+        return match trace::render(&job) {
             Some(body) => Response::json(200, body),
-            // The job exists but predates this process (journal recovery)
-            // or its trace was pruned.
+            // The job exists but predates this process (journal recovery).
             None => Response::json(404, error_body(&format!("no trace recorded for job {id}"))),
         };
     }
@@ -1010,20 +957,6 @@ fn job_endpoints(state: &ServerState, path: &str) -> Response {
             job.state.label()
         ),
     )
-}
-
-/// The engine's cycle-domain span profile from a finished job's result
-/// body (`telemetry.spans`), present only when the job ran with
-/// `"profile": true`.
-fn engine_profile(job: &JobSnapshot) -> Option<Value> {
-    let body = job.result.as_ref()?;
-    let value: Value = serde_json::from_str(body).ok()?;
-    let spans = value.get("telemetry")?.get("spans")?;
-    if spans.is_null() {
-        None
-    } else {
-        Some(spans.clone())
-    }
 }
 
 /// `GET /v1/stats`: the [`snapshot`] as nested JSON, for dashboards and

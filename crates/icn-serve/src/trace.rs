@@ -17,15 +17,12 @@
 //! cycle-deterministic (ICN002); the two domains meet only in the
 //! rendered tree, each span labeled with its own unit.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use serde_json::Value;
 
-/// Traces retained in memory; older jobs' traces are pruned first.
-pub const RETAINED_TRACES: usize = 4096;
+use crate::jobs::JobSnapshot;
 
 /// Process-wide counter folded into generated ids so two requests in the
 /// same nanosecond still differ.
@@ -81,32 +78,28 @@ struct SpanRecord {
     duration_us: u64,
 }
 
-/// The recorded trace of one submitted job.
-#[derive(Debug)]
-struct JobTrace {
+/// The wall-clock trace of one submitted job. The submit handler builds
+/// its `parse` and `cache_lookup` spans; from [`JobQueue::enqueue`] on the
+/// job's queue entry owns it: the `journal_append` span is added to the
+/// queued job, and [`JobQueue::take`] and [`JobQueue::finish`] stamp the
+/// claim and end instants. A trace therefore lives, and is pruned, with
+/// its job.
+///
+/// [`JobQueue::enqueue`]: crate::jobs::JobQueue::enqueue
+/// [`JobQueue::take`]: crate::jobs::JobQueue::take
+/// [`JobQueue::finish`]: crate::jobs::JobQueue::finish
+#[derive(Debug, Clone)]
+pub struct TraceBuilder {
     trace_id: String,
     /// The submitting request's arrival — the origin all offsets are
     /// measured from.
     origin: Instant,
-    /// Submit-side spans (`parse`, `cache_lookup`, `journal_append`),
-    /// recorded before the job entered the queue.
-    submit_spans: Vec<SpanRecord>,
-    /// Offset at which the job entered the queue (`queue_wait` start).
-    enqueued_us: u64,
-    /// Offset at which a worker claimed the job (`queue_wait` end /
-    /// `execute` start).
-    execute_start_us: Option<u64>,
-    /// Offset at which the job reached a terminal state (`execute` end).
-    execute_end_us: Option<u64>,
-}
-
-/// Builder for the submit-side of a job trace, driven by the
-/// `/v1/simulate` handler as it works through a request.
-#[derive(Debug)]
-pub struct TraceBuilder {
-    trace_id: String,
-    origin: Instant,
+    /// Submit-side spans, in recording order.
     spans: Vec<SpanRecord>,
+    /// When a worker claimed the job (`queue_wait` end / `execute` start).
+    pub(crate) claimed: Option<Instant>,
+    /// When the job reached a terminal state (`execute` end).
+    pub(crate) finished: Option<Instant>,
 }
 
 impl TraceBuilder {
@@ -117,6 +110,8 @@ impl TraceBuilder {
             trace_id,
             origin,
             spans: Vec::new(),
+            claimed: None,
+            finished: None,
         }
     }
 
@@ -130,12 +125,6 @@ impl TraceBuilder {
             duration_us,
         });
     }
-
-    /// The trace id this builder stamps.
-    #[must_use]
-    pub fn trace_id(&self) -> &str {
-        &self.trace_id
-    }
 }
 
 /// Saturating microseconds from `a` to `b` (0 when `b` precedes `a`).
@@ -143,194 +132,96 @@ fn micros_between(a: Instant, b: Instant) -> u64 {
     u64::try_from(b.saturating_duration_since(a).as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Worker-side marks observed before the submit path registered the
-/// job's trace. With an idle worker the claim can beat `submitted()` to
-/// the store; the marks are buffered here and applied at registration so
-/// the `execute` span is never lost to that race.
-#[derive(Debug, Default, Clone, Copy)]
-struct PendingMarks {
-    started: Option<Instant>,
-    finished: Option<Instant>,
-}
-
-#[derive(Debug, Default)]
-struct StoreInner {
-    traces: BTreeMap<u64, JobTrace>,
-    /// Marks for jobs with no registered trace yet. Journal-recovered
-    /// jobs never get one, so this map is pruned to the same bound.
-    pending: BTreeMap<u64, PendingMarks>,
-}
-
-/// Per-job trace storage, bounded at [`RETAINED_TRACES`] entries.
-#[derive(Debug, Default)]
-pub struct TraceStore {
-    inner: Mutex<StoreInner>,
-}
-
-/// Survive lock poisoning like the job queue does: span records are
-/// monotone observations, never a synchronization protocol.
-fn lock(m: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Bound the pending-marks map: journal-recovered jobs report marks but
-/// never register a trace, so their entries would otherwise accumulate.
-fn prune_pending(inner: &mut StoreInner) {
-    while inner.pending.len() > RETAINED_TRACES {
-        let oldest = *inner
-            .pending
-            .keys()
-            .next()
-            .expect("non-empty map has a first key");
-        inner.pending.remove(&oldest);
-    }
-}
-
-impl TraceStore {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach the submit-side trace to job `job` the moment it is
-    /// enqueued. Prunes the oldest traces past [`RETAINED_TRACES`].
-    pub fn submitted(&self, job: u64, builder: TraceBuilder) {
-        let enqueued_us = micros_between(builder.origin, Instant::now());
-        let mut inner = lock(&self.inner);
-        // A fast worker may already have claimed (or even finished) the
-        // job between enqueue and this registration — fold those
-        // buffered marks in now.
-        let marks = inner.pending.remove(&job).unwrap_or_default();
-        let origin = builder.origin;
-        let execute_start_us = marks.started.map(|at| micros_between(origin, at));
-        // Keep the tree monotone: the queue can only have been entered at
-        // or before the moment a worker claimed the job.
-        let enqueued_us = execute_start_us.map_or(enqueued_us, |s| enqueued_us.min(s));
-        inner.traces.insert(
-            job,
-            JobTrace {
-                trace_id: builder.trace_id,
-                origin,
-                submit_spans: builder.spans,
-                enqueued_us,
-                execute_start_us,
-                execute_end_us: marks.finished.map(|at| micros_between(origin, at)),
-            },
-        );
-        while inner.traces.len() > RETAINED_TRACES {
-            let oldest = *inner
-                .traces
-                .keys()
-                .next()
-                .expect("non-empty map has a first key");
-            inner.traces.remove(&oldest);
-        }
-    }
-
-    /// Mark the job claimed by a worker: closes `queue_wait`, opens
-    /// `execute`. If the trace is not registered yet (the worker beat the
-    /// submit path) the mark is buffered and applied on registration.
-    pub fn started(&self, job: u64) {
-        let now = Instant::now();
-        let mut inner = lock(&self.inner);
-        if let Some(trace) = inner.traces.get_mut(&job) {
-            trace.execute_start_us = Some(micros_between(trace.origin, now));
-        } else {
-            inner.pending.entry(job).or_default().started = Some(now);
-            prune_pending(&mut inner);
-        }
-    }
-
-    /// Mark the job terminal: closes `execute`. Buffered like
-    /// [`TraceStore::started`] when the trace is not registered yet.
-    pub fn finished(&self, job: u64) {
-        let now = Instant::now();
-        let mut inner = lock(&self.inner);
-        if let Some(trace) = inner.traces.get_mut(&job) {
-            trace.execute_end_us = Some(micros_between(trace.origin, now));
-        } else {
-            inner.pending.entry(job).or_default().finished = Some(now);
-            prune_pending(&mut inner);
-        }
-    }
-
-    /// The trace id recorded for `job`, if any.
-    #[must_use]
-    pub fn trace_id(&self, job: u64) -> Option<String> {
-        lock(&self.inner)
-            .traces
-            .get(&job)
-            .map(|t| t.trace_id.clone())
-    }
-
-    /// Render the span tree for `job` as a JSON body, nesting
-    /// `engine_profile` (the result's `telemetry.spans` value, if the job
-    /// ran with `profile: true`) under the `execute` span. Returns `None`
-    /// for jobs with no recorded trace.
-    #[must_use]
-    pub fn render(&self, job: u64, status: &str, engine_profile: Option<Value>) -> Option<String> {
-        let inner = lock(&self.inner);
-        let trace = inner.traces.get(&job)?;
-
-        let span_value = |name: &str, start_us: u64, duration_us: Option<u64>| -> Value {
-            let mut map = serde_json::Map::new();
-            map.insert("name".to_string(), Value::from(name));
-            map.insert("start_us".to_string(), Value::from(start_us));
-            match duration_us {
-                Some(d) => map.insert("duration_us".to_string(), Value::from(d)),
-                None => map.insert("in_progress".to_string(), Value::from(true)),
-            };
-            Value::Object(map)
+/// Render `job`'s span tree as a JSON body, nesting the engine's profile
+/// (the result's `telemetry.spans`, present when the job ran with
+/// `"profile": true`) under the `execute` span. `None` for a job with no
+/// recorded trace: one restored from the journal.
+#[must_use]
+pub fn render(job: &JobSnapshot) -> Option<String> {
+    let trace = job.trace.as_ref()?;
+    let micros = |at: Instant| micros_between(trace.origin, at);
+    let span_value = |name: &str, start_us: u64, duration_us: Option<u64>| -> Value {
+        let mut map = serde_json::Map::new();
+        map.insert("name".to_string(), Value::from(name));
+        map.insert("start_us".to_string(), Value::from(start_us));
+        match duration_us {
+            Some(d) => map.insert("duration_us".to_string(), Value::from(d)),
+            None => map.insert("in_progress".to_string(), Value::from(true)),
         };
+        Value::Object(map)
+    };
 
-        let mut children: Vec<Value> = trace
-            .submit_spans
-            .iter()
-            .map(|s| span_value(s.name, s.start_us, Some(s.duration_us)))
-            .collect();
-        children.push(span_value(
-            "queue_wait",
-            trace.enqueued_us,
-            trace
-                .execute_start_us
-                .map(|start| start.saturating_sub(trace.enqueued_us)),
-        ));
-        if let Some(start) = trace.execute_start_us {
-            let mut execute = span_value(
-                "execute",
-                start,
-                trace.execute_end_us.map(|end| end.saturating_sub(start)),
-            );
-            if let Some(profile) = engine_profile {
-                if let Some(map) = execute.as_object_mut() {
-                    map.insert("engine".to_string(), profile);
-                }
-            }
-            children.push(execute);
+    let mut children: Vec<Value> = trace
+        .spans
+        .iter()
+        .map(|s| span_value(s.name, s.start_us, Some(s.duration_us)))
+        .collect();
+    // `queue_wait` starts where the submit side ended, but never after the
+    // claim: a worker may take the job while its submit is still
+    // journaling.
+    let execute_start_us = trace.claimed.map(micros);
+    let submitted_us = trace
+        .spans
+        .iter()
+        .map(|s| s.start_us.saturating_add(s.duration_us))
+        .max()
+        .unwrap_or(0);
+    let queued_us = execute_start_us.map_or(submitted_us, |start| submitted_us.min(start));
+    children.push(span_value(
+        "queue_wait",
+        queued_us,
+        execute_start_us.map(|start| start - queued_us),
+    ));
+    if let Some(start) = execute_start_us {
+        let mut execute = span_value(
+            "execute",
+            start,
+            trace.finished.map(|end| micros(end).saturating_sub(start)),
+        );
+        if let (Some(profile), Some(map)) = (engine_profile(job), execute.as_object_mut()) {
+            map.insert("engine".to_string(), profile);
         }
+        children.push(execute);
+    }
 
-        let end_us = trace
-            .execute_end_us
-            .unwrap_or_else(|| micros_between(trace.origin, Instant::now()));
-        let mut root = serde_json::Map::new();
-        root.insert("name".to_string(), Value::from("job"));
-        root.insert("start_us".to_string(), Value::from(0u64));
-        root.insert("duration_us".to_string(), Value::from(end_us));
-        root.insert("children".to_string(), Value::Array(children));
+    let mut root = serde_json::Map::new();
+    root.insert("name".to_string(), Value::from("job"));
+    root.insert("start_us".to_string(), Value::from(0u64));
+    root.insert(
+        "duration_us".to_string(),
+        Value::from(micros(trace.finished.unwrap_or_else(Instant::now))),
+    );
+    root.insert("children".to_string(), Value::Array(children));
 
-        let mut body = serde_json::Map::new();
-        body.insert("job".to_string(), Value::from(job));
-        body.insert("trace_id".to_string(), Value::from(trace.trace_id.as_str()));
-        body.insert("status".to_string(), Value::from(status));
-        body.insert("spans".to_string(), Value::Object(root));
-        serde_json::to_string(&Value::Object(body)).ok()
+    let mut body = serde_json::Map::new();
+    body.insert("job".to_string(), Value::from(job.id));
+    body.insert("trace_id".to_string(), Value::from(trace.trace_id.as_str()));
+    body.insert("status".to_string(), Value::from(job.state.label()));
+    body.insert("spans".to_string(), Value::Object(root));
+    serde_json::to_string(&Value::Object(body)).ok()
+}
+
+/// The engine's cycle-domain span profile from a finished job's result
+/// body (`telemetry.spans`), present only when the job ran with
+/// `"profile": true`.
+fn engine_profile(job: &JobSnapshot) -> Option<Value> {
+    let body = job.result.as_ref()?;
+    let value: Value = serde_json::from_str(body).ok()?;
+    let spans = value.get("telemetry")?.get("spans")?;
+    if spans.is_null() {
+        None
+    } else {
+        Some(spans.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::api::Priority;
+    use crate::jobs::JobState;
 
     #[test]
     fn generated_ids_are_valid_and_distinct() {
@@ -363,20 +254,32 @@ mod tests {
         assert!(valid_trace_id(&resolve_trace_id(None)));
     }
 
+    /// A snapshot of job 7 in `state`, carrying `trace` and `result`.
+    fn snapshot(trace: TraceBuilder, state: JobState, result: Option<&str>) -> JobSnapshot {
+        JobSnapshot {
+            id: 7,
+            key: "k".to_string(),
+            state,
+            priority: Priority::Normal,
+            result: result.map(|body| Arc::new(body.to_string())),
+            error: None,
+            progress: Arc::default(),
+            trace: Some(trace),
+        }
+    }
+
     #[test]
     fn job_trace_renders_the_full_span_tree() {
-        let store = TraceStore::new();
         let origin = Instant::now();
-        let mut builder = TraceBuilder::new("ab".repeat(16), origin);
-        builder.span("parse", origin);
-        builder.span("cache_lookup", origin);
-        builder.span("journal_append", origin);
-        store.submitted(7, builder);
-        store.started(7);
-        store.finished(7);
+        let mut trace = TraceBuilder::new("ab".repeat(16), origin);
+        trace.span("parse", origin);
+        trace.span("cache_lookup", origin);
+        trace.span("journal_append", origin);
+        trace.claimed = Some(Instant::now());
+        trace.finished = Some(Instant::now());
 
-        let engine = serde_json::from_str::<Value>(r#"{"root":{"name":"run"}}"#).unwrap();
-        let body = store.render(7, "done", Some(engine)).unwrap();
+        let result = r#"{"telemetry":{"spans":{"root":{"name":"run"}}}}"#;
+        let body = render(&snapshot(trace, JobState::Done, Some(result))).unwrap();
         let tree: Value = serde_json::from_str(&body).unwrap();
         assert_eq!(tree["job"], 7);
         assert_eq!(tree["trace_id"], "ab".repeat(16));
@@ -407,10 +310,8 @@ mod tests {
 
     #[test]
     fn unclaimed_job_reports_queue_wait_in_progress() {
-        let store = TraceStore::new();
-        let builder = TraceBuilder::new(generate_trace_id(), Instant::now());
-        store.submitted(1, builder);
-        let body = store.render(1, "queued", None).unwrap();
+        let trace = TraceBuilder::new(generate_trace_id(), Instant::now());
+        let body = render(&snapshot(trace, JobState::Queued, None)).unwrap();
         let tree: Value = serde_json::from_str(&body).unwrap();
         let children = tree["spans"]["children"].as_array().unwrap();
         let queue_wait = children.iter().find(|c| c["name"] == "queue_wait").unwrap();
@@ -419,43 +320,5 @@ mod tests {
             !children.iter().any(|c| c["name"] == "execute"),
             "no execute span before a worker claims the job"
         );
-    }
-
-    #[test]
-    fn worker_marks_arriving_before_submit_are_not_lost() {
-        // With an idle worker the claim (and even completion) can land
-        // before the submit path registers the trace; the execute span
-        // must still close.
-        let store = TraceStore::new();
-        store.started(3);
-        store.finished(3);
-        store.submitted(3, TraceBuilder::new("cd".repeat(16), Instant::now()));
-
-        let body = store.render(3, "done", None).unwrap();
-        let tree: Value = serde_json::from_str(&body).unwrap();
-        let children = tree["spans"]["children"].as_array().unwrap();
-        let queue_wait = children.iter().find(|c| c["name"] == "queue_wait").unwrap();
-        assert!(
-            queue_wait["duration_us"].as_u64().is_some(),
-            "queue_wait closed: {queue_wait}"
-        );
-        let execute = children.iter().find(|c| c["name"] == "execute").unwrap();
-        assert!(
-            execute["duration_us"].as_u64().is_some(),
-            "execute closed: {execute}"
-        );
-    }
-
-    #[test]
-    fn store_prunes_oldest_traces_and_misses_return_none() {
-        let store = TraceStore::new();
-        assert!(store.render(99, "queued", None).is_none());
-        for job in 0..(RETAINED_TRACES as u64 + 8) {
-            store.submitted(job, TraceBuilder::new(generate_trace_id(), Instant::now()));
-        }
-        assert!(store.render(0, "queued", None).is_none(), "oldest pruned");
-        assert!(store
-            .render(RETAINED_TRACES as u64 + 7, "queued", None)
-            .is_some());
     }
 }

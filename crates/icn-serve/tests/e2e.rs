@@ -751,3 +751,39 @@ fn explore_job_completes_caches_and_streams() {
     assert_eq!(summary.jobs_completed, 1);
     assert_eq!(summary.jobs_failed, 0);
 }
+
+/// Bind an idle server on the unspecified address, stop it with `stop`,
+/// and require `run()` to return `Ok` within 2 s: the acceptor blocks in
+/// `accept`, so shutdown has to wake it.
+fn idle_server_stops_promptly(stop: impl FnOnce(&icn_serve::ServerHandle)) {
+    let server = Server::bind(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..test_config()
+    })
+    .expect("bind the unspecified address");
+    let handle = server.handle();
+    let (done, returned) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run().map(|_| ()).map_err(|e| e.to_string())));
+    // Usually lets the acceptor block in `accept` first; the bound holds
+    // either way, since a wake that arrives early waits in the backlog.
+    std::thread::sleep(Duration::from_millis(100));
+    stop(&handle);
+    let outcome = returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("run() returns within 2 s of the shutdown request");
+    assert_eq!(outcome, Ok(()));
+}
+
+#[test]
+fn idle_server_returns_promptly_after_handle_shutdown() {
+    idle_server_stops_promptly(icn_serve::ServerHandle::shutdown);
+}
+
+#[test]
+fn idle_server_returns_promptly_after_post_shutdown() {
+    idle_server_stops_promptly(|handle| {
+        let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+        let reply = call(loopback, "POST", "/v1/shutdown", "");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+    });
+}

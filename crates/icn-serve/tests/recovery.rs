@@ -21,9 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use icn_serve::journal::{
-    compaction_records, CompactionJob, Journal, Record, COMPACT_THRESHOLD_BYTES,
-};
+use icn_serve::journal::{compaction_records, JobRecord, Journal, Record, COMPACT_THRESHOLD_BYTES};
 use icn_serve::{
     content_key, DiskStore, Limits, Priority, ResultCache, ServeConfig, Server, SimulateRequest,
 };
@@ -485,7 +483,7 @@ fn compaction_hysteresis_loses_no_job_state() {
     let (mut journal, _) = Journal::recover(&path).unwrap();
     let padding = "x".repeat(8 * 1024);
     let body = |id: u64| format!("{{\"result\":{id}}}");
-    let mut live: Vec<CompactionJob> = Vec::new();
+    let mut live: Vec<JobRecord> = Vec::new();
     let (mut compactions, mut over_threshold) = (0u32, 0u32);
     for id in 1..=JOBS {
         let key = format!("k{id}");
@@ -529,7 +527,7 @@ fn compaction_hysteresis_loses_no_job_state() {
                 Some(Ok(None))
             }
         };
-        live.push(CompactionJob {
+        live.push(JobRecord {
             id,
             key,
             priority: Priority::Normal,
@@ -569,4 +567,73 @@ fn compaction_hysteresis_loses_no_job_state() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A trace is recorded by the process that accepted the job: a job
+/// restored from the journal has none, while a job submitted after the
+/// restart traces every span from `parse` to `execute`.
+#[test]
+fn restored_jobs_have_no_trace_and_new_jobs_trace_every_span() {
+    let dir = scratch("trace");
+    let (_, canonical, key) = canonical_sim(9004);
+    {
+        let mut journal = Journal::open(&dir.join("jobs.journal")).unwrap();
+        journal
+            .append(&Record::Submit {
+                id: 1,
+                key: key.clone(),
+                priority: Priority::Normal,
+                deadline_ms: None,
+                config: canonical,
+            })
+            .unwrap();
+        journal
+            .append(&Record::Complete {
+                id: 1,
+                key,
+                body: Some(r#"{"restored":true}"#.to_string()),
+            })
+            .unwrap();
+    }
+    let server = Server::bind(serve_config(&dir)).expect("bind over the journal");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("run"));
+
+    assert_eq!(poll_result(addr, 1).0, 200, "job 1 restored");
+    let (status, _, body) = call(addr, "GET", "/v1/jobs/1/trace", "");
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains("no trace recorded"), "{body}");
+
+    let (request_json, _, _) = canonical_sim(9005);
+    let (status, _, accepted) = call(addr, "POST", "/v1/simulate", &request_json);
+    assert_eq!(status, 202, "{accepted}");
+    let accepted: serde_json::Value = serde_json::from_str(&accepted).unwrap();
+    let id = accepted["job"].as_u64().expect("job id");
+    assert_eq!(poll_result(addr, id).0, 200);
+    let (status, _, body) = call(addr, "GET", &format!("/v1/jobs/{id}/trace"), "");
+    assert_eq!(status, 200, "{body}");
+    let tree: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let closed: Vec<&str> = tree["spans"]["children"]
+        .as_array()
+        .expect("children")
+        .iter()
+        .filter(|span| span["duration_us"].as_u64().is_some())
+        .filter_map(|span| span["name"].as_str())
+        .collect();
+    assert_eq!(
+        closed,
+        [
+            "parse",
+            "cache_lookup",
+            "journal_append",
+            "queue_wait",
+            "execute"
+        ],
+        "{body}"
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -197,56 +197,6 @@ pub fn monte_carlo_acceptance<R: rand::Rng + ?Sized>(
     }
 }
 
-/// Parallel Monte-Carlo acceptance estimate: `trials` split across worker
-/// threads, each with its own counter-derived ChaCha stream, so the result
-/// is **deterministic for a given `(seed, trials)`** regardless of thread
-/// count or scheduling.
-///
-/// # Panics
-/// Same contract as [`monte_carlo_acceptance`].
-#[must_use]
-pub fn monte_carlo_acceptance_parallel(
-    plan: &StagePlan,
-    offered: f64,
-    trials: u32,
-    seed: u64,
-) -> f64 {
-    use rand::SeedableRng;
-    assert!((0.0..=1.0).contains(&offered), "offered must be in [0,1]");
-    assert!(trials > 0, "at least one trial required");
-    // Deterministic partition: a fixed chunk count (independent of the
-    // machine's core count) with one counter-derived RNG stream per chunk,
-    // so the estimate depends only on (seed, trials).
-    const CHUNKS: u32 = 16;
-    let chunks: Vec<(u32, u32)> = (0..CHUNKS)
-        .map(|i| {
-            let lo = trials * i / CHUNKS;
-            let hi = trials * (i + 1) / CHUNKS;
-            (i, hi - lo)
-        })
-        .filter(|&(_, n)| n > 0)
-        .collect();
-    let weighted: f64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&(chunk_id, n)| {
-                scope.spawn(move || {
-                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(
-                        seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(chunk_id) + 1)),
-                    );
-                    monte_carlo_acceptance(plan, offered, n, &mut rng) * f64::from(n)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("monte-carlo worker panicked"))
-            .sum()
-    });
-    let total_trials: u32 = chunks.iter().map(|&(_, n)| n).sum();
-    weighted / f64::from(total_trials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,33 +325,5 @@ mod tests {
             monte_carlo_acceptance(&plan, 0.7, 50, &mut rng)
         };
         assert_eq!(run(3).to_bits(), run(3).to_bits());
-    }
-
-    #[test]
-    fn parallel_monte_carlo_is_deterministic_and_agrees() {
-        let plan = StagePlan::uniform(16, 2);
-        let a = monte_carlo_acceptance_parallel(&plan, 0.8, 128, 42);
-        let b = monte_carlo_acceptance_parallel(&plan, 0.8, 128, 42);
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "same (seed, trials) must replay exactly"
-        );
-        // Agrees with the recurrence like the serial estimator does.
-        let analytic = acceptance(&plan, 0.8);
-        assert!(
-            (a - analytic).abs() < 0.05,
-            "parallel MC {a} vs analytic {analytic}"
-        );
-        // Different seeds give (almost surely) different estimates.
-        let c = monte_carlo_acceptance_parallel(&plan, 0.8, 128, 43);
-        assert_ne!(a.to_bits(), c.to_bits());
-    }
-
-    #[test]
-    fn parallel_handles_tiny_trial_counts() {
-        let plan = StagePlan::uniform(4, 2);
-        let a = monte_carlo_acceptance_parallel(&plan, 0.5, 3, 7);
-        assert!((0.0..=1.0).contains(&a));
     }
 }
