@@ -266,6 +266,35 @@ fn explore_grid_output_is_byte_identical_across_thread_counts() {
     assert!(single.contains("\"ranking_agrees\": true"), "{single}");
 }
 
+/// Oversized chips must be infeasible, not wrapped into small ones: a
+/// grid of 65536-radix, 2^32-1-bit chips once reported a feasible 5-pin,
+/// 0 mm² design, and the same design passed `lint config` without ICN101.
+#[test]
+fn oversized_designs_are_infeasible_at_the_cli() {
+    let dir = std::env::temp_dir().join(format!("icn-oversized-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = dir.join("grid.json");
+    std::fs::write(
+        &grid,
+        r#"{"techs":["paper-1986-mos-pga"],"kinds":["Mcc","Dmc"],"clock_schemes":["MultiplePulse"],"network_ports":[4294967295],"radices":[65536,4294967295],"widths":[4294967295],"packet_bits":[4294967295],"max_board_ports":4294967295}"#,
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = icn(&["explore", "--grid", grid.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("4 candidates, 0 feasible"), "{stdout}");
+
+    let design = dir.join("design.json");
+    std::fs::write(
+        &design,
+        r#"{"tech":"paper1986","kind":"Dmc","chip_radix":65536,"width":4294967295,"board_ports":65536,"network_ports":65536,"packet_bits":100,"clock_scheme":"MultiplePulse","memory_access_ns":200.0}"#,
+    )
+    .unwrap();
+    let (code, stdout, stderr) = icn_status(&["lint", "config", design.to_str().unwrap()]);
+    assert_eq!(code, 3, "{stdout}{stderr}");
+    assert!(stdout.contains("ICN101"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn inspect_without_a_path_fails_helpfully() {
     let (ok, _, stderr) = icn(&["inspect"]);

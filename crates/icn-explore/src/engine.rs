@@ -1,30 +1,28 @@
-//! The streaming exploration engine: lazy grid → chunks → worker pool →
-//! incremental Pareto frontier.
+//! The streaming exploration engine: lazy grid → chunks →
+//! `icn_sim::ordered_map` → incremental Pareto frontier.
 //!
 //! # Determinism argument
 //!
 //! The grid is split into fixed-size chunks by candidate index. Each
-//! chunk is evaluated by whichever shard claims it (an atomic counter —
-//! scheduling is racy and irrelevant), producing a chunk-local frontier
-//! built in ascending index order with a chunk-local chassis memo (see
-//! `eval`). Chunk results are then merged into the global frontier **in
-//! chunk-index order** on the coordinating thread. Dominance is
-//! transitive and the Pareto set of a multiset is unique, so this equals
-//! one sequential pass regardless of thread count, chunk size or claim
-//! order; `Frontier::into_sorted` then canonicalises the output order by
+//! chunk is evaluated by whichever thread claims it (scheduling is racy
+//! and irrelevant), producing a chunk-local frontier built in ascending
+//! index order with a chunk-local chassis memo (see `eval`).
+//! `ordered_map` hands the results back in chunk order, and they are
+//! merged into the global frontier **in chunk-index order** on the
+//! coordinating thread. Dominance is transitive and the Pareto set of a
+//! multiset is unique, so this equals one sequential pass regardless of
+//! thread count, chunk size or claim order; `Frontier::into_sorted` then canonicalises the output order by
 //! candidate index. Byte-identical output at `--threads 1` and
 //! `--threads 4` is a test, a CI gate and a bench invariant, not an
 //! aspiration.
 //!
-//! Chunks are processed in bounded *waves* (a few chunks per shard), so
+//! Chunks are processed in bounded *waves* (a few chunks per thread), so
 //! peak memory is `O(frontier + wave × chunk-frontier)` — never
 //! `O(grid)`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use icn_core::pareto::Frontier;
-use icn_sim::WorkerPool;
+use icn_sim::{ordered_map, resolve_threads};
+use icn_tech::Technology;
 use serde::{Deserialize, Serialize};
 
 use crate::eval::{resolve_techs, Evaluator, FrontierPoint, OBJECTIVES};
@@ -32,16 +30,16 @@ use crate::grid::GridSpec;
 use crate::spotcheck::{self, SpotCheck};
 
 /// Candidates per chunk. Small enough that a wave of chunk frontiers is
-/// tiny, big enough that the claim counter never contends.
+/// tiny, big enough that claiming a chunk never contends.
 pub const DEFAULT_CHUNK: u64 = 4096;
 
-/// Chunks in flight per wave, per shard.
-const WAVE_CHUNKS_PER_SHARD: u64 = 4;
+/// Chunks in flight per wave, per thread.
+const WAVE_CHUNKS_PER_THREAD: u64 = 4;
 
 /// Knobs of one exploration run.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Shard threads (1 = serial, 0 = one per available core).
+    /// Threads (1 = serial, 0 = one per available core).
     pub threads: usize,
     /// Candidates per chunk (0 = [`DEFAULT_CHUNK`]). Never affects the
     /// output, only scheduling granularity.
@@ -62,13 +60,6 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            n => n,
-        }
-    }
-
     fn resolved_chunk(&self) -> u64 {
         if self.chunk == 0 {
             DEFAULT_CHUNK
@@ -123,14 +114,8 @@ pub fn explore(
     let techs = resolve_techs(spec)?;
     let chunk = options.resolved_chunk();
     let chunks = total.div_ceil(chunk);
-    let threads = options.resolved_threads().max(1);
-    let pool = if threads > 1 && chunks > 1 {
-        Some(WorkerPool::new(threads - 1))
-    } else {
-        None
-    };
-    let shards = pool.as_ref().map_or(1, |p| p.workers() + 1) as u64;
-    let wave_chunks = (shards * WAVE_CHUNKS_PER_SHARD).max(1);
+    let threads = resolve_threads(options.threads);
+    let wave_chunks = (threads as u64).saturating_mul(WAVE_CHUNKS_PER_THREAD);
 
     let mut frontier: Frontier<FrontierPoint, OBJECTIVES> = Frontier::new();
     let mut evaluated = 0u64;
@@ -138,49 +123,14 @@ pub fn explore(
     let mut wave_start = 0u64;
     while wave_start < chunks {
         let wave_len = wave_chunks.min(chunks - wave_start);
-        let slots: Vec<Mutex<Option<ChunkResult>>> =
-            (0..wave_len).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let spec_ref = spec;
-        let techs_ref = &techs;
-        let slots_ref = &slots;
-        let next_ref = &next;
-        let work = move |_shard: usize| loop {
-            let slot_index = next_ref.fetch_add(1, Ordering::Relaxed);
-            if slot_index as u64 >= wave_len {
-                break;
-            }
-            let chunk_index = wave_start + slot_index as u64;
-            let start = chunk_index * chunk;
-            let end = total.min(start + chunk);
-            let mut local = Frontier::new();
-            let mut local_feasible = 0u64;
-            let mut evaluator = Evaluator::new(spec_ref, techs_ref);
-            for index in start..end {
-                if let Some(point) = evaluator.evaluate(index) {
-                    local_feasible += 1;
-                    let objectives = point.objectives();
-                    local.insert(index, objectives, point);
-                }
-            }
-            if let Some(slot) = slots_ref.get(slot_index) {
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(ChunkResult {
-                    evaluated: end - start,
-                    feasible: local_feasible,
-                    frontier: local,
-                });
-            }
-        };
-        match &pool {
-            Some(p) => p.broadcast(&work),
-            None => work(0),
-        }
-        for slot in slots {
-            if let Some(result) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                evaluated += result.evaluated;
-                feasible += result.feasible;
-                frontier.merge(result.frontier);
-            }
+        let wave = ordered_map(wave_len as usize, threads, |slot| {
+            let start = (wave_start + slot as u64) * chunk;
+            evaluate_chunk(spec, &techs, start, total.min(start + chunk))
+        });
+        for result in wave {
+            evaluated += result.evaluated;
+            feasible += result.feasible;
+            frontier.merge(result.frontier);
         }
         if let Some(report) = progress {
             report(evaluated, frontier.len() as u64);
@@ -204,9 +154,30 @@ pub fn explore(
     })
 }
 
+/// Evaluate candidates `start..end` in ascending index order into a
+/// chunk-local frontier, with a fresh (chunk-local) chassis memo.
+fn evaluate_chunk(spec: &GridSpec, techs: &[Technology], start: u64, end: u64) -> ChunkResult {
+    let mut frontier = Frontier::new();
+    let mut feasible = 0u64;
+    let mut evaluator = Evaluator::new(spec, techs);
+    for index in start..end {
+        if let Some(point) = evaluator.evaluate(index) {
+            feasible += 1;
+            let objectives = point.objectives();
+            frontier.insert(index, objectives, point);
+        }
+    }
+    ChunkResult {
+        evaluated: end - start,
+        feasible,
+        frontier,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     fn outcome_bytes(outcome: &ExploreOutcome) -> String {
         serde_json::to_string(outcome).unwrap()

@@ -10,11 +10,10 @@
 //! * [`Evaluator`] — closed-form evaluation with a chassis memo that
 //!   amortises the frequency fixed point across the packet-size axis
 //!   (`eval`);
-//! * [`explore`] — chunked batch evaluation fanned across cores via the
-//!   shared `icn_sim::WorkerPool`, merged deterministically in
-//!   chunk-index order into an incremental Pareto frontier
-//!   (delay × area × pins × cost) whose memory is `O(frontier)`
-//!   (`engine`);
+//! * [`explore`] — chunked batch evaluation fanned across cores by
+//!   `icn_sim::ordered_map`, merged deterministically in chunk-index
+//!   order into an incremental Pareto frontier (delay × area × pins ×
+//!   cost) whose memory is `O(frontier)` (`engine`);
 //! * [`spot_check`] — `icn_sim::try_run` validation that the simulator's
 //!   latency floor ranks the top frontier points like the closed form
 //!   does (`spotcheck`).

@@ -73,7 +73,8 @@ pub fn mcc_area(tech: &Technology, radix: u32, width: u32) -> Area {
     assert!(width > 0, "data path width must be at least 1");
     let p = &tech.process;
     let pitch = p.mcc_switch_core_lambda + p.mcc_line_pitch_lambda * f64::from(width);
-    let raw = f64::from(radix * radix) * pitch * pitch;
+    let n = f64::from(radix);
+    let raw = n * n * pitch * pitch;
     Area::from_square_lambda(raw * p.mcc_area_overhead, p.lambda)
 }
 
@@ -306,5 +307,16 @@ mod tests {
             (l16 - expected).abs() / expected < 1e-9,
             "{l16} vs {expected}"
         );
+    }
+
+    /// `N²` no longer wraps: a 65536-port MCC once had zero area.
+    #[test]
+    fn oversized_mcc_exceeds_the_die() {
+        let tech = paper1986();
+        let die = tech.process.die_area().square_meters();
+        for width in [1, u32::MAX] {
+            let area = mcc_area(&tech, 65_536, width).square_meters();
+            assert!(area > die, "W={width}: {area} m² fits a {die} m² die");
+        }
     }
 }

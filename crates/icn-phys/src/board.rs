@@ -146,7 +146,7 @@ impl BoardLayout {
         let package_edge = tech.packaging.package_edge(budget.total());
         let edge = package_edge * f64::from(chips_per_stage);
 
-        let wires_per_gap = board_ports * (width + 1);
+        let wires_per_gap = board_ports.saturating_mul(width.saturating_add(1));
         let wires_per_layer = wires_per_gap.div_ceil(tech.board.signal_layers);
         let available_pitch = if wires_per_layer == 0 {
             edge
@@ -173,7 +173,8 @@ impl BoardLayout {
         let depth = package_edge * f64::from(stages) + routing_allowance;
         let longest_trace = edge + routing_allowance;
 
-        let external_lines = board_ports * (width + 1);
+        // The same N_b(W+1) lines (data plus buffer-full) leave the board.
+        let external_lines = wires_per_gap;
         let connectors_needed = external_lines.div_ceil(tech.board.connector.lines());
 
         let mut violations = Vec::new();
@@ -227,7 +228,7 @@ impl BoardLayout {
     /// Total chips on the board.
     #[must_use]
     pub fn total_chips(&self) -> u32 {
-        self.stages * self.chips_per_stage
+        self.stages.saturating_mul(self.chips_per_stage)
     }
 
     /// Whether every board-level constraint is satisfied.
@@ -373,5 +374,20 @@ mod tests {
             capacity: 8,
         };
         assert!(c.to_string().contains('9'));
+    }
+
+    /// Wire and chip counts saturate instead of wrapping to small values
+    /// that would pass the pitch and connector checks.
+    #[test]
+    fn oversized_boards_saturate_and_never_fit() {
+        let f = Frequency::from_mhz(10.0);
+        let b = BoardLayout::plan(&paper1986(), 65_536, u32::MAX, 65_536, f);
+        assert_eq!(b.wires_per_gap, u32::MAX);
+        assert_eq!(b.external_lines, u32::MAX);
+        assert!(!b.fits());
+        // 31 stages of 2^30 radix-2 chips.
+        let b = BoardLayout::plan(&paper1986(), 2, 1, 1 << 31, f);
+        assert_eq!(b.total_chips(), u32::MAX);
+        assert!(!b.fits());
     }
 }

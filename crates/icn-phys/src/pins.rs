@@ -39,10 +39,13 @@ pub struct PinBudget {
 }
 
 impl PinBudget {
-    /// Total pins `N_p = N_pd + N_pc + N_pg` (eq. 3.1).
+    /// Total pins `N_p = N_pd + N_pc + N_pg` (eq. 3.1), saturating at
+    /// `u32::MAX` (far beyond any package) for oversized chips.
     #[must_use]
     pub fn total(&self) -> u32 {
-        self.data + self.control + self.power_ground
+        self.data
+            .saturating_add(self.control)
+            .saturating_add(self.power_ground)
     }
 
     /// Whether the chip fits in the package (`N_p ≤ max_pins`).
@@ -63,7 +66,14 @@ impl PinBudget {
 #[must_use]
 pub fn switching_current(tech: &Technology, radix: u32, width: u32) -> Current {
     let per_pin = tech.clocking.supply / tech.packaging.driver_impedance;
-    per_pin * f64::from(radix * (width + 1))
+    per_pin * output_signals(radix, width)
+}
+
+/// The `N(W+1)` output signal pins of eq. 3.4, in `f64` so no radix or
+/// width can wrap it (exact for every chip whose count fits in `u32`).
+#[must_use]
+pub(crate) fn output_signals(radix: u32, width: u32) -> f64 {
+    f64::from(radix) * (f64::from(width) + 1.0)
 }
 
 /// The raw (unrounded) power/ground pin requirement of eq. 3.4:
@@ -75,7 +85,7 @@ pub fn ground_pins_exact(tech: &Technology, radix: u32, width: u32, clock: Frequ
     let vdd = tech.clocking.supply.volts();
     let dv = tech.clocking.rail_bounce_budget.volts();
     let z0 = tech.packaging.driver_impedance.ohms();
-    4.0 * l * f * vdd * f64::from(radix * (width + 1)) / (dv * z0)
+    4.0 * l * f * vdd * output_signals(radix, width) / (dv * z0)
 }
 
 /// Rail bounce produced by the worst-case current swing through `n_g/2`
@@ -124,8 +134,8 @@ pub fn pin_budget(tech: &Technology, radix: u32, width: u32, clock: Frequency) -
     assert!(radix > 0, "crossbar radix must be at least 1");
     assert!(width > 0, "data path width must be at least 1");
     assert!(clock.hz() > 0.0, "clock frequency must be positive");
-    let data = 2 * width * radix;
-    let control = 2 * radix + tech.packaging.fixed_control_pins();
+    let data = saturate(2u64.saturating_mul(u64::from(width) * u64::from(radix)));
+    let control = saturate(2 * u64::from(radix) + u64::from(tech.packaging.fixed_control_pins()));
     let ng = ground_pins_exact(tech, radix, width, clock);
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let power_ground = (ng.ceil() as u32).max(2);
@@ -137,6 +147,11 @@ pub fn pin_budget(tech: &Technology, radix: u32, width: u32, clock: Frequency) -
         power_ground,
         max_pins: tech.packaging.max_pins,
     }
+}
+
+/// A pin count clamped to `u32::MAX`, which no package provides.
+fn saturate(pins: u64) -> u32 {
+    u32::try_from(pins).unwrap_or(u32::MAX)
 }
 
 /// The largest radix N whose pin budget fits the package at the given width
@@ -283,5 +298,22 @@ mod tests {
     #[should_panic(expected = "width must be at least 1")]
     fn zero_width_panics() {
         let _ = pin_budget(&paper1986(), 16, 0, Frequency::from_mhz(10.0));
+    }
+
+    /// Oversized chips saturate instead of wrapping: 65536 ports at
+    /// W = 2^32 - 1 once totalled 5 pins and fit the 240-pin package.
+    #[test]
+    fn oversized_chip_saturates_and_never_fits() {
+        let tech = paper1986();
+        for (radix, width) in [(65_536, u32::MAX), (u32::MAX, u32::MAX), (u32::MAX, 1)] {
+            let b = pin_budget(&tech, radix, width, Frequency::from_mhz(10.0));
+            assert_eq!(b.data, u32::MAX, "N={radix} W={width}");
+            assert_eq!(b.total(), u32::MAX, "N={radix} W={width}");
+            assert!(!b.fits());
+            assert_eq!(b.headroom(), 0);
+        }
+        let exact = ground_pins_exact(&tech, 65_536, u32::MAX, Frequency::from_mhz(10.0));
+        let small = ground_pins_exact(&tech, 16, 4, Frequency::from_mhz(10.0));
+        assert!(exact / small > 1e12, "{exact} vs {small}");
     }
 }

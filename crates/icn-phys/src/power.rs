@@ -60,9 +60,9 @@ pub fn io_power_budget(
     chips: u64,
     activity: f64,
 ) -> IoPowerBudget {
-    let output_pins_per_chip = radix * (width + 1);
+    let output_pins_per_chip = radix.saturating_mul(width.saturating_add(1));
     let per_pin = pin_drive_power(tech, activity);
-    let chip_power = per_pin * f64::from(output_pins_per_chip);
+    let chip_power = per_pin * pins::output_signals(radix, width);
     let chip_transient_current = pins::switching_current(tech, radix, width);
     IoPowerBudget {
         output_pins_per_chip,
@@ -113,5 +113,16 @@ mod tests {
     #[should_panic(expected = "activity must be in [0,1]")]
     fn bad_activity_panics() {
         let _ = pin_drive_power(&paper1986(), 1.5);
+    }
+
+    /// `N(W+1)` saturates in the pin count and stays exact in the power.
+    #[test]
+    fn oversized_chip_output_pins_saturate() {
+        let tech = paper1986();
+        let big = io_power_budget(&tech, 65_536, u32::MAX, 1, 0.5);
+        let small = io_power_budget(&tech, 16, 4, 1, 0.5);
+        assert_eq!(big.output_pins_per_chip, u32::MAX);
+        let ratio = big.chip_power.watts() / small.chip_power.watts();
+        assert!((ratio - 65_536.0 * 4_294_967_296.0 / 80.0).abs() / ratio < 1e-12);
     }
 }

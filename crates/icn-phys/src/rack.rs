@@ -67,9 +67,9 @@ impl RackLayout {
         let remainder_stages = stages % board.stages;
         let boards_per_layer = network_ports.div_ceil(board_ports);
         let remainder_layers = u32::from(remainder_stages > 0);
-        let total_boards = (full_layers + remainder_layers) * boards_per_layer;
+        let total_boards = (full_layers + remainder_layers).saturating_mul(boards_per_layer);
         let chips_per_stage = network_ports.div_ceil(chip_radix);
-        let total_chips = stages * chips_per_stage;
+        let total_chips = stages.saturating_mul(chips_per_stage);
         let longest_wire = board.longest_trace;
         Self {
             network_ports,
@@ -198,5 +198,15 @@ mod tests {
     #[should_panic(expected = "at least one board")]
     fn network_smaller_than_board_panics() {
         let _ = RackLayout::plan(&paper1986(), 16, 4, 256, 128, Frequency::from_mhz(32.0));
+    }
+
+    /// 32 stages of 2^31 radix-2 chips on 2-port boards: the chip and
+    /// board counts saturate instead of wrapping.
+    #[test]
+    fn oversized_rack_counts_saturate() {
+        let r = RackLayout::plan(&paper1986(), 2, 1, 2, u32::MAX, Frequency::from_mhz(10.0));
+        assert_eq!(r.stages, 32);
+        assert_eq!(r.total_chips, u32::MAX);
+        assert_eq!(r.total_boards, u32::MAX);
     }
 }

@@ -61,8 +61,8 @@
 //!   of once per output (O(r²)).
 //! * **Module sharding** — the vacate and grant phases run as per-stage
 //!   *module chunks* (see [`crate::shard`]); with
-//!   [`EngineOptions::threads`] > 1 the chunks execute on a persistent
-//!   first-party [`crate::pool::WorkerPool`] with a barrier per phase,
+//!   [`EngineOptions::threads`] > 1 the chunks execute on the shard
+//!   plan's persistent first-party worker pool with a barrier per phase,
 //!   and every globally-ordered effect is buffered per chunk and merged
 //!   in module index order — never thread completion order — so parallel
 //!   runs are byte-identical to serial ones. The serial path runs the
@@ -900,7 +900,7 @@ impl Engine {
 
     /// The grant phase: dispatch every stage's module chunks (in
     /// parallel when a pool exists), then merge their deferred effects in
-    /// canonical chunk order. All stages' chunks run in one broadcast —
+    /// canonical chunk order. All stages' chunks run in one dispatch —
     /// back-pressure reads the vacate phase's occupancy snapshot, so no
     /// chunk observes another's same-cycle writes (see [`crate::shard`]).
     fn grant_phase(&mut self) {

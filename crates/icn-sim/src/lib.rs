@@ -64,7 +64,7 @@ pub use fault::{FaultEvent, FaultPlan, FaultTarget, RetryPolicy, StallReport};
 pub use metrics::{LatencyStats, SimResult, StageCounters};
 pub use options::EngineOptions;
 pub use packet::Packet;
-pub use pool::WorkerPool;
+pub use pool::{ordered_map, resolve_threads};
 pub use roundtrip::{run_roundtrip, RoundTripConfig, RoundTripResult};
 pub use runner::{
     run, run_parallel, run_trace, sweep_load, sweep_module_failures, try_run, FaultSweepPoint,

@@ -50,10 +50,7 @@ impl EngineOptions {
     /// parallelism, anything else is taken literally (minimum 1).
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            n => n,
-        }
+        crate::pool::resolve_threads(self.threads)
     }
 }
 

@@ -7,6 +7,7 @@ use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::metrics::SimResult;
 use crate::options::EngineOptions;
+use crate::pool::ordered_map;
 
 /// Run one configuration to completion.
 #[must_use]
@@ -61,54 +62,15 @@ pub fn run_trace(mut config: SimConfig, trace: &icn_workloads::TrafficTrace) -> 
     engine.finish()
 }
 
-/// Run many configurations concurrently, one OS thread per configuration up
+/// Run many configurations concurrently, one thread per configuration up
 /// to the machine's parallelism, preserving input order in the output.
 ///
 /// Simulations are embarrassingly parallel (each engine owns its state and
-/// RNG), so plain scoped threads over a shared work counter suffice — no
-/// shared mutable simulation state exists by construction.
+/// RNG), so [`ordered_map`] over the batch suffices — no shared mutable
+/// simulation state exists by construction.
 #[must_use]
 pub fn run_parallel(configs: Vec<SimConfig>) -> Vec<SimResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .min(configs.len());
-    if workers <= 1 {
-        return configs.into_iter().map(run).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<SimResult>> = (0..configs.len()).map(|_| None).collect();
-    // icn-lint: allow(ICN203) -- batch runner over whole independent sims, outside the engine cycle; no shard state is shared
-    let slots: Vec<std::sync::Mutex<&mut Option<SimResult>>> =
-        results.iter_mut().map(std::sync::Mutex::new).collect(); // icn-lint: allow(ICN203) -- same independent-sims hand-off as above
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            // icn-lint: allow(ICN203) -- one scoped thread per independent simulation; joins before return, never inside a cycle
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let result = run(configs[i].clone());
-                **slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    drop(slots);
-    // Every index below configs.len() is claimed by exactly one worker
-    // (fetch_add) and filled before the scope joins, so nothing is lost
-    // by flattening.
-    let collected: Vec<SimResult> = results.into_iter().flatten().collect();
-    debug_assert_eq!(collected.len(), configs.len());
-    collected
+    ordered_map(configs.len(), 0, |i| run(configs[i].clone()))
 }
 
 /// One point of a load sweep.

@@ -1,7 +1,7 @@
 //! Schedule-perturbation stress suite: run the parity fixtures under a
 //! test-only scheduler hook ([`EngineOptions::perturb_seed`]) that
 //! re-randomizes shard dispatch order every cycle and injects thread
-//! yields mid-broadcast, then demand the same bytes as the serial
+//! yields mid-dispatch, then demand the same bytes as the serial
 //! engine.
 //!
 //! The parallel engine's determinism argument says results depend only
