@@ -295,6 +295,41 @@ fn oversized_designs_are_infeasible_at_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One preset vocabulary: every frontier point `explore` prints, written
+/// as a design spec with the preset name it printed, passes
+/// `icn lint config` (the check `/v1/evaluate` also runs).
+#[test]
+fn explore_frontier_points_pass_lint_config() {
+    let (ok, stdout, stderr) = icn(&["explore", "--grid", "bench", "--json"]);
+    assert!(ok, "{stderr}");
+    let outcome: serde_json::Value = serde_json::from_str(&stdout).expect("explore JSON");
+    let frontier = outcome["frontier"].as_array().expect("a frontier");
+    assert!(!frontier.is_empty());
+    let dir = std::env::temp_dir().join(format!("icn-frontier-lint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for point in frontier {
+        let spec = serde_json::json!({
+            "tech": point["tech"],
+            "kind": point["kind"],
+            "chip_radix": point["chip_radix"],
+            "width": point["width"],
+            "board_ports": point["board_ports"],
+            "network_ports": point["network_ports"],
+            "packet_bits": point["packet_bits"],
+            "clock_scheme": point["clock_scheme"],
+            "memory_access_ns": 200.0,
+        });
+        let path = dir.join(format!("point-{}.json", point["index"]));
+        std::fs::write(&path, spec.to_string()).unwrap();
+        let (code, out, err) = icn_status(&["lint", "config", path.to_str().unwrap()]);
+        assert_eq!(
+            code, 0,
+            "frontier point {spec} fails lint config:\n{out}{err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn inspect_without_a_path_fails_helpfully() {
     let (ok, _, stderr) = icn(&["inspect"]);

@@ -30,8 +30,9 @@ use crate::diagnostics::{Diagnostic, Severity};
 /// technology named by preset and times in explicit units.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DesignSpec {
-    /// Technology preset name: `paper1986`, `scaled_cmos_early90s`, or
-    /// `conservative1986`.
+    /// Technology preset name, as [`presets::by_name`] knows it (e.g.
+    /// `paper-1986-mos-pga`), or one of the older spellings in
+    /// [`PRESET_ALIASES`].
     pub tech: String,
     /// Crossbar implementation: `Mcc` or `Dmc`.
     pub kind: CrossbarKind,
@@ -55,15 +56,23 @@ pub struct DesignSpec {
     pub min_frequency_mhz: Option<f64>,
 }
 
+/// Older spellings of the preset names, each with the name it stands
+/// for. Design specs in fixtures and service clients still use them.
+pub const PRESET_ALIASES: [(&str, &str); 3] = [
+    ("paper1986", "paper-1986-mos-pga"),
+    ("scaled_cmos_early90s", "scaled-cmos-early90s"),
+    ("conservative1986", "conservative-1986"),
+];
+
 impl DesignSpec {
-    /// Resolve the named technology preset.
+    /// Resolve the named technology preset through [`presets::by_name`],
+    /// the one preset vocabulary the explorer and `--tech` share.
     fn resolve_tech(&self) -> Option<Technology> {
-        match self.tech.as_str() {
-            "paper1986" => Some(presets::paper1986()),
-            "scaled_cmos_early90s" => Some(presets::scaled_cmos_early90s()),
-            "conservative1986" => Some(presets::conservative1986()),
-            _ => None,
-        }
+        let name = PRESET_ALIASES
+            .iter()
+            .find(|(alias, _)| *alias == self.tech)
+            .map_or(self.tech.as_str(), |&(_, name)| name);
+        presets::by_name(name)
     }
 
     fn to_point(&self, tech: Technology) -> DesignPoint {
@@ -147,13 +156,14 @@ pub fn check_design_json(file: &str, json: &str) -> DesignCheck {
 #[must_use]
 pub fn check_design(file: &str, spec: &DesignSpec) -> DesignCheck {
     let Some(tech) = spec.resolve_tech() else {
+        let names: Vec<String> = presets::all().into_iter().map(|t| t.name).collect();
         return DesignCheck {
             summary: Vec::new(),
             diagnostics: vec![design_diag(
                 file,
                 "ICN100",
                 format!("unknown technology preset `{}`", spec.tech),
-                "use one of: paper1986, scaled_cmos_early90s, conservative1986",
+                &format!("use one of: {}", names.join(", ")),
             )],
             report: None,
         };
@@ -386,12 +396,36 @@ mod tests {
     }
 
     #[test]
+    fn preset_names_and_their_aliases_resolve_alike() {
+        for tech in presets::all() {
+            let mut spec = paper_spec();
+            spec.tech.clone_from(&tech.name);
+            let canonical = check_design("spec.json", &spec);
+            assert!(canonical.report.is_some(), "{}", tech.name);
+            let (alias, _) = PRESET_ALIASES
+                .iter()
+                .find(|(_, name)| *name == tech.name)
+                .expect("every preset keeps its old spelling");
+            spec.tech = (*alias).to_string();
+            let aliased = check_design("spec.json", &spec);
+            // The summary echoes the spelling the spec used; the verdict
+            // and the evaluation behind it are the same.
+            assert_eq!(aliased.diagnostics, canonical.diagnostics, "{alias}");
+            assert_eq!(aliased.report, canonical.report, "{alias}");
+        }
+    }
+
+    #[test]
     fn unknown_preset_and_bad_json_are_icn100() {
         let mut spec = paper_spec();
         spec.tech = "unobtainium".to_string();
         let check = check_design("spec.json", &spec);
         assert_eq!(check.diagnostics.len(), 1);
         assert_eq!(check.diagnostics[0].code, "ICN100");
+        let help = &check.diagnostics[0].suggestion;
+        for tech in presets::all() {
+            assert!(help.contains(&tech.name), "{help}");
+        }
 
         let parse = check_design_json("spec.json", "{ not json }");
         assert_eq!(parse.diagnostics[0].code, "ICN100");

@@ -43,14 +43,30 @@
 //! * **Flat stages** — each stage stores its ports module-major in two
 //!   contiguous arrays (see [`crate::module`]).
 //! * **Due-time arrays** — beside its queues, each stage keeps
-//!   `ready_at[p]` (the cycle port `p`'s ungranted front may request) and
-//!   `vacate_at[p]` (the cycle its granted front leaves) in two flat
-//!   `u64` arrays (see [`crate::module`]). The vacate sweep scans
-//!   `vacate_at` and touches only queues with a slot due; the grant sweep
-//!   jumps between modules with a due `ready_at` entry and reads a queue
-//!   front only for a ready port. On the 2048-port network about a third
-//!   of the 6,144 input ports hold a packet, so the old walk over every
-//!   queue spent most of the step on ports with nothing to do.
+//!   `ready_at[p]` (the next cycle worth examining port `p`'s ungranted
+//!   front) and `vacate_at[p]` (the cycle its granted front leaves) in
+//!   two flat `u64` arrays (see [`crate::module`]); each source keeps the
+//!   same kind of due time. The vacate sweep scans `vacate_at` and
+//!   touches only queues with a slot due; the grant sweep jumps between
+//!   modules with a due `ready_at` entry and reads a queue front only for
+//!   a due port; the source sweep visits only due sources. On the
+//!   2048-port network about a third of the 6,144 input ports hold a
+//!   packet, so the old walk over every queue spent most of the step on
+//!   ports with nothing to do.
+//! * **Wake-up grants** — a ready head the grant sweep finds blocked on a
+//!   healthy output *parks*: its `ready_at` moves to the output's
+//!   `busy_until` (a loss to a busy output or in arbitration) or to "until
+//!   drained" (a full downstream buffer). Nothing can change for it
+//!   before then, so it costs nothing until it can be granted. The vacate
+//!   phase records the full ports it frees and a serial pass wakes their
+//!   waiters (the one upstream module whose output line feeds the port,
+//!   or the one source); fault drops wake theirs at the merge; a fault
+//!   activation wakes every parked head of the struck module. Sources
+//!   park the same way on a full stage-0 buffer. The blocked counters
+//!   stay exact per head-cycle: each chunk keeps parked-head gauges
+//!   (busy parks in a wake calendar of `head_latency + flits + 1` slots)
+//!   and adds them to its counters every cycle. Before this, about 500
+//!   ready heads were re-examined, tag lookup included, every cycle.
 //! * **Occupancy counts** — `ExecState::occ` holds every input queue's
 //!   length, updated as ports change (pushes, vacates, fault drops)
 //!   instead of re-counted each cycle; back-pressure, the watchdog's
@@ -81,15 +97,15 @@ use icn_topology::Topology;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::fault::{FaultEvent, FaultState, Health, StallReport};
+use crate::fault::{FaultState, FaultTarget, Health, StallReport};
 use crate::metrics::{LatencyStats, SimResult, StageCounters};
-use crate::module::Stage;
+use crate::module::{next_due, Stage, NEVER};
 use crate::options::EngineOptions;
 use crate::packet::Packet;
 use crate::pool::run_jobs;
 use crate::shard::{
-    add_counters, grant_chunk, schedule, vacate_chunk, ExecState, GrantJob, GrantShared,
-    ShardEffects, ShardScratch, StageMeta, VacateJob,
+    add_counters, grant_chunk, rearm_module, schedule, upstream_line, vacate_chunk, wake_line,
+    ExecState, GrantJob, GrantShared, Parked, ShardEffects, ShardScratch, StageMeta, VacateJob,
 };
 use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::{EventSink, Gauges, PhaseGauges, SimEvent, StageDims, TelemetryState};
@@ -186,6 +202,11 @@ pub struct Engine {
     topology: Topology,
     stages: Vec<Stage>,
     sources: Vec<Source>,
+    /// Per source, the next cycle worth visiting it: [`NEVER`] while its
+    /// queue is empty or its stage-0 buffer is full (until that buffer
+    /// drains), else its `busy_until` (lowered to the cycle a fault
+    /// strikes it).
+    source_due: Vec<u64>,
     rng: ChaCha12Rng,
     now: u64,
     next_id: u64,
@@ -299,7 +320,7 @@ impl Engine {
                 head_latency: config.stage_head_latency(r),
             })
             .collect();
-        let exec = ExecState::build(&options, meta);
+        let exec = ExecState::build(&options, meta, flits);
         let sources = (0..ports).map(|_| Source::default()).collect();
         let stage_counters = vec![StageCounters::default(); stage_count];
         let rng = ChaCha12Rng::seed_from_u64(config.seed);
@@ -317,6 +338,7 @@ impl Engine {
             topology,
             stages,
             sources,
+            source_due: vec![NEVER; ports as usize],
             rng,
             now: 0,
             next_id: 0,
@@ -529,9 +551,7 @@ impl Engine {
             tracked,
         };
         let r = self.store.insert(packet);
-        self.sources[src as usize].queue.push_back(r);
-        self.source_backlog += 1;
-        self.peak_source_backlog = self.peak_source_backlog.max(self.source_backlog);
+        self.enqueue_at_source(src, r);
         if let Some(sink) = self.events.as_mut() {
             sink.record(&SimEvent::Inject {
                 cycle: self.now,
@@ -544,25 +564,24 @@ impl Engine {
         Ok(id)
     }
 
+    /// Queue packet `r` at source `src`, making the source due no later
+    /// than its line frees.
+    fn enqueue_at_source(&mut self, src: u32, r: PacketRef) {
+        let source = &mut self.sources[src as usize];
+        source.queue.push_back(r);
+        let due = &mut self.source_due[src as usize];
+        *due = (*due).min(source.busy_until);
+        self.source_backlog += 1;
+        self.peak_source_backlog = self.peak_source_backlog.max(self.source_backlog);
+    }
+
     /// Advance one clock cycle.
     pub fn step(&mut self) {
-        if let Some(faults) = self.faults.as_deref_mut() {
-            let activated = faults.apply(self.now);
-            if !activated.is_empty() {
-                if let Some(sink) = self.events.as_mut() {
-                    // FaultEvent is Copy; detach from the fault-state borrow.
-                    let batch: Vec<FaultEvent> = faults.events()[activated].to_vec();
-                    for event in batch {
-                        sink.record(&SimEvent::FaultActivate {
-                            cycle: self.now,
-                            target: event.target,
-                            permanent: event.duration.is_none(),
-                        });
-                    }
-                }
-            }
+        if self.faults.is_some() {
+            self.activate_faults();
         }
         let vacated = self.vacate_phase();
+        self.wake_unblocked();
         self.release_retries();
         self.workload_inject();
         self.source_grants();
@@ -573,6 +592,102 @@ impl Engine {
         #[cfg(debug_assertions)]
         self.debug_assert_conservation();
         self.now += 1;
+    }
+
+    /// Activate the fault events scheduled for this cycle. Parked heads
+    /// wait on a healthy module and output, so every parked head in a
+    /// struck module is woken (a link fault wakes its whole module, a
+    /// superset: a woken head still blocked parks again, counted the
+    /// same), and a struck source is visited this cycle.
+    fn activate_faults(&mut self) {
+        let now = self.now;
+        let Some(activated) = self.faults.as_deref_mut().map(|f| f.apply(now)) else {
+            return;
+        };
+        for index in activated {
+            let Some(event) = self.faults.as_deref().map(|f| f.events()[index]) else {
+                break;
+            };
+            match event.target {
+                FaultTarget::Module { stage, module } | FaultTarget::Link { stage, module, .. } => {
+                    let (stage, module) = (stage as usize, module as usize);
+                    let chunk = self.exec.chunk_of(stage, module);
+                    let radix = self.stages[stage].radix as usize;
+                    rearm_module(
+                        &mut self.stages[stage].inputs(),
+                        &mut self.exec.parked[chunk],
+                        radix,
+                        module,
+                        now,
+                    );
+                }
+                FaultTarget::SourcePort { port } => {
+                    let due = &mut self.source_due[port as usize];
+                    *due = (*due).min(now);
+                }
+            }
+            if let Some(sink) = self.events.as_mut() {
+                sink.record(&SimEvent::FaultActivate {
+                    cycle: now,
+                    target: event.target,
+                    permanent: event.duration.is_none(),
+                });
+            }
+        }
+    }
+
+    /// Wake the heads and sources parked on the ports the vacate phase
+    /// just freed from full (serially, after the phase's chunks).
+    fn wake_unblocked(&mut self) {
+        let mut unblocked = std::mem::take(&mut self.exec.unblocked);
+        for (ci, ports) in unblocked.iter_mut().enumerate() {
+            let chunk = self.exec.chunks[ci];
+            let base = chunk.module_base * self.stages[chunk.stage].radix as usize;
+            for p in ports.drain(..) {
+                self.wake_upstream(chunk.stage, base + p as usize);
+            }
+        }
+        self.exec.unblocked = unblocked;
+    }
+
+    /// Wake what is parked on stage `stage`'s input `port` being full:
+    /// the source whose line feeds it (stage 0), or the heads in the one
+    /// module of the stage before whose output line feeds it.
+    fn wake_upstream(&mut self, stage: usize, port: usize) {
+        let ports = self.topology.ports();
+        let line = upstream_line(ports, self.stages[stage].radix, port as u32) as usize;
+        debug_assert_eq!(
+            self.entry[stage][line] as usize, port,
+            "upstream line inverts the wiring"
+        );
+        if stage == 0 {
+            if !self.sources[line].queue.is_empty() {
+                let due = &mut self.source_due[line];
+                *due = (*due).min(self.now);
+            }
+            return;
+        }
+        let upstream = stage - 1;
+        let radix = self.stages[upstream].radix as usize;
+        let chunk = self.exec.chunk_of(upstream, line / radix);
+        let Self {
+            stages,
+            exec,
+            store,
+            routes,
+            stage_count,
+            now,
+            ..
+        } = self;
+        let stage_count = *stage_count;
+        wake_line(
+            &mut stages[upstream].inputs(),
+            &mut exec.parked[chunk],
+            radix,
+            line,
+            *now,
+            |r| routes[store.get(r).dest as usize * stage_count + upstream],
+        );
     }
 
     /// Take a time-series sample if this is a sampling cycle (runs after
@@ -707,11 +822,13 @@ impl Engine {
     /// profiler's per-cycle "advance" op tally).
     fn vacate_phase(&mut self) -> u64 {
         let now = self.now;
+        let capacity = self.config.buffer_capacity;
         let Self { stages, exec, .. } = self;
         let ExecState {
             pool,
             chunks,
             freed,
+            unblocked,
             occ,
             meta,
             perturb,
@@ -724,6 +841,7 @@ impl Engine {
             // chunks (chunks are stage-major, so one pass suffices).
             let mut occ_rest: &mut [u32] = occ;
             let mut freed_rest: &mut [u64] = freed;
+            let mut unblocked_rest: &mut [Vec<u32>] = unblocked;
             let mut ci = 0;
             for (s, stage) in stages.iter_mut().enumerate() {
                 let radix = meta[s].radix as usize;
@@ -736,11 +854,16 @@ impl Engine {
                     occ_rest = occ_next;
                     let (freed_chunk, freed_next) = std::mem::take(&mut freed_rest).split_at_mut(1);
                     freed_rest = freed_next;
+                    let (unblocked_chunk, unblocked_next) =
+                        std::mem::take(&mut unblocked_rest).split_at_mut(1);
+                    unblocked_rest = unblocked_next;
                     jobs.push(VacateJob {
                         now,
+                        capacity,
                         inputs,
                         occ: occ_chunk,
                         freed: &mut freed_chunk[0],
+                        unblocked: &mut unblocked_chunk[0],
                     });
                     ci += 1;
                 }
@@ -816,23 +939,24 @@ impl Engine {
                 break;
             };
             let src = self.store.get(entry.packet).src;
-            self.sources[src as usize].queue.push_back(entry.packet);
-            self.source_backlog += 1;
-            self.peak_source_backlog = self.peak_source_backlog.max(self.source_backlog);
+            self.enqueue_at_source(src, entry.packet);
             self.last_progress = now;
         }
     }
 
+    /// Start each due source's front packet into its free stage-0 buffer,
+    /// visiting only sources whose due time has come (see
+    /// [`Engine::source_due`]), in line order.
     fn source_grants(&mut self) {
         let now = self.now;
         let flits = self.flits;
         let capacity = self.config.buffer_capacity;
-        let ports = self.topology.ports();
         let mut drops = std::mem::take(&mut self.scratch_drops);
         {
             let Self {
                 stages,
                 sources,
+                source_due,
                 store,
                 entry,
                 events,
@@ -847,29 +971,42 @@ impl Engine {
             let mut stage0 = stages[0].inputs();
             // Stage 0's counts start at `occ[0]`.
             let occ0 = &mut exec.occ;
-            for line in 0..ports {
+            let mut scan = 0;
+            while let Some(index) = next_due(source_due, scan, now) {
+                scan = index + 1;
+                let line = index as u32;
+                let source = &mut sources[index];
+                let due = &mut source_due[index];
                 match faults.map_or(Health::Up, |f| f.source_health(line, now)) {
                     Health::Up => {}
                     // A transiently failed source just pauses; its queue keeps.
                     Health::TransientDown => continue,
                     // A permanently dead source can never send again: its whole
                     // queue is lost, with no retry (there is nothing to retry
-                    // from).
+                    // from). Its line is never used again, so zeroing
+                    // `busy_until` keeps any later arrival due at once.
                     Health::PermanentDown => {
-                        let source = &mut sources[line as usize];
                         while let Some(r) = source.queue.pop_front() {
                             *source_backlog -= 1;
                             drops.push(r);
                         }
+                        source.busy_until = 0;
+                        *due = NEVER;
                         continue;
                     }
                 }
-                let source = &mut sources[line as usize];
-                if source.queue.is_empty() || source.busy_until > now {
+                if source.queue.is_empty() {
+                    *due = NEVER;
                     continue;
                 }
-                let port = entry0[line as usize] as usize;
+                if source.busy_until > now {
+                    *due = source.busy_until;
+                    continue;
+                }
+                let port = entry0[index] as usize;
                 if !stage0.has_space(port, capacity) {
+                    // Parked until the buffer drains (see `wake_upstream`).
+                    *due = NEVER;
                     continue;
                 }
                 let Some(r) = source.queue.pop_front() else {
@@ -877,6 +1014,11 @@ impl Engine {
                 };
                 *source_backlog -= 1;
                 source.busy_until = now + flits;
+                *due = if source.queue.is_empty() {
+                    NEVER
+                } else {
+                    source.busy_until
+                };
                 let packet = store.get_mut(r);
                 packet.entered_at = Some(now);
                 let packet_id = packet.id;
@@ -933,6 +1075,7 @@ impl Engine {
             chunks,
             effects,
             scratch,
+            parked,
             occ,
             occ_base,
             meta,
@@ -961,6 +1104,7 @@ impl Engine {
         {
             let mut fx_rest: &mut [ShardEffects] = effects;
             let mut sc_rest: &mut [ShardScratch] = scratch;
+            let mut parked_rest: &mut [Parked] = parked;
             let mut ci = 0;
             for (s, stage) in stages.iter_mut().enumerate() {
                 let radix = meta[s].radix as usize;
@@ -976,6 +1120,8 @@ impl Engine {
                     fx_rest = fx_next;
                     let (sc, sc_next) = std::mem::take(&mut sc_rest).split_at_mut(1);
                     sc_rest = sc_next;
+                    let (pk, pk_next) = std::mem::take(&mut parked_rest).split_at_mut(1);
+                    parked_rest = pk_next;
                     let fx = &mut fx[0];
                     fx.clear();
                     jobs.push(GrantJob {
@@ -983,6 +1129,7 @@ impl Engine {
                         inputs,
                         outputs,
                         scratch: &mut sc[0],
+                        parked: &mut pk[0],
                         fx,
                     });
                     ci += 1;
@@ -1001,6 +1148,7 @@ impl Engine {
     /// retry/drop events, then the next stage's.
     fn merge_grants(&mut self) {
         let now = self.now;
+        let capacity = self.config.buffer_capacity;
         let mut effects = std::mem::take(&mut self.exec.effects);
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         let mut drops = std::mem::take(&mut self.scratch_drops);
@@ -1040,7 +1188,12 @@ impl Engine {
                 deliveries.extend_from_slice(&fx.deliveries);
                 let occ_base = self.exec.occ_base[s];
                 for &(port, r) in &fx.drops {
-                    self.exec.occ[occ_base + port as usize] -= 1;
+                    let occ = &mut self.exec.occ[occ_base + port as usize];
+                    let was_full = *occ >= capacity;
+                    *occ -= 1;
+                    if was_full {
+                        self.wake_upstream(s, port as usize);
+                    }
                     drops.push(r);
                 }
                 ci += 1;
@@ -1213,9 +1366,12 @@ impl Engine {
     /// The conservation invariant, checked every cycle in debug builds:
     /// every packet ever injected is delivered, finally dropped, or still
     /// live — for the full population and the tracked subset — the
-    /// source-backlog counter matches the queues it summarizes, every
-    /// input occupancy count matches its queue's length, and the packet
-    /// arena holds exactly the live packets.
+    /// source-backlog counter matches the queues it summarizes, a source
+    /// with packets is due by the time it can send (or waits on a full
+    /// stage-0 buffer), the parked heads recounted per stage match the
+    /// gauges the blocked counters are built from, every input occupancy
+    /// count matches its queue's length, and the packet arena holds
+    /// exactly the live packets.
     #[cfg(debug_assertions)]
     fn debug_assert_conservation(&self) {
         debug_assert_eq!(
@@ -1236,6 +1392,37 @@ impl Engine {
             "source backlog drifted at {}",
             self.now
         );
+        let occ0 = self.exec.stage_occ(0);
+        for (line, (source, &due)) in self.sources.iter().zip(&self.source_due).enumerate() {
+            let port_full = occ0[self.entry[0][line] as usize] >= self.config.buffer_capacity;
+            debug_assert!(
+                source.queue.is_empty() || due <= source.busy_until.max(self.now) || port_full,
+                "source {line} queues packets but is not due when it can send, cycle {}",
+                self.now
+            );
+        }
+        // Parked heads, recounted from the ports, against the gauges the
+        // blocked counters are built from.
+        for (s, stage) in self.stages.iter().enumerate() {
+            let mut gauges = (0, 0);
+            for (chunk, parked) in self.exec.chunks.iter().zip(&self.exec.parked) {
+                if chunk.stage == s {
+                    debug_assert_eq!(
+                        parked.calendar_total(),
+                        parked.busy,
+                        "wake calendar drifted"
+                    );
+                    gauges.0 += parked.busy;
+                    gauges.1 += parked.downstream;
+                }
+            }
+            debug_assert_eq!(
+                stage.parked(self.now),
+                gauges,
+                "parked gauges (busy, downstream) drifted at stage {s}, cycle {}",
+                self.now
+            );
+        }
         for (s, stage) in self.stages.iter().enumerate() {
             for (port, (len, &count)) in stage.queue_lens().zip(self.exec.stage_occ(s)).enumerate()
             {

@@ -28,6 +28,12 @@
 //! back-pressure (counted per stage as `blocked_fault`). A permanently
 //! failed source port drops everything it has queued — there is no path
 //! from a dead line card, and retrying from it is meaningless.
+//!
+//! The engine parks heads blocked on a busy output or a full downstream
+//! buffer only while their module and output link are up, so each
+//! activation [`FaultState::apply`] reports wakes every parked head of
+//! the struck module and makes a struck source due that cycle: from
+//! there the ordinary sweep counts, drops or re-parks them.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -12,15 +12,25 @@
 //! like them, so the vacate and grant sweeps can find the ports with work
 //! due without touching a queue:
 //!
-//! * `ready_at[p]` — the cycle the port's ungranted front head may
-//!   request its output (`head_arrival + ready_offset`), or [`NEVER`]
-//!   when the port is empty or its front is granted;
+//! * `ready_at[p]` — the next cycle worth examining the port's ungranted
+//!   front head: its natural ready cycle (`head_arrival + ready_offset`)
+//!   unless the head is *parked*, or [`NEVER`] when the port is empty or
+//!   its front is granted;
 //! * `vacate_at[p]` — the cycle the port's granted front leaves the
 //!   buffer, or [`NEVER`] otherwise.
 //!
-//! Only four operations change a port's front — a push, a grant, a
-//! vacate pop, and a fault drop — and all four go through
-//! [`InputPorts`], which refreshes both arrays after each one. That keeps
+//! A ready head that the grant sweep finds blocked is parked
+//! ([`InputPorts::park`]): its `ready_at` moves to the cycle its output
+//! frees, or to [`UNTIL_DRAINED`] while its downstream buffer is full,
+//! and the engine wakes it ([`InputPorts::unpark`]) when that buffer
+//! drains or a fault strikes its module. So `ready_at[p] <= now` implies the front
+//! requests, and `ready_at[p]` is never below the front's natural ready
+//! cycle.
+//!
+//! Only four operations change a port's front — a push into an empty
+//! port, a grant, a vacate pop, and a fault drop — and all four go
+//! through [`InputPorts`], which refreshes both arrays after each one
+//! (a push behind an existing front leaves a park in place). That keeps
 //! the invariant in this file alone.
 
 use std::collections::VecDeque;
@@ -28,7 +38,12 @@ use std::collections::VecDeque;
 use crate::store::PacketRef;
 
 /// "No work due" in the due-time arrays.
-const NEVER: u64 = u64::MAX;
+pub(crate) const NEVER: u64 = u64::MAX;
+
+/// A park with no due time: the head waits until its downstream buffer
+/// drains. Distinct from [`NEVER`], so finding the waiters on a buffer
+/// reads no queue.
+pub(crate) const UNTIL_DRAINED: u64 = u64::MAX - 1;
 
 /// A packet occupying (or reserved into) one input-buffer slot.
 #[derive(Debug, Clone, Copy)]
@@ -51,6 +66,36 @@ struct Slot {
 /// the paper's buffer-full line signals upstream. Only the front slot
 /// can be granted: the next one waits for it to vacate.
 type Queue = VecDeque<Slot>;
+
+/// The first index at or after `from` whose due time in `times` has come
+/// by `now` — the one scan every due-time sweep (vacate, grant, source)
+/// uses. It tests eight entries per branch, without an early exit inside
+/// a block, so the test compiles to straight-line code.
+pub(crate) fn next_due(times: &[u64], from: usize, now: u64) -> Option<usize> {
+    const BLOCK: usize = 8;
+    let rest = times.get(from..)?;
+    let mut blocks = rest.chunks_exact(BLOCK);
+    let mut start = from;
+    for block in &mut blocks {
+        if block.iter().fold(false, |due, &t| due | (t <= now)) {
+            return block.iter().position(|&t| t <= now).map(|i| start + i);
+        }
+        start += BLOCK;
+    }
+    blocks
+        .remainder()
+        .iter()
+        .position(|&t| t <= now)
+        .map(|i| start + i)
+}
+
+/// The due cycle of `queue`'s front if it is parked (its `ready_at` moved
+/// off its natural ready cycle) and not yet due at `now`.
+fn pending_park(queue: &Queue, ready_at: u64, ready_offset: u64, now: u64) -> Option<u64> {
+    let front = queue.front()?;
+    (ready_at > now && !front.granted && ready_at != front.head_arrival + ready_offset)
+        .then_some(ready_at)
+}
 
 /// A contiguous run of one stage's input ports together with their
 /// due-time arrays — the only way to change a port's queue (see the
@@ -115,14 +160,14 @@ impl<'a> InputPorts<'a> {
         }
     }
 
-    /// Port `p`'s front packet if it may request its output at `now`:
-    /// one `ready_at` compare, and a queue read only for a ready port.
-    /// Debug builds check the compare against [`Self::requesting_head`].
+    /// Port `p`'s front packet if it is due for examination at `now`: one
+    /// `ready_at` compare, and a queue read only for a due port. A parked
+    /// head requests but is not due. Debug builds check a due port
+    /// against [`Self::requesting_head`].
     pub fn ready_head(&self, p: usize, now: u64) -> Option<PacketRef> {
         let ready = self.ready_at[p] <= now;
-        debug_assert_eq!(
-            ready,
-            self.requesting_head(p, now).is_some(),
+        debug_assert!(
+            !ready || self.requesting_head(p, now).is_some(),
             "ready_at disagrees with input port {p}'s queue at cycle {now}"
         );
         if ready {
@@ -132,8 +177,55 @@ impl<'a> InputPorts<'a> {
         }
     }
 
+    /// The cycle port `p`'s front head became (or becomes) ready to
+    /// request — `ready_at` before any park; [`NEVER`] for an empty port.
+    pub fn ready_cycle(&self, p: usize) -> u64 {
+        self.queues[p]
+            .front()
+            .map_or(NEVER, |front| front.head_arrival + self.ready_offset)
+    }
+
+    /// The cycle a parked front at port `p` is due again, if it is parked
+    /// and not yet due at `now` ([`UNTIL_DRAINED`]: parked on a full
+    /// downstream buffer).
+    pub fn park_of(&self, p: usize, now: u64) -> Option<u64> {
+        pending_park(&self.queues[p], self.ready_at[p], self.ready_offset, now)
+    }
+
+    /// Port `p`'s front packet if it is parked on a full downstream
+    /// buffer.
+    pub fn downstream_waiter(&self, p: usize) -> Option<PacketRef> {
+        if self.ready_at[p] != UNTIL_DRAINED {
+            return None;
+        }
+        self.queues[p].front().map(|front| front.packet)
+    }
+
+    /// Park port `p`'s requesting front until cycle `until` (its output's
+    /// `busy_until`), or with no due time ([`UNTIL_DRAINED`]) while its
+    /// downstream buffer is full.
+    pub fn park(&mut self, p: usize, until: u64) {
+        debug_assert!(
+            self.queues[p].front().is_some_and(
+                |front| !front.granted && front.head_arrival + self.ready_offset < until
+            ),
+            "parked input port {p} has no requesting front"
+        );
+        self.ready_at[p] = until;
+    }
+
+    /// Wake port `p`'s front if it is parked and not yet due at `now`:
+    /// restore its natural ready cycle (which has passed) and return the
+    /// park's due cycle, as [`Self::park_of`] reported it.
+    pub fn unpark(&mut self, p: usize, now: u64) -> Option<u64> {
+        let until = self.park_of(p, now)?;
+        self.refresh(p);
+        Some(until)
+    }
+
     /// Accept a packet (reservation) at port `p` whose head arrives at
-    /// `head_arrival`.
+    /// `head_arrival`. Behind an existing front nothing due changes, so
+    /// a parked front stays parked.
     pub fn push(&mut self, p: usize, packet: PacketRef, head_arrival: u64) {
         self.queues[p].push_back(Slot {
             packet,
@@ -141,7 +233,9 @@ impl<'a> InputPorts<'a> {
             vacate_at: 0,
             granted: false,
         });
-        self.refresh(p);
+        if self.queues[p].len() == 1 {
+            self.refresh(p);
+        }
     }
 
     /// Mark port `p`'s front slot granted; it will vacate at `vacate_at`
@@ -275,6 +369,24 @@ impl Stage {
     pub fn queue_lens(&self) -> impl Iterator<Item = usize> + '_ {
         self.queues.iter().map(VecDeque::len)
     }
+
+    /// Heads parked and not yet due at `now`, recounted from the ports:
+    /// `(on a busy output, on a full downstream buffer)` (debug builds
+    /// check the engine's parked gauges against this).
+    #[cfg(any(test, debug_assertions))]
+    pub fn parked(&self, now: u64) -> (u64, u64) {
+        self.queues
+            .iter()
+            .zip(&self.ready_at)
+            .filter_map(|(queue, &ready_at)| pending_park(queue, ready_at, self.ready_offset, now))
+            .fold((0, 0), |(busy, downstream), until| {
+                if until == UNTIL_DRAINED {
+                    (busy, downstream + 1)
+                } else {
+                    (busy + 1, downstream)
+                }
+            })
+    }
 }
 
 #[cfg(test)]
@@ -389,10 +501,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The due-time arrays agree with the queues after every push,
-        /// grant, vacate and drop: `ready_at[p] <= now` exactly when the
-        /// front requests (at the current cycle and at the boundary
-        /// cycles), and `vacate_at[p]` is the granted front's vacate
-        /// cycle.
+        /// grant, vacate, drop, park and wake: `ready_at[p] <= now` only
+        /// when the front requests, and a requesting front is either due
+        /// or parked; `ready_at[p]` never falls below the front's natural
+        /// ready cycle, and equals it (exactly at the boundary cycles)
+        /// unless parked; a push behind a parked front keeps the park;
+        /// and `vacate_at[p]` is the granted front's vacate cycle.
         #[test]
         fn due_time_arrays_track_the_queues(
             capacity in 1u32..5,
@@ -407,34 +521,58 @@ mod tests {
             for op in ops {
                 let p = (op >> 8) as usize % MODEL_PORTS;
                 let delay = (op >> 16) % 40;
-                match op % 5 {
+                match op % 7 {
                     0 if ports.has_space(p, capacity) => {
+                        let behind = !ports.queues[p].is_empty();
+                        let before = ports.ready_at()[p];
                         ports.push(p, packet(next_packet), now + delay);
                         next_packet += 1;
+                        if behind {
+                            prop_assert_eq!(ports.ready_at()[p], before);
+                        }
                     }
-                    1 if ports.requesting_head(p, now).is_some() => {
+                    1 if ports.ready_head(p, now).is_some() => {
                         let granted = ports.grant_front(p, now + 1 + delay);
                         prop_assert!(granted.is_some());
                     }
                     2 => {
                         ports.vacate(p, now);
                     }
-                    3 if ports.requesting_head(p, now).is_some() => {
+                    3 if ports.ready_head(p, now).is_some() => {
                         prop_assert!(ports.drop_front(p).is_some());
+                    }
+                    4 if ports.ready_head(p, now).is_some() => {
+                        let until = if delay % 2 == 0 { now + 1 + delay } else { UNTIL_DRAINED };
+                        ports.park(p, until);
+                        prop_assert_eq!(ports.park_of(p, now), Some(until));
+                    }
+                    5 => {
+                        let parked = ports.park_of(p, now);
+                        prop_assert_eq!(ports.unpark(p, now), parked);
+                        prop_assert_eq!(ports.park_of(p, now), None);
                     }
                     _ => now += delay % 8,
                 }
                 for q in 0..MODEL_PORTS {
                     let ready_at = ports.ready_at()[q];
-                    prop_assert_eq!(ready_at <= now, ports.requesting_head(q, now).is_some());
-                    if ready_at != NEVER {
-                        prop_assert!(ports.requesting_head(q, ready_at).is_some());
-                        if ready_at > 0 {
-                            prop_assert!(ports.requesting_head(q, ready_at - 1).is_none());
+                    let requesting = ports.requesting_head(q, now).is_some();
+                    let parked = ports.park_of(q, now).is_some();
+                    prop_assert!(ready_at > now || requesting);
+                    prop_assert_eq!(requesting, ready_at <= now || parked);
+                    let front = ports.queues[q].front().copied();
+                    if front.is_some_and(|front| !front.granted) {
+                        let natural = ports.ready_cycle(q);
+                        prop_assert!(ready_at >= natural);
+                        if ready_at == natural {
+                            prop_assert!(ports.requesting_head(q, ready_at).is_some());
+                            if ready_at > 0 {
+                                prop_assert!(ports.requesting_head(q, ready_at - 1).is_none());
+                            }
                         }
+                    } else {
+                        prop_assert_eq!(ready_at, NEVER);
                     }
-                    let granted_vacate = ports.queues[q]
-                        .front()
+                    let granted_vacate = front
                         .filter(|front| front.granted)
                         .map_or(NEVER, |front| front.vacate_at);
                     prop_assert_eq!(ports.vacate_at()[q], granted_vacate);

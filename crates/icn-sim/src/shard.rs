@@ -34,6 +34,20 @@
 //!   counters, telemetry — is buffered in the chunk's [`ShardEffects`]
 //!   and applied serially at the barrier, stage by stage in chunk order,
 //!   reproducing the serial sweep's exact order.
+//! * **Parks are chunk-local; wakes are serial.** A grant chunk parks
+//!   only its own heads and counts them in its own [`Parked`] gauges.
+//!   Wakes write another chunk's `ready_at` and gauges, so they never run
+//!   during a parallel phase: the vacate chunks only *record* the full
+//!   ports they free (chunk-locally), and the engine wakes those ports'
+//!   waiters in one serial pass before the grant phase; fault drops wake
+//!   theirs at the merge, and fault activations at the start of the
+//!   cycle. A parked head is exactly as blocked as when it parked — its
+//!   module and link are healthy (activations wake it), a busy output
+//!   stays busy until its `busy_until` (the park's due cycle), and a full
+//!   downstream port stays full until a vacate or drop (which wake it),
+//!   because its only writer is the output the head waits on. So leaving
+//!   it out of the sweep changes no grant, drop or event, and its chunk's
+//!   gauges count it exactly as the sweep did.
 //!
 //! Chunk boundaries therefore cannot be observed either: any
 //! `chunk_modules` (and any thread count, including the serial
@@ -47,7 +61,7 @@ use rand_chacha::ChaCha12Rng;
 use crate::config::Arbitration;
 use crate::fault::{FaultState, Health};
 use crate::metrics::StageCounters;
-use crate::module::{InputPorts, OutputPort};
+use crate::module::{next_due, InputPorts, OutputPort, UNTIL_DRAINED};
 use crate::options::EngineOptions;
 use crate::pool::WorkerPool;
 use crate::store::{PacketRef, PacketStore};
@@ -82,6 +96,10 @@ pub(crate) struct StageMeta {
     pub head_latency: u64,
 }
 
+/// "Leave the head due" in [`ShardScratch::park_at`]: no output is busy
+/// until cycle 0.
+const STAY_DUE: u64 = 0;
+
 /// Reusable per-chunk arbitration scratch (the per-module ready set).
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
@@ -89,6 +107,73 @@ pub(crate) struct ShardScratch {
     pub ready: Vec<u32>,
     /// `tag_count[out_port]` = ready heads requesting that output.
     pub tag_count: Vec<u32>,
+    /// `park_at[out_port]` = where the heads left requesting that output
+    /// park: its `busy_until`, [`UNTIL_DRAINED`] for a full downstream
+    /// buffer, or [`STAY_DUE`] (a faulted output, or one not examined
+    /// this cycle).
+    pub park_at: Vec<u64>,
+}
+
+/// One chunk's parked heads, kept as gauges so the blocked counters stay
+/// exact per head-cycle while the sweep skips them. A head parked on a
+/// busy output is due again at that output's `busy_until`, at most
+/// `head_latency + flits` cycles ahead, so those parks sit in a wake
+/// calendar of `head_latency + flits + 1` slots indexed by cycle.
+#[derive(Debug)]
+pub(crate) struct Parked {
+    /// Heads parked on a busy output and not yet due.
+    pub busy: u64,
+    /// Heads parked on a full downstream buffer.
+    pub downstream: u64,
+    /// `wakes[t % len]` = busy parks due at cycle `t`.
+    wakes: Vec<u32>,
+}
+
+impl Parked {
+    fn new(horizon: u64) -> Self {
+        Self {
+            busy: 0,
+            downstream: 0,
+            wakes: vec![0; horizon as usize + 1],
+        }
+    }
+
+    /// Count a head parked until `until` ([`UNTIL_DRAINED`]: downstream).
+    pub fn park(&mut self, until: u64) {
+        if until == UNTIL_DRAINED {
+            self.downstream += 1;
+        } else {
+            self.busy += 1;
+            let slot = (until % self.wakes.len() as u64) as usize;
+            self.wakes[slot] += 1;
+        }
+    }
+
+    /// Uncount a head woken before its park `until` came due.
+    pub fn unpark(&mut self, until: u64) {
+        if until == UNTIL_DRAINED {
+            self.downstream -= 1;
+        } else {
+            self.busy -= 1;
+            let slot = (until % self.wakes.len() as u64) as usize;
+            self.wakes[slot] -= 1;
+        }
+    }
+
+    /// Release the busy parks due at `now` and return the heads still
+    /// parked through this cycle: `(busy, downstream)`.
+    fn tick(&mut self, now: u64) -> (u64, u64) {
+        let slot = (now % self.wakes.len() as u64) as usize;
+        self.busy -= u64::from(std::mem::take(&mut self.wakes[slot]));
+        (self.busy, self.downstream)
+    }
+
+    /// Busy parks in the calendar (debug builds check it equals
+    /// [`Self::busy`]).
+    #[cfg(any(test, debug_assertions))]
+    pub fn calendar_total(&self) -> u64 {
+        self.wakes.iter().map(|&n| u64::from(n)).sum()
+    }
 }
 
 /// Everything a grant chunk produces besides its chunk-local port
@@ -193,6 +278,14 @@ pub(crate) struct ExecState {
     pub scratch: Vec<ShardScratch>,
     /// Per-chunk freed-slot counts from the vacate phase.
     pub freed: Vec<u64>,
+    /// Per-chunk ports (chunk-local) the vacate phase freed a slot in
+    /// while full: the heads upstream of them may be parked on them.
+    pub unblocked: Vec<Vec<u32>>,
+    /// Per-chunk parked-head gauges, indexed like `chunks`.
+    pub parked: Vec<Parked>,
+    /// Per stage: its first chunk's index and the modules per chunk (the
+    /// last chunk may hold fewer).
+    chunk_plan: Vec<(usize, usize)>,
     /// Input occupancy, flat: `occ[occ_base[stage] + port]`. Kept equal
     /// to each queue's length as ports change: a push adds one (source
     /// grants, merge), the vacate phase subtracts what it frees, and the
@@ -209,11 +302,12 @@ pub(crate) struct ExecState {
 
 impl ExecState {
     /// Plan chunks and allocate every per-chunk buffer for the given
-    /// stage shape.
-    pub fn build(options: &EngineOptions, meta: Vec<StageMeta>) -> Self {
+    /// stage shape and packet length.
+    pub fn build(options: &EngineOptions, meta: Vec<StageMeta>, flits: u64) -> Self {
         let threads = options.resolved_threads().max(1);
         let max_radix = meta.iter().map(|m| m.radix as usize).max().unwrap_or(0);
         let mut chunks = Vec::new();
+        let mut chunk_plan = Vec::with_capacity(meta.len());
         let mut occ_base = Vec::with_capacity(meta.len());
         let mut ports_total = 0usize;
         for (stage, m) in meta.iter().enumerate() {
@@ -225,6 +319,7 @@ impl ExecState {
                 0 => modules.div_ceil(threads * AUTO_CHUNKS_PER_THREAD).max(1),
                 n => n,
             };
+            chunk_plan.push((chunks.len(), chunk));
             let mut base = 0;
             while base < modules {
                 let span = chunk.min(modules - base);
@@ -241,9 +336,15 @@ impl ExecState {
             .map(|_| ShardScratch {
                 ready: vec![NO_TAG; max_radix],
                 tag_count: vec![0; max_radix],
+                park_at: vec![STAY_DUE; max_radix],
             })
             .collect();
         let freed = vec![0u64; chunks.len()];
+        let unblocked = (0..chunks.len()).map(|_| Vec::new()).collect();
+        let parked = chunks
+            .iter()
+            .map(|c| Parked::new(meta[c.stage].head_latency + flits))
+            .collect();
         let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
         debug_assert_eq!(pool.as_ref().map_or(0, WorkerPool::workers) + 1, threads);
         let perturb = options.perturb_seed.map(PerturbState::new);
@@ -254,11 +355,20 @@ impl ExecState {
             effects,
             scratch,
             freed,
+            unblocked,
+            parked,
+            chunk_plan,
             occ: vec![0; ports_total],
             occ_base,
             meta,
             perturb,
         }
+    }
+
+    /// The chunk holding module `module` of stage `stage`.
+    pub fn chunk_of(&self, stage: usize, module: usize) -> usize {
+        let (first, span) = self.chunk_plan[stage];
+        first + module / span
     }
 
     /// Stage `stage`'s input occupancy counts, in port order.
@@ -293,23 +403,28 @@ pub(crate) fn schedule<'a>(
 /// phase's back-pressure reads.
 pub(crate) struct VacateJob<'a> {
     pub now: u64,
+    pub capacity: u32,
     pub inputs: InputPorts<'a>,
     pub occ: &'a mut [u32],
     pub freed: &'a mut u64,
+    /// Ports freed while full, for the serial wake pass (which empties
+    /// the list).
+    pub unblocked: &'a mut Vec<u32>,
 }
 
 /// Run one vacate chunk: scan the `vacate_at` array and touch only the
-/// queues whose granted front leaves by now.
+/// queues whose granted front leaves by now. A port that was full may
+/// have heads parked on it upstream; it is recorded chunk-locally, and
+/// the engine wakes them serially after the phase.
 pub(crate) fn vacate_chunk(job: &mut VacateJob<'_>) {
     let now = job.now;
     let mut freed = 0;
     let mut scan = 0;
-    while let Some(offset) = job.inputs.vacate_at()[scan..]
-        .iter()
-        .position(|&t| t <= now)
-    {
-        let p = scan + offset;
+    while let Some(p) = next_due(job.inputs.vacate_at(), scan, now) {
         let n = job.inputs.vacate(p, now);
+        if job.occ[p] >= job.capacity {
+            job.unblocked.push(p as u32);
+        }
         job.occ[p] -= n as u32;
         freed += n;
         scan = p + 1;
@@ -351,15 +466,18 @@ pub(crate) struct GrantJob<'a> {
     /// The chunk's output ports, same layout.
     pub outputs: &'a mut [OutputPort],
     pub scratch: &'a mut ShardScratch,
+    pub parked: &'a mut Parked,
     pub fx: &'a mut ShardEffects,
 }
 
 /// Arbitrate and grant every free output of one module chunk — the exact
 /// serial sweep over `module_base .. module_base + modules`, with every
 /// globally-ordered effect deferred into [`ShardEffects`] (see the module
-/// docs for why that is behavior-identical). Modules with no ready head
+/// docs for why that is behavior-identical). Modules with no due head
 /// can grant, block or drop nothing, so the sweep jumps from one module
-/// with a due `ready_at` entry to the next.
+/// with a due `ready_at` entry to the next. Heads left blocked on a
+/// healthy output park, and the chunk's gauges count them each cycle
+/// until they are due again.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     let GrantShared {
@@ -391,6 +509,13 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     let counters = &mut fx.counters;
     let ready = &mut job.scratch.ready[..radix];
     let tag_count = &mut job.scratch.tag_count[..radix];
+    let park_at = &mut job.scratch.park_at[..radix];
+    let parked = &mut *job.parked;
+    // Heads parked through this cycle are blocked exactly as they were
+    // when they parked (see the module docs): count them here.
+    let (parked_busy, parked_downstream) = parked.tick(now);
+    counters.blocked_output_busy += parked_busy;
+    counters.blocked_downstream_full += parked_downstream;
     // Routing is a pure function of the destination; `stage_idx`'s tag is
     // the destination's digit for this stage.
     let tag_of = |r: PacketRef| routes[store.get(r).dest as usize * stage_count + stage_idx];
@@ -399,8 +524,8 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     let inputs = &mut job.inputs;
 
     let mut scan = 0;
-    while let Some(offset) = inputs.ready_at()[scan..].iter().position(|&t| t <= now) {
-        let local_m = (scan + offset) / radix;
+    while let Some(p) = next_due(inputs.ready_at(), scan, now) {
+        let local_m = p / radix;
         scan = (local_m + 1) * radix;
         let module_idx = job.desc.module_base + local_m;
         let base = local_m * radix;
@@ -438,6 +563,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
 
         // One pass over the inputs: each ready head's requested output.
         tag_count.fill(0);
+        park_at.fill(STAY_DUE);
         for (in_port, slot) in ready.iter_mut().enumerate() {
             *slot = match inputs.ready_head(base + in_port, now) {
                 Some(r) => {
@@ -496,9 +622,11 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                 }
             }
             let matching = tag_count[out_port];
-            if !job.outputs[base + out_port].free(now) {
+            let output = &job.outputs[base + out_port];
+            if !output.free(now) {
                 // Every ready head wanting this output waits for it.
                 counters.blocked_output_busy += u64::from(matching);
+                park_at[out_port] = output.busy_until;
                 continue;
             }
 
@@ -510,6 +638,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                 let downstream = next_entry[out_line as usize] as usize;
                 if occ[next_occ_base + downstream] >= capacity {
                     counters.blocked_downstream_full += u64::from(matching);
+                    park_at[out_port] = UNTIL_DRAINED;
                     continue;
                 }
             }
@@ -543,17 +672,19 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                 let output = &mut job.outputs[base + out_port];
                 output.rr_next = (winner + 1) % radix_u;
                 output.busy_until = now + head_latency + flits;
+                park_at[out_port] = output.busy_until;
             }
             counters.grants += 1;
             fx.progressed = true;
-            // Count the losers as output-busy blocked for this cycle.
+            // Count the losers as output-busy blocked for this cycle; they
+            // park until the winner's tail passes.
             counters.blocked_output_busy += u64::from(matching - 1);
 
             let winner_port = base + winner as usize;
             if record_waits {
                 // Cycles the winning head sat ready (arbitration loss,
                 // busy output, or back-pressure) before this grant.
-                fx.stage_waits.push(now - inputs.ready_at()[winner_port]);
+                fx.stage_waits.push(now - inputs.ready_cycle(winner_port));
             }
             if record_heat {
                 fx.heat_grants.push(module_idx as u32);
@@ -587,6 +718,74 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                 }
             }
         }
+
+        // Park the heads still requesting: nothing can change for them
+        // before their output frees or their downstream buffer drains.
+        for (in_port, &tag) in ready.iter().enumerate() {
+            if tag == NO_TAG {
+                continue;
+            }
+            let until = park_at[tag as usize];
+            if until != STAY_DUE {
+                inputs.park(base + in_port, until);
+                parked.park(until);
+            }
+        }
+    }
+}
+
+/// The line (an output of the stage before, or a source) that feeds
+/// stage-flat input port `port` of a radix-`radix` stage: the inverse of
+/// the perfect shuffle that wires line `l` to port
+/// `(l·radix) mod ports + ⌊l·radix / ports⌋` (see
+/// [`icn_topology::Topology`]). The engine debug-checks it against its
+/// entry table.
+pub(crate) fn upstream_line(ports: u32, radix: u32, port: u32) -> u32 {
+    (port % radix) * (ports / radix) + port / radix
+}
+
+/// Wake the heads of `inputs` (a whole stage) parked on the full buffer
+/// that output line `line` feeds: the heads in the line's module whose
+/// route takes that output. `parked` is the module's chunk's gauges.
+pub(crate) fn wake_line(
+    inputs: &mut InputPorts<'_>,
+    parked: &mut Parked,
+    radix: usize,
+    line: usize,
+    now: u64,
+    tag_of: impl Fn(PacketRef) -> u32,
+) {
+    if parked.downstream == 0 {
+        return;
+    }
+    let base = line - line % radix;
+    let out_port = (line % radix) as u32;
+    for p in base..base + radix {
+        if inputs
+            .downstream_waiter(p)
+            .is_some_and(|r| tag_of(r) == out_port)
+        {
+            if let Some(until) = inputs.unpark(p, now) {
+                parked.unpark(until);
+            }
+        }
+    }
+}
+
+/// Wake every parked head of module `module` in `inputs` (a whole
+/// stage) — a fault changed what blocks them. `parked` is the module's
+/// chunk's gauges.
+pub(crate) fn rearm_module(
+    inputs: &mut InputPorts<'_>,
+    parked: &mut Parked,
+    radix: usize,
+    module: usize,
+    now: u64,
+) {
+    for p in module * radix..(module + 1) * radix {
+        if let Some(until) = inputs.unpark(p, now) {
+            parked.unpark(until);
+        }
     }
 }
 
@@ -615,7 +814,7 @@ mod tests {
 
     #[test]
     fn serial_plan_is_one_chunk_per_stage() {
-        let exec = ExecState::build(&options(1, 0), meta(&[(4, 16), (4, 16), (2, 32)]));
+        let exec = ExecState::build(&options(1, 0), meta(&[(4, 16), (4, 16), (2, 32)]), 25);
         assert_eq!(exec.threads, 1);
         assert!(exec.pool.is_none());
         assert_eq!(exec.chunks.len(), 3);
@@ -634,6 +833,7 @@ mod tests {
                 let exec = ExecState::build(
                     &options(threads, chunk_modules),
                     meta(&[(4, 16), (2, 32), (8, 5)]),
+                    25,
                 );
                 let mut seen = vec![0u32; 3 * 32];
                 for c in &exec.chunks {
@@ -658,6 +858,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn upstream_line_inverts_the_stage_wiring() {
+        use icn_topology::{StagePlan, Topology};
+        for plan in [
+            StagePlan::uniform(4, 3),
+            StagePlan::from_radices(vec![4, 2, 2]),
+            StagePlan::balanced_pow2(2048, 16).expect("power of two"),
+        ] {
+            let topology = Topology::new(plan.clone());
+            for stage in 0..plan.stages() {
+                let radix = plan.radices()[stage as usize];
+                for line in 0..plan.ports() {
+                    let (module, port) = topology.stage_input(stage, line);
+                    let flat = module * radix + port;
+                    assert_eq!(
+                        upstream_line(plan.ports(), radix, flat),
+                        line,
+                        "{plan} stage {stage}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parked_gauges_release_busy_parks_on_their_cycle() {
+        let mut parked = Parked::new(5);
+        parked.park(13);
+        parked.park(13);
+        parked.park(UNTIL_DRAINED);
+        parked.park(11);
+        assert_eq!(parked.tick(10), (3, 1));
+        assert_eq!(parked.tick(11), (2, 1));
+        parked.unpark(UNTIL_DRAINED);
+        parked.unpark(13);
+        assert_eq!(parked.tick(12), (1, 0));
+        assert_eq!(parked.tick(13), (0, 0));
+        assert_eq!(parked.calendar_total(), 0);
     }
 
     #[test]

@@ -153,6 +153,58 @@ pub fn cases() -> Vec<ParityCase> {
         config: stall,
     });
 
+    // Contention above the knee with faults landing on blocked heads:
+    // transient stage-1 module and stage-0 link outages strike while
+    // heads wait on busy outputs and full downstream buffers, one link
+    // dies for good, and samples every 5 cycles pin the blocked
+    // counters mid-wait rather than only at the end.
+    let plan = StagePlan::uniform(16, 2);
+    let mut contended = SimConfig::paper_baseline(plan, ChipModel::Dmc, 4, Workload::uniform(0.03));
+    contended.seed = 21;
+    let mut outages = Vec::new();
+    for (i, module) in [3u32, 9, 14, 6].into_iter().enumerate() {
+        let at = 60 + 23 * i as u64;
+        outages.push(FaultEvent::transient(
+            FaultTarget::Module { stage: 1, module },
+            at,
+            12 + 8 * i as u64,
+        ));
+    }
+    for (i, (module, out_port)) in [(2u32, 5u32), (11, 0), (7, 12), (0, 9), (13, 3)]
+        .into_iter()
+        .enumerate()
+    {
+        let at = 52 + 19 * i as u64;
+        outages.push(FaultEvent::transient(
+            FaultTarget::Link {
+                stage: 0,
+                module,
+                out_port,
+            },
+            at,
+            10 + 6 * i as u64,
+        ));
+    }
+    outages.push(FaultEvent::permanent(
+        FaultTarget::Link {
+            stage: 0,
+            module: 5,
+            out_port: 7,
+        },
+        100,
+    ));
+    contended.faults = FaultPlan::new(outages);
+    contended.retry = RetryPolicy::retries(1);
+    contended.telemetry = TelemetryConfig::sampled(5);
+    contended.warmup_cycles = 40;
+    contended.measure_cycles = 80;
+    contended.drain_cycles = 150;
+    cases.push(ParityCase {
+        name: "transient_contended",
+        record_events: true,
+        config: contended,
+    });
+
     // Paper scale: the §6 2048-port DMC network, short run, result only.
     let mut big = SimConfig::paper_baseline(
         StagePlan::balanced_pow2(2048, 16).expect("power of two"),

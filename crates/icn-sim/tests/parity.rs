@@ -126,6 +126,11 @@ fn parity_matrix_exercises_the_interesting_paths() {
         .any(|c| c.config.arbitration == icn_sim::Arbitration::FixedPriority));
     assert!(cases.iter().any(|c| c.config.plan.ports() >= 2048));
     assert!(cases.iter().any(|c| !c.record_events));
+    assert!(
+        cases.iter().any(faults_land_on_blocked_heads),
+        "no recorded, densely sampled case has transient module and link \
+         faults striking blocked heads"
+    );
 
     // The recorded fixtures, between them, contain every event kind.
     let mut kinds = std::collections::BTreeSet::new();
@@ -151,4 +156,52 @@ fn parity_matrix_exercises_the_interesting_paths() {
     ] {
         assert!(kinds.contains(kind), "no fixture records `{kind}` events");
     }
+}
+
+/// Whether `case` pins how faults interact with heads waiting on busy
+/// outputs and full downstream buffers: events recorded, telemetry
+/// sampled at most every 5 cycles (so the blocked counters are compared
+/// mid-wait, not only at the end), transient module faults on a later
+/// stage and transient link faults on an earlier one, a permanent link
+/// fault, and — read from the case's own fixture — heads blocked in
+/// every sample interval in which a transient fault activates.
+fn faults_land_on_blocked_heads(case: &parity_cases::ParityCase) -> bool {
+    use icn_sim::FaultTarget;
+    let config = &case.config;
+    let interval = config.telemetry.sample_interval;
+    if !case.record_events || interval == 0 || interval > 5 {
+        return false;
+    }
+    let events = &config.faults.events;
+    let transient_module = events.iter().any(|e| {
+        e.duration.is_some() && matches!(e.target, FaultTarget::Module { stage, .. } if stage > 0)
+    });
+    let transient_link = events.iter().any(|e| {
+        e.duration.is_some()
+            && matches!(e.target, FaultTarget::Link { stage, .. }
+                if stage + 1 < config.plan.stages())
+    });
+    let permanent_link = events
+        .iter()
+        .any(|e| e.duration.is_none() && matches!(e.target, FaultTarget::Link { .. }));
+    if !(transient_module && transient_link && permanent_link) {
+        return false;
+    }
+    let result: serde_json::Value =
+        serde_json::from_str(&read_fixture(&format!("{}.result.json", case.name)))
+            .expect("fixture parses");
+    let samples = result["telemetry"]["time_series"]["samples"]
+        .as_array()
+        .expect("sampled case has a time series");
+    events.iter().filter(|e| e.duration.is_some()).all(|e| {
+        let stage = match e.target {
+            FaultTarget::Module { stage, .. } | FaultTarget::Link { stage, .. } => stage,
+            FaultTarget::SourcePort { .. } => return true,
+        };
+        // The sample taken at or after the activation covers it.
+        samples
+            .iter()
+            .find(|s| s["cycle"].as_u64().is_some_and(|c| c >= e.at_cycle))
+            .is_some_and(|s| s["stage_blocked_delta"][stage as usize].as_u64() > Some(0))
+    })
 }
