@@ -10,7 +10,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::Workload;
+use crate::{Arrivals, Workload};
 
 /// One injection event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,7 +54,10 @@ impl TrafficTrace {
         Self { ports, entries }
     }
 
-    /// Record `cycles` cycles of a workload on an `ports`-port network.
+    /// Record `cycles` cycles of a workload on an `ports`-port network,
+    /// through the same [`Arrivals`] generator and RNG order as the
+    /// simulation engine: a trace synthesized from a seed is the engine's
+    /// injection stream for that seed.
     #[must_use]
     pub fn synthesize<R: Rng + ?Sized>(
         workload: &Workload,
@@ -62,16 +65,15 @@ impl TrafficTrace {
         cycles: u64,
         rng: &mut R,
     ) -> Self {
+        let mut arrivals = Arrivals::new(workload.load, ports);
         let mut entries = Vec::new();
         for cycle in 0..cycles {
-            for src in 0..ports {
-                if workload.should_inject(rng) {
-                    entries.push(TraceEntry {
-                        cycle,
-                        src,
-                        dest: workload.destination(src, ports, rng),
-                    });
-                }
+            while let Some(src) = arrivals.next_in_cycle(cycle, rng) {
+                entries.push(TraceEntry {
+                    cycle,
+                    src,
+                    dest: workload.destination(src, ports, rng),
+                });
             }
         }
         Self { ports, entries }

@@ -2,7 +2,7 @@
 //! byte-identical (the property the icn-serve result cache builds on), and
 //! each variant's destination distribution has the shape its name promises.
 
-use icn_workloads::{Pattern, Workload};
+use icn_workloads::{Arrivals, Pattern, Workload};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -147,13 +147,14 @@ fn workload_injection_and_destinations_reproduce_from_one_seed() {
     let workload = Workload::hot_spot(0.3, 0.05, 9);
     let run = || {
         let mut rng = ChaCha8Rng::seed_from_u64(0xF00D);
-        (0..256u32)
-            .map(|src| {
-                let inject = workload.should_inject(&mut rng);
-                let dest = workload.destination(src % 64, 64, &mut rng);
-                (inject, dest)
-            })
-            .collect::<Vec<_>>()
+        let mut arrivals = Arrivals::new(workload.load, 64);
+        let mut injections = Vec::new();
+        for cycle in 0..16u64 {
+            while let Some(src) = arrivals.next_in_cycle(cycle, &mut rng) {
+                injections.push((cycle, src, workload.destination(src, 64, &mut rng)));
+            }
+        }
+        injections
     };
     assert_eq!(run(), run());
 }

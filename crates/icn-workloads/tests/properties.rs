@@ -1,6 +1,6 @@
 //! Property-based tests for the traffic generators.
 
-use icn_workloads::{Pattern, Workload};
+use icn_workloads::{Arrivals, Pattern};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,11 +53,16 @@ proptest! {
     /// Injection frequency converges to the configured load.
     #[test]
     fn injection_rate_converges(seed in any::<u64>(), load in 0.05f64..0.95) {
-        let w = Workload::uniform(load);
+        let mut arrivals = Arrivals::new(load, 20);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let n = 20_000u32;
-        let hits = (0..n).filter(|_| w.should_inject(&mut rng)).count();
-        let rate = f64::from(hits as u32) / f64::from(n);
+        let mut hits = 0u32;
+        for cycle in 0..u64::from(n / 20) {
+            while arrivals.next_in_cycle(cycle, &mut rng).is_some() {
+                hits += 1;
+            }
+        }
+        let rate = f64::from(hits) / f64::from(n);
         prop_assert!((rate - load).abs() < 0.02, "rate {rate} vs load {load}");
     }
 
