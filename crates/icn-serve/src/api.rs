@@ -354,6 +354,19 @@ fn validate_pattern(pattern: &Pattern, ports: u32) -> Result<(), String> {
     }
 }
 
+/// The content key of a `simulate` or `explore` body. Both come from the
+/// simulator's seeded random stream, so the key folds in
+/// [`icn_sim::STREAM_VERSION`]: a body journaled or spilled by a build with
+/// another stream is a miss, never a wrong answer. (`evaluate` bodies are
+/// closed-form and keyed by [`content_key`] alone.)
+#[must_use]
+pub fn stream_key(endpoint: &str, canonical: &str) -> String {
+    content_key(
+        endpoint,
+        &format!("stream {}\n{canonical}", icn_sim::STREAM_VERSION),
+    )
+}
+
 /// Hash a canonical configuration into a content key.
 ///
 /// Two independent 64-bit FNV-1a streams (different offset bases) are

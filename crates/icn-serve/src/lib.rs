@@ -40,8 +40,9 @@
 //!    pure function of its resolved configuration (PR 3's replay-parity
 //!    guarantee), so the [`cache`] is content-addressed: requests are
 //!    resolved to the fully explicit config, canonically re-serialized,
-//!    and hashed ([`api::content_key`]). Cache hits are byte-identical to
-//!    the first response.
+//!    and hashed ([`api::content_key`]; simulated bodies also hash the
+//!    simulator's [`icn_sim::STREAM_VERSION`], [`api::stream_key`]). Cache
+//!    hits are byte-identical to the first response.
 //! 2. **Bounded queues turn overload into backpressure.** Both the
 //!    connection handoff and the [`jobs`] queue are bounded; beyond
 //!    capacity the service answers `429`/`503` with `Retry-After` instead
@@ -87,7 +88,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use api::{
-    content_key, ExploreRequest, Limits, Priority, ResolvedExplore, SimulateRequest,
+    content_key, stream_key, ExploreRequest, Limits, Priority, ResolvedExplore, SimulateRequest,
     MIN_WATCHDOG_CYCLES,
 };
 pub use cache::{CacheStats, ResultCache};

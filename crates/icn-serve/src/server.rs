@@ -45,7 +45,9 @@ use std::time::{Duration, Instant};
 use icn_sim::{SimConfig, SimError};
 use serde::Serialize;
 
-use crate::api::{content_key, ExploreRequest, Limits, ResolvedExplore, SimulateRequest};
+use crate::api::{
+    content_key, stream_key, ExploreRequest, Limits, ResolvedExplore, SimulateRequest,
+};
 use crate::cache::{CacheStats, ResultCache};
 use crate::http::{read_request, ChunkedResponse, HttpError, Request, Response};
 use crate::jobs::{retry_after_secs, Enqueue, JobPayload, JobQueue, JobState, TakenJob};
@@ -783,7 +785,7 @@ fn simulate(state: &ServerState, body: &[u8], trace_id: &str, started: Instant) 
         Err(e) => return Response::json(500, error_body(&format!("canonicalizing config: {e}"))),
     };
     trace.span("parse", parse_started);
-    let key = content_key("simulate", &canonical);
+    let key = stream_key("simulate", &canonical);
     let lookup_started = Instant::now();
     if let Some(body) = state.cache().get(&key) {
         return Response::json(200, body.as_str()).with_header("x-icn-cache", "hit");
@@ -822,7 +824,7 @@ fn explore(state: &ServerState, body: &[u8], trace_id: &str, started: Instant) -
         Err(e) => return Response::json(500, error_body(&format!("canonicalizing grid: {e}"))),
     };
     trace.span("parse", parse_started);
-    let key = content_key("explore", &canonical);
+    let key = stream_key("explore", &canonical);
     let lookup_started = Instant::now();
     if let Some(body) = state.cache().get(&key) {
         return Response::json(200, body.as_str()).with_header("x-icn-cache", "hit");

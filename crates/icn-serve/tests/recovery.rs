@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 
 use icn_serve::journal::{compaction_records, JobRecord, Journal, Record, COMPACT_THRESHOLD_BYTES};
 use icn_serve::{
-    content_key, DiskStore, Limits, Priority, ResultCache, ServeConfig, Server, SimulateRequest,
+    content_key, stream_key, DiskStore, Limits, Priority, ResultCache, ServeConfig, Server,
+    SimulateRequest,
 };
 use proptest::prelude::*;
 
@@ -186,7 +187,7 @@ fn canonical_sim(seed: u64) -> (String, String, String) {
     let request: SimulateRequest = serde_json::from_str(&request_json).expect("request json");
     let config = request.resolve(&Limits::default()).expect("resolvable");
     let canonical = serde_json::to_string(&config).expect("canonical");
-    let key = content_key("simulate", &canonical);
+    let key = stream_key("simulate", &canonical);
     (request_json, canonical, key)
 }
 
@@ -380,6 +381,66 @@ fn recovery_restores_spilled_bodies_without_rerunning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A body computed under an older random stream is never served for the
+/// same configuration. The journal holds a completed simulate job under
+/// the key form from before the stream version joined the key (the bare
+/// `content_key`); a fresh POST of that configuration is a miss, and the
+/// job it starts answers exactly what `try_run` computes today.
+#[test]
+fn results_from_an_older_random_stream_are_misses() {
+    let dir = scratch("stream");
+    let journal_path = dir.join("jobs.journal");
+    let (request_json, canonical, key) = canonical_sim(9004);
+    let old_key = content_key("simulate", &canonical);
+    assert_ne!(old_key, key);
+    let stale_body = r#"{"stale":"older stream","delivered_total":1}"#;
+    {
+        let mut journal = Journal::open(&journal_path).unwrap();
+        journal
+            .append(&Record::Submit {
+                id: 1,
+                key: old_key.clone(),
+                priority: Priority::Normal,
+                deadline_ms: None,
+                config: canonical.clone(),
+            })
+            .unwrap();
+        journal
+            .append(&Record::Complete {
+                id: 1,
+                key: old_key,
+                body: Some(stale_body.to_string()),
+            })
+            .unwrap();
+    }
+
+    let server = Server::bind(serve_config(&dir)).expect("bind over an older journal");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("run"));
+
+    // The old job keeps its own result...
+    let (status, _, body) = call(addr, "GET", "/v1/jobs/1/result", "");
+    assert_eq!(status, 200);
+    assert_eq!(body, stale_body);
+
+    // ...but the same configuration posted afresh is a miss (a queued job,
+    // not a 200 hit) whose result is today's stream.
+    let (status, _, accepted) = call(addr, "POST", "/v1/simulate", &request_json);
+    assert_eq!(status, 202, "a miss starts a job: {accepted}");
+    let accepted: serde_json::Value = serde_json::from_str(&accepted).unwrap();
+    let id = accepted["job"].as_u64().expect("job id");
+    let (status, body) = poll_result(addr, id);
+    assert_eq!(status, 200, "{body}");
+    let config: icn_sim::SimConfig = serde_json::from_str(&canonical).unwrap();
+    let expected = serde_json::to_string(&icn_sim::try_run(config).unwrap()).unwrap();
+    assert_eq!(body, expected, "the fresh result is try_run's");
+
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unparseable_journaled_config_fails_closed() {
     let dir = scratch("unparseable");
@@ -421,7 +482,7 @@ fn journaled_explore_job_is_rerun_after_a_crash() {
         serde_json::from_str(r#"{"grid":"paper","spot_checks":1}"#).unwrap();
     let resolved = request.resolve(&Limits::default()).expect("resolvable");
     let canonical = serde_json::to_string(&resolved).expect("canonical");
-    let key = content_key("explore", &canonical);
+    let key = stream_key("explore", &canonical);
     assert!(key.starts_with("explore:"), "prefix drives recovery");
 
     // A journal whose only job is an explore sweep that never finished.

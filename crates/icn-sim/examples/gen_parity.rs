@@ -9,7 +9,9 @@
 //! and the full event stream — for the fixed-seed matrix in
 //! `tests/common/parity_cases.rs`. Only regenerate them for an
 //! *intentional* behaviour change (and say so in the commit); a perf
-//! refactor must never need to.
+//! refactor must never need to, unless it changes the random stream on
+//! purpose — then it bumps `icn_sim::STREAM_VERSION`, as geometric
+//! arrivals did.
 
 #[path = "../tests/common/parity_cases.rs"]
 mod parity_cases;

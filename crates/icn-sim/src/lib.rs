@@ -75,3 +75,12 @@ pub use telemetry::{
     TimeSeries, TraceBuilder,
 };
 pub use trace::{HopTrace, PacketTrace};
+
+/// Version of the simulator's seeded random stream: which draws a seed
+/// turns into which arrivals and destinations. It changes only when the
+/// results of a fixed seed change on purpose, and anything that keeps
+/// simulated results by configuration (the service's cache and journal)
+/// folds it into its keys. Version 2 draws each injection's geometric gap
+/// ([`icn_workloads::Arrivals`]) where version 1 drew one Bernoulli trial
+/// per port per cycle.
+pub const STREAM_VERSION: u32 = 2;

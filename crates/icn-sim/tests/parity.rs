@@ -3,12 +3,18 @@
 //! and the complete event stream — must match the checked-in fixtures
 //! exactly, for every fixed-seed configuration in the parity matrix.
 //!
-//! The fixtures were captured from the engine *before* the hot-path
-//! optimization (arena packet store, precomputed routes, scratch-buffer
-//! reuse), so these tests prove the optimization changed no behaviour.
-//! If a test fails after an *intentional* semantic change, regenerate
-//! with `cargo run --release -p icn-sim --example gen_parity` and review
-//! the fixture diff line by line.
+//! The fixtures were first captured before the hot-path optimization
+//! (arena packet store, precomputed routes, scratch-buffer reuse) and
+//! have stayed byte-identical through every optimization since, so these
+//! tests prove the optimizations changed no behaviour. They were
+//! regenerated once on purpose, when injection moved to geometric gaps
+//! (`icn_sim::STREAM_VERSION` 2): that changed the random stream a seed
+//! produces, not the arrival process, and the arrival statistics suite
+//! (`icn-workloads/tests/arrivals.rs`) checks the new stream against the
+//! per-trial Bernoulli source. If a test fails after an *intentional*
+//! semantic change, regenerate with
+//! `cargo run --release -p icn-sim --example gen_parity` and review the
+//! fixture diff line by line.
 
 #[path = "common/parity_cases.rs"]
 mod parity_cases;
