@@ -33,9 +33,9 @@
 //!                              stay >= 95% of the telemetry-off run
 //!                              (throughput itself: see perfbench/README.md)
 //! icn lint [--json] [PATH ..]  run the ICN determinism/panic-freedom rules
-//!                              (ICN001-ICN005) and the shard-concurrency
-//!                              pass (ICN201-ICN205) over the workspace
-//!                              sources, or over the given files/dirs
+//!                              (ICN001-ICN005) and lock confinement
+//!                              (ICN203) over the workspace sources, or
+//!                              over the given files/dirs
 //! icn lint config <spec.json>  statically check a design point against the
 //!                              paper's pin/board/clock limits (ICN101-ICN106)
 //! icn serve [--addr A] [...]   HTTP design-evaluation / simulation job
@@ -143,7 +143,7 @@ fn usage() -> &'static str {
      \t          [--retry-limit N] [--watchdog-cycles N]\n\
      \t          [--warmup-cycles N] [--measure-cycles N] [--drain-cycles N]\n\
      \t          [--sample-interval K] [--telemetry-out dump.jsonl|series.csv]\n\
-     \t          [--profile] [--threads N]\n\
+     \t          [--profile]\n\
      \t inspect <dump.jsonl>\n\
      \t trace <dump.jsonl | http://HOST:PORT/v1/jobs/ID/trace>\n\
      \t metrics <http://HOST:PORT/v1/metrics | metrics.txt>\n\
@@ -177,12 +177,12 @@ struct Options {
     warmup_cycles: Option<u64>,
     measure_cycles: Option<u64>,
     drain_cycles: Option<u64>,
-    /// `simulate`/`explore --threads`: shard one run across this many
+    /// `explore --threads`: fan candidate chunks across this many
     /// threads (1 = serial, 0 = one per core). Results are byte-identical
     /// for every value.
     threads: usize,
-    /// `serve --sim-threads`: per-job shard-thread budget for the
-    /// service's engines (journal replay included).
+    /// `serve --sim-threads`: each explore job's fan-out budget
+    /// (simulation jobs run serially).
     sim_threads: usize,
     smoke: bool,
     iters: u32,
@@ -262,6 +262,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.load = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&load| icn_workloads::validate_load(load).is_ok())
                     .ok_or("--load needs a number in [0,1]")?;
             }
             "--ports" => {
@@ -1083,7 +1084,7 @@ fn load_grid(arg: &str) -> Result<icn_explore::GridSpec, Failure> {
 }
 
 /// `icn explore --grid <…>` — the streaming engine: enumerate the grid,
-/// evaluate across `--threads` shards, and print the Pareto frontier
+/// evaluate across `--threads` threads, and print the Pareto frontier
 /// (delay × area × pins × cost) with simulator spot-checks. Output is
 /// byte-identical at every thread count.
 fn explore_grid(opts: &Options) -> Result<(), Failure> {
@@ -1424,10 +1425,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
             }
             // try_with_options validates the config and fault plan; a bad
             // request is a typed error and a nonzero exit, never a panic.
-            // --threads only changes how fast the result is produced.
-            let mut engine =
-                Engine::try_with_options(config, icn_sim::EngineOptions::threaded(opts.threads))
-                    .map_err(|e| Failure::Usage(e.to_string()))?;
+            let mut engine = Engine::try_with_options(config, icn_sim::EngineOptions::default())
+                .map_err(|e| Failure::Usage(e.to_string()))?;
             // A JSONL dump includes the event stream, so capture it; the
             // CSV form is the time series only.
             let capture_events = opts
@@ -1590,9 +1589,8 @@ fn serve(opts: &Options) -> Result<(), Failure> {
 
 /// `icn lint [--json] [PATH ...]` — run the ICN source rules. With no
 /// paths (or a single workspace-root path), the whole workspace is
-/// scanned; otherwise each path (a `.rs` file or a directory) selects a
-/// subset for the per-file rules, while the crate-level ICN200 pass still
-/// analyzes every crate the selection touches.
+/// scanned; otherwise each path (a `.rs` file or a directory) selects the
+/// files to lint.
 /// `icn lint config <spec.json> [--json]` — statically check a design point
 /// against the paper's pin/board/clock constraints (ICN101–ICN106).
 fn lint(args: &[String]) -> Result<(), Failure> {

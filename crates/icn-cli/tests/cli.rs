@@ -663,6 +663,11 @@ fn exit_codes_are_distinct_and_stable() {
         vec!["frobnicate"],
         vec!["simulate", "--ports", "100"],
         vec!["simulate", "--ports", "16", "--width", "0"],
+        // An offered load is a probability: out of range or not a number
+        // is refused while parsing, before any workload is built.
+        vec!["simulate", "--ports", "16", "--load", "2"],
+        vec!["simulate", "--ports", "16", "--load", "-1"],
+        vec!["simulate", "--ports", "16", "--load", "nan"],
         vec!["lint", "--frobnicate"],
         vec!["inspect"],
         vec!["explore", "--grid"],

@@ -4,7 +4,7 @@
 //!
 //! PR 3 proved the engine deterministic *dynamically* (byte-identical parity
 //! fixtures); this crate makes determinism a *statically checked* invariant.
-//! Two families of rules:
+//! Three families of rules:
 //!
 //! * **Source rules** (ICN001–ICN005), run by [`scan_workspace`] over every
 //!   first-party `src/` file and surfaced as `icn lint`:
@@ -23,35 +23,24 @@
 //!   `// icn-lint: allow(ICN003) -- reason` (the reason is mandatory; a
 //!   bare directive is reported as ICN000 and ignored).
 //!
+//! * **Lock confinement** (ICN203), a source rule scoped to `icn-sim`:
+//!   `Mutex`/`RwLock`/`Condvar`/`spawn(` appear only in `pool.rs`, whose
+//!   `ordered_map` is the crate's one fan-out. The engine itself is serial.
+//!
 //! * **Design rules** (ICN101–ICN106), run by
 //!   [`design_rules::check_design_json`] and surfaced as `icn lint config`:
 //!   the paper's pin-budget (eq. 3.1–3.4), die-area (§3.2), board-layout
 //!   (§3.3–3.4), and clock-skew (eq. 5.3) constraints checked statically
 //!   against a JSON design spec before any simulation runs.
 //!
-//! * **Concurrency rules** (ICN201–ICN205), run per crate wherever shard
-//!   kernels exist and surfaced through the same `icn lint` entry points:
-//!   the PR 8 sharding contract — shard purity, no interior mutability in
-//!   shard-reachable code, lock confinement to `pool.rs`, vacate/grant
-//!   barrier pairing, and chunk-index merge order — promoted from a parity
-//!   suite and a nightly TSan sweep into machine-checked rules. See
-//!   [`concurrency`].
-//!
-//! The analyzer is entirely first-party (the build vendors no `syn`): the
-//! token rules run over a hand-rolled scanner ([`lexer`]), and the
-//! concurrency pass runs over a tolerant recursive-descent parser
-//! ([`parse`]) producing a lightweight AST ([`ast`]), a per-crate symbol
-//! table, and a shard-reachability call graph ([`resolve`]). DESIGN.md §8
-//! records what that scope excludes.
+//! The analyzer is entirely first-party (the build vendors no `syn`): every
+//! source rule runs over a hand-rolled scanner ([`lexer`]) one file at a
+//! time. DESIGN.md §8 records what that scope excludes.
 
-pub mod ast;
-pub mod concurrency;
 pub mod design_rules;
 pub mod diagnostics;
 pub mod lexer;
-pub mod parse;
 pub mod report;
-pub mod resolve;
 pub mod rules;
 pub mod walk;
 

@@ -1,4 +1,4 @@
-//! The ICN source rules (ICN001–ICN005) over a lexed token stream.
+//! The ICN source rules (ICN001–ICN005, ICN203) over a lexed token stream.
 //!
 //! Each rule keys on identifier/punctuation patterns that are unambiguous at
 //! the token level; anything that needs type resolution (e.g. *which* type a
@@ -28,6 +28,12 @@ impl FileContext {
         self.crate_name == "icn-sim" || self.crate_name == "icn-explore"
     }
 
+    /// ICN203 scope: every `icn-sim` file except `pool.rs`, the crate's
+    /// one fan-out.
+    fn confines_threads(&self) -> bool {
+        self.crate_name == "icn-sim" && !self.rel_path.ends_with("/pool.rs")
+    }
+
     /// ICN002 scope: simulation logic — the engine, the workload/traffic
     /// generators that feed it, and the deterministic exploration engine.
     fn is_simulation_logic(&self) -> bool {
@@ -53,12 +59,15 @@ pub fn check_file(ctx: &FileContext, lexed: &LexedFile) -> Vec<Diagnostic> {
     }
     icn004_no_float_eq(ctx, lexed, &tokens, &mut diags);
     icn005_pub_api_docs(ctx, lexed, &tokens, &mut diags);
+    if ctx.confines_threads() {
+        icn203_lock_confinement(ctx, lexed, &tokens, &mut diags);
+    }
     diags
 }
 
 /// Strip the bodies of `#[cfg(test)] mod … { … }` items: tests are allowed
 /// to panic, use `HashMap`, and compare floats at will.
-pub(crate) fn without_test_modules(tokens: &[Token]) -> Vec<Token> {
+fn without_test_modules(tokens: &[Token]) -> Vec<Token> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0usize;
     while i < tokens.len() {
@@ -128,7 +137,7 @@ fn skip_attr(tokens: &[Token], i: usize) -> usize {
     tokens.len()
 }
 
-pub(crate) fn push_unless_allowed(
+fn push_unless_allowed(
     ctx: &FileContext,
     lexed: &LexedFile,
     diags: &mut Vec<Diagnostic>,
@@ -315,6 +324,45 @@ fn icn004_no_float_eq(
                 );
             }
         }
+    }
+}
+
+/// ICN203 `lock-confinement`: `Mutex`/`RwLock`/`Condvar` and `spawn(…)`
+/// in `icn-sim` outside `pool.rs`. The engine steps on its caller's
+/// thread; the crate's one fan-out, `ordered_map`, lives in `pool.rs`, so
+/// a lock or a spawn anywhere else is a second concurrency mechanism.
+/// Each (line, name) is reported once.
+fn icn203_lock_confinement(
+    ctx: &FileContext,
+    lexed: &LexedFile,
+    tokens: &[Token],
+    diags: &mut Vec<Diagnostic>,
+) {
+    let mut flagged: Vec<(u32, &str)> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if t.kind != TokenKind::Ident {
+            continue;
+        }
+        let what = match t.text.as_str() {
+            "Mutex" | "RwLock" | "Condvar" => format!("synchronization primitive `{}`", t.text),
+            "spawn" if tokens.get(i + 1).is_some_and(|n| n.is_punct('(')) => {
+                "thread spawn".to_string()
+            }
+            _ => continue,
+        };
+        if flagged.contains(&(t.line, t.text.as_str())) {
+            continue;
+        }
+        flagged.push((t.line, t.text.as_str()));
+        push_unless_allowed(
+            ctx,
+            lexed,
+            diags,
+            "ICN203",
+            t.line,
+            format!("{what} outside pool.rs"),
+            "fan out through pool::ordered_map; annotate why a site outside the engine cycle needs its own primitive",
+        );
     }
 }
 
@@ -585,5 +633,26 @@ mod tests {
         assert!(got.contains(&"ICN003".to_string()), "{got:?}");
         let wrong_code = "let x = o.unwrap(); // icn-lint: allow(ICN001) -- not this rule\n";
         assert_eq!(codes("icn-sim", wrong_code), vec!["ICN003"]);
+    }
+
+    #[test]
+    fn icn203_confines_locks_to_pool_rs() {
+        let src = "fn f() { let m = Mutex::new(Mutex::new(0)); thread::spawn(|| {});\n }\n\
+                   fn g() { let c = Condvar::new(); let l: RwLock<u8>; scope.spawn; }\n";
+        assert_eq!(codes("icn-sim", src), vec!["ICN203"; 4]);
+        let pool = FileContext {
+            rel_path: "crates/icn-sim/src/pool.rs".to_string(),
+            crate_name: "icn-sim".to_string(),
+            is_crate_root: false,
+        };
+        let with_docs = format!("//! The pool.\n{src}");
+        assert!(check_file(&pool, &lex(&with_docs)).is_empty());
+        assert!(codes("icn-serve", src).is_empty());
+        let allowed =
+            "// icn-lint: allow(ICN203) -- consumer-side handle, never shared with the engine\n\
+                       fn f() { let m = Mutex::new(0); }\n";
+        assert!(codes("icn-sim", allowed).is_empty());
+        let tests_only = "#[cfg(test)]\nmod tests {\n fn f() { std::thread::spawn(|| {}); }\n}\n";
+        assert!(codes("icn-sim", tests_only).is_empty());
     }
 }

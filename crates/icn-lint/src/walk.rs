@@ -2,22 +2,14 @@
 //!
 //! Two entry points: [`scan_workspace`] walks the whole workspace, and
 //! [`scan_paths`] lints a user-selected subset of files or directories
-//! (the `icn lint [PATH ...]` form CI uses to keep the gate fast). Both
-//! run the per-file rules (ICN001–ICN005) on the files in scope and the
-//! crate-level ICN200 concurrency pass on every crate touched by the
-//! scope. The concurrency pass is deliberately crate-global even under
-//! `scan_paths`: shard-reachability is a whole-crate property, so linting
-//! `crates/icn-sim/src/engine.rs` still builds the call graph from all of
-//! `icn-sim` — otherwise a subset scan could miss a violation a full scan
-//! reports, and the CI snapshot diff would be unsound.
+//! (the `icn lint [PATH ...]` form CI uses to keep the gate fast). Every
+//! rule is per file, so a subset scan reports exactly the full scan's
+//! findings for the files it selects.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::concurrency;
 use crate::diagnostics::{self, Diagnostic};
-use crate::lexer::{self, LexedFile};
-use crate::resolve::CrateIndex;
+use crate::lexer;
 use crate::rules::{check_file, FileContext};
 
 /// A failure to read the tree being linted.
@@ -37,13 +29,6 @@ impl core::fmt::Display for WalkError {
 
 impl std::error::Error for WalkError {}
 
-/// One loaded source file of a crate.
-struct LoadedFile {
-    abs: PathBuf,
-    rel: String,
-    lexed: LexedFile,
-}
-
 /// Lint every first-party library source file under `root` (a workspace
 /// directory laid out like this repository: `crates/<name>/src/**/*.rs`,
 /// plus the root package's own `src/`). Test suites, examples, and benches
@@ -57,18 +42,21 @@ struct LoadedFile {
 /// # Errors
 /// Returns a [`WalkError`] if a directory or file cannot be read.
 pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
+    let mut srcs: Vec<(PathBuf, String)> = Vec::new();
+    for crate_dir in sorted_dir(&root.join("crates"))? {
+        srcs.push((crate_dir.join("src"), dir_name(&crate_dir)));
+    }
+    srcs.push((root.join("src"), dir_name(root)));
     let mut diags = Vec::new();
-    let crates_dir = root.join("crates");
-    for crate_dir in sorted_dir(&crates_dir)? {
-        let src = crate_dir.join("src");
+    for (src, crate_name) in srcs {
         if !src.is_dir() {
             continue;
         }
-        scan_crate(root, &src, &dir_name(&crate_dir), None, &mut diags)?;
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        scan_crate(root, &root_src, &dir_name(root), None, &mut diags)?;
+        let crate_root = src.join("lib.rs");
+        for file in rust_files(&src)? {
+            let is_crate_root = file == crate_root;
+            lint_file(root, &file, crate_name.clone(), is_crate_root, &mut diags)?;
+        }
     }
     diagnostics::sort(&mut diags);
     Ok(diags)
@@ -78,10 +66,6 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
 /// filtered to files under a `src/`). Paths are resolved relative to
 /// `root`, which must be the workspace root so crate membership and
 /// relative diagnostic paths stay identical to a full scan.
-///
-/// Per-file rules run only on the selected files; the crate-level ICN200
-/// pass runs on the *whole* owning crate whenever the selection touches
-/// it (see the module docs for why).
 ///
 /// # Errors
 /// Returns a [`WalkError`] if a path does not exist or cannot be read.
@@ -115,68 +99,38 @@ pub fn scan_paths(root: &Path, paths: &[PathBuf]) -> Result<Vec<Diagnostic>, Wal
     selected.sort();
     selected.dedup();
 
-    // Group the selection by owning crate.
-    let mut by_crate: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
-    let mut loose: Vec<PathBuf> = Vec::new();
-    for f in selected {
-        match crate_of(root, &f) {
-            Some((name, _src)) => by_crate.entry(name).or_default().push(f),
-            None => loose.push(f),
-        }
-    }
-
     let mut diags = Vec::new();
-    for (crate_name, files) in &by_crate {
-        let src = crate_src_dir(root, crate_name);
-        scan_crate(root, &src, crate_name, Some(files), &mut diags)?;
-    }
-    // Files outside the recognized crate layout (e.g. fixtures given
-    // directly) still get the per-file rules, keyed by their parent dir.
-    for f in &loose {
-        let lexed = lex_file(f)?;
-        let ctx = FileContext {
-            rel_path: rel_slash_path(root, f),
-            crate_name: f.parent().map_or_else(String::new, dir_name),
-            is_crate_root: false,
+    for f in &selected {
+        // Files outside the recognized crate layout (e.g. fixtures given
+        // directly) still get the per-file rules, keyed by their parent dir.
+        let (crate_name, is_crate_root) = match crate_of(root, f) {
+            Some((name, src)) => (name, *f == src.join("lib.rs")),
+            None => (f.parent().map_or_else(String::new, dir_name), false),
         };
-        diags.extend(check_file(&ctx, &lexed));
+        lint_file(root, f, crate_name, is_crate_root, &mut diags)?;
     }
     diagnostics::sort(&mut diags);
     Ok(diags)
 }
 
-/// Lint one crate: per-file rules over `only` (or every file when `None`),
-/// then the crate-level concurrency pass over the whole crate.
-fn scan_crate(
+/// Read, lex and lint one source file.
+fn lint_file(
     root: &Path,
-    src: &Path,
-    crate_name: &str,
-    only: Option<&Vec<PathBuf>>,
+    file: &Path,
+    crate_name: String,
+    is_crate_root: bool,
     diags: &mut Vec<Diagnostic>,
 ) -> Result<(), WalkError> {
-    let crate_root = src.join("lib.rs");
-    let mut loaded: Vec<LoadedFile> = Vec::new();
-    for file in rust_files(src)? {
-        let lexed = lex_file(&file)?;
-        loaded.push(LoadedFile {
-            rel: rel_slash_path(root, &file),
-            abs: file,
-            lexed,
-        });
-    }
-    for lf in &loaded {
-        if only.is_some_and(|sel| !sel.contains(&lf.abs)) {
-            continue;
-        }
-        let ctx = FileContext {
-            rel_path: lf.rel.clone(),
-            crate_name: crate_name.to_string(),
-            is_crate_root: lf.abs == crate_root,
-        };
-        diags.extend(check_file(&ctx, &lf.lexed));
-    }
-    let index = CrateIndex::build(loaded.into_iter().map(|lf| (lf.rel, lf.lexed)).collect());
-    diags.extend(concurrency::check_crate(crate_name, &index));
+    let source = std::fs::read_to_string(file).map_err(|e| WalkError {
+        path: file.to_path_buf(),
+        source: e,
+    })?;
+    let ctx = FileContext {
+        rel_path: rel_slash_path(root, file),
+        crate_name,
+        is_crate_root,
+    };
+    diags.extend(check_file(&ctx, &lexer::lex(&source)));
     Ok(())
 }
 
@@ -194,25 +148,6 @@ fn crate_of(root: &Path, file: &Path) -> Option<(String, PathBuf)> {
         return Some((dir_name(root), root.join("src")));
     }
     None
-}
-
-/// The `src/` dir for a crate name resolved by [`crate_of`].
-fn crate_src_dir(root: &Path, crate_name: &str) -> PathBuf {
-    let nested = root.join("crates").join(crate_name).join("src");
-    if nested.is_dir() {
-        nested
-    } else {
-        root.join("src")
-    }
-}
-
-/// Read and lex one source file.
-fn lex_file(file: &Path) -> Result<LexedFile, WalkError> {
-    let source = std::fs::read_to_string(file).map_err(|e| WalkError {
-        path: file.to_path_buf(),
-        source: e,
-    })?;
-    Ok(lexer::lex(&source))
 }
 
 /// All `.rs` files under `dir`, recursively, in sorted order.

@@ -1,13 +1,12 @@
 //! End-to-end analyzer gates.
 //!
 //! Golden tests pin the exact human and JSON reports for a fixture
-//! workspace that violates each source rule once and for a miniature
-//! sharded engine that violates each ICN200 concurrency rule once; an
-//! allow fixture proves the escape hatch; a self-scan requires the real
-//! workspace to stay clean (and a committed snapshot pins the CI subset
-//! scan of icn-sim); and design-rule goldens pin `icn lint config`
-//! output for the paper's 2048-port example (feasible) and a W=8 variant
-//! that breaks every physical constraint (infeasible).
+//! workspace that violates each source rule once; an allow fixture proves
+//! the escape hatch; a self-scan requires the real workspace to stay clean
+//! (and a committed snapshot pins the CI subset scan of icn-sim); and
+//! design-rule goldens pin `icn lint config` output for the paper's
+//! 2048-port example (feasible) and a W=8 variant that breaks every
+//! physical constraint (infeasible).
 
 use std::path::{Path, PathBuf};
 
@@ -25,13 +24,14 @@ fn violating_fixture_matches_goldens_and_fails() {
     // The seeded ICN001/ICN003 violations (among others) must fail the
     // build — this is the behavior the CI lint job relies on.
     assert!(is_failure(&diags));
-    for code in ["ICN001", "ICN002", "ICN003", "ICN004", "ICN005"] {
+    for code in ["ICN001", "ICN002", "ICN003", "ICN004", "ICN005", "ICN203"] {
         assert_eq!(
             diags.iter().filter(|d| d.code == code).count(),
             1,
             "expected exactly one {code}"
         );
     }
+    assert_eq!(diags.len(), 6, "no incidental findings in the fixture");
     assert_eq!(
         render_human(&diags),
         include_str!("fixtures/violating.human.golden")
@@ -43,44 +43,16 @@ fn violating_fixture_matches_goldens_and_fails() {
 }
 
 #[test]
-fn concurrency_fixture_matches_goldens_and_fails() {
-    let diags = scan_workspace(&fixture("concurrency")).expect("fixture scans");
-    assert!(is_failure(&diags));
-    // Mutation-style detection-power gate: each ICN200 rule must flag its
-    // seeded violation exactly once — delete one from the fixture and this
-    // (plus the byte-exact goldens below) fails.
-    for code in ["ICN201", "ICN202", "ICN203", "ICN204", "ICN205"] {
-        assert_eq!(
-            diags.iter().filter(|d| d.code == code).count(),
-            1,
-            "expected exactly one {code}"
-        );
-    }
-    assert_eq!(diags.len(), 5, "no incidental findings in the fixture");
-    assert_eq!(
-        render_human(&diags),
-        include_str!("fixtures/concurrency.human.golden")
-    );
-    assert_eq!(
-        render_json(&diags),
-        include_str!("fixtures/concurrency.json.golden")
-    );
-}
-
-#[test]
-fn subset_scan_still_runs_the_crate_level_pass() {
-    // Selecting only engine.rs must not hide the crate's other ICN200
-    // findings: shard-reachability is a whole-crate property, so the
-    // ICN202 violation seeded in shard.rs still surfaces.
-    let root = fixture("concurrency");
-    let diags =
-        scan_paths(&root, &[PathBuf::from("crates/icn-sim/src/engine.rs")]).expect("subset scans");
-    let codes: Vec<&str> = diags.iter().map(|d| d.code.as_str()).collect();
-    assert!(codes.contains(&"ICN202"), "{codes:?}");
-    assert!(codes.contains(&"ICN201"), "{codes:?}");
-    // Per-file rules stay scoped to the selection: the full-scan and the
-    // subset scan agree here because the fixture has no ICN001–005 noise.
-    assert_eq!(diags.len(), 5, "{codes:?}");
+fn subset_scan_reports_the_full_scan_findings_for_its_files() {
+    // Every rule is per file, so selecting a file reports exactly what
+    // the full scan reports for it — and nothing for the files left out.
+    let root = fixture("violating");
+    let full = scan_workspace(&root).expect("fixture scans");
+    let lib = PathBuf::from("crates/icn-sim/src/lib.rs");
+    let subset = scan_paths(&root, &[lib]).expect("subset scans");
+    assert_eq!(render_json(&subset), render_json(&full));
+    let dir = scan_paths(&root, &[PathBuf::from("crates/icn-sim")]).expect("dir scans");
+    assert_eq!(render_json(&dir), render_json(&full));
 }
 
 #[test]

@@ -19,3 +19,8 @@ pub fn saturated(load: f64) -> bool {
 }
 
 pub fn undocumented() {}
+
+/// Start a helper thread outside pool.rs.
+pub fn helper() {
+    std::thread::spawn(|| {});
+}

@@ -157,18 +157,17 @@ impl SimulateRequest {
         }
         let plan = StagePlan::balanced_pow2(ports, PLAN_MAX_RADIX)
             .ok_or("ports must be a power of two >= 2")?;
-        let load = self.load.unwrap_or(0.01);
-        if !(0.0..=1.0).contains(&load) {
-            return Err(format!("load must be in [0,1], got {load}"));
-        }
-        let pattern = self.pattern.clone().unwrap_or(Pattern::Uniform);
-        validate_pattern(&pattern, ports)?;
+        let workload = Workload {
+            load: self.load.unwrap_or(0.01),
+            pattern: self.pattern.clone().unwrap_or(Pattern::Uniform),
+        };
+        workload.validate(ports)?;
 
         let mut config = SimConfig::paper_baseline(
             plan,
             self.chip.unwrap_or(ChipModel::Dmc),
             self.width.unwrap_or(4),
-            Workload { load, pattern },
+            workload,
         );
         config.seed = self.seed.unwrap_or(0x1986);
         if let Some(cycles) = self.warmup_cycles {
@@ -296,64 +295,6 @@ impl ExploreRequest {
     }
 }
 
-/// Check a pattern's preconditions against the network size, mirroring the
-/// assertions [`Pattern::destination`] would otherwise panic with inside a
-/// worker thread.
-fn validate_pattern(pattern: &Pattern, ports: u32) -> Result<(), String> {
-    match pattern {
-        Pattern::Uniform | Pattern::BitReversal => Ok(()),
-        Pattern::HotSpot {
-            hot_fraction,
-            hot_port,
-        } => {
-            if !(0.0..=1.0).contains(hot_fraction) {
-                return Err(format!("hot_fraction must be in [0,1], got {hot_fraction}"));
-            }
-            if *hot_port >= ports {
-                return Err(format!(
-                    "hot_port {hot_port} out of range for {ports} ports"
-                ));
-            }
-            Ok(())
-        }
-        Pattern::Permutation(targets) => {
-            if targets.len() != ports as usize {
-                return Err(format!(
-                    "permutation has {} targets but the network has {ports} ports",
-                    targets.len()
-                ));
-            }
-            if let Some(bad) = targets.iter().find(|&&t| t >= ports) {
-                return Err(format!("permutation target {bad} out of range"));
-            }
-            Ok(())
-        }
-        Pattern::Transpose => {
-            if !ports.trailing_zeros().is_multiple_of(2) {
-                return Err(format!(
-                    "transpose needs an even number of address bits; {ports} ports has {}",
-                    ports.trailing_zeros()
-                ));
-            }
-            Ok(())
-        }
-        Pattern::LocalClusters {
-            cluster_size,
-            locality,
-        } => {
-            if *cluster_size == 0 || !ports.is_multiple_of(*cluster_size) {
-                return Err(format!(
-                    "cluster_size {cluster_size} must divide the port count {ports}"
-                ));
-            }
-            if !(0.0..=1.0).contains(locality) {
-                return Err(format!("locality must be in [0,1], got {locality}"));
-            }
-            Ok(())
-        }
-    }
-}
-
 /// The content key of a `simulate` or `explore` body. Both come from the
 /// simulator's seeded random stream, so the key folds in
 /// [`icn_sim::STREAM_VERSION`]: a body journaled or spilled by a build with
@@ -443,16 +384,38 @@ mod tests {
 
     #[test]
     fn bad_patterns_are_client_errors_not_panics() {
+        // The messages are the 400 bodies' text, so they are pinned.
         let cases = [
-            r#"{"pattern":{"HotSpot":{"hot_fraction":1.5,"hot_port":0}}}"#,
-            r#"{"pattern":{"HotSpot":{"hot_fraction":0.1,"hot_port":999}}}"#,
-            r#"{"pattern":{"Permutation":[0,1,2]}}"#,
-            r#"{"ports":32,"pattern":"Transpose"}"#,
-            r#"{"pattern":{"LocalClusters":{"cluster_size":7,"locality":0.5}}}"#,
+            (
+                r#"{"pattern":{"HotSpot":{"hot_fraction":1.5,"hot_port":0}}}"#,
+                "hot_fraction must be in [0,1], got 1.5",
+            ),
+            (
+                r#"{"pattern":{"HotSpot":{"hot_fraction":0.1,"hot_port":999}}}"#,
+                "hot_port 999 out of range for 256 ports",
+            ),
+            (
+                r#"{"pattern":{"Permutation":[0,1,2]}}"#,
+                "permutation has 3 targets but the network has 256 ports",
+            ),
+            (
+                r#"{"ports":32,"pattern":"Transpose"}"#,
+                "transpose needs an even number of address bits; 32 ports has 5",
+            ),
+            (
+                r#"{"pattern":{"LocalClusters":{"cluster_size":7,"locality":0.5}}}"#,
+                "cluster_size 7 must divide the port count 256",
+            ),
+            (r#"{"load":2}"#, "load must be in [0,1], got 2"),
+            (r#"{"load":-1}"#, "load must be in [0,1], got -1"),
         ];
-        for case in cases {
+        for (case, message) in cases {
             let req: SimulateRequest = serde_json::from_str(case).unwrap();
-            assert!(req.resolve(&Limits::default()).is_err(), "{case}");
+            assert_eq!(
+                req.resolve(&Limits::default()),
+                Err(message.into()),
+                "{case}"
+            );
         }
     }
 

@@ -18,7 +18,9 @@
 //! cache becomes two-level: inserts write **through** to a
 //! [`crate::spill::DiskStore`] (so every completed result is durable even
 //! after memory eviction), and a memory miss falls back to disk, promoting
-//! the body back into the LRU on a disk hit. Corrupt or truncated disk
+//! the body back into the LRU on a disk hit. Bodies cheaper to recompute
+//! than to fsync (closed-form evaluations) skip the disk
+//! ([`ResultCache::insert_memory`]). Corrupt or truncated disk
 //! entries are detected by their checksum frame and silently discarded —
 //! the result simply recomputes.
 
@@ -130,6 +132,12 @@ impl ResultCache {
             // from memory and recomputable after a restart.
             let _ = spill.put(key, &body);
         }
+        self.insert_memory(key, body);
+    }
+
+    /// Store a body in the memory LRU only, never the disk spill: for
+    /// bodies that recompute faster than a spill write syncs.
+    pub fn insert_memory(&mut self, key: &str, body: Arc<String>) {
         self.clock += 1;
         self.promote(key, body);
     }

@@ -89,10 +89,11 @@ pub struct ServeConfig {
     /// Default per-job wall-clock budget in milliseconds (0 = none);
     /// requests may override with their own `deadline_ms`.
     pub default_deadline_ms: u64,
-    /// Engine shard threads per simulation job (1 = serial, 0 = one per
-    /// core). A deployment knob, not part of the job config: results —
-    /// and therefore content-addressed cache keys and journal replays —
-    /// are byte-identical at any budget.
+    /// Threads each explore job fans its candidate chunks across (1 =
+    /// serial, 0 = one per core). A deployment knob, not part of the job
+    /// config: outcomes — and therefore content-addressed cache keys and
+    /// journal replays — are byte-identical at any budget. Simulation
+    /// jobs always run on their worker's thread.
     pub sim_threads: usize,
     /// Per-job guard rails.
     pub limits: Limits,
@@ -484,11 +485,8 @@ fn run_job(
     deadline: Option<Instant>,
 ) -> Result<Arc<String>, String> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        // The configured shard budget applies to every job — fresh or
-        // replayed from the journal — and never changes the result bytes,
-        // so cache keys and recorded bodies stay valid across budgets.
-        let options = icn_sim::EngineOptions::threaded(state.config.sim_threads);
-        let mut engine = icn_sim::Engine::try_with_options(config, options)?;
+        let mut engine =
+            icn_sim::Engine::try_with_options(config, icn_sim::EngineOptions::default())?;
         engine.set_event_sink(ProgressSink(progress));
         match deadline {
             Some(deadline) => engine.run_bounded(move || Instant::now() >= deadline),
@@ -524,8 +522,8 @@ fn run_explore_job(
     let total = resolved.spec.candidate_count().unwrap_or(0);
     progress.injected.store(total, Ordering::Relaxed);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        // The shard budget is the same deployment knob simulations use;
-        // the engine's output bytes are identical at any thread count.
+        // The fan-out budget is a deployment knob; the explorer's output
+        // bytes are identical at any thread count.
         let options = icn_explore::ExploreOptions {
             threads: state.config.sim_threads,
             chunk: icn_explore::DEFAULT_CHUNK,
@@ -728,7 +726,9 @@ fn metrics_endpoint(state: &ServerState) -> Response {
     Response::metrics_text(200, metrics::render(&snapshot(state)))
 }
 
-/// `POST /v1/evaluate`: closed-form design evaluation, cached.
+/// `POST /v1/evaluate`: closed-form design evaluation, cached in memory
+/// only: the verdict recomputes in about a microsecond, far less than the
+/// spill's fsync.
 fn evaluate(state: &ServerState, body: &[u8]) -> Response {
     let Ok(text) = std::str::from_utf8(body) else {
         return Response::json(400, error_body("body is not UTF-8"));
@@ -747,7 +747,7 @@ fn evaluate(state: &ServerState, body: &[u8]) -> Response {
     }
     let check = icn_lint::check_design("<request>", &spec);
     let body = Arc::new(icn_lint::render_design_json(&check));
-    state.cache().insert(&key, Arc::clone(&body));
+    state.cache().insert_memory(&key, Arc::clone(&body));
     Response::json(200, body.as_str()).with_header("x-icn-cache", "miss")
 }
 

@@ -200,29 +200,77 @@ fn simulate_twice_second_hit_is_byte_identical() {
 
 #[test]
 fn threaded_server_bodies_match_serial_server_bodies() {
-    // `sim_threads` is a deployment knob: a server running its engines
-    // across 4 threads must produce the same bytes (and therefore the
-    // same cache keys) as a serial one.
+    // `sim_threads` sizes an explore job's fan-out, a deployment knob: a
+    // server exploring across 4 threads must produce the same bytes (and
+    // therefore the same cache keys) as a serial one. The bench grid
+    // spans two candidate chunks, so the fan-out really splits it.
     let run = |sim_threads: usize| {
         let config = ServeConfig {
             sim_threads,
             ..test_config()
         };
         let (addr, handle, join) = start(config);
-        let accepted = call(addr, "POST", "/v1/simulate", SMALL_SIM);
+        let accepted = call(addr, "POST", "/v1/explore", r#"{"grid":"bench"}"#);
         assert_eq!(accepted.status, 202, "{}", accepted.body);
         let result_url = json_str(&accepted.body, "result_url");
-        let result = poll_result(addr, &result_url, Duration::from_secs(30));
+        let result = poll_result(addr, &result_url, Duration::from_secs(60));
         assert_eq!(result.status, 200, "{}", result.body);
         handle.shutdown();
         join.join().expect("server thread");
         result.body
     };
+    let quad = run(4);
+    assert!(json_u64(&quad, "grid_candidates") > 4096, "{quad}");
     assert_eq!(
-        run(4),
+        quad,
         run(1),
         "thread budget must not leak into result bytes"
     );
+}
+
+/// Evaluate verdicts recompute in about a microsecond, so they stay in
+/// the memory cache and never reach the disk spill; simulate results,
+/// which cost a whole run, are spilled.
+#[test]
+fn evaluate_results_stay_in_memory_while_simulate_results_spill() {
+    let dir = std::env::temp_dir().join(format!("icn-serve-e2e-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig {
+        cache_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config()
+    };
+    let (addr, handle, join) = start(config);
+    let spill_writes = || {
+        let scrape = call(addr, "GET", "/v1/metrics", "");
+        icn_serve::parse_exposition(&scrape.body)
+            .expect("scrape parses")
+            .value("icn_cache_spill_writes_total")
+            .expect("spill counter present")
+    };
+    assert_eq!(spill_writes(), 0.0);
+
+    let wide = PAPER_SPEC.replace(r#""width": 4"#, r#""width": 8"#);
+    for spec in [PAPER_SPEC, wide.as_str()] {
+        let miss = call(addr, "POST", "/v1/evaluate", spec);
+        assert_eq!(miss.header("x-icn-cache"), Some("miss"), "{}", miss.body);
+        let hit = call(addr, "POST", "/v1/evaluate", spec);
+        assert_eq!(hit.header("x-icn-cache"), Some("hit"));
+        assert_eq!(hit.body, miss.body);
+    }
+    assert_eq!(spill_writes(), 0.0, "evaluate results must not be spilled");
+
+    let accepted = call(addr, "POST", "/v1/simulate", SMALL_SIM);
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let result_url = json_str(&accepted.body, "result_url");
+    assert_eq!(
+        poll_result(addr, &result_url, Duration::from_secs(30)).status,
+        200
+    );
+    assert_eq!(spill_writes(), 1.0, "a simulate result is spilled");
+
+    handle.shutdown();
+    join.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

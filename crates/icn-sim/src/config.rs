@@ -193,8 +193,9 @@ impl SimConfig {
     /// # Errors
     /// Returns [`SimError::InvalidConfig`] on a parameter outside its
     /// domain (zero width, zero packet, zero buffers, a measurement window
-    /// of zero cycles) and [`SimError::InvalidFault`] if the fault plan
-    /// names hardware the stage plan does not have.
+    /// of zero cycles, a workload whose load or pattern does not fit the
+    /// network; see [`Workload::validate`]) and [`SimError::InvalidFault`]
+    /// if the fault plan names hardware the stage plan does not have.
     pub fn validate(&self) -> Result<(), SimError> {
         fn require(ok: bool, msg: &str) -> Result<(), SimError> {
             if ok {
@@ -213,6 +214,9 @@ impl SimConfig {
             self.measure_cycles >= 1,
             "measurement window must be non-empty",
         )?;
+        self.workload
+            .validate(self.plan.ports())
+            .map_err(SimError::InvalidConfig)?;
         self.telemetry.validate()?;
         self.faults.validate(&self.plan)
     }
@@ -270,6 +274,7 @@ mod tests {
     #[test]
     fn validate_reports_typed_errors() {
         use crate::fault::{FaultEvent, FaultTarget};
+        use icn_workloads::Pattern;
         let mut c = SimConfig::paper_baseline(
             StagePlan::uniform(4, 2),
             ChipModel::Mcc,
@@ -280,6 +285,75 @@ mod tests {
         c.width = 0;
         assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
         c.width = 1;
+        // Every workload precondition `Pattern::destination` would panic
+        // on, checked against this 16-port network (odd-bit and non-power-
+        // of-two networks for the address-bit patterns).
+        let workload = |load: f64, pattern: Pattern| Workload { load, pattern };
+        let hot = |hot_fraction: f64, hot_port: u32| Pattern::HotSpot {
+            hot_fraction,
+            hot_port,
+        };
+        let clusters = |cluster_size: u32, locality: f64| Pattern::LocalClusters {
+            cluster_size,
+            locality,
+        };
+        for (plan, w, wants) in [
+            (4, workload(2.0, Pattern::Uniform), "load must be in [0,1]"),
+            (4, workload(-1.0, Pattern::Uniform), "load must be in [0,1]"),
+            (4, workload(f64::NAN, Pattern::Uniform), "got NaN"),
+            (4, workload(0.1, hot(0.1, 16)), "hot_port 16 out of range"),
+            (
+                4,
+                workload(0.1, hot(1.5, 0)),
+                "hot_fraction must be in [0,1]",
+            ),
+            (
+                4,
+                workload(0.1, Pattern::Permutation(vec![0; 8])),
+                "8 targets",
+            ),
+            (
+                4,
+                workload(0.1, Pattern::Permutation(vec![16; 16])),
+                "target 16",
+            ),
+            (3, workload(0.1, Pattern::BitReversal), "power-of-two"),
+            (3, workload(0.1, Pattern::Transpose), "power-of-two"),
+            (
+                2,
+                workload(0.1, Pattern::Transpose),
+                "even number of address bits",
+            ),
+            (
+                4,
+                workload(0.1, clusters(3, 0.5)),
+                "must divide the port count 16",
+            ),
+            (
+                4,
+                workload(0.1, clusters(0, 0.5)),
+                "must divide the port count 16",
+            ),
+            (
+                4,
+                workload(0.1, clusters(4, 1.5)),
+                "locality must be in [0,1]",
+            ),
+        ] {
+            let mut bad = c.clone();
+            bad.plan = match plan {
+                2 => StagePlan::uniform(2, 3),
+                3 => StagePlan::uniform(3, 2),
+                _ => StagePlan::uniform(4, 2),
+            };
+            bad.workload = w;
+            match bad.validate() {
+                Err(SimError::InvalidConfig(message)) => {
+                    assert!(message.contains(wants), "{message:?} lacks {wants:?}");
+                }
+                other => panic!("{:?}: expected InvalidConfig, got {other:?}", bad.workload),
+            }
+        }
         c.faults = FaultPlan::new(vec![FaultEvent::permanent(
             FaultTarget::Module {
                 stage: 9,

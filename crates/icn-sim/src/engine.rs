@@ -64,12 +64,12 @@
 //!   `busy_until` (a loss to a busy output or in arbitration) or to "until
 //!   drained" (a full downstream buffer). Nothing can change for it
 //!   before then, so it costs nothing until it can be granted. The vacate
-//!   phase records the full ports it frees and a serial pass wakes their
+//!   phase records the full ports it frees and a pass after it wakes their
 //!   waiters (the one upstream module whose output line feeds the port,
 //!   or the one source); fault drops wake theirs at the merge; a fault
 //!   activation wakes every parked head of the struck module. Sources
 //!   park the same way on a full stage-0 buffer. The blocked counters
-//!   stay exact per head-cycle: each chunk keeps parked-head gauges
+//!   stay exact per head-cycle: each stage keeps parked-head gauges
 //!   (busy parks in a wake calendar of `head_latency + flits + 1` slots)
 //!   and adds them to its counters every cycle. Before this, about 500
 //!   ready heads were re-examined, tag lookup included, every cycle.
@@ -81,15 +81,15 @@
 //!   delivery/drop lists live in reusable engine-owned buffers; each
 //!   ready module probes its input fronts once per cycle (O(r)) instead
 //!   of once per output (O(r²)).
-//! * **Module sharding** — the vacate and grant phases run as per-stage
-//!   *module chunks* (see [`crate::shard`]); with
-//!   [`EngineOptions::threads`] > 1 the chunks execute on the shard
-//!   plan's persistent first-party worker pool with a barrier per phase,
-//!   and every globally-ordered effect is buffered per chunk and merged
-//!   in module index order — never thread completion order — so parallel
-//!   runs are byte-identical to serial ones. The serial path runs the
-//!   same chunked code (one chunk per stage), which is what lets the
-//!   parity fixtures pin both.
+//! * **Deferred grant effects** — each stage's grant sweep buffers its
+//!   globally-ordered effects (downstream pushes, deliveries, drops,
+//!   events) and one merge applies them stage by stage, so every sweep
+//!   reads post-vacate state (see [`crate::shard`]).
+//!
+//! The engine is serial: a step runs on the caller's thread, because
+//! splitting a step's phases over threads costs more in barriers than the
+//! step does (DESIGN.md §7.5). Batch callers run whole simulations in
+//! parallel with [`crate::run_parallel`] instead.
 //!
 //! Telemetry and event sinks keep their zero-cost-when-disabled shape:
 //! every observation site is a single `Option` check.
@@ -109,10 +109,9 @@ use crate::metrics::{LatencyStats, SimResult, StageCounters};
 use crate::module::{next_due, Stage, NEVER};
 use crate::options::EngineOptions;
 use crate::packet::Packet;
-use crate::pool::run_jobs;
 use crate::shard::{
-    add_counters, grant_chunk, rearm_module, schedule, upstream_line, vacate_chunk, wake_line,
-    ExecState, GrantJob, GrantShared, Parked, ShardEffects, ShardScratch, StageMeta, VacateJob,
+    add_counters, grant_stage, rearm_module, upstream_line, vacate_stage, wake_line, ExecState,
+    GrantJob, GrantShared, StageMeta,
 };
 use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::{EventSink, Gauges, PhaseGauges, SimEvent, StageDims, TelemetryState};
@@ -230,10 +229,8 @@ pub struct Engine {
     stage_count: usize,
     // Reusable per-cycle scratch (never shrunk, so steady state is
     // allocation-free).
-    scratch_deliveries: Vec<(PacketRef, u32, u64)>,
     scratch_drops: Vec<PacketRef>,
-    // Sharded-execution state: chunk plan, worker pool, per-chunk
-    // buffers (see `crate::shard`).
+    // Per-stage sweep buffers and occupancy counts (see `crate::shard`).
     exec: ExecState,
     // Statistics.
     injected_total: u64,
@@ -280,16 +277,13 @@ impl Engine {
         }
     }
 
-    /// Build an engine with explicit [`EngineOptions`] (thread budget,
-    /// chunking), reporting an invalid configuration (including an
-    /// invalid fault plan) as a typed error. Options steer *how* the run
-    /// executes, never what it computes: results are byte-identical
-    /// across every option value; [`EngineOptions::default`] is the
-    /// serial path.
+    /// Build an engine, reporting an invalid configuration (including an
+    /// invalid fault plan) as a typed error. [`EngineOptions`] carries no
+    /// settings; every caller passes its default.
     ///
     /// # Errors
     /// Returns whatever [`SimConfig::validate`] rejects.
-    pub fn try_with_options(config: SimConfig, options: EngineOptions) -> Result<Self, SimError> {
+    pub fn try_with_options(config: SimConfig, _options: EngineOptions) -> Result<Self, SimError> {
         config.validate()?;
         let topology = Topology::new(config.plan.clone());
         let flits = config.flits_per_packet();
@@ -330,7 +324,7 @@ impl Engine {
                 head_latency: config.stage_head_latency(r),
             })
             .collect();
-        let exec = ExecState::build(&options, meta, flits);
+        let exec = ExecState::build(meta, flits);
         let sources = (0..ports).map(|_| Source::default()).collect();
         let stage_counters = vec![StageCounters::default(); stage_count];
         let rng = ChaCha12Rng::seed_from_u64(config.seed);
@@ -359,7 +353,6 @@ impl Engine {
             routes,
             entry,
             stage_count,
-            scratch_deliveries: Vec::new(),
             scratch_drops: Vec::new(),
             exec,
             injected_total: 0,
@@ -407,14 +400,6 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Resolved shard-thread count this engine executes with (`1` means
-    /// the serial path). Execution options never affect results — see
-    /// [`EngineOptions`].
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.exec.threads
     }
 
     /// Tracked packets still somewhere between generation and delivery.
@@ -623,11 +608,10 @@ impl Engine {
             match event.target {
                 FaultTarget::Module { stage, module } | FaultTarget::Link { stage, module, .. } => {
                     let (stage, module) = (stage as usize, module as usize);
-                    let chunk = self.exec.chunk_of(stage, module);
                     let radix = self.stages[stage].radix as usize;
                     rearm_module(
                         &mut self.stages[stage].inputs(),
-                        &mut self.exec.parked[chunk],
+                        &mut self.exec.parked[stage],
                         radix,
                         module,
                         now,
@@ -649,14 +633,12 @@ impl Engine {
     }
 
     /// Wake the heads and sources parked on the ports the vacate phase
-    /// just freed from full (serially, after the phase's chunks).
+    /// just freed from full.
     fn wake_unblocked(&mut self) {
         let mut unblocked = std::mem::take(&mut self.exec.unblocked);
-        for (ci, ports) in unblocked.iter_mut().enumerate() {
-            let chunk = self.exec.chunks[ci];
-            let base = chunk.module_base * self.stages[chunk.stage].radix as usize;
+        for (stage, ports) in unblocked.iter_mut().enumerate() {
             for p in ports.drain(..) {
-                self.wake_upstream(chunk.stage, base + p as usize);
+                self.wake_upstream(stage, p as usize);
             }
         }
         self.exec.unblocked = unblocked;
@@ -681,7 +663,6 @@ impl Engine {
         }
         let upstream = stage - 1;
         let radix = self.stages[upstream].radix as usize;
-        let chunk = self.exec.chunk_of(upstream, line / radix);
         let Self {
             stages,
             exec,
@@ -694,7 +675,7 @@ impl Engine {
         let stage_count = *stage_count;
         wake_line(
             &mut stages[upstream].inputs(),
-            &mut exec.parked[chunk],
+            &mut exec.parked[upstream],
             radix,
             line,
             *now,
@@ -823,66 +804,29 @@ impl Engine {
     /// Total packets buffered (or reserved) in each stage's inputs, from
     /// the maintained occupancy counts.
     fn stage_occupancy(&self) -> Vec<u64> {
-        (0..self.stage_count)
-            .map(|s| self.exec.stage_occ(s).iter().map(|&c| u64::from(c)).sum())
+        self.exec
+            .occ
+            .iter()
+            .map(|occ| occ.iter().map(|&c| u64::from(c)).sum())
             .collect()
     }
 
-    /// Free drained buffer slots across every stage (chunked over the
-    /// shard plan), taking them off the occupancy counts the grant
-    /// phase's back-pressure checks read; returns the freed count (the
-    /// profiler's per-cycle "advance" op tally).
+    /// Free drained buffer slots across every stage, taking them off the
+    /// occupancy counts the grant phase's back-pressure checks read;
+    /// returns the freed count (the profiler's per-cycle "advance" op
+    /// tally).
     fn vacate_phase(&mut self) -> u64 {
         let now = self.now;
         let capacity = self.config.buffer_capacity;
         let Self { stages, exec, .. } = self;
-        let ExecState {
-            pool,
-            chunks,
-            freed,
-            unblocked,
-            occ,
-            meta,
-            perturb,
-            ..
-        } = exec;
-        let (perm, yield_bits) = schedule(pool.as_ref(), perturb, chunks.len());
-        let mut jobs = Vec::with_capacity(chunks.len());
-        {
-            // Slice each stage's flat tables into the plan's disjoint
-            // chunks (chunks are stage-major, so one pass suffices).
-            let mut occ_rest: &mut [u32] = occ;
-            let mut freed_rest: &mut [u64] = freed;
-            let mut unblocked_rest: &mut [Vec<u32>] = unblocked;
-            let mut ci = 0;
-            for (s, stage) in stages.iter_mut().enumerate() {
-                let radix = meta[s].radix as usize;
-                let mut in_rest = stage.inputs();
-                while ci < chunks.len() && chunks[ci].stage == s {
-                    let ports = chunks[ci].modules * radix;
-                    let (inputs, in_next) = in_rest.split_at(ports);
-                    in_rest = in_next;
-                    let (occ_chunk, occ_next) = std::mem::take(&mut occ_rest).split_at_mut(ports);
-                    occ_rest = occ_next;
-                    let (freed_chunk, freed_next) = std::mem::take(&mut freed_rest).split_at_mut(1);
-                    freed_rest = freed_next;
-                    let (unblocked_chunk, unblocked_next) =
-                        std::mem::take(&mut unblocked_rest).split_at_mut(1);
-                    unblocked_rest = unblocked_next;
-                    jobs.push(VacateJob {
-                        now,
-                        capacity,
-                        inputs,
-                        occ: occ_chunk,
-                        freed: &mut freed_chunk[0],
-                        unblocked: &mut unblocked_chunk[0],
-                    });
-                    ci += 1;
-                }
-            }
-        }
-        run_jobs(pool.as_ref(), perm, yield_bits, jobs, &vacate_chunk);
-        freed.iter().sum()
+        stages
+            .iter_mut()
+            .zip(&mut exec.occ)
+            .zip(&mut exec.unblocked)
+            .map(|((stage, occ), unblocked)| {
+                vacate_stage(now, capacity, &mut stage.inputs(), occ, unblocked)
+            })
+            .sum()
     }
 
     /// Feed the span profiler and hotspot heatmap (runs after the cycle's
@@ -915,7 +859,7 @@ impl Engine {
         });
         if telem.heat_due(self.now) {
             for (s, stage) in self.stages.iter().enumerate() {
-                let module_occ = self.exec.stage_occ(s).chunks(stage.radix as usize);
+                let module_occ = self.exec.occ[s].chunks(stage.radix as usize);
                 for (m, occ) in module_occ.enumerate() {
                     telem.heat_occupancy(s, m, occ.iter().map(|&c| u64::from(c)).sum());
                 }
@@ -982,8 +926,7 @@ impl Engine {
             let faults = faults.as_deref();
             let entry0: &[u32] = &entry[0];
             let mut stage0 = stages[0].inputs();
-            // Stage 0's counts start at `occ[0]`.
-            let occ0 = &mut exec.occ;
+            let occ0 = &mut exec.occ[0];
             let mut scan = 0;
             while let Some(index) = next_due(source_due, scan, now) {
                 scan = index + 1;
@@ -1053,18 +996,17 @@ impl Engine {
         self.scratch_drops = drops;
     }
 
-    /// The grant phase: dispatch every stage's module chunks (in
-    /// parallel when a pool exists), then merge their deferred effects in
-    /// canonical chunk order. All stages' chunks run in one dispatch —
-    /// back-pressure reads the vacate phase's occupancy snapshot, so no
-    /// chunk observes another's same-cycle writes (see [`crate::shard`]).
+    /// The grant phase: every stage's grant sweep, then one merge of
+    /// their deferred effects in stage order. Back-pressure reads the
+    /// vacate phase's occupancy counts, so no sweep observes another's
+    /// same-cycle grants (see [`crate::shard`]).
     fn grant_phase(&mut self) {
         self.dispatch_grants();
         self.merge_grants();
     }
 
-    /// Run [`grant_chunk`] over the shard plan, filling each chunk's
-    /// [`ShardEffects`].
+    /// Run [`grant_stage`] over every stage, filling each stage's
+    /// [`crate::shard::ShardEffects`].
     fn dispatch_grants(&mut self) {
         let now = self.now;
         let flits = self.flits;
@@ -1084,18 +1026,13 @@ impl Engine {
             ..
         } = self;
         let ExecState {
-            pool,
-            chunks,
             effects,
             scratch,
             parked,
             occ,
-            occ_base,
             meta,
-            perturb,
             ..
         } = exec;
-        let (perm, yield_bits) = schedule(pool.as_ref(), perturb, chunks.len());
         let shared = GrantShared {
             now,
             flits,
@@ -1108,118 +1045,83 @@ impl Engine {
             faults: faults.as_deref(),
             meta,
             occ,
-            occ_base,
             record_events,
             record_waits,
             record_heat,
         };
-        let mut jobs = Vec::with_capacity(chunks.len());
+        for (stage, ((ports, fx), parked)) in stages
+            .iter_mut()
+            .zip(effects.iter_mut())
+            .zip(parked.iter_mut())
+            .enumerate()
         {
-            let mut fx_rest: &mut [ShardEffects] = effects;
-            let mut sc_rest: &mut [ShardScratch] = scratch;
-            let mut parked_rest: &mut [Parked] = parked;
-            let mut ci = 0;
-            for (s, stage) in stages.iter_mut().enumerate() {
-                let radix = meta[s].radix as usize;
-                let (mut in_rest, mut out_rest) = stage.split();
-                while ci < chunks.len() && chunks[ci].stage == s {
-                    let desc = chunks[ci];
-                    let ports = desc.modules * radix;
-                    let (inputs, in_next) = in_rest.split_at(ports);
-                    in_rest = in_next;
-                    let (outputs, out_next) = std::mem::take(&mut out_rest).split_at_mut(ports);
-                    out_rest = out_next;
-                    let (fx, fx_next) = std::mem::take(&mut fx_rest).split_at_mut(1);
-                    fx_rest = fx_next;
-                    let (sc, sc_next) = std::mem::take(&mut sc_rest).split_at_mut(1);
-                    sc_rest = sc_next;
-                    let (pk, pk_next) = std::mem::take(&mut parked_rest).split_at_mut(1);
-                    parked_rest = pk_next;
-                    let fx = &mut fx[0];
-                    fx.clear();
-                    jobs.push(GrantJob {
-                        desc,
-                        inputs,
-                        outputs,
-                        scratch: &mut sc[0],
-                        parked: &mut pk[0],
-                        fx,
-                    });
-                    ci += 1;
-                }
-            }
+            let (inputs, outputs) = ports.split();
+            fx.clear();
+            grant_stage(
+                &shared,
+                &mut GrantJob {
+                    stage,
+                    inputs,
+                    outputs,
+                    scratch,
+                    parked,
+                    fx,
+                },
+            );
         }
-        run_jobs(pool.as_ref(), perm, yield_bits, jobs, &|job| {
-            grant_chunk(&shared, job);
-        });
     }
 
-    /// Apply the grant chunks' deferred effects serially, stage by stage
-    /// in chunk (= module) order — the canonical merge that makes thread
-    /// count and chunking unobservable. Reproduces the serial sweep's
-    /// exact event interleaving: a stage's grant events, then its
-    /// retry/drop events, then the next stage's.
+    /// Apply the grant sweeps' deferred effects stage by stage: a
+    /// stage's grant events, then its retry/drop events, then the next
+    /// stage's.
     fn merge_grants(&mut self) {
         let now = self.now;
         let capacity = self.config.buffer_capacity;
         let mut effects = std::mem::take(&mut self.exec.effects);
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
-        let mut drops = std::mem::take(&mut self.scratch_drops);
-        let mut ci = 0;
-        for s in 0..self.stage_count {
-            while ci < effects.len() && self.exec.chunks[ci].stage == s {
-                let fx = &mut effects[ci];
-                add_counters(&mut self.stage_counters[s], &fx.counters);
-                if fx.progressed {
-                    self.last_progress = now;
-                }
-                if let Some(sink) = self.events.as_mut() {
-                    for event in &fx.events {
-                        sink.record(event);
-                    }
-                }
-                if let Some(telem) = self.telem.as_deref_mut() {
-                    for &waited in &fx.stage_waits {
-                        telem.record_stage_wait(s, waited);
-                    }
-                    for &module in &fx.heat_grants {
-                        telem.heat_grant(s, module as usize);
-                    }
-                }
-                // Deferred downstream insertions: each port gets at most
-                // one push per cycle (its upstream line is unique), so
-                // applying them here is behavior-identical to the serial
-                // sweep's in-place pushes.
-                if !fx.pushes.is_empty() {
-                    let mut next = self.stages[s + 1].inputs();
-                    let next_occ = self.exec.occ_base[s + 1];
-                    for (port, r, head_arrival) in fx.pushes.drain(..) {
-                        next.push(port as usize, r, head_arrival);
-                        self.exec.occ[next_occ + port as usize] += 1;
-                    }
-                }
-                deliveries.extend_from_slice(&fx.deliveries);
-                let occ_base = self.exec.occ_base[s];
-                for &(port, r) in &fx.drops {
-                    let occ = &mut self.exec.occ[occ_base + port as usize];
-                    let was_full = *occ >= capacity;
-                    *occ -= 1;
-                    if was_full {
-                        self.wake_upstream(s, port as usize);
-                    }
-                    drops.push(r);
-                }
-                ci += 1;
+        for (s, fx) in effects.iter_mut().enumerate() {
+            add_counters(&mut self.stage_counters[s], &fx.counters);
+            if fx.progressed {
+                self.last_progress = now;
             }
-            for (r, out_line, delivered_at) in deliveries.drain(..) {
+            if let Some(sink) = self.events.as_mut() {
+                for event in &fx.events {
+                    sink.record(event);
+                }
+            }
+            if let Some(telem) = self.telem.as_deref_mut() {
+                for &waited in &fx.stage_waits {
+                    telem.record_stage_wait(s, waited);
+                }
+                for &module in &fx.heat_grants {
+                    telem.heat_grant(s, module as usize);
+                }
+            }
+            // Deferred downstream insertions: each port gets at most one
+            // push per cycle (its upstream line is unique), so applying
+            // them here is behavior-identical to in-place pushes.
+            if !fx.pushes.is_empty() {
+                let mut next = self.stages[s + 1].inputs();
+                let next_occ = &mut self.exec.occ[s + 1];
+                for (port, r, head_arrival) in fx.pushes.drain(..) {
+                    next.push(port as usize, r, head_arrival);
+                    next_occ[port as usize] += 1;
+                }
+            }
+            for &(port, _) in &fx.drops {
+                let occ = &mut self.exec.occ[s][port as usize];
+                let was_full = *occ >= capacity;
+                *occ -= 1;
+                if was_full {
+                    self.wake_upstream(s, port as usize);
+                }
+            }
+            for &(r, out_line, delivered_at) in &fx.deliveries {
                 self.deliver(r, out_line, delivered_at);
             }
-            for r in drops.drain(..) {
+            for &(_, r) in &fx.drops {
                 self.drop_packet(r);
             }
         }
-        self.scratch_deliveries = deliveries;
-        self.scratch_drops = drops;
         self.exec.effects = effects;
     }
 
@@ -1405,7 +1307,7 @@ impl Engine {
             "source backlog drifted at {}",
             self.now
         );
-        let occ0 = self.exec.stage_occ(0);
+        let occ0 = &self.exec.occ[0];
         for (line, (source, &due)) in self.sources.iter().zip(&self.source_due).enumerate() {
             let port_full = occ0[self.entry[0][line] as usize] >= self.config.buffer_capacity;
             debug_assert!(
@@ -1416,29 +1318,21 @@ impl Engine {
         }
         // Parked heads, recounted from the ports, against the gauges the
         // blocked counters are built from.
-        for (s, stage) in self.stages.iter().enumerate() {
-            let mut gauges = (0, 0);
-            for (chunk, parked) in self.exec.chunks.iter().zip(&self.exec.parked) {
-                if chunk.stage == s {
-                    debug_assert_eq!(
-                        parked.calendar_total(),
-                        parked.busy,
-                        "wake calendar drifted"
-                    );
-                    gauges.0 += parked.busy;
-                    gauges.1 += parked.downstream;
-                }
-            }
+        for (s, (stage, parked)) in self.stages.iter().zip(&self.exec.parked).enumerate() {
+            debug_assert_eq!(
+                parked.calendar_total(),
+                parked.busy,
+                "wake calendar drifted"
+            );
             debug_assert_eq!(
                 stage.parked(self.now),
-                gauges,
+                (parked.busy, parked.downstream),
                 "parked gauges (busy, downstream) drifted at stage {s}, cycle {}",
                 self.now
             );
         }
         for (s, stage) in self.stages.iter().enumerate() {
-            for (port, (len, &count)) in stage.queue_lens().zip(self.exec.stage_occ(s)).enumerate()
-            {
+            for (port, (len, &count)) in stage.queue_lens().zip(&self.exec.occ[s]).enumerate() {
                 debug_assert_eq!(
                     len, count as usize,
                     "occupancy count drifted at stage {s} port {port}, cycle {}",

@@ -97,9 +97,8 @@ fn pending_park(queue: &Queue, ready_at: u64, ready_offset: u64, now: u64) -> Op
         .then_some(ready_at)
 }
 
-/// A contiguous run of one stage's input ports together with their
-/// due-time arrays — the only way to change a port's queue (see the
-/// module docs). Port indices are local to the run.
+/// One stage's input ports together with their due-time arrays — the
+/// only way to change a port's queue (see the module docs).
 #[derive(Debug)]
 pub(crate) struct InputPorts<'a> {
     queues: &'a mut [Queue],
@@ -108,29 +107,7 @@ pub(crate) struct InputPorts<'a> {
     ready_offset: u64,
 }
 
-impl<'a> InputPorts<'a> {
-    /// Split into `[0, mid)` and `[mid, len)`, like `slice::split_at_mut`.
-    pub fn split_at(self, mid: usize) -> (Self, Self) {
-        let (queues, queues_rest) = self.queues.split_at_mut(mid);
-        let (ready_at, ready_rest) = self.ready_at.split_at_mut(mid);
-        let (vacate_at, vacate_rest) = self.vacate_at.split_at_mut(mid);
-        let ready_offset = self.ready_offset;
-        (
-            Self {
-                queues,
-                ready_at,
-                vacate_at,
-                ready_offset,
-            },
-            Self {
-                queues: queues_rest,
-                ready_at: ready_rest,
-                vacate_at: vacate_rest,
-                ready_offset,
-            },
-        )
-    }
-
+impl InputPorts<'_> {
     /// Per-port cycle the ungranted front may request (see the module
     /// docs).
     pub fn ready_at(&self) -> &[u64] {
@@ -345,7 +322,7 @@ impl Stage {
         }
     }
 
-    /// All input ports, for pushes and for splitting into chunks.
+    /// All input ports.
     pub fn inputs(&mut self) -> InputPorts<'_> {
         self.split().0
     }
@@ -481,8 +458,6 @@ mod tests {
         assert_eq!(stage.inputs().ready_at().len(), 12);
         assert_eq!(stage.outputs.len(), 12);
         assert_eq!(stage.queue_lens().sum::<usize>(), 0);
-        let (head, tail) = stage.inputs().split_at(4);
-        assert_eq!((head.vacate_at().len(), tail.vacate_at().len()), (4, 8));
     }
 
     #[test]

@@ -1,56 +1,22 @@
-//! Execution options: how a simulation runs, never what it computes.
+//! Execution options, kept as an empty shim.
 //!
-//! [`EngineOptions`] is deliberately *not* part of [`crate::SimConfig`]:
-//! the thread budget and chunking are promised to be unobservable in the
-//! results (the parity and property suites pin this byte-for-byte), so
-//! anything keyed on the config — the service's content-addressed result
-//! cache, journaled job configs, recorded baselines — stays valid when a
-//! run is re-executed with a different budget.
+//! The engine runs one way: serially, on the caller's thread (DESIGN.md
+//! §7.5 gives the measurements). [`EngineOptions`] carries no settings;
+//! it remains because callers of [`crate::Engine::try_with_options`]
+//! outside this repository's crates still name it.
 
-/// Knobs controlling how the engine executes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Shard threads for the parallel engine: `1` runs serial (the
-    /// default), `0` uses one shard per available core, `n` uses exactly
-    /// `n` (one pool worker per extra shard; the calling thread is always
-    /// a shard too).
-    pub threads: usize,
-    /// Modules per shard chunk within a stage (`0` = automatic: a few
-    /// chunks per thread per stage for load balance). Results are
-    /// identical for every value — chunking only changes scheduling.
-    pub chunk_modules: usize,
-    /// Test-only schedule perturbation: a seed that shuffles shard
-    /// dispatch order and injects thread yields every cycle, to flush
-    /// latent ordering assumptions out of the parallel engine. `None`
-    /// (the default) disables it; results are identical either way.
-    pub perturb_seed: Option<u64>,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            chunk_modules: 0,
-            perturb_seed: None,
-        }
-    }
-}
+/// Options for [`crate::Engine::try_with_options`]. There are none: every
+/// value is the default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct EngineOptions;
 
 impl EngineOptions {
-    /// Options for an `n`-thread run with automatic chunking.
+    /// Returns [`EngineOptions::default`]. The thread count is ignored:
+    /// the engine always steps on the caller's thread.
     #[must_use]
-    pub fn threaded(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// The effective shard count: `0` resolves to the machine's available
-    /// parallelism, anything else is taken literally (minimum 1).
-    #[must_use]
-    pub fn resolved_threads(&self) -> usize {
-        crate::pool::resolve_threads(self.threads)
+    pub fn threaded(_threads: usize) -> Self {
+        Self
     }
 }
 
@@ -60,16 +26,8 @@ mod tests {
 
     #[test]
     fn default_is_serial() {
-        let options = EngineOptions::default();
-        assert_eq!(options.threads, 1);
-        assert_eq!(options.resolved_threads(), 1);
-        assert_eq!(options.chunk_modules, 0);
-        assert!(options.perturb_seed.is_none());
-    }
-
-    #[test]
-    fn auto_threads_resolve_to_at_least_one() {
-        let options = EngineOptions::threaded(0);
-        assert!(options.resolved_threads() >= 1);
+        for threads in [0, 1, 2, 8] {
+            assert_eq!(EngineOptions::threaded(threads), EngineOptions::default());
+        }
     }
 }

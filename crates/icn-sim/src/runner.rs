@@ -227,33 +227,6 @@ mod tests {
         assert!(parallel[0].telemetry.is_none());
     }
 
-    /// Fast always-on check that the sharded engine is unobservable in
-    /// the result; the full byte-level matrix lives in `tests/parity.rs`.
-    #[test]
-    fn threaded_engine_matches_serial() {
-        use crate::fault::{FaultPlan, RetryPolicy};
-        use crate::telemetry::TelemetryConfig;
-
-        let mut config = small_config(0.02, 9);
-        config.telemetry = TelemetryConfig::sampled(50);
-        config.faults = FaultPlan::random_module_failures(&config.plan, 1, 400, 0xBEEF);
-        config.retry = RetryPolicy::retries(2);
-        config.watchdog_cycles = 5_000;
-        let serial = run(config.clone());
-        for threads in [2, 4] {
-            for chunk_modules in [0, 1, 3] {
-                let options = EngineOptions {
-                    threads,
-                    chunk_modules,
-                    perturb_seed: Some(7),
-                };
-                let engine = Engine::try_with_options(config.clone(), options).unwrap();
-                let threaded = engine.run();
-                assert_eq!(serial, threaded, "threads={threads} chunk={chunk_modules}");
-            }
-        }
-    }
-
     #[test]
     fn empty_batch_is_fine() {
         assert!(run_parallel(Vec::new()).is_empty());

@@ -1,89 +1,61 @@
-//! Module-sharded execution of the engine's per-cycle phases.
+//! Per-stage kernels of the engine's vacate and grant phases, and the
+//! deferred effects that let the grant sweep read pre-phase state.
 //!
 //! Within one cycle, the modules of a stage are independent: each packet
 //! sits in exactly one module's input buffer, every output line feeds a
 //! *unique* downstream input port (the entry tables are injective), and
-//! routing is a pure function of the destination. The engine exploits
-//! this by splitting the vacate and grant phases over contiguous
-//! *module chunks* of the flat stage tables and running the chunks on a
-//! [`WorkerPool`] with a per-cycle barrier between phases.
+//! routing is a pure function of the destination. The engine runs the
+//! vacate phase stage by stage, then the grant sweep of every stage, then
+//! one merge, on the calling thread.
 //!
-//! # The determinism argument
+//! # Why the grant sweep defers its effects
 //!
-//! Parallel execution is byte-identical to serial because no shard ever
-//! observes another shard's same-cycle writes, and everything a shard
-//! produces is merged in **chunk index order** (= module index order),
-//! never thread completion order:
+//! A grant in stage `s` reserves a slot in stage `s + 1`, whose grant
+//! sweep reads that stage's occupancy for back-pressure. The paper's
+//! switches act in lock step, so every sweep of a cycle must see the
+//! post-vacate state, not a neighbour's same-cycle grants:
 //!
 //! * **Reads are pre-phase state.** Back-pressure reads the occupancy
 //!   counts ([`ExecState::occ`]), which change only before the grant
-//!   barrier (vacate chunks subtract what they free; source grants add to
-//!   stage 0, which no grant reads) or at the merge (downstream pushes
-//!   add, fault drops subtract). During the grant phase they therefore
-//!   hold post-vacate occupancy — exactly what the serial sweep
-//!   observed, because within one grant pass the only writer to a
+//!   sweeps (vacates subtract what they free; source grants add to stage
+//!   0, which no grant reads) or at the merge (downstream pushes add,
+//!   fault drops subtract). During the grant phase they therefore hold
+//!   post-vacate occupancy — and within one stage the only writer to a
 //!   downstream port is its unique upstream line, which reads the port
 //!   before pushing. The packet arena, route/entry tables, and fault
 //!   health are read-only during the grant phase.
-//! * **Writes are chunk-local or deferred.** A chunk mutates only its own
-//!   slice of input/output ports, and the due-time arrays (`ready_at`,
-//!   `vacate_at`; see [`crate::module`]) are split into the same chunks,
-//!   so refreshing them is a chunk-local write too. Everything with a
-//!   global ordering — events, downstream pushes,
-//!   deliveries, fault drops (and their occupancy decrements), stage
-//!   counters, telemetry — is buffered in the chunk's [`ShardEffects`]
-//!   and applied serially at the barrier, stage by stage in chunk order,
-//!   reproducing the serial sweep's exact order.
-//! * **Parks are chunk-local; wakes are serial.** A grant chunk parks
-//!   only its own heads and counts them in its own [`Parked`] gauges.
-//!   Wakes write another chunk's `ready_at` and gauges, so they never run
-//!   during a parallel phase: the vacate chunks only *record* the full
-//!   ports they free (chunk-locally), and the engine wakes those ports'
-//!   waiters in one serial pass before the grant phase; fault drops wake
-//!   theirs at the merge, and fault activations at the start of the
-//!   cycle. A parked head is exactly as blocked as when it parked — its
-//!   module and link are healthy (activations wake it), a busy output
-//!   stays busy until its `busy_until` (the park's due cycle), and a full
-//!   downstream port stays full until a vacate or drop (which wake it),
-//!   because its only writer is the output the head waits on. So leaving
-//!   it out of the sweep changes no grant, drop or event, and its chunk's
-//!   gauges count it exactly as the sweep did.
+//! * **Writes are stage-local or deferred.** A stage's sweep mutates only
+//!   its own input/output ports and due-time arrays (`ready_at`,
+//!   `vacate_at`; see [`crate::module`]). Everything with a global
+//!   ordering — events, downstream pushes, deliveries, fault drops (and
+//!   their occupancy decrements), stage counters, telemetry — is buffered
+//!   in the stage's [`ShardEffects`] and applied at the merge, stage by
+//!   stage in order.
+//! * **Parks are stage-local; wakes run between phases.** A grant sweep
+//!   parks only its own heads and counts them in its stage's [`Parked`]
+//!   gauges. The vacate phase only *records* the full ports it frees, and
+//!   the engine wakes those ports' waiters in one pass before the grant
+//!   phase; fault drops wake theirs at the merge, and fault activations
+//!   at the start of the cycle. A parked head is exactly as blocked as
+//!   when it parked — its module and link are healthy (activations wake
+//!   it), a busy output stays busy until its `busy_until` (the park's due
+//!   cycle), and a full downstream port stays full until a vacate or drop
+//!   (which wake it), because its only writer is the output the head
+//!   waits on. So leaving it out of the sweep changes no grant, drop or
+//!   event, and its stage's gauges count it exactly as the sweep did.
 //!
-//! Chunk boundaries therefore cannot be observed either: any
-//! `chunk_modules` (and any thread count, including the serial
-//! single-chunk path, which runs this same code) yields identical bytes.
-//! The parity matrix in `tests/parity.rs` and the property suite pin
-//! this.
-
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha12Rng;
+//! The parity fixtures in `tests/parity.rs` and the property suite pin
+//! the resulting bytes.
 
 use crate::config::Arbitration;
 use crate::fault::{FaultState, Health};
 use crate::metrics::StageCounters;
 use crate::module::{next_due, InputPorts, OutputPort, UNTIL_DRAINED};
-use crate::options::EngineOptions;
-use crate::pool::WorkerPool;
 use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::SimEvent;
 
 /// Sentinel for "this input has no ready head" in the grant scratch.
 pub(crate) const NO_TAG: u32 = u32::MAX;
-
-/// With automatic chunking, aim for this many chunks per thread per
-/// stage, so dynamic claiming can balance uneven module work.
-const AUTO_CHUNKS_PER_THREAD: usize = 4;
-
-/// One contiguous run of modules within a stage — the unit of dispatch.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChunkDesc {
-    /// Stage index.
-    pub stage: usize,
-    /// First (global) module index of the chunk.
-    pub module_base: usize,
-    /// Modules in the chunk.
-    pub modules: usize,
-}
 
 /// Per-stage constants the grant kernel needs.
 #[derive(Debug, Clone, Copy)]
@@ -100,7 +72,8 @@ pub(crate) struct StageMeta {
 /// until cycle 0.
 const STAY_DUE: u64 = 0;
 
-/// Reusable per-chunk arbitration scratch (the per-module ready set).
+/// Reusable arbitration scratch (the per-module ready set), sized for
+/// the widest stage.
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
     /// `ready[in_port]` = requested output tag, or [`NO_TAG`].
@@ -114,7 +87,7 @@ pub(crate) struct ShardScratch {
     pub park_at: Vec<u64>,
 }
 
-/// One chunk's parked heads, kept as gauges so the blocked counters stay
+/// One stage's parked heads, kept as gauges so the blocked counters stay
 /// exact per head-cycle while the sweep skips them. A head parked on a
 /// busy output is due again at that output's `busy_until`, at most
 /// `head_latency + flits` cycles ahead, so those parks sit in a wake
@@ -176,14 +149,14 @@ impl Parked {
     }
 }
 
-/// Everything a grant chunk produces besides its chunk-local port
-/// mutations, buffered for the barrier-side canonical merge. Buffers are
-/// reused across cycles (cleared, never shrunk).
+/// Everything a stage's grant sweep produces besides its own port
+/// mutations, buffered for the merge. Buffers are reused across cycles
+/// (cleared, never shrunk).
 #[derive(Debug, Default)]
 pub(crate) struct ShardEffects {
-    /// Counter deltas for the chunk's stage.
+    /// Counter deltas for the stage.
     pub counters: StageCounters,
-    /// The chunk made forward progress (granted an output).
+    /// The sweep made forward progress (granted an output).
     pub progressed: bool,
     /// Grant events, in (module, out_port) order.
     pub events: Vec<SimEvent>,
@@ -197,8 +170,8 @@ pub(crate) struct ShardEffects {
     pub pushes: Vec<(u32, PacketRef, u64)>,
     /// Last-stage exits: `(packet, out line, delivered-at cycle)`.
     pub deliveries: Vec<(PacketRef, u32, u64)>,
-    /// Packets dropped by permanent faults in this chunk, with the
-    /// stage-flat input port each left (its occupancy count drops at the
+    /// Packets dropped by permanent faults in this stage, with the
+    /// input port each left (its occupancy count drops at the
     /// merge, so back-pressure reads stay post-vacate until then).
     pub drops: Vec<(u32, PacketRef)>,
 }
@@ -217,7 +190,7 @@ impl ShardEffects {
     }
 }
 
-/// Accumulate one chunk's counter deltas (merge step).
+/// Accumulate one stage's counter deltas (merge step).
 pub(crate) fn add_counters(into: &mut StageCounters, delta: &StageCounters) {
     into.grants += delta.grants;
     into.blocked_output_busy += delta.blocked_output_busy;
@@ -226,213 +199,83 @@ pub(crate) fn add_counters(into: &mut StageCounters, delta: &StageCounters) {
     into.dropped += delta.dropped;
 }
 
-/// Test-only schedule perturbation (see
-/// [`EngineOptions::perturb_seed`]): a private RNG stream — never the
-/// simulation's — that reshuffles chunk dispatch order and picks yield
-/// points every cycle. Results must not change; the stress suite runs
-/// the parity fixtures under it to prove that.
-#[derive(Debug)]
-pub(crate) struct PerturbState {
-    rng: ChaCha12Rng,
-    /// This cycle's dispatch permutation (claim slot → chunk index).
-    pub perm: Vec<u32>,
-}
-
-impl PerturbState {
-    pub(crate) fn new(seed: u64) -> Self {
-        Self {
-            rng: ChaCha12Rng::seed_from_u64(seed),
-            perm: Vec::new(),
-        }
-    }
-
-    /// Draw the next broadcast's schedule: refill the permutation
-    /// (Fisher–Yates over `chunks`) and return a yield bitmask (claim
-    /// slot `i` yields before working iff bit `i % 64` is set).
-    pub fn next_schedule(&mut self, chunks: usize) -> u64 {
-        self.perm.clear();
-        self.perm.extend(0..chunks as u32);
-        for i in (1..chunks).rev() {
-            let j = self.rng.random_range(0..=i);
-            self.perm.swap(i, j);
-        }
-        self.rng.next_u64()
-    }
-}
-
-/// The engine's sharded-execution state: the pool, the static chunk
-/// plan, and every reusable per-chunk buffer.
+/// The engine's per-stage execution state: every reusable buffer the
+/// vacate and grant sweeps fill, and the occupancy counts.
 #[derive(Debug)]
 pub(crate) struct ExecState {
-    /// Pool of `threads - 1` workers (`None` when serial — the caller is
-    /// always shard `threads - 1` itself).
-    pub pool: Option<WorkerPool>,
-    /// Resolved shard count (pool workers + caller).
-    pub threads: usize,
-    /// Static chunk plan, stage-major (all of stage 0's chunks, then
-    /// stage 1's, …).
-    pub chunks: Vec<ChunkDesc>,
-    /// Per-chunk deferred effects, indexed like `chunks`.
+    /// Per-stage deferred grant effects.
     pub effects: Vec<ShardEffects>,
-    /// Per-chunk arbitration scratch, indexed like `chunks`.
-    pub scratch: Vec<ShardScratch>,
-    /// Per-chunk freed-slot counts from the vacate phase.
-    pub freed: Vec<u64>,
-    /// Per-chunk ports (chunk-local) the vacate phase freed a slot in
-    /// while full: the heads upstream of them may be parked on them.
+    /// Arbitration scratch, shared by the stages' sweeps.
+    pub scratch: ShardScratch,
+    /// Per stage, the ports the vacate phase freed a slot in while full:
+    /// the heads upstream of them may be parked on them.
     pub unblocked: Vec<Vec<u32>>,
-    /// Per-chunk parked-head gauges, indexed like `chunks`.
+    /// Per-stage parked-head gauges.
     pub parked: Vec<Parked>,
-    /// Per stage: its first chunk's index and the modules per chunk (the
-    /// last chunk may hold fewer).
-    chunk_plan: Vec<(usize, usize)>,
-    /// Input occupancy, flat: `occ[occ_base[stage] + port]`. Kept equal
-    /// to each queue's length as ports change: a push adds one (source
-    /// grants, merge), the vacate phase subtracts what it frees, and the
-    /// merge subtracts fault drops. During the grant phase it therefore
-    /// holds post-vacate occupancy, which back-pressure reads.
-    pub occ: Vec<u32>,
-    /// Per-stage offsets into `occ`.
-    pub occ_base: Vec<usize>,
+    /// Input occupancy per stage, in port order: `occ[stage][port]`.
+    /// Kept equal to each queue's length as ports change: a push adds one
+    /// (source grants, merge), the vacate phase subtracts what it frees,
+    /// and the merge subtracts fault drops. During the grant phase it
+    /// therefore holds post-vacate occupancy, which back-pressure reads.
+    pub occ: Vec<Vec<u32>>,
     /// Per-stage constants.
     pub meta: Vec<StageMeta>,
-    /// Test-only schedule perturbation, when enabled.
-    pub perturb: Option<PerturbState>,
 }
 
 impl ExecState {
-    /// Plan chunks and allocate every per-chunk buffer for the given
-    /// stage shape and packet length.
-    pub fn build(options: &EngineOptions, meta: Vec<StageMeta>, flits: u64) -> Self {
-        let threads = options.resolved_threads().max(1);
+    /// Allocate every per-stage buffer for the given stage shape and
+    /// packet length.
+    pub fn build(meta: Vec<StageMeta>, flits: u64) -> Self {
         let max_radix = meta.iter().map(|m| m.radix as usize).max().unwrap_or(0);
-        let mut chunks = Vec::new();
-        let mut chunk_plan = Vec::with_capacity(meta.len());
-        let mut occ_base = Vec::with_capacity(meta.len());
-        let mut ports_total = 0usize;
-        for (stage, m) in meta.iter().enumerate() {
-            occ_base.push(ports_total);
-            ports_total += (m.modules * m.radix) as usize;
-            let modules = m.modules as usize;
-            let chunk = match options.chunk_modules {
-                0 if threads <= 1 => modules.max(1),
-                0 => modules.div_ceil(threads * AUTO_CHUNKS_PER_THREAD).max(1),
-                n => n,
-            };
-            chunk_plan.push((chunks.len(), chunk));
-            let mut base = 0;
-            while base < modules {
-                let span = chunk.min(modules - base);
-                chunks.push(ChunkDesc {
-                    stage,
-                    module_base: base,
-                    modules: span,
-                });
-                base += span;
-            }
-        }
-        let effects = (0..chunks.len()).map(|_| ShardEffects::default()).collect();
-        let scratch = (0..chunks.len())
-            .map(|_| ShardScratch {
+        Self {
+            effects: meta.iter().map(|_| ShardEffects::default()).collect(),
+            scratch: ShardScratch {
                 ready: vec![NO_TAG; max_radix],
                 tag_count: vec![0; max_radix],
                 park_at: vec![STAY_DUE; max_radix],
-            })
-            .collect();
-        let freed = vec![0u64; chunks.len()];
-        let unblocked = (0..chunks.len()).map(|_| Vec::new()).collect();
-        let parked = chunks
-            .iter()
-            .map(|c| Parked::new(meta[c.stage].head_latency + flits))
-            .collect();
-        let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
-        debug_assert_eq!(pool.as_ref().map_or(0, WorkerPool::workers) + 1, threads);
-        let perturb = options.perturb_seed.map(PerturbState::new);
-        Self {
-            pool,
-            threads,
-            chunks,
-            effects,
-            scratch,
-            freed,
-            unblocked,
-            parked,
-            chunk_plan,
-            occ: vec![0; ports_total],
-            occ_base,
+            },
+            unblocked: meta.iter().map(|_| Vec::new()).collect(),
+            parked: meta
+                .iter()
+                .map(|m| Parked::new(m.head_latency + flits))
+                .collect(),
+            occ: meta
+                .iter()
+                .map(|m| vec![0; (m.modules * m.radix) as usize])
+                .collect(),
             meta,
-            perturb,
         }
     }
-
-    /// The chunk holding module `module` of stage `stage`.
-    pub fn chunk_of(&self, stage: usize, module: usize) -> usize {
-        let (first, span) = self.chunk_plan[stage];
-        first + module / span
-    }
-
-    /// Stage `stage`'s input occupancy counts, in port order.
-    pub fn stage_occ(&self, stage: usize) -> &[u32] {
-        let m = &self.meta[stage];
-        let base = self.occ_base[stage];
-        &self.occ[base..base + (m.modules * m.radix) as usize]
-    }
 }
 
-/// Draw this broadcast's dispatch schedule: the perturbation permutation
-/// and yield mask when both a pool and a [`PerturbState`] exist, the
-/// identity (in-order) schedule otherwise. Serial runs never consume the
-/// perturbation RNG, so a perturbed parallel run and an unperturbed one
-/// are both compared against the same serial baseline.
-pub(crate) fn schedule<'a>(
-    pool: Option<&WorkerPool>,
-    perturb: &'a mut Option<PerturbState>,
-    chunks: usize,
-) -> (Option<&'a [u32]>, u64) {
-    match (pool, perturb.as_mut()) {
-        (Some(_), Some(p)) => {
-            let yields = p.next_schedule(chunks);
-            (Some(p.perm.as_slice()), yields)
-        }
-        _ => (None, 0),
-    }
-}
-
-/// One vacate-phase job: free drained slots in the chunk's input ports
-/// and take them off the chunk's occupancy counts, which the grant
-/// phase's back-pressure reads.
-pub(crate) struct VacateJob<'a> {
-    pub now: u64,
-    pub capacity: u32,
-    pub inputs: InputPorts<'a>,
-    pub occ: &'a mut [u32],
-    pub freed: &'a mut u64,
-    /// Ports freed while full, for the serial wake pass (which empties
-    /// the list).
-    pub unblocked: &'a mut Vec<u32>,
-}
-
-/// Run one vacate chunk: scan the `vacate_at` array and touch only the
-/// queues whose granted front leaves by now. A port that was full may
-/// have heads parked on it upstream; it is recorded chunk-locally, and
-/// the engine wakes them serially after the phase.
-pub(crate) fn vacate_chunk(job: &mut VacateJob<'_>) {
-    let now = job.now;
+/// Free drained slots in one stage's input ports and take them off the
+/// stage's occupancy counts, which the grant phase's back-pressure reads;
+/// returns how many slots were freed. The sweep scans the `vacate_at`
+/// array and touches only the queues whose granted front leaves by now.
+/// A port that was full may have heads parked on it upstream; it is
+/// recorded in `unblocked`, and the engine wakes them after the phase.
+pub(crate) fn vacate_stage(
+    now: u64,
+    capacity: u32,
+    inputs: &mut InputPorts<'_>,
+    occ: &mut [u32],
+    unblocked: &mut Vec<u32>,
+) -> u64 {
     let mut freed = 0;
     let mut scan = 0;
-    while let Some(p) = next_due(job.inputs.vacate_at(), scan, now) {
-        let n = job.inputs.vacate(p, now);
-        if job.occ[p] >= job.capacity {
-            job.unblocked.push(p as u32);
+    while let Some(p) = next_due(inputs.vacate_at(), scan, now) {
+        let n = inputs.vacate(p, now);
+        if occ[p] >= capacity {
+            unblocked.push(p as u32);
         }
-        job.occ[p] -= n as u32;
+        occ[p] -= n as u32;
         freed += n;
         scan = p + 1;
     }
-    *job.freed = freed;
+    freed
 }
 
-/// Read-only state shared by every grant chunk of one cycle.
+/// Read-only state shared by every stage's grant sweep in one cycle.
 pub(crate) struct GrantShared<'a> {
     pub now: u64,
     pub flits: u64,
@@ -447,8 +290,7 @@ pub(crate) struct GrantShared<'a> {
     pub faults: Option<&'a FaultState>,
     pub meta: &'a [StageMeta],
     /// Post-vacate occupancy counts (see [`ExecState::occ`]).
-    pub occ: &'a [u32],
-    pub occ_base: &'a [usize],
+    pub occ: &'a [Vec<u32>],
     /// An event sink is attached: buffer grant events.
     pub record_events: bool,
     /// Telemetry is on: buffer stage waits.
@@ -457,29 +299,28 @@ pub(crate) struct GrantShared<'a> {
     pub record_heat: bool,
 }
 
-/// One grant-phase job: the chunk's disjoint port slices plus its
-/// scratch and effects buffers.
+/// One stage's grant sweep: its ports plus the scratch and effects
+/// buffers it fills.
 pub(crate) struct GrantJob<'a> {
-    pub desc: ChunkDesc,
-    /// The chunk's input ports (local index 0 = the chunk's first port).
+    /// Stage index.
+    pub stage: usize,
+    /// The stage's input ports.
     pub inputs: InputPorts<'a>,
-    /// The chunk's output ports, same layout.
+    /// The stage's output ports, same layout.
     pub outputs: &'a mut [OutputPort],
     pub scratch: &'a mut ShardScratch,
     pub parked: &'a mut Parked,
     pub fx: &'a mut ShardEffects,
 }
 
-/// Arbitrate and grant every free output of one module chunk — the exact
-/// serial sweep over `module_base .. module_base + modules`, with every
-/// globally-ordered effect deferred into [`ShardEffects`] (see the module
-/// docs for why that is behavior-identical). Modules with no due head
-/// can grant, block or drop nothing, so the sweep jumps from one module
-/// with a due `ready_at` entry to the next. Heads left blocked on a
-/// healthy output park, and the chunk's gauges count them each cycle
-/// until they are due again.
+/// Arbitrate and grant every free output of one stage, module by module,
+/// with every globally-ordered effect deferred into [`ShardEffects`] (see
+/// the module docs). Modules with no due head can grant, block or drop
+/// nothing, so the sweep jumps from one module with a due `ready_at`
+/// entry to the next. Heads left blocked on a healthy output park, and
+/// the stage's gauges count them each cycle until they are due again.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
+pub(crate) fn grant_stage(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     let GrantShared {
         now,
         flits,
@@ -492,19 +333,18 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
         faults,
         meta,
         occ,
-        occ_base,
         record_events,
         record_waits,
         record_heat,
     } = *shared;
-    let stage_idx = job.desc.stage;
+    let stage_idx = job.stage;
     let is_last = stage_idx + 1 == stage_count;
     let stage_meta = &meta[stage_idx];
     let radix = stage_meta.radix as usize;
     let radix_u = stage_meta.radix;
     let head_latency = stage_meta.head_latency;
     let next_entry: Option<&[u32]> = entry.get(stage_idx + 1).map(Vec::as_slice);
-    let next_occ_base = occ_base.get(stage_idx + 1).copied().unwrap_or(0);
+    let next_occ: Option<&[u32]> = occ.get(stage_idx + 1).map(Vec::as_slice);
     let fx = &mut *job.fx;
     let counters = &mut fx.counters;
     let ready = &mut job.scratch.ready[..radix];
@@ -519,17 +359,13 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     // Routing is a pure function of the destination; `stage_idx`'s tag is
     // the destination's digit for this stage.
     let tag_of = |r: PacketRef| routes[store.get(r).dest as usize * stage_count + stage_idx];
-    // Stage-flat index of the chunk's first port (fault drops carry it).
-    let port_base = job.desc.module_base * radix;
     let inputs = &mut job.inputs;
 
     let mut scan = 0;
     while let Some(p) = next_due(inputs.ready_at(), scan, now) {
-        let local_m = p / radix;
-        scan = (local_m + 1) * radix;
-        let module_idx = job.desc.module_base + local_m;
-        let base = local_m * radix;
-        let global_base = module_idx * radix;
+        let module_idx = p / radix;
+        scan = (module_idx + 1) * radix;
+        let base = module_idx * radix;
         match faults.map_or(Health::Up, |f| {
             f.module_health(stage_idx as u32, module_idx as u32, now)
         }) {
@@ -553,7 +389,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                         let Some(dropped) = inputs.drop_front(p) else {
                             break;
                         };
-                        fx.drops.push(((port_base + p) as u32, dropped));
+                        fx.drops.push((p as u32, dropped));
                         counters.dropped += 1;
                     }
                 }
@@ -582,7 +418,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                 continue;
             }
             let out_port_u = out_port as u32;
-            let out_line = (global_base + out_port) as u32;
+            let out_line = (base + out_port) as u32;
             match faults.map_or(Health::Up, |f| {
                 f.link_health(stage_idx as u32, out_line, now)
             }) {
@@ -595,8 +431,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                     // Drain every consecutive ready head routed at this
                     // severed link; each drop exposes the next head, which
                     // may be ready with any tag — recompute so later
-                    // outputs see it this cycle (exactly as the serial
-                    // sweep did).
+                    // outputs see it this cycle.
                     for (in_port, slot) in ready.iter_mut().enumerate() {
                         let p = base + in_port;
                         while *slot == out_port_u {
@@ -605,7 +440,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                                 *slot = NO_TAG;
                                 break;
                             };
-                            fx.drops.push(((port_base + p) as u32, dropped));
+                            fx.drops.push((p as u32, dropped));
                             counters.dropped += 1;
                             tag_count[out_port] -= 1;
                             *slot = match inputs.ready_head(p, now) {
@@ -631,12 +466,12 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             }
 
             // Back-pressure: the downstream buffer must accept a packet.
-            // The occupancy snapshot is post-vacate state — exactly what
-            // the serial sweep read, since a downstream port's only
-            // same-cycle writer is this very line (see module docs).
-            if let Some(next_entry) = next_entry {
+            // The occupancy counts are post-vacate state: a downstream
+            // port's only same-cycle writer is this very line (see the
+            // module docs).
+            if let (Some(next_entry), Some(next_occ)) = (next_entry, next_occ) {
                 let downstream = next_entry[out_line as usize] as usize;
-                if occ[next_occ_base + downstream] >= capacity {
+                if next_occ[downstream] >= capacity {
                     counters.blocked_downstream_full += u64::from(matching);
                     park_at[out_port] = UNTIL_DRAINED;
                     continue;
@@ -746,7 +581,7 @@ pub(crate) fn upstream_line(ports: u32, radix: u32, port: u32) -> u32 {
 
 /// Wake the heads of `inputs` (a whole stage) parked on the full buffer
 /// that output line `line` feeds: the heads in the line's module whose
-/// route takes that output. `parked` is the module's chunk's gauges.
+/// route takes that output. `parked` is the stage's gauges.
 pub(crate) fn wake_line(
     inputs: &mut InputPorts<'_>,
     parked: &mut Parked,
@@ -773,8 +608,8 @@ pub(crate) fn wake_line(
 }
 
 /// Wake every parked head of module `module` in `inputs` (a whole
-/// stage) — a fault changed what blocks them. `parked` is the module's
-/// chunk's gauges.
+/// stage) — a fault changed what blocks them. `parked` is the stage's
+/// gauges.
 pub(crate) fn rearm_module(
     inputs: &mut InputPorts<'_>,
     parked: &mut Parked,
@@ -793,14 +628,6 @@ pub(crate) fn rearm_module(
 mod tests {
     use super::*;
 
-    fn options(threads: usize, chunk: usize) -> EngineOptions {
-        EngineOptions {
-            threads,
-            chunk_modules: chunk,
-            perturb_seed: None,
-        }
-    }
-
     fn meta(stages: &[(u32, u32)]) -> Vec<StageMeta> {
         stages
             .iter()
@@ -814,50 +641,13 @@ mod tests {
 
     #[test]
     fn serial_plan_is_one_chunk_per_stage() {
-        let exec = ExecState::build(&options(1, 0), meta(&[(4, 16), (4, 16), (2, 32)]), 25);
-        assert_eq!(exec.threads, 1);
-        assert!(exec.pool.is_none());
-        assert_eq!(exec.chunks.len(), 3);
-        for (stage, chunk) in exec.chunks.iter().enumerate() {
-            assert_eq!(chunk.stage, stage);
-            assert_eq!(chunk.module_base, 0);
-        }
-        assert_eq!(exec.occ.len(), 64 + 64 + 64);
-        assert_eq!(exec.occ_base, vec![0, 64, 128]);
-    }
-
-    #[test]
-    fn chunk_plan_covers_every_module_exactly_once() {
-        for threads in [1, 2, 4, 8] {
-            for chunk_modules in [0, 1, 3, 7, 100] {
-                let exec = ExecState::build(
-                    &options(threads, chunk_modules),
-                    meta(&[(4, 16), (2, 32), (8, 5)]),
-                    25,
-                );
-                let mut seen = vec![0u32; 3 * 32];
-                for c in &exec.chunks {
-                    assert!(c.modules > 0);
-                    for m in c.module_base..c.module_base + c.modules {
-                        seen[c.stage * 32 + m] += 1;
-                    }
-                }
-                let expected: Vec<u32> = (0..3usize)
-                    .flat_map(|s| {
-                        let modules = [16usize, 32, 5][s];
-                        (0..32).map(move |m| u32::from(m < modules))
-                    })
-                    .collect();
-                assert_eq!(seen, expected, "threads={threads} chunk={chunk_modules}");
-                // Stage-major order, contiguous within each stage.
-                for pair in exec.chunks.windows(2) {
-                    assert!(pair[1].stage >= pair[0].stage);
-                    if pair[1].stage == pair[0].stage {
-                        assert_eq!(pair[1].module_base, pair[0].module_base + pair[0].modules);
-                    }
-                }
-            }
-        }
+        let exec = ExecState::build(meta(&[(4, 16), (2, 32), (8, 5)]), 25);
+        assert_eq!(exec.effects.len(), 3);
+        assert_eq!(exec.unblocked.len(), 3);
+        assert_eq!(exec.parked.len(), 3);
+        let ports: Vec<usize> = exec.occ.iter().map(Vec::len).collect();
+        assert_eq!(ports, vec![64, 64, 40]);
+        assert_eq!(exec.scratch.ready.len(), 8, "sized for the widest stage");
     }
 
     #[test]
@@ -898,17 +688,5 @@ mod tests {
         assert_eq!(parked.tick(12), (1, 0));
         assert_eq!(parked.tick(13), (0, 0));
         assert_eq!(parked.calendar_total(), 0);
-    }
-
-    #[test]
-    fn perturb_permutation_is_a_permutation() {
-        let mut p = PerturbState::new(42);
-        for n in [1usize, 2, 7, 33] {
-            let _yields = p.next_schedule(n);
-            let mut sorted = p.perm.clone();
-            sorted.sort_unstable();
-            let expected: Vec<u32> = (0..n as u32).collect();
-            assert_eq!(sorted, expected);
-        }
     }
 }

@@ -109,7 +109,7 @@ pub trait EventSink: Send + std::fmt::Debug {
 /// owns the sink.
 #[derive(Debug, Default, Clone)]
 pub struct MemorySink {
-    // icn-lint: allow(ICN203) -- consumer-side sink handle shared with test/CLI code; the engine only appends at the serial merge, never from a shard
+    // icn-lint: allow(ICN203) -- consumer-side sink handle shared with test/CLI code; the engine only appends from the thread that steps it
     events: Arc<std::sync::Mutex<Vec<SimEvent>>>,
 }
 
@@ -159,7 +159,7 @@ impl EventSink for MemorySink {
 /// stream. Cloning shares the underlying map, like [`MemorySink`].
 #[derive(Debug, Default, Clone)]
 pub struct TraceBuilder {
-    // icn-lint: allow(ICN203) -- consumer-side trace handle, same sharing shape as MemorySink; never touched from shard code
+    // icn-lint: allow(ICN203) -- consumer-side trace handle, same sharing shape as MemorySink
     traces: Arc<std::sync::Mutex<BTreeMap<u64, PacketTrace>>>,
 }
 

@@ -19,8 +19,8 @@
 
 use icn_sim::telemetry::MemorySink;
 use icn_sim::{
-    Arbitration, ChipModel, Engine, EngineOptions, FaultEvent, FaultPlan, FaultTarget, RetryPolicy,
-    SimConfig, TelemetryConfig,
+    Arbitration, ChipModel, Engine, FaultEvent, FaultPlan, FaultTarget, RetryPolicy, SimConfig,
+    TelemetryConfig,
 };
 use icn_topology::StagePlan;
 use icn_workloads::Workload;
@@ -225,71 +225,12 @@ pub fn cases() -> Vec<ParityCase> {
     cases
 }
 
-/// The serial-vs-parallel matrix: every fixture config crossed with the
-/// engine's optional subsystems toggled both ways — faults (with retries)
-/// on/off and telemetry+profiler on/off — so sharded execution is proven
-/// byte-identical on every per-cycle path, not just the paths each
-/// fixture happens to exercise. Variants derive from [`cases`]; the
-/// checked-in fixtures themselves are untouched.
-#[must_use]
-#[allow(dead_code)] // shared via #[path]; only tests/parity.rs walks the matrix
-pub fn matrix() -> Vec<ParityCase> {
-    let mut matrix = Vec::new();
-    for case in cases() {
-        for strip_faults in [false, true] {
-            for force_profile in [false, true] {
-                let mut config = case.config.clone();
-                if strip_faults {
-                    config.faults = FaultPlan::new(Vec::new());
-                    config.retry = RetryPolicy::default();
-                } else if config.faults.is_empty() {
-                    // The faults-on leg of a clean fixture: a standard
-                    // mix of permanent and transient failures + retries.
-                    config.faults =
-                        FaultPlan::random_module_failures(&config.plan, 1, 150, config.seed ^ 0xFA)
-                            .merged(FaultPlan::random_link_failures(
-                                &config.plan,
-                                1,
-                                250,
-                                config.seed ^ 0x17,
-                            ));
-                    config.retry = RetryPolicy::retries(2);
-                    if config.watchdog_cycles == 0 {
-                        config.watchdog_cycles = 50_000;
-                    }
-                }
-                if force_profile {
-                    // Telemetry + the span profiler and hotspot heatmap:
-                    // the report (time series, histograms, spans, heat)
-                    // rides inside the SimResult JSON being compared.
-                    config.telemetry = TelemetryConfig::profiled(25);
-                } else {
-                    config.telemetry = TelemetryConfig::default();
-                }
-                matrix.push(ParityCase {
-                    name: case.name,
-                    record_events: case.record_events,
-                    config,
-                });
-            }
-        }
-    }
-    matrix
-}
-
 /// Run one case and render its canonical fixture strings: the
 /// pretty-printed `SimResult` JSON and, if `record_events`, the event
 /// stream as one JSON line per event (in emission order).
 #[must_use]
 pub fn render(case: &ParityCase) -> (String, Option<String>) {
-    render_with_options(case, EngineOptions::default())
-}
-
-/// [`render`] under explicit [`EngineOptions`] — the parallel leg of the
-/// serial-vs-parallel matrix.
-#[must_use]
-pub fn render_with_options(case: &ParityCase, options: EngineOptions) -> (String, Option<String>) {
-    let mut engine = Engine::try_with_options(case.config.clone(), options).unwrap();
+    let mut engine = Engine::new(case.config.clone());
     let sink = MemorySink::new();
     if case.record_events {
         engine.set_event_sink(sink.clone());

@@ -59,49 +59,6 @@ fn assert_identical(kind: &str, case: &str, got: &str, want: &str) {
     );
 }
 
-/// The thread counts the serial-vs-parallel matrix runs at. CI shards
-/// the matrix across jobs by setting `ICN_PARITY_THREADS` (e.g. `2` or
-/// `4`); the default covers the whole satellite matrix.
-fn matrix_threads() -> Vec<usize> {
-    let spec = std::env::var("ICN_PARITY_THREADS").unwrap_or_else(|_| "1,2,4,8".into());
-    let threads: Vec<usize> = spec
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .unwrap_or_else(|e| panic!("bad ICN_PARITY_THREADS entry {t:?}: {e}"))
-        })
-        .collect();
-    assert!(!threads.is_empty(), "ICN_PARITY_THREADS is empty");
-    threads
-}
-
-/// The tentpole's proof: the sharded parallel engine is byte-identical
-/// to the serial engine — the full `SimResult` JSON (counters, float
-/// statistics, telemetry report with spans + heatmap) and the complete
-/// event stream — across every fixture config × faults on/off ×
-/// telemetry+profiler on/off × thread count. Serial baselines are
-/// rendered in-process, so this holds for the variant configs too, not
-/// just the checked-in fixtures.
-#[test]
-fn parallel_engine_is_byte_identical_to_serial_across_the_matrix() {
-    let threads = matrix_threads();
-    for case in parity_cases::matrix() {
-        let (want_result, want_events) = parity_cases::render(&case);
-        for &t in &threads {
-            let options = icn_sim::EngineOptions::threaded(t);
-            let (got_result, got_events) = parity_cases::render_with_options(&case, options);
-            let label = format!("{}@{t}t", case.name);
-            assert_identical("result", &label, &got_result, &want_result);
-            match (&got_events, &want_events) {
-                (Some(got), Some(want)) => assert_identical("events", &label, got, want),
-                (None, None) => {}
-                _ => panic!("{label}: event recording diverged"),
-            }
-        }
-    }
-}
-
 #[test]
 fn results_and_event_streams_match_fixtures_byte_for_byte() {
     for case in parity_cases::cases() {

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation engine.
 
 use icn_sim::{
-    Arbitration, ChipModel, Engine, EngineOptions, FaultPlan, RetryPolicy, SimConfig,
-    TelemetryConfig, TraceBuilder,
+    Arbitration, ChipModel, Engine, FaultPlan, RetryPolicy, SimConfig, TelemetryConfig,
+    TraceBuilder,
 };
 use icn_topology::StagePlan;
 use icn_workloads::{TrafficTrace, Workload};
@@ -248,79 +248,6 @@ proptest! {
                 engine.delivered_total() + engine.dropped_total() + engine.live_packets(),
                 "conservation violated after cycle {}",
                 cycle
-            );
-        }
-    }
-
-    /// Sharded execution is unobservable, PR-8 contract: the same seed
-    /// run with ANY thread count and ANY chunk size — schedule
-    /// perturbation included — produces byte-identical result JSON, for
-    /// arbitrary valid configurations across faults and telemetry.
-    #[test]
-    fn any_thread_count_and_chunk_size_yield_identical_bytes(
-        plan in arbitrary_plan(),
-        chip in arbitrary_chip(),
-        buffers in 1u32..4,
-        cut_through in any::<bool>(),
-        fixed_priority in any::<bool>(),
-        load in 0.0f64..0.03,
-        seed in any::<u64>(),
-        fail_modules in 0u32..3,
-        fault_seed in any::<u64>(),
-        telemetry in any::<bool>(),
-        threads in 2usize..=8,
-        chunk_modules in 0usize..6,
-        perturb_seed in any::<u64>(),
-    ) {
-        let config = assemble_config(
-            &plan, chip, 4, buffers, cut_through, fixed_priority, load,
-            seed, fail_modules, 0, fault_seed, telemetry,
-        );
-        let serial = serde_json::to_string(&Engine::new(config.clone()).run())
-            .expect("results serialize");
-        let options = EngineOptions {
-            threads,
-            chunk_modules,
-            perturb_seed: Some(perturb_seed),
-        };
-        let sharded = serde_json::to_string(
-            &Engine::try_with_options(config, options).unwrap().run(),
-        ).expect("results serialize");
-        prop_assert_eq!(
-            serial, sharded,
-            "threads={} chunk_modules={}", threads, chunk_modules
-        );
-    }
-
-    /// Conservation closes at every cycle boundary under the PARALLEL
-    /// engine too: `injected == delivered + dropped + live` mid-flight,
-    /// using the same Engine accessors as the serial property.
-    #[test]
-    fn conservation_closes_at_every_cycle_under_parallel_engine(
-        plan in arbitrary_plan(),
-        chip in arbitrary_chip(),
-        buffers in 1u32..4,
-        load in 0.0f64..0.05,
-        seed in any::<u64>(),
-        fail_modules in 0u32..3,
-        fault_seed in any::<u64>(),
-        threads in 2usize..=4,
-        chunk_modules in 0usize..4,
-    ) {
-        let config = assemble_config(
-            &plan, chip, 4, buffers, true, false, load, seed,
-            fail_modules, 0, fault_seed, false,
-        );
-        let options = EngineOptions { threads, chunk_modules, perturb_seed: None };
-        let mut engine = Engine::try_with_options(config, options).unwrap();
-        for cycle in 0..400u64 {
-            engine.step();
-            prop_assert_eq!(
-                engine.injected_total(),
-                engine.delivered_total() + engine.dropped_total() + engine.live_packets(),
-                "conservation violated after cycle {} at {} threads",
-                cycle,
-                threads
             );
         }
     }

@@ -67,13 +67,100 @@ pub enum Pattern {
     },
 }
 
+/// Check an offered load: an injection probability, so a number in
+/// `[0, 1]` (NaN is not).
+///
+/// # Errors
+/// Returns a message naming the load when it is out of range.
+pub fn validate_load(load: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&load) {
+        Ok(())
+    } else {
+        Err(format!("load must be in [0,1], got {load}"))
+    }
+}
+
 impl Pattern {
+    /// Check the pattern's preconditions (see each variant) against a
+    /// `ports`-port network: the conditions under which
+    /// [`Pattern::destination`] cannot panic for any `src < ports`.
+    ///
+    /// # Errors
+    /// Returns a message naming the first precondition that fails.
+    pub fn validate(&self, ports: u32) -> Result<(), String> {
+        match self {
+            Self::Uniform => Ok(()),
+            Self::HotSpot {
+                hot_fraction,
+                hot_port,
+            } => {
+                if !(0.0..=1.0).contains(hot_fraction) {
+                    return Err(format!("hot_fraction must be in [0,1], got {hot_fraction}"));
+                }
+                if *hot_port >= ports {
+                    return Err(format!(
+                        "hot_port {hot_port} out of range for {ports} ports"
+                    ));
+                }
+                Ok(())
+            }
+            Self::Permutation(targets) => {
+                if targets.len() != ports as usize {
+                    return Err(format!(
+                        "permutation has {} targets but the network has {ports} ports",
+                        targets.len()
+                    ));
+                }
+                if let Some(bad) = targets.iter().find(|&&t| t >= ports) {
+                    return Err(format!("permutation target {bad} out of range"));
+                }
+                Ok(())
+            }
+            Self::BitReversal => {
+                if !ports.is_power_of_two() || ports < 2 {
+                    return Err(format!(
+                        "bit reversal needs a power-of-two network of at least 2 ports, got {ports}"
+                    ));
+                }
+                Ok(())
+            }
+            Self::Transpose => {
+                if !ports.is_power_of_two() {
+                    return Err(format!(
+                        "transpose needs a power-of-two network, got {ports} ports"
+                    ));
+                }
+                if !ports.trailing_zeros().is_multiple_of(2) {
+                    return Err(format!(
+                        "transpose needs an even number of address bits; {ports} ports has {}",
+                        ports.trailing_zeros()
+                    ));
+                }
+                Ok(())
+            }
+            Self::LocalClusters {
+                cluster_size,
+                locality,
+            } => {
+                if *cluster_size == 0 || !ports.is_multiple_of(*cluster_size) {
+                    return Err(format!(
+                        "cluster_size {cluster_size} must divide the port count {ports}"
+                    ));
+                }
+                if !(0.0..=1.0).contains(locality) {
+                    return Err(format!("locality must be in [0,1], got {locality}"));
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Draw a destination for a packet from `src` in an `ports`-port
     /// network.
     ///
     /// # Panics
     /// Panics if the pattern's preconditions are violated (see each
-    /// variant), or if `src >= ports`.
+    /// variant and [`Pattern::validate`]), or if `src >= ports`.
     #[must_use]
     pub fn destination<R: Rng + ?Sized>(&self, src: u32, ports: u32, rng: &mut R) -> u32 {
         assert!(src < ports, "source {src} out of range for {ports} ports");
@@ -186,6 +273,16 @@ impl Workload {
                 hot_port,
             },
         }
+    }
+
+    /// Check the load ([`validate_load`]) and the pattern's preconditions
+    /// ([`Pattern::validate`]) against a `ports`-port network.
+    ///
+    /// # Errors
+    /// Returns a message naming the first check that fails.
+    pub fn validate(&self, ports: u32) -> Result<(), String> {
+        validate_load(self.load)?;
+        self.pattern.validate(ports)
     }
 
     /// Draw a destination (delegates to the pattern).
