@@ -253,6 +253,27 @@ fn explore_default_walk_matches_golden_fixture_exactly() {
     );
 }
 
+/// Exact-match golden-file check of `icn explore --grid bench --json`:
+/// feasible count, every frontier point's fields, the spot-checks and
+/// the JSON formatting. Regenerate ONLY for an intentional change:
+///
+/// ```text
+/// cd crates/icn-cli/tests/fixtures
+/// icn explore --grid bench --json > explore_bench.json
+/// ```
+#[test]
+fn explore_bench_grid_json_matches_golden_fixture_exactly() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let golden = std::fs::read_to_string(fixtures.join("explore_bench.json"))
+        .unwrap_or_else(|e| panic!("reading fixture explore_bench.json: {e}"));
+    let (ok, stdout, stderr) = icn(&["explore", "--grid", "bench", "--json"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(
+        stdout, golden,
+        "bench-grid explore JSON drifted from the golden fixture"
+    );
+}
+
 /// The grid engine's determinism contract at the CLI surface: the JSON
 /// frontier for a grid is byte-identical regardless of worker count.
 #[test]
