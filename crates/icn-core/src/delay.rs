@@ -41,7 +41,28 @@ pub fn stage_count(network_ports: u32, chip_radix: u32) -> u32 {
     icn_phys::rack::ceil_log(network_ports, chip_radix)
 }
 
-/// Unloaded one-way delay in clock cycles (fractional, as printed).
+/// The packet-independent part of the unloaded delay, in cycles: the
+/// per-chip pipeline fill (`N` for MCC, `M_sx + 1` for DMC) times the
+/// stage count `⌈log_N N′⌉`.
+#[must_use]
+pub fn fill_cycles(kind: CrossbarKind, chip_radix: u32, width: u32, network_ports: u32) -> f64 {
+    let stages = f64::from(stage_count(network_ports, chip_radix));
+    let fill_per_stage = match kind {
+        CrossbarKind::Mcc => f64::from(chip_radix),
+        CrossbarKind::Dmc => f64::from(dmc_setup_cycles(chip_radix, width) + 1),
+    };
+    fill_per_stage * stages
+}
+
+/// The packet's own transfer time `P/W` in cycles (fractional, as
+/// printed).
+#[must_use]
+pub fn transfer_cycles(packet_bits: u32, width: u32) -> f64 {
+    f64::from(packet_bits) / f64::from(width)
+}
+
+/// Unloaded one-way delay in clock cycles (fractional, as printed):
+/// [`fill_cycles`] plus [`transfer_cycles`].
 #[must_use]
 pub fn unloaded_cycles(
     kind: CrossbarKind,
@@ -50,13 +71,7 @@ pub fn unloaded_cycles(
     packet_bits: u32,
     network_ports: u32,
 ) -> f64 {
-    let stages = f64::from(stage_count(network_ports, chip_radix));
-    let transfer = f64::from(packet_bits) / f64::from(width);
-    let fill_per_stage = match kind {
-        CrossbarKind::Mcc => f64::from(chip_radix),
-        CrossbarKind::Dmc => f64::from(dmc_setup_cycles(chip_radix, width) + 1),
-    };
-    fill_per_stage * stages + transfer
+    fill_cycles(kind, chip_radix, width, network_ports) + transfer_cycles(packet_bits, width)
 }
 
 /// Unloaded one-way delay as a duration at clock `f`.

@@ -5,16 +5,30 @@
 //!
 //! The grid is split into fixed-size chunks by candidate index. Each
 //! chunk is evaluated by whichever thread claims it (scheduling is racy
-//! and irrelevant), producing a chunk-local frontier built in ascending
-//! index order with a chunk-local chassis memo (see `eval`).
-//! `ordered_map` hands the results back in chunk order, and they are
-//! merged into the global frontier **in chunk-index order** on the
-//! coordinating thread. Dominance is transitive and the Pareto set of a
-//! multiset is unique, so this equals one sequential pass regardless of
-//! thread count, chunk size or claim order; `Frontier::into_sorted` then canonicalises the output order by
-//! candidate index. Byte-identical output at `--threads 1` and
-//! `--threads 4` is a test, a CI gate and a bench invariant, not an
-//! aspiration.
+//! and irrelevant): [`Evaluator::fold`] walks it in ascending index
+//! order, one chassis run at a time, with a chunk-local chassis memo
+//! (see `eval`), and offers each run's fastest packet variants to a
+//! chunk-local frontier. `ordered_map` hands the results back in chunk
+//! order, and they are merged into the global frontier **in chunk-index
+//! order** on the coordinating thread.
+//!
+//! Offering only the run minima keeps the result exact. Every variant
+//! of a chassis run has the same area, pins and cost, so a variant whose
+//! delay objective is above the run's minimum is dominated by a variant
+//! that attains it; every tie is offered. Dominance is transitive and
+//! strict, so every candidate of the grid off its Pareto set is
+//! dominated by a Pareto member, and every Pareto member is a run
+//! minimum, hence offered. The Pareto set of the offered candidates is
+//! therefore the Pareto set of the whole grid. A run cut by a chunk edge
+//! is folded as two runs; each offers its own minima, which include the
+//! whole run's, so the argument holds for any chunk size.
+//!
+//! The Pareto set of a multiset is unique, so merging the chunk
+//! frontiers equals one sequential pass regardless of thread count,
+//! chunk size or claim order; `Frontier::into_sorted` then canonicalises
+//! the output order by candidate index. Byte-identical output at
+//! `--threads 1` and `--threads 4` is a test, a CI gate and a bench
+//! invariant, not an aspiration.
 //!
 //! Chunks are processed in bounded *waves* (a few chunks per thread), so
 //! peak memory is `O(frontier + wave × chunk-frontier)` — never
@@ -154,19 +168,12 @@ pub fn explore(
     })
 }
 
-/// Evaluate candidates `start..end` in ascending index order into a
-/// chunk-local frontier, with a fresh (chunk-local) chassis memo.
+/// Fold candidates `start..end` into a chunk-local frontier with a
+/// fresh (chunk-local) chassis memo; a chassis run cut by a chunk edge
+/// is folded as two shorter runs.
 fn evaluate_chunk(spec: &GridSpec, techs: &[Technology], start: u64, end: u64) -> ChunkResult {
     let mut frontier = Frontier::new();
-    let mut feasible = 0u64;
-    let mut evaluator = Evaluator::new(spec, techs);
-    for index in start..end {
-        if let Some(point) = evaluator.evaluate(index) {
-            feasible += 1;
-            let objectives = point.objectives();
-            frontier.insert(index, objectives, point);
-        }
-    }
+    let feasible = Evaluator::new(spec, techs).fold(start, end, &mut frontier);
     ChunkResult {
         evaluated: end - start,
         feasible,

@@ -1,25 +1,36 @@
 //! Candidate evaluation: closed-form models → objective vector.
 //!
 //! The heavy part of evaluating a candidate — pin budget, board/rack
-//! layout, clock budget and the frequency fixed point — depends only on
-//! the "chassis" tuple (technology, kind, clock scheme, N', N, W), not
-//! on the packet size. Because the grid enumerates packet bits as the
-//! fastest axis, a sequential scan sees every packet variant of a
-//! chassis back to back, and a one-entry memo turns ~`|packet_bits|`
-//! full [`DesignPoint::evaluate`] calls into one. The memo is owned by
-//! the evaluator and an evaluator lives for exactly one chunk, so chunk
-//! boundaries can cost at most one redundant chassis evaluation — they
-//! can never change a result.
+//! layout, clock budget, the frequency fixed point and the pipeline
+//! fill `fill·⌈log_N N′⌉` — depends only on the "chassis" tuple
+//! (technology, kind, clock scheme, N', N, W), not on the packet size.
+//! The grid enumerates packet bits as the fastest axis, so the packet
+//! variants of a chassis form one contiguous run of indices, and a
+//! one-entry memo turns ~`|packet_bits|` full [`DesignPoint::evaluate`]
+//! calls into one. The memo is owned by the evaluator and an evaluator
+//! lives for exactly one chunk, so chunk boundaries can cost at most one
+//! redundant chassis evaluation — they can never change a result.
+//!
+//! [`Evaluator::fold`] walks a chunk run by run. Packet bits reach the
+//! objectives only through the eq. 4.2/4.5 transfer term `P/W`: every
+//! variant of a run has the same area, pins and cost, so a variant whose
+//! delay objective exceeds the run's minimum is dominated by the variant
+//! that attains it. The fold therefore builds and offers only the
+//! minimal variants (every tie, in index order); `engine` states why the
+//! frontier stays exactly the Pareto set of the whole grid.
+//! [`Evaluator::evaluate`] is the per-candidate path over the same memo,
+//! delay and point builder.
 
 use icn_core::delay;
 use icn_core::design::DesignPoint;
 use icn_core::explore::board_port_options;
+use icn_core::pareto::Frontier;
 use icn_phys::{crossbar_area, delta_network_chips, ClockScheme, CrossbarKind};
 use icn_tech::Technology;
 use icn_units::{Frequency, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::grid::GridSpec;
+use crate::grid::{Candidate, GridSpec};
 
 /// Number of objectives the explorer minimises.
 pub const OBJECTIVES: usize = 4;
@@ -63,12 +74,18 @@ impl FrontierPoint {
     #[must_use]
     pub fn objectives(&self) -> [f64; OBJECTIVES] {
         [
-            self.delay_us * 1e-6,
+            delay_objective(self.delay_us),
             self.area_mm2,
             f64::from(self.pins),
             self.cost_chips as f64,
         ]
     }
+}
+
+/// The delay objective (seconds) of a delay in microseconds — the value
+/// the frontier compares, so the fold's run minimum uses it too.
+fn delay_objective(delay_us: f64) -> f64 {
+    delay_us * 1e-6
 }
 
 /// The packet-independent evaluation of a chassis tuple, reused across
@@ -77,9 +94,24 @@ impl FrontierPoint {
 struct Chassis {
     board_ports: u32,
     frequency: Frequency,
+    /// Clock period at `frequency`.
+    period: Time,
+    /// Path width `W`.
+    width: u32,
+    /// `delay::fill_cycles` of the chassis.
+    fill_cycles: f64,
     pins: u32,
     area_mm2: f64,
     cost_chips: u64,
+}
+
+impl Chassis {
+    /// Unloaded one-way delay of a `packet_bits` packet in µs: the same
+    /// operations, in the same order, as `delay::unloaded_delay`.
+    fn delay_us(&self, packet_bits: u32) -> f64 {
+        let cycles = self.fill_cycles + delay::transfer_cycles(packet_bits, self.width);
+        (self.period * cycles).micros()
+    }
 }
 
 /// Evaluates candidates of one chunk in ascending index order.
@@ -107,25 +139,78 @@ impl<'a> Evaluator<'a> {
     /// `None` and never reach a frontier.
     pub fn evaluate(&mut self, index: u64) -> Option<FrontierPoint> {
         let candidate = self.spec.candidate(index);
-        let chassis_id = self.spec.chassis_id(index);
-        let chassis = match &self.memo {
-            Some((id, chassis)) if *id == chassis_id => *chassis,
+        let chassis = self.chassis(&candidate)?;
+        Some(self.point(&candidate, &chassis))
+    }
+
+    /// Fold candidates `start..end` into `frontier`, chassis run by
+    /// chassis run, and return how many of them are feasible.
+    ///
+    /// Per run (the packet variants of one chassis inside `start..end`)
+    /// this decodes once, looks the chassis up once, and inserts only the
+    /// variants whose delay objective equals the run's minimum — every
+    /// tie, in index order. The rest are dominated by that minimum (same
+    /// area, pins and cost), so `frontier` ends exactly as if every
+    /// [`Evaluator::evaluate`] result had been inserted.
+    pub fn fold(
+        &mut self,
+        start: u64,
+        end: u64,
+        frontier: &mut Frontier<FrontierPoint, OBJECTIVES>,
+    ) -> u64 {
+        let packets = self.spec.packet_bits.len() as u64;
+        let mut feasible = 0u64;
+        let mut run_start = start;
+        while run_start < end {
+            let first = run_start % packets;
+            let run_end = end.min(run_start - first + packets);
+            let candidate = self.spec.candidate(run_start);
+            if let Some(chassis) = self.chassis(&candidate) {
+                feasible += run_end - run_start;
+                let bits =
+                    &self.spec.packet_bits[first as usize..(run_end - run_start + first) as usize];
+                let fastest = bits
+                    .iter()
+                    .map(|&p| delay_objective(chassis.delay_us(p)))
+                    .filter(|objective| objective.is_finite())
+                    .reduce(f64::min);
+                if let Some(fastest) = fastest {
+                    for (index, &packet_bits) in (run_start..).zip(bits) {
+                        if delay_objective(chassis.delay_us(packet_bits)) == fastest {
+                            let variant = Candidate {
+                                index,
+                                packet_bits,
+                                ..candidate
+                            };
+                            let point = self.point(&variant, &chassis);
+                            frontier.insert(index, point.objectives(), point);
+                        }
+                    }
+                }
+            }
+            run_start = run_end;
+        }
+        feasible
+    }
+
+    /// The chassis of `candidate`, from the memo when the previous
+    /// lookup was for the same chassis.
+    fn chassis(&mut self, candidate: &Candidate) -> Option<Chassis> {
+        let chassis_id = self.spec.chassis_id(candidate.index);
+        match self.memo {
+            Some((id, chassis)) if id == chassis_id => chassis,
             _ => {
-                let computed = self.evaluate_chassis(index);
+                let computed = self.evaluate_chassis(candidate);
                 self.memo = Some((chassis_id, computed));
                 computed
             }
-        }?;
-        let one_way = delay::unloaded_delay(
-            candidate.kind,
-            candidate.chip_radix,
-            candidate.width,
-            candidate.packet_bits,
-            candidate.network_ports,
-            chassis.frequency,
-        );
-        Some(FrontierPoint {
-            index,
+        }
+    }
+
+    /// The frontier point of a feasible `candidate` on `chassis`.
+    fn point(&self, candidate: &Candidate, chassis: &Chassis) -> FrontierPoint {
+        FrontierPoint {
+            index: candidate.index,
             tech: self
                 .techs
                 .get(candidate.tech_index)
@@ -139,11 +224,11 @@ impl<'a> Evaluator<'a> {
             board_ports: chassis.board_ports,
             packet_bits: candidate.packet_bits,
             frequency_mhz: chassis.frequency.mhz(),
-            delay_us: one_way.micros(),
+            delay_us: chassis.delay_us(candidate.packet_bits),
             area_mm2: chassis.area_mm2,
             pins: chassis.pins,
             cost_chips: chassis.cost_chips,
-        })
+        }
     }
 
     /// Full evaluation of the packet-independent chassis: choose the
@@ -151,8 +236,7 @@ impl<'a> Evaluator<'a> {
     /// feasible boards — exactly the minimum-delay rule of
     /// `icn_core::explore`, since cycles don't depend on the board) and
     /// capture the objective ingredients.
-    fn evaluate_chassis(&self, index: u64) -> Option<Chassis> {
-        let candidate = self.spec.candidate(index);
+    fn evaluate_chassis(&self, candidate: &Candidate) -> Option<Chassis> {
         let tech = self.techs.get(candidate.tech_index)?;
         if candidate.chip_radix > candidate.network_ports {
             return None;
@@ -162,7 +246,7 @@ impl<'a> Evaluator<'a> {
             candidate.network_ports,
             self.spec.max_board_ports_resolved(),
         );
-        let mut best: Option<Chassis> = None;
+        let mut best: Option<(u32, Frequency, u32)> = None;
         for board_ports in boards {
             let point = DesignPoint {
                 tech: tech.clone(),
@@ -179,28 +263,28 @@ impl<'a> Evaluator<'a> {
             if !report.feasible() {
                 continue;
             }
-            let better = match &best {
-                None => true,
-                Some(b) => report.frequency.hz() > b.frequency.hz(),
-            };
-            if better {
-                best = Some(Chassis {
-                    board_ports,
-                    frequency: report.frequency,
-                    pins: report.pins.total(),
-                    area_mm2: crossbar_area(
-                        tech,
-                        candidate.kind,
-                        candidate.chip_radix,
-                        candidate.width,
-                    )
-                    .square_meters()
-                        * 1e6,
-                    cost_chips: delta_network_chips(candidate.network_ports, candidate.chip_radix),
-                });
+            if best.is_none_or(|(_, frequency, _)| report.frequency.hz() > frequency.hz()) {
+                best = Some((board_ports, report.frequency, report.pins.total()));
             }
         }
-        best
+        let (board_ports, frequency, pins) = best?;
+        Some(Chassis {
+            board_ports,
+            frequency,
+            period: frequency.period(),
+            width: candidate.width,
+            fill_cycles: delay::fill_cycles(
+                candidate.kind,
+                candidate.chip_radix,
+                candidate.width,
+                candidate.network_ports,
+            ),
+            pins,
+            area_mm2: crossbar_area(tech, candidate.kind, candidate.chip_radix, candidate.width)
+                .square_meters()
+                * 1e6,
+            cost_chips: delta_network_chips(candidate.network_ports, candidate.chip_radix),
+        })
     }
 }
 

@@ -7,6 +7,11 @@
 //! floor ranks the designs the same way the closed form does — the §4
 //! cross-validation, applied to the explorer's own output.
 //!
+//! The simulation depends only on (kind, N', N, W, P): frontier points
+//! that differ in technology or clock scheme alone — the same network
+//! clocked differently — share one simulation, and each still gets its
+//! own [`SpotCheck`].
+//!
 //! Everything here is deterministic: the simulator is seeded, the load
 //! is fixed, and the points are chosen by `(delay, index)` order.
 
@@ -56,6 +61,52 @@ pub fn chip_model(kind: icn_phys::CrossbarKind) -> ChipModel {
     }
 }
 
+/// The frontier-point fields a spot-check simulation reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SimKey {
+    kind: icn_phys::CrossbarKind,
+    network_ports: u32,
+    chip_radix: u32,
+    width: u32,
+    packet_bits: u32,
+}
+
+impl SimKey {
+    fn of(point: &FrontierPoint) -> Self {
+        Self {
+            kind: point.kind,
+            network_ports: point.network_ports,
+            chip_radix: point.chip_radix,
+            width: point.width,
+            packet_bits: point.packet_bits,
+        }
+    }
+
+    /// Simulate the network under light uniform load: its §4 analytic
+    /// unloaded floor and the minimum latency measured, in cycles.
+    /// `None` when the network exceeds [`MAX_SIM_PORTS`], has no
+    /// balanced power-of-two plan, or the simulator rejects it.
+    fn simulate(self) -> Option<(u64, u64)> {
+        if self.network_ports > MAX_SIM_PORTS {
+            return None;
+        }
+        let plan = StagePlan::balanced_pow2(self.network_ports, self.chip_radix)?;
+        let mut config = SimConfig::paper_baseline(
+            plan,
+            chip_model(self.kind),
+            self.width,
+            Workload::uniform(SPOT_LOAD),
+        );
+        config.packet_bits = self.packet_bits;
+        let analytic = config.analytic_unloaded_cycles();
+        config.warmup_cycles = analytic * 2;
+        config.measure_cycles = analytic * 2 + 200;
+        config.drain_cycles = analytic * 4 + 200;
+        let result = icn_sim::try_run(config).ok()?;
+        Some((analytic, result.network_latency.min))
+    }
+}
+
 /// Spot-check up to `k` lowest-delay frontier points. Points whose
 /// network cannot be planned as a balanced power-of-two network (or
 /// that exceed [`MAX_SIM_PORTS`]) are skipped. Returns the checks in
@@ -75,29 +126,26 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
+    // The simulator reads only (kind, N', N, W, P) of a point, so each
+    // distinct network is simulated once and its `(analytic floor,
+    // measured minimum)` reused; `None` records a network that cannot be
+    // simulated.
+    let mut simulated: Vec<(SimKey, Option<(u64, u64)>)> = Vec::new();
     let mut checks = Vec::new();
     for point in by_delay {
         if checks.len() >= k {
             break;
         }
-        if point.network_ports > MAX_SIM_PORTS {
-            continue;
-        }
-        let Some(plan) = StagePlan::balanced_pow2(point.network_ports, point.chip_radix) else {
-            continue;
+        let key = SimKey::of(point);
+        let outcome = match simulated.iter().find(|(seen, _)| *seen == key) {
+            Some(&(_, outcome)) => outcome,
+            None => {
+                let outcome = key.simulate();
+                simulated.push((key, outcome));
+                outcome
+            }
         };
-        let mut config = SimConfig::paper_baseline(
-            plan,
-            chip_model(point.kind),
-            point.width,
-            Workload::uniform(SPOT_LOAD),
-        );
-        config.packet_bits = point.packet_bits;
-        let analytic = config.analytic_unloaded_cycles();
-        config.warmup_cycles = analytic * 2;
-        config.measure_cycles = analytic * 2 + 200;
-        config.drain_cycles = analytic * 4 + 200;
-        let Ok(result) = icn_sim::try_run(config) else {
+        let Some((analytic, min_latency)) = outcome else {
             continue;
         };
         checks.push(SpotCheck {
@@ -114,7 +162,7 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
                 point.network_ports,
             ),
             sim_analytic_cycles: analytic,
-            sim_min_latency_cycles: result.network_latency.min,
+            sim_min_latency_cycles: min_latency,
         });
     }
 
@@ -171,6 +219,35 @@ mod tests {
                 "{check:?}"
             );
         }
+    }
+
+    #[test]
+    fn points_differing_only_in_tech_and_clock_share_simulator_fields() {
+        let fastest = paper_frontier_points()
+            .into_iter()
+            .min_by(|a, b| a.delay_us.total_cmp(&b.delay_us))
+            .unwrap();
+        let twin = FrontierPoint {
+            index: fastest.index + 1,
+            tech: "scaled-cmos-early90s".to_string(),
+            clock_scheme: match fastest.clock_scheme {
+                icn_phys::ClockScheme::Standard => icn_phys::ClockScheme::MultiplePulse,
+                icn_phys::ClockScheme::MultiplePulse => icn_phys::ClockScheme::Standard,
+            },
+            ..fastest.clone()
+        };
+        let (checks, agrees) = spot_check(&[fastest.clone(), twin.clone()], 2);
+        assert!(agrees);
+        assert_eq!(checks.len(), 2, "{checks:?}");
+        assert_eq!(checks[0].index, fastest.index);
+        assert_eq!(checks[1].index, twin.index);
+        assert_eq!(
+            SpotCheck {
+                index: fastest.index,
+                ..checks[1].clone()
+            },
+            checks[0]
+        );
     }
 
     #[test]
