@@ -246,13 +246,11 @@ impl Workload {
     /// Uniform traffic at the given load.
     ///
     /// # Panics
-    /// Panics if `load` is outside `[0, 1]`.
+    /// Panics with [`validate_load`]'s message if `load` is outside
+    /// `[0, 1]`.
     #[must_use]
     pub fn uniform(load: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&load),
-            "load must be in [0,1], got {load}"
-        );
+        validate_load(load).unwrap_or_else(|message| panic!("{message}"));
         Self {
             load,
             pattern: Pattern::Uniform,
@@ -260,12 +258,13 @@ impl Workload {
     }
 
     /// Hot-spot traffic at the given load.
+    ///
+    /// # Panics
+    /// Panics with [`validate_load`]'s message if `load` is outside
+    /// `[0, 1]`.
     #[must_use]
     pub fn hot_spot(load: f64, hot_fraction: f64, hot_port: u32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&load),
-            "load must be in [0,1], got {load}"
-        );
+        validate_load(load).unwrap_or_else(|message| panic!("{message}"));
         Self {
             load,
             pattern: Pattern::HotSpot {
