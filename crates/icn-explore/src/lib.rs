@@ -8,15 +8,16 @@
 //!   scheme, N', N, W, P) that enumerates millions of candidates without
 //!   materialising them (`grid`);
 //! * [`Evaluator`] — closed-form evaluation with a chassis memo that
-//!   amortises the frequency fixed point across the packet-size axis
-//!   (`eval`);
+//!   amortises the frequency fixed point across the packet-size axis,
+//!   and a fold that offers the frontier only each chassis's fastest
+//!   packet variants (`eval`);
 //! * [`explore`] — chunked batch evaluation fanned across cores by
 //!   `icn_sim::ordered_map`, merged deterministically in chunk-index
 //!   order into an incremental Pareto frontier (delay × area × pins ×
 //!   cost) whose memory is `O(frontier)` (`engine`);
 //! * [`spot_check`] — `icn_sim::try_run` validation that the simulator's
 //!   latency floor ranks the top frontier points like the closed form
-//!   does (`spotcheck`).
+//!   does, one simulation per distinct network (`spotcheck`).
 //!
 //! Output is byte-identical at any thread count and chunk size; the
 //! argument lives in `icn_core::pareto` and `engine`, and the guarantee
