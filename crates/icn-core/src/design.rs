@@ -7,7 +7,9 @@
 //! package size (pin count), and the pin count depends on the frequency
 //! (ground-bounce pins grow linearly with F, eq. 3.4). Package edges are
 //! quantized to whole pin rows, so the iteration settles within a few
-//! rounds.
+//! rounds. [`solve`] is that iteration and nothing else;
+//! [`DesignPoint::evaluate`] adds the area check, the delays and the
+//! violation report around it.
 
 use icn_phys::{
     area, board::BoardLayout, clock::ClockBudget, pins, rack::RackLayout, signal, ClockScheme,
@@ -77,29 +79,21 @@ impl DesignPoint {
     /// ```
     #[must_use]
     pub fn evaluate(&self) -> DesignReport {
-        // Fixed point: F → pins → package/board → trace → clock budget → F.
-        let mut f = Frequency::from_mhz(10.0);
-        let mut iterations = 0u32;
-        let (pins, board, rack, clock) = loop {
-            let pins = pins::pin_budget(&self.tech, self.chip_radix, self.width, f);
-            let rack = RackLayout::plan(
-                &self.tech,
-                self.chip_radix,
-                self.width,
-                self.board_ports,
-                self.network_ports,
-                f,
-            );
-            let board = rack.board.clone();
-            let clock = ClockBudget::compute(&self.tech, self.chip_radix, rack.longest_wire);
-            let f_next = clock.max_frequency(self.clock_scheme);
-            iterations += 1;
-            if (f_next.hz() - f.hz()).abs() <= 1.0 || iterations >= 16 {
-                break (pins, board, rack, clock);
-            }
-            f = f_next;
-        };
-        let frequency = clock.max_frequency(self.clock_scheme);
+        let Solution {
+            pins,
+            rack,
+            clock,
+            frequency,
+            iterations,
+        } = solve(
+            &self.tech,
+            self.chip_radix,
+            self.width,
+            self.board_ports,
+            self.network_ports,
+            self.clock_scheme,
+        );
+        let board = rack.board.clone();
 
         let chip_area = area::crossbar_area(&self.tech, self.kind, self.chip_radix, self.width);
         let die_area = self.tech.process.die_area();
@@ -152,6 +146,65 @@ impl DesignPoint {
             fixed_point_iterations: iterations,
             violations,
         }
+    }
+}
+
+/// The converged frequency fixed point of one chip on one board: what
+/// [`solve`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Solution {
+    /// Chip pin budget at the converged frequency.
+    pub pins: PinBudget,
+    /// Rack layout (and its board) at the converged frequency.
+    pub rack: RackLayout,
+    /// Clock delay budget of the rack's longest wire.
+    pub clock: ClockBudget,
+    /// Achievable clock frequency under the chosen scheme.
+    pub frequency: Frequency,
+    /// Rounds the fixed point took (at most 16).
+    pub iterations: u32,
+}
+
+/// Solve the frequency fixed point F → pins → package/board → trace →
+/// clock budget → F for an `N = chip_radix`, width-`W` chip on
+/// `board_ports`-port boards of a `network_ports`-port network.
+///
+/// Starts at 10 MHz and stops once a round moves F by at most 1 Hz, or
+/// after 16 rounds. Area, packet size and memory time play no part, so
+/// this is the whole physical solve a design needs;
+/// [`DesignPoint::evaluate`] audits and reports on it, and the streaming
+/// explorer calls it directly.
+///
+/// # Panics
+/// Panics if `network_ports` is smaller than `board_ports` (see
+/// [`RackLayout::plan`]).
+#[must_use]
+pub fn solve(
+    tech: &Technology,
+    chip_radix: u32,
+    width: u32,
+    board_ports: u32,
+    network_ports: u32,
+    clock_scheme: ClockScheme,
+) -> Solution {
+    let mut f = Frequency::from_mhz(10.0);
+    let mut iterations = 0u32;
+    loop {
+        let pins = pins::pin_budget(tech, chip_radix, width, f);
+        let rack = RackLayout::plan(tech, chip_radix, width, board_ports, network_ports, f);
+        let clock = ClockBudget::compute(tech, chip_radix, rack.longest_wire);
+        let frequency = clock.max_frequency(clock_scheme);
+        iterations += 1;
+        if (frequency.hz() - f.hz()).abs() <= 1.0 || iterations >= 16 {
+            return Solution {
+                pins,
+                rack,
+                clock,
+                frequency,
+                iterations,
+            };
+        }
+        f = frequency;
     }
 }
 
@@ -299,6 +352,39 @@ mod tests {
             "{} iterations",
             r.fixed_point_iterations
         );
+    }
+
+    /// `evaluate` reports exactly what `solve` converges to, for a
+    /// feasible design, a pin violator and an area violator.
+    #[test]
+    fn evaluate_reports_the_solve() {
+        let paper = DesignPoint::paper_example(presets::paper1986(), CrossbarKind::Dmc);
+        let mut pin_violator = paper.clone();
+        pin_violator.width = 8;
+        let mut area_violator = paper.clone();
+        area_violator.chip_radix = 32;
+        area_violator.board_ports = 1024;
+        area_violator.network_ports = 32768;
+        for point in [paper, pin_violator, area_violator] {
+            let report = point.evaluate();
+            let solution = solve(
+                &point.tech,
+                point.chip_radix,
+                point.width,
+                point.board_ports,
+                point.network_ports,
+                point.clock_scheme,
+            );
+            assert_eq!(report.pins, solution.pins);
+            assert_eq!(report.rack, solution.rack);
+            assert_eq!(report.board, solution.rack.board);
+            assert_eq!(report.clock, solution.clock);
+            assert_eq!(
+                report.frequency.hz().to_bits(),
+                solution.frequency.hz().to_bits()
+            );
+            assert_eq!(report.fixed_point_iterations, solution.iterations);
+        }
     }
 
     /// An infeasible design reports *why*: W=8 chips blow the pin budget.

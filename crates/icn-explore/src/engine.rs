@@ -19,9 +19,11 @@
 //! strict, so every candidate of the grid off its Pareto set is
 //! dominated by a Pareto member, and every Pareto member is a run
 //! minimum, hence offered. The Pareto set of the offered candidates is
-//! therefore the Pareto set of the whole grid. A run cut by a chunk edge
-//! is folded as two runs; each offers its own minima, which include the
-//! whole run's, so the argument holds for any chunk size.
+//! therefore the Pareto set of the whole grid. Chunk sizes are rounded
+//! up to whole runs, so no chunk edge cuts a run (and no chassis is
+//! solved twice). The argument would hold for any edges anyway: a cut
+//! run folds as two runs, each offering its own minima, which include
+//! the whole run's; `tests/fold_parity.rs` folds such ranges directly.
 //!
 //! The Pareto set of a multiset is unique, so merging the chunk
 //! frontiers equals one sequential pass regardless of thread count,
@@ -55,7 +57,9 @@ const WAVE_CHUNKS_PER_THREAD: u64 = 4;
 pub struct ExploreOptions {
     /// Threads (1 = serial, 0 = one per available core).
     pub threads: usize,
-    /// Candidates per chunk (0 = [`DEFAULT_CHUNK`]). Never affects the
+    /// Candidates per chunk (0 = [`DEFAULT_CHUNK`]), rounded up to a
+    /// whole number of packet-axis runs so that no chunk starts inside a
+    /// chassis run and no chassis is solved twice. Never affects the
     /// output, only scheduling granularity.
     pub chunk: u64,
     /// Run `icn_sim` spot-checks on up to this many lowest-delay
@@ -74,12 +78,15 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    fn resolved_chunk(&self) -> u64 {
-        if self.chunk == 0 {
+    /// The chunk size, rounded up to a multiple of the `packets`-long
+    /// chassis runs.
+    fn resolved_chunk(&self, packets: u64) -> u64 {
+        let chunk = if self.chunk == 0 {
             DEFAULT_CHUNK
         } else {
             self.chunk
-        }
+        };
+        chunk.div_ceil(packets).saturating_mul(packets)
     }
 }
 
@@ -126,7 +133,7 @@ pub fn explore(
 ) -> Result<ExploreOutcome, String> {
     let total = spec.candidate_count()?;
     let techs = resolve_techs(spec)?;
-    let chunk = options.resolved_chunk();
+    let chunk = options.resolved_chunk(spec.packet_bits.len() as u64);
     let chunks = total.div_ceil(chunk);
     let threads = resolve_threads(options.threads);
     let wave_chunks = (threads as u64).saturating_mul(WAVE_CHUNKS_PER_THREAD);
@@ -169,8 +176,8 @@ pub fn explore(
 }
 
 /// Fold candidates `start..end` into a chunk-local frontier with a
-/// fresh (chunk-local) chassis memo; a chassis run cut by a chunk edge
-/// is folded as two shorter runs.
+/// fresh (chunk-local) chassis memo. Chunks are whole runs and so is
+/// the grid, so `start..end` cuts no run and each chassis is solved once.
 fn evaluate_chunk(spec: &GridSpec, techs: &[Technology], start: u64, end: u64) -> ChunkResult {
     let mut frontier = Frontier::new();
     let feasible = Evaluator::new(spec, techs).fold(start, end, &mut frontier);
@@ -219,6 +226,19 @@ mod tests {
                 "threads={threads} chunk={chunk} diverged"
             );
         }
+    }
+
+    #[test]
+    fn chunks_round_up_to_whole_packet_runs() {
+        let chunk = |chunk| ExploreOptions {
+            chunk,
+            ..ExploreOptions::default()
+        };
+        assert_eq!(chunk(0).resolved_chunk(505), 4545);
+        assert_eq!(chunk(1).resolved_chunk(505), 505);
+        assert_eq!(chunk(1010).resolved_chunk(505), 1010);
+        assert_eq!(chunk(1011).resolved_chunk(505), 1515);
+        assert_eq!(chunk(7).resolved_chunk(1), 7);
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! (technology, kind, clock scheme, N', N, W), not on the packet size.
 //! The grid enumerates packet bits as the fastest axis, so the packet
 //! variants of a chassis form one contiguous run of indices, and a
-//! one-entry memo turns ~`|packet_bits|` full [`DesignPoint::evaluate`]
-//! calls into one. The memo is owned by the evaluator and an evaluator
-//! lives for exactly one chunk, so chunk boundaries can cost at most one
-//! redundant chassis evaluation — they can never change a result.
+//! one-entry memo turns ~`|packet_bits|` chassis solves into one. A
+//! chassis solve is the area check, then one `icn_core::design::solve`
+//! per board option: the fixed point alone, with no `DesignReport`, no
+//! `Technology` clone and no violation text. The memo is owned by the
+//! evaluator and an evaluator lives for exactly one chunk; `engine`
+//! starts every chunk on a run boundary, so no chassis is solved twice
+//! per call. A chunk edge inside a run would cost one redundant solve,
+//! never a different result.
 //!
 //! [`Evaluator::fold`] walks a chunk run by run. Packet bits reach the
 //! objectives only through the eq. 4.2/4.5 transfer term `P/W`: every
@@ -22,7 +26,7 @@
 //! delay and point builder.
 
 use icn_core::delay;
-use icn_core::design::DesignPoint;
+use icn_core::design;
 use icn_core::explore::board_port_options;
 use icn_core::pareto::Frontier;
 use icn_phys::{crossbar_area, delta_network_chips, ClockScheme, CrossbarKind};
@@ -231,14 +235,24 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Full evaluation of the packet-independent chassis: choose the
-    /// best board for the radix (highest achievable frequency among
-    /// feasible boards — exactly the minimum-delay rule of
+    /// Solve the packet-independent chassis: choose the best board for
+    /// the radix (highest achievable frequency among feasible boards,
+    /// the first on ties — exactly the minimum-delay rule of
     /// `icn_core::explore`, since cycles don't depend on the board) and
     /// capture the objective ingredients.
+    ///
+    /// Feasibility is `DesignReport::feasible`'s verdict without the
+    /// report: the crossbar fits the die, and at the solved frequency
+    /// the pins fit the package and the board has no violation. Area
+    /// depends on neither board nor frequency, so a chassis too big for
+    /// its die is rejected before any fixed point is solved.
     fn evaluate_chassis(&self, candidate: &Candidate) -> Option<Chassis> {
         let tech = self.techs.get(candidate.tech_index)?;
         if candidate.chip_radix > candidate.network_ports {
+            return None;
+        }
+        let area = crossbar_area(tech, candidate.kind, candidate.chip_radix, candidate.width);
+        if area.square_meters() > tech.process.die_area().square_meters() {
             return None;
         }
         let boards = board_port_options(
@@ -248,23 +262,19 @@ impl<'a> Evaluator<'a> {
         );
         let mut best: Option<(u32, Frequency, u32)> = None;
         for board_ports in boards {
-            let point = DesignPoint {
-                tech: tech.clone(),
-                kind: candidate.kind,
-                chip_radix: candidate.chip_radix,
-                width: candidate.width,
+            let solution = design::solve(
+                tech,
+                candidate.chip_radix,
+                candidate.width,
                 board_ports,
-                network_ports: candidate.network_ports,
-                packet_bits: candidate.packet_bits,
-                clock_scheme: candidate.clock_scheme,
-                memory_access: Time::from_nanos(self.spec.memory_access_ns_resolved()),
-            };
-            let report = point.evaluate();
-            if !report.feasible() {
+                candidate.network_ports,
+                candidate.clock_scheme,
+            );
+            if !solution.pins.fits() || !solution.rack.fits() {
                 continue;
             }
-            if best.is_none_or(|(_, frequency, _)| report.frequency.hz() > frequency.hz()) {
-                best = Some((board_ports, report.frequency, report.pins.total()));
+            if best.is_none_or(|(_, frequency, _)| solution.frequency.hz() > frequency.hz()) {
+                best = Some((board_ports, solution.frequency, solution.pins.total()));
             }
         }
         let (board_ports, frequency, pins) = best?;
@@ -280,9 +290,7 @@ impl<'a> Evaluator<'a> {
                 candidate.network_ports,
             ),
             pins,
-            area_mm2: crossbar_area(tech, candidate.kind, candidate.chip_radix, candidate.width)
-                .square_meters()
-                * 1e6,
+            area_mm2: area.square_meters() * 1e6,
             cost_chips: delta_network_chips(candidate.network_ports, candidate.chip_radix),
         })
     }

@@ -8,9 +8,10 @@
 //!   scheme, N', N, W, P) that enumerates millions of candidates without
 //!   materialising them (`grid`);
 //! * [`Evaluator`] — closed-form evaluation with a chassis memo that
-//!   amortises the frequency fixed point across the packet-size axis,
-//!   and a fold that offers the frontier only each chassis's fastest
-//!   packet variants (`eval`);
+//!   amortises one report-free chassis solve (area check, then
+//!   `icn_core::design::solve` per board option) across the packet-size
+//!   axis, and a fold that offers the frontier only each chassis's
+//!   fastest packet variants (`eval`);
 //! * [`explore`] — chunked batch evaluation fanned across cores by
 //!   `icn_sim::ordered_map`, merged deterministically in chunk-index
 //!   order into an incremental Pareto frontier (delay × area × pins ×

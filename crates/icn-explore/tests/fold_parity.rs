@@ -5,12 +5,17 @@
 //! The grids are random sub-grids of `GridSpec::bench()`: a non-empty
 //! subset of every axis in random order (the benchmark shuffles every
 //! axis), and packet sizes drawn with repetition so that variants of one
-//! chassis tie exactly. Chunk sizes run from 1 to three times the packet
-//! count, so chassis runs are cut at chunk edges; the thread count comes
-//! from `ICN_PARITY_THREADS` (default 2).
+//! chassis tie exactly. `explore` rounds its chunks up to whole chassis
+//! runs, so the test also calls `Evaluator::fold` directly on ranges of
+//! 1 to three times the packet count, which cut runs at their edges,
+//! and merges those frontiers in range order as `explore` merges its
+//! chunks. The thread count comes from `ICN_PARITY_THREADS` (default 2).
 
 use icn_core::pareto::Frontier;
-use icn_explore::{explore, resolve_techs, Evaluator, ExploreOptions, ExploreOutcome, GridSpec};
+use icn_explore::{
+    explore, resolve_techs, Evaluator, ExploreOptions, ExploreOutcome, FrontierPoint, GridSpec,
+    OBJECTIVES,
+};
 use proptest::prelude::*;
 
 /// Indices into an axis of `len` values: up to `2·len` draws, so the
@@ -29,6 +34,26 @@ fn subset<T: Clone>(values: &[T], picks: &[usize]) -> Vec<T> {
         .collect()
 }
 
+/// An outcome with `frontier` in canonical order and no spot-checks.
+fn outcome(
+    total: u64,
+    feasible: u64,
+    frontier: Frontier<FrontierPoint, OBJECTIVES>,
+) -> ExploreOutcome {
+    ExploreOutcome {
+        grid_candidates: total,
+        evaluated: total,
+        feasible,
+        frontier: frontier
+            .into_sorted()
+            .into_iter()
+            .map(|entry| entry.item)
+            .collect(),
+        spot_checks: Vec::new(),
+        ranking_agrees: true,
+    }
+}
+
 /// Every feasible candidate inserted, in index order, into one frontier.
 fn reference(spec: &GridSpec) -> ExploreOutcome {
     let techs = resolve_techs(spec).expect("bench presets resolve");
@@ -42,18 +67,25 @@ fn reference(spec: &GridSpec) -> ExploreOutcome {
             frontier.insert(index, point.objectives(), point);
         }
     }
-    ExploreOutcome {
-        grid_candidates: total,
-        evaluated: total,
-        feasible,
-        frontier: frontier
-            .into_sorted()
-            .into_iter()
-            .map(|entry| entry.item)
-            .collect(),
-        spot_checks: Vec::new(),
-        ranking_agrees: true,
+    outcome(total, feasible, frontier)
+}
+
+/// The grid folded in `range`-long pieces, each with a fresh evaluator
+/// into its own frontier, merged in piece order.
+fn folded_in_pieces(spec: &GridSpec, range: u64) -> ExploreOutcome {
+    let techs = resolve_techs(spec).expect("bench presets resolve");
+    let total = spec.candidate_count().expect("a valid sub-grid");
+    let mut frontier = Frontier::new();
+    let mut feasible = 0;
+    let mut start = 0;
+    while start < total {
+        let end = total.min(start + range);
+        let mut piece = Frontier::new();
+        feasible += Evaluator::new(spec, &techs).fold(start, end, &mut piece);
+        frontier.merge(piece);
+        start = end;
     }
+    outcome(total, feasible, frontier)
 }
 
 fn parity_threads() -> usize {
@@ -90,6 +122,11 @@ proptest! {
         };
         let chunk = 1 + chunk_seed % (3 * spec.packet_bits.len() as u64);
         let expected = serde_json::to_string(&reference(&spec)).unwrap();
+        prop_assert_eq!(
+            serde_json::to_string(&folded_in_pieces(&spec, chunk)).unwrap(),
+            expected.clone(),
+            "fold range={} spec={:?}", chunk, spec
+        );
         for threads in [1, parity_threads()] {
             let options = ExploreOptions { threads, chunk, spot_checks: 0 };
             let outcome = explore(&spec, &options, None).expect("a valid sub-grid explores");
