@@ -13,9 +13,9 @@
 //! The matrix deliberately crosses the engine's behavioural switches:
 //! chip model, width, cut-through vs store-and-forward, arbitration,
 //! buffer depth, faults (permanent + transient, with retries), telemetry
-//! sampling, packet tracing, hot-spot traffic, mixed radices, a watchdog
-//! stall, and one paper-scale 2048-port run (result only — its event
-//! stream would dwarf the repository).
+//! sampling, packet tracing, hot-spot traffic, mixed radices, a stage
+//! wider than 64 ports, a watchdog stall, and one paper-scale 2048-port
+//! run (result only — its event stream would dwarf the repository).
 
 use icn_sim::telemetry::MemorySink;
 use icn_sim::{
@@ -203,6 +203,62 @@ pub fn cases() -> Vec<ParityCase> {
         name: "transient_contended",
         record_events: true,
         config: contended,
+    });
+
+    // A stage wider than 64 ports: two radix-128 modules feed radix-2
+    // ones, so a module's inputs and outputs span more than one 64-bit
+    // word. Round robin under contention, three-deep buffers (a drain
+    // exposes the next head, which may want any output), a transient
+    // module outage and transient and permanent link faults on high
+    // output ports of the wide stage.
+    let plan = StagePlan::from_radices(vec![128, 2]);
+    let mut wide = SimConfig::paper_baseline(plan, ChipModel::Dmc, 4, Workload::uniform(0.03));
+    wide.seed = 31;
+    wide.buffer_capacity = 3;
+    wide.faults = FaultPlan::new(vec![
+        FaultEvent::transient(
+            FaultTarget::Link {
+                stage: 0,
+                module: 0,
+                out_port: 90,
+            },
+            30,
+            40,
+        ),
+        FaultEvent::permanent(
+            FaultTarget::Link {
+                stage: 0,
+                module: 1,
+                out_port: 77,
+            },
+            45,
+        ),
+        FaultEvent::permanent(
+            FaultTarget::Link {
+                stage: 0,
+                module: 0,
+                out_port: 3,
+            },
+            60,
+        ),
+        FaultEvent::transient(
+            FaultTarget::Module {
+                stage: 0,
+                module: 1,
+            },
+            70,
+            15,
+        ),
+    ]);
+    wide.retry = RetryPolicy::retries(1);
+    wide.telemetry = TelemetryConfig::sampled(10);
+    wide.warmup_cycles = 20;
+    wide.measure_cycles = 50;
+    wide.drain_cycles = 200;
+    cases.push(ParityCase {
+        name: "wide_radix128_rr",
+        record_events: true,
+        config: wide,
     });
 
     // Paper scale: the §6 2048-port DMC network, short run, result only.
