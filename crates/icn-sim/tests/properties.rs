@@ -17,6 +17,9 @@ fn arbitrary_plan() -> impl Strategy<Value = StagePlan> {
         Just(StagePlan::uniform(8, 2)),
         Just(StagePlan::from_radices(vec![4, 2, 4])),
         Just(StagePlan::from_radices(vec![16, 4])),
+        // A stage wider than one 64-bit word, not a multiple of 64: the
+        // grant sweep's port sets span a partial second word.
+        Just(StagePlan::from_radices(vec![96, 2])),
     ]
 }
 
