@@ -191,7 +191,15 @@ pub fn solve(
     let mut iterations = 0u32;
     loop {
         let pins = pins::pin_budget(tech, chip_radix, width, f);
-        let rack = RackLayout::plan(tech, chip_radix, width, board_ports, network_ports, f);
+        let package_edge = tech.packaging.package_edge(pins.total());
+        let rack = RackLayout::plan_for_package(
+            tech,
+            chip_radix,
+            width,
+            board_ports,
+            network_ports,
+            package_edge,
+        );
         let clock = ClockBudget::compute(tech, chip_radix, rack.longest_wire);
         let frequency = clock.max_frequency(clock_scheme);
         iterations += 1;

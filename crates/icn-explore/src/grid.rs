@@ -48,6 +48,13 @@ pub struct GridSpec {
     #[serde(default)]
     pub packet_bits: Vec<u32>,
     /// Memory access time in nanoseconds (0 = the paper's 200 ns).
+    ///
+    /// Accepted, validated and serialized (it is part of a request's
+    /// content key), but ignored: no explore output depends on it. The
+    /// explorer minimises one-way delay, and a round trip `2·delay +
+    /// access` is monotone in delay at a fixed access time, so a
+    /// round-trip objective would rank every candidate exactly as the
+    /// delay objective does.
     #[serde(default)]
     pub memory_access_ns: f64,
     /// Largest board port count considered when choosing a board for a
@@ -299,6 +306,29 @@ mod tests {
     #[test]
     fn paper_grid_matches_the_seed_walk() {
         assert_eq!(GridSpec::paper().candidate_count().unwrap(), 32);
+    }
+
+    /// The memory access time is accepted and ignored (see
+    /// [`GridSpec::memory_access_ns`]): two values explore to the same
+    /// bytes, spot-checks included.
+    #[test]
+    fn memory_access_time_changes_no_explore_output() {
+        let options = crate::ExploreOptions {
+            spot_checks: 2,
+            ..crate::ExploreOptions::default()
+        };
+        let run = |memory_access_ns: f64| {
+            let spec = GridSpec {
+                memory_access_ns,
+                ..GridSpec::bench()
+            };
+            let outcome = crate::explore(&spec, &options, None).expect("bench grid explores");
+            serde_json::to_string(&outcome).expect("outcome serializes")
+        };
+        let paper = run(200.0);
+        assert_eq!(run(35.0), paper);
+        assert_eq!(run(0.0), paper, "0 is the paper's 200 ns");
+        assert!(paper.contains("\"frontier\":[{"), "a non-empty frontier");
     }
 
     #[test]

@@ -131,6 +131,26 @@ impl BoardLayout {
         board_ports: u32,
         clock: Frequency,
     ) -> Self {
+        let budget = pins::pin_budget(tech, chip_radix, width, clock);
+        let package_edge = tech.packaging.package_edge(budget.total());
+        Self::plan_for_package(tech, chip_radix, width, board_ports, package_edge)
+    }
+
+    /// [`Self::plan`] for chips whose package edge is already known — a
+    /// caller that has just computed the pin budget at the clock passes
+    /// `tech.packaging.package_edge(budget.total())` instead of having it
+    /// computed again.
+    ///
+    /// # Panics
+    /// As [`Self::plan`].
+    #[must_use]
+    pub fn plan_for_package(
+        tech: &Technology,
+        chip_radix: u32,
+        width: u32,
+        board_ports: u32,
+        package_edge: Length,
+    ) -> Self {
         assert!(chip_radix >= 2, "chip radix must be at least 2");
         assert!(width >= 1, "width must be at least 1");
         let stages = exact_log(board_ports, chip_radix).unwrap_or_else(|| {
@@ -142,8 +162,6 @@ impl BoardLayout {
         assert!(stages >= 1, "a board must host at least one stage");
 
         let chips_per_stage = board_ports / chip_radix;
-        let budget = pins::pin_budget(tech, chip_radix, width, clock);
-        let package_edge = tech.packaging.package_edge(budget.total());
         let edge = package_edge * f64::from(chips_per_stage);
 
         let wires_per_gap = board_ports.saturating_mul(width.saturating_add(1));

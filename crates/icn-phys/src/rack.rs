@@ -13,6 +13,7 @@ use icn_units::{Frequency, Length};
 use serde::{Deserialize, Serialize};
 
 use crate::board::BoardLayout;
+use crate::pins;
 
 /// A planned rack of boards implementing the full N′×N′ network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,11 +58,38 @@ impl RackLayout {
         network_ports: u32,
         clock: Frequency,
     ) -> Self {
+        let budget = pins::pin_budget(tech, chip_radix, width, clock);
+        let package_edge = tech.packaging.package_edge(budget.total());
+        Self::plan_for_package(
+            tech,
+            chip_radix,
+            width,
+            board_ports,
+            network_ports,
+            package_edge,
+        )
+    }
+
+    /// [`Self::plan`] for chips whose package edge is already known (see
+    /// [`BoardLayout::plan_for_package`]).
+    ///
+    /// # Panics
+    /// As [`Self::plan`].
+    #[must_use]
+    pub fn plan_for_package(
+        tech: &Technology,
+        chip_radix: u32,
+        width: u32,
+        board_ports: u32,
+        network_ports: u32,
+        package_edge: Length,
+    ) -> Self {
         assert!(
             network_ports >= board_ports,
             "network ({network_ports} ports) must be at least one board ({board_ports} ports)"
         );
-        let board = BoardLayout::plan(tech, chip_radix, width, board_ports, clock);
+        let board =
+            BoardLayout::plan_for_package(tech, chip_radix, width, board_ports, package_edge);
         let stages = ceil_log(network_ports, chip_radix);
         let full_layers = stages / board.stages;
         let remainder_stages = stages % board.stages;
@@ -130,6 +158,31 @@ mod tests {
 
     fn paper_rack() -> RackLayout {
         RackLayout::plan(&paper1986(), 16, 4, 256, 2048, Frequency::from_mhz(32.0))
+    }
+
+    /// Planning for a known package edge is the same plan as planning
+    /// for the clock that edge was sized at, board and rack alike.
+    #[test]
+    fn plan_for_package_matches_plan_at_the_clock() {
+        let tech = paper1986();
+        for (radix, width, board_ports, network_ports, mhz) in [
+            (16, 4, 256, 2048, 32.0),
+            (8, 2, 64, 4096, 10.0),
+            (4, 16, 16, 16, 75.0),
+        ] {
+            let clock = Frequency::from_mhz(mhz);
+            let edge = tech
+                .packaging
+                .package_edge(pins::pin_budget(&tech, radix, width, clock).total());
+            assert_eq!(
+                RackLayout::plan_for_package(&tech, radix, width, board_ports, network_ports, edge),
+                RackLayout::plan(&tech, radix, width, board_ports, network_ports, clock),
+            );
+            assert_eq!(
+                BoardLayout::plan_for_package(&tech, radix, width, board_ports, edge),
+                BoardLayout::plan(&tech, radix, width, board_ports, clock),
+            );
+        }
     }
 
     /// §6.1: "The first two stages of the network are implemented from eight
