@@ -261,6 +261,50 @@ pub fn cases() -> Vec<ParityCase> {
         config: wide,
     });
 
+    // Fault drops that wake parked heads: a hot spot (port 33) backs
+    // packets up along its tree until its stage-1 link (module 2, output
+    // 0) and then its last-stage module (stage 2, module 8) die for good.
+    // Each activation drains full ports whose upstream heads are parked
+    // on them as full downstream buffers. A counting build of the engine
+    // this case was captured from saw 262 fault drops free a full port at
+    // stage 1 or 2; 6 of those frees found heads parked upstream (4 at
+    // stage 1, 2 at stage 2), 17 heads in all.
+    let plan = StagePlan::uniform(4, 3);
+    let mut drop_wakes = SimConfig::paper_baseline(
+        plan,
+        ChipModel::Dmc,
+        4,
+        Workload::hot_spot(0.03, 0.5, 33),
+    );
+    drop_wakes.seed = 5;
+    drop_wakes.faults = FaultPlan::new(vec![
+        FaultEvent::permanent(
+            FaultTarget::Link {
+                stage: 1,
+                module: 2,
+                out_port: 0,
+            },
+            80,
+        ),
+        FaultEvent::permanent(
+            FaultTarget::Module {
+                stage: 2,
+                module: 8,
+            },
+            130,
+        ),
+    ]);
+    drop_wakes.retry = RetryPolicy::retries(1);
+    drop_wakes.telemetry = TelemetryConfig::sampled(10);
+    drop_wakes.warmup_cycles = 30;
+    drop_wakes.measure_cycles = 120;
+    drop_wakes.drain_cycles = 1_000;
+    cases.push(ParityCase {
+        name: "drop_wakes_parked",
+        record_events: true,
+        config: drop_wakes,
+    });
+
     // Paper scale: the §6 2048-port DMC network, short run, result only.
     let mut big = SimConfig::paper_baseline(
         StagePlan::balanced_pow2(2048, 16).expect("power of two"),

@@ -94,6 +94,11 @@ fn parity_matrix_exercises_the_interesting_paths() {
         "no recorded, densely sampled case has transient module and link \
          faults striking blocked heads"
     );
+    assert!(
+        cases.iter().any(drops_free_ports_heads_wait_on),
+        "no recorded case has permanent faults past stage 0 draining \
+         one-slot buffers under a hot spot"
+    );
 
     // The recorded fixtures, between them, contain every event kind.
     let mut kinds = std::collections::BTreeSet::new();
@@ -119,6 +124,35 @@ fn parity_matrix_exercises_the_interesting_paths() {
     ] {
         assert!(kinds.contains(kind), "no fixture records `{kind}` events");
     }
+}
+
+/// Whether `case` pins fault drops that free a full buffer while heads
+/// upstream are parked on it: events recorded, one-slot buffers backed up
+/// by a hot spot, and permanent faults past stage 0 in a network of at
+/// least three stages, so drops land in a middle stage and in the last.
+/// (The drop-wakes that find a waiter are counted in the case's doc
+/// comment; no event names them.)
+fn drops_free_ports_heads_wait_on(case: &parity_cases::ParityCase) -> bool {
+    use icn_sim::FaultTarget;
+    let config = &case.config;
+    let hot_spot = matches!(
+        config.workload.pattern,
+        icn_workloads::Pattern::HotSpot { .. }
+    );
+    let permanent_at = |wanted: u32| {
+        config.faults.events.iter().any(|e| {
+            e.duration.is_none()
+                && matches!(e.target, FaultTarget::Module { stage, .. }
+                    | FaultTarget::Link { stage, .. } if stage == wanted)
+        })
+    };
+    let stages = config.plan.stages();
+    case.record_events
+        && hot_spot
+        && config.buffer_capacity == 1
+        && stages >= 3
+        && permanent_at(1)
+        && permanent_at(stages - 1)
 }
 
 /// Whether `case` pins how faults interact with heads waiting on busy
