@@ -238,6 +238,23 @@ mod tests {
         assert_eq!(ChipModel::Dmc.head_latency(16, 8), 2); // ceil(0.5) + 1
     }
 
+    /// A grant never cascades within its cycle: the grant sweep pushes a
+    /// granted packet into the next stage at once, which is sound only
+    /// because its head arrives at least one cycle later.
+    #[test]
+    fn head_latency_is_at_least_one_cycle() {
+        for chip in [ChipModel::Mcc, ChipModel::Dmc] {
+            for radix in 2..=256 {
+                for width in 1..=64 {
+                    assert!(
+                        chip.head_latency(radix, width) >= 1,
+                        "{chip} radix {radix} width {width}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn analytic_cycles_match_paper_delay_table() {
         use icn_topology::StagePlan;

@@ -25,7 +25,8 @@
 //!
 //! Because every module head latency is ≥ 1 cycle, grants in one cycle can
 //! never cascade within the same cycle, so the phase order alone guarantees
-//! lock-step consistency.
+//! lock-step consistency: the grant phase sweeps the stages in order and
+//! applies each grant's effects at once (see [`crate::sweep`]).
 //!
 //! # Hot-path design
 //!
@@ -66,7 +67,7 @@
 //!   before then, so it costs nothing until it can be granted. The vacate
 //!   phase records the full ports it frees and a pass after it wakes their
 //!   waiters (the one upstream module whose output line feeds the port,
-//!   or the one source); fault drops wake theirs at the merge; a fault
+//!   or the one source); fault drops wake theirs as they drop; a fault
 //!   activation wakes every parked head of the struck module. Sources
 //!   park the same way on a full stage-0 buffer. The blocked counters
 //!   stay exact per head-cycle: each stage keeps parked-head gauges
@@ -77,14 +78,15 @@
 //!   length, updated as ports change (pushes, vacates, fault drops)
 //!   instead of re-counted each cycle; back-pressure, the watchdog's
 //!   stall report, telemetry samples and the heatmap all read it.
-//! * **Scratch buffers** — the per-module ready set and the per-stage
-//!   delivery/drop lists live in reusable engine-owned buffers; each
-//!   ready module probes its input fronts once per cycle (O(r)) instead
-//!   of once per output (O(r²)).
-//! * **Deferred grant effects** — each stage's grant sweep buffers its
-//!   globally-ordered effects (downstream pushes, deliveries, drops,
-//!   events) and one merge applies them stage by stage, so every sweep
-//!   reads post-vacate state (see [`crate::shard`]).
+//! * **Scratch buffers** — a module visit's bit sets (due inputs,
+//!   requested outputs, one contender set per requested output) live in
+//!   one engine-owned scratch reused every visit, so a visit costs
+//!   O(due heads + requested outputs), not O(r).
+//! * **Grant effects in the sweep** — a grant pushes its packet into the
+//!   next stage, counts itself and emits its event as it is made; only
+//!   the packets a stage delivers or drops wait in one reused list until
+//!   the stage's sweep ends, so their events follow its grant events
+//!   (see [`crate::sweep`]).
 //!
 //! The engine is serial: a step runs on the caller's thread, because
 //! splitting a step's phases over threads costs more in barriers than the
@@ -109,11 +111,10 @@ use crate::metrics::{LatencyStats, SimResult, StageCounters};
 use crate::module::{next_due, Stage, NEVER};
 use crate::options::EngineOptions;
 use crate::packet::Packet;
-use crate::shard::{
-    add_counters, grant_stage, rearm_module, upstream_line, vacate_stage, wake_line, ExecState,
-    GrantJob, GrantShared, StageMeta,
-};
 use crate::store::{PacketRef, PacketStore};
+use crate::sweep::{
+    rearm_module, vacate_stage, Downstream, ExecState, Exit, StageMeta, Sweep, Upstream,
+};
 use crate::telemetry::{EventSink, Gauges, PhaseGauges, SimEvent, StageDims, TelemetryState};
 
 /// How often (in cycles) [`Engine::run_bounded`] polls its stop predicate.
@@ -125,8 +126,8 @@ pub const STOP_POLL_CYCLES: u64 = 1024;
 
 /// Per-network-input source: an open-loop queue feeding stage 0.
 #[derive(Debug, Default)]
-struct Source {
-    queue: VecDeque<PacketRef>,
+pub(crate) struct Source {
+    pub queue: VecDeque<PacketRef>,
     busy_until: u64,
 }
 
@@ -227,10 +228,7 @@ pub struct Engine {
     /// `entry[stage][line]` = flat input-port index within `stage`.
     entry: Vec<Vec<u32>>,
     stage_count: usize,
-    // Reusable per-cycle scratch (never shrunk, so steady state is
-    // allocation-free).
-    scratch_drops: Vec<PacketRef>,
-    // Per-stage sweep buffers and occupancy counts (see `crate::shard`).
+    // Per-stage sweep buffers and occupancy counts (see `crate::sweep`).
     exec: ExecState,
     // Statistics.
     injected_total: u64,
@@ -353,7 +351,6 @@ impl Engine {
             routes,
             entry,
             stage_count,
-            scratch_drops: Vec::new(),
             exec,
             injected_total: 0,
             delivered_total: 0,
@@ -635,52 +632,27 @@ impl Engine {
     /// Wake the heads and sources parked on the ports the vacate phase
     /// just freed from full.
     fn wake_unblocked(&mut self) {
-        let mut unblocked = std::mem::take(&mut self.exec.unblocked);
-        for (stage, ports) in unblocked.iter_mut().enumerate() {
+        let (routes, store, stage_count) = (&self.routes, &self.store, self.stage_count);
+        for (stage, ports) in self.exec.unblocked.iter_mut().enumerate() {
+            if ports.is_empty() {
+                continue;
+            }
+            let mut upstream = Upstream::new(
+                &mut self.stages[..stage],
+                &mut self.exec.parked[..stage],
+                &self.sources,
+                &mut self.source_due,
+            );
             for p in ports.drain(..) {
-                self.wake_upstream(stage, p as usize);
+                upstream.wake(
+                    self.exec.meta[stage],
+                    &self.entry[stage],
+                    p as usize,
+                    self.now,
+                    |r| routes[store.get(r).dest as usize * stage_count + stage - 1],
+                );
             }
         }
-        self.exec.unblocked = unblocked;
-    }
-
-    /// Wake what is parked on stage `stage`'s input `port` being full:
-    /// the source whose line feeds it (stage 0), or the heads in the one
-    /// module of the stage before whose output line feeds it.
-    fn wake_upstream(&mut self, stage: usize, port: usize) {
-        let ports = self.topology.ports();
-        let line = upstream_line(ports, self.stages[stage].radix, port as u32) as usize;
-        debug_assert_eq!(
-            self.entry[stage][line] as usize, port,
-            "upstream line inverts the wiring"
-        );
-        if stage == 0 {
-            if !self.sources[line].queue.is_empty() {
-                let due = &mut self.source_due[line];
-                *due = (*due).min(self.now);
-            }
-            return;
-        }
-        let upstream = stage - 1;
-        let radix = self.stages[upstream].radix as usize;
-        let Self {
-            stages,
-            exec,
-            store,
-            routes,
-            stage_count,
-            now,
-            ..
-        } = self;
-        let stage_count = *stage_count;
-        wake_line(
-            &mut stages[upstream].inputs(),
-            &mut exec.parked[upstream],
-            radix,
-            line,
-            *now,
-            |r| routes[store.get(r).dest as usize * stage_count + upstream],
-        );
     }
 
     /// Take a time-series sample if this is a sampling cycle (runs after
@@ -908,7 +880,6 @@ impl Engine {
         let now = self.now;
         let flits = self.flits;
         let capacity = self.config.buffer_capacity;
-        let mut drops = std::mem::take(&mut self.scratch_drops);
         {
             let Self {
                 stages,
@@ -940,13 +911,14 @@ impl Engine {
                     // A transiently failed source just pauses; its queue keeps.
                     Health::TransientDown => continue,
                     // A permanently dead source can never send again: its whole
-                    // queue is lost, with no retry (there is nothing to retry
-                    // from). Its line is never used again, so zeroing
-                    // `busy_until` keeps any later arrival due at once.
+                    // queue is lost, with no retry (a drop whose source is
+                    // dead is final). Its line is never used again, so
+                    // zeroing `busy_until` keeps any later arrival due at
+                    // once.
                     Health::PermanentDown => {
                         while let Some(r) = source.queue.pop_front() {
                             *source_backlog -= 1;
-                            drops.push(r);
+                            exec.exits.push(Exit::Drop(r));
                         }
                         source.busy_until = 0;
                         *due = NEVER;
@@ -993,139 +965,88 @@ impl Engine {
                 }
             }
         }
-        for r in drops.drain(..) {
-            self.finalize_drop(r);
-        }
-        self.scratch_drops = drops;
+        self.apply_exits();
     }
 
-    /// The grant phase: every stage's grant sweep, then one merge of
-    /// their deferred effects in stage order. Back-pressure reads the
-    /// vacate phase's occupancy counts, so no sweep observes another's
-    /// same-cycle grants (see [`crate::shard`]).
+    /// The grant phase: one sweep per stage, from the first stage to the
+    /// last, each applying its grants' effects as it makes them (see
+    /// [`crate::sweep`]). The packets a stage delivers or drops are
+    /// accounted right after its sweep, so their events follow its grant
+    /// events.
     fn grant_phase(&mut self) {
-        self.dispatch_grants();
-        self.merge_grants();
-    }
-
-    /// Run [`grant_stage`] over every stage, filling each stage's
-    /// [`crate::shard::ShardEffects`].
-    fn dispatch_grants(&mut self) {
-        let now = self.now;
-        let flits = self.flits;
-        let capacity = self.config.buffer_capacity;
-        let arbitration = self.config.arbitration;
-        let stage_count = self.stage_count;
-        let record_events = self.events.is_some();
-        let record_waits = self.telem.is_some();
-        let record_heat = self.telem.as_deref().is_some_and(TelemetryState::profiling);
-        let Self {
-            stages,
-            exec,
-            store,
-            routes,
-            entry,
-            faults,
-            ..
-        } = self;
-        let ExecState {
-            effects,
-            scratch,
-            parked,
-            occ,
-            meta,
-            ..
-        } = exec;
-        let shared = GrantShared {
-            now,
-            flits,
-            capacity,
-            arbitration,
-            stage_count,
-            store,
-            routes,
-            entry,
-            faults: faults.as_deref(),
-            meta,
-            occ,
-            record_events,
-            record_waits,
-            record_heat,
-        };
-        for (stage, ((ports, fx), parked)) in stages
-            .iter_mut()
-            .zip(effects.iter_mut())
-            .zip(parked.iter_mut())
-            .enumerate()
-        {
-            let (inputs, outputs) = ports.split();
-            fx.clear();
-            grant_stage(
-                &shared,
-                &mut GrantJob {
-                    stage,
-                    inputs,
-                    outputs,
-                    scratch,
-                    parked,
-                    fx,
-                },
-            );
+        for stage in 0..self.stage_count {
+            self.sweep_stage(stage);
+            self.apply_exits();
         }
     }
 
-    /// Apply the grant sweeps' deferred effects stage by stage: a
-    /// stage's grant events, then its retry/drop events, then the next
-    /// stage's.
-    fn merge_grants(&mut self) {
-        let now = self.now;
-        let capacity = self.config.buffer_capacity;
-        let mut effects = std::mem::take(&mut self.exec.effects);
-        for (s, fx) in effects.iter_mut().enumerate() {
-            add_counters(&mut self.stage_counters[s], &fx.counters);
-            if fx.progressed {
-                self.last_progress = now;
-            }
-            if let Some(sink) = self.events.as_mut() {
-                for event in &fx.events {
-                    sink.record(event);
-                }
-            }
-            if let Some(telem) = self.telem.as_deref_mut() {
-                for &waited in &fx.stage_waits {
-                    telem.record_stage_wait(s, waited);
-                }
-                for &module in &fx.heat_grants {
-                    telem.heat_grant(s, module as usize);
-                }
-            }
-            // Deferred downstream insertions: each port gets at most one
-            // push per cycle (its upstream line is unique), so applying
-            // them here is behavior-identical to in-place pushes.
-            if !fx.pushes.is_empty() {
-                let mut next = self.stages[s + 1].inputs();
-                let next_occ = &mut self.exec.occ[s + 1];
-                for (port, r, head_arrival, tag) in fx.pushes.drain(..) {
-                    next.push(port as usize, r, head_arrival, tag);
-                    next_occ[port as usize] += 1;
-                }
-            }
-            for &(port, _) in &fx.drops {
-                let occ = &mut self.exec.occ[s][port as usize];
-                let was_full = *occ >= capacity;
-                *occ -= 1;
-                if was_full {
-                    self.wake_upstream(s, port as usize);
-                }
-            }
-            for &(r, out_line, delivered_at) in &fx.deliveries {
+    /// Run stage `stage`'s grant sweep.
+    fn sweep_stage(&mut self, stage: usize) {
+        let (before, rest) = self.stages.split_at_mut(stage);
+        let (parked_before, parked_rest) = self.exec.parked.split_at_mut(stage);
+        let (Some((here, after)), Some((occ, occ_after))) = (
+            rest.split_first_mut(),
+            self.exec.occ[stage..].split_first_mut(),
+        ) else {
+            return;
+        };
+        let (inputs, outputs) = here.split();
+        let entry = &self.entry;
+        let next = after
+            .first_mut()
+            .zip(occ_after.first_mut())
+            .map(|(next, occ)| Downstream {
+                entry: &entry[stage + 1],
+                inputs: next.inputs(),
+                occ,
+            });
+        Sweep {
+            now: self.now,
+            flits: self.flits,
+            capacity: self.config.buffer_capacity,
+            arbitration: self.config.arbitration,
+            stage,
+            meta: self.exec.meta[stage],
+            entry: &entry[stage],
+            store: &self.store,
+            routes: &self.routes,
+            stage_count: self.stage_count,
+            faults: self.faults.as_deref(),
+            inputs,
+            outputs,
+            occ,
+            parked: &mut parked_rest[0],
+            scratch: &mut self.exec.scratch,
+            next,
+            upstream: Upstream::new(before, parked_before, &self.sources, &mut self.source_due),
+            counters: &mut self.stage_counters[stage],
+            last_progress: &mut self.last_progress,
+            events: self.events.as_deref_mut(),
+            telem: self.telem.as_deref_mut(),
+            exits: &mut self.exec.exits,
+        }
+        .run();
+    }
+
+    /// Account the packets the last sweep (a stage's, or the sources')
+    /// delivered, then those it dropped, each in sweep order.
+    fn apply_exits(&mut self) {
+        if self.exec.exits.is_empty() {
+            return;
+        }
+        let mut exits = std::mem::take(&mut self.exec.exits);
+        for &exit in &exits {
+            if let Exit::Deliver(r, out_line, delivered_at) = exit {
                 self.deliver(r, out_line, delivered_at);
             }
-            for &(_, r) in &fx.drops {
+        }
+        for &exit in &exits {
+            if let Exit::Drop(r) = exit {
                 self.drop_packet(r);
             }
         }
-        self.exec.effects = effects;
+        exits.clear();
+        self.exec.exits = exits;
     }
 
     fn deliver(&mut self, r: PacketRef, out_line: u32, delivered_at: u64) {

@@ -52,8 +52,8 @@ mod packet;
 mod pool;
 mod roundtrip;
 mod runner;
-mod shard;
 mod store;
+mod sweep;
 pub mod telemetry;
 mod trace;
 

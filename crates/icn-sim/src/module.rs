@@ -148,6 +148,11 @@ impl InputPorts<'_> {
         self.vacate_at
     }
 
+    /// Cycles after its head arrives that a packet may request onward.
+    pub fn ready_offset(&self) -> u64 {
+        self.ready_offset
+    }
+
     /// Whether port `p` can accept a new packet (or reservation).
     pub fn has_space(&self, p: usize, capacity: u32) -> bool {
         self.queues[p].len() < capacity as usize

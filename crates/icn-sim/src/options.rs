@@ -2,8 +2,8 @@
 //!
 //! The engine runs one way: serially, on the caller's thread (DESIGN.md
 //! §7.5 gives the measurements). [`EngineOptions`] carries no settings;
-//! it remains because callers of [`crate::Engine::try_with_options`]
-//! outside this repository's crates still name it.
+//! it remains because the `perfbench` package, which builds its engines
+//! through [`crate::Engine::try_with_options`], still names it.
 
 /// Options for [`crate::Engine::try_with_options`]. There are none: every
 /// value is the default.

@@ -270,12 +270,8 @@ pub fn cases() -> Vec<ParityCase> {
     // stage 1 or 2; 6 of those frees found heads parked upstream (4 at
     // stage 1, 2 at stage 2), 17 heads in all.
     let plan = StagePlan::uniform(4, 3);
-    let mut drop_wakes = SimConfig::paper_baseline(
-        plan,
-        ChipModel::Dmc,
-        4,
-        Workload::hot_spot(0.03, 0.5, 33),
-    );
+    let mut drop_wakes =
+        SimConfig::paper_baseline(plan, ChipModel::Dmc, 4, Workload::hot_spot(0.03, 0.5, 33));
     drop_wakes.seed = 5;
     drop_wakes.faults = FaultPlan::new(vec![
         FaultEvent::permanent(
