@@ -725,12 +725,10 @@ impl Sweep<'_> {
                 head_out_at: head_arrival,
             });
         }
-        let tag = self
-            .next
-            .is_some()
-            .then(|| self.route_tag(r, self.stage + 1));
-        match (&mut self.next, tag) {
-            (Some(next), Some(tag)) => {
+        match &mut self.next {
+            Some(next) => {
+                let dest = self.store.get(r).dest as usize;
+                let tag = self.routes[dest * self.stage_count + self.stage + 1];
                 let port = next.entry[out_line] as usize;
                 debug_assert!(
                     head_arrival + next.inputs.ready_offset() > now,
@@ -740,7 +738,7 @@ impl Sweep<'_> {
                 next.inputs.push(port, r, head_arrival, tag);
                 next.occ[port] += 1;
             }
-            _ => self
+            None => self
                 .exits
                 .push(Exit::Deliver(r, out_line as u32, head_arrival + self.flits)),
         }
