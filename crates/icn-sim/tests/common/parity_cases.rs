@@ -14,8 +14,9 @@
 //! chip model, width, cut-through vs store-and-forward, arbitration,
 //! buffer depth, faults (permanent + transient, with retries), telemetry
 //! sampling, packet tracing, hot-spot traffic, mixed radices, a stage
-//! wider than 64 ports, a watchdog stall, and one paper-scale 2048-port
-//! run (result only — its event stream would dwarf the repository).
+//! wider than 64 ports, 1,000-flit packets, a watchdog stall, and one
+//! paper-scale 2048-port run (result only — its event stream would dwarf
+//! the repository).
 
 use icn_sim::telemetry::MemorySink;
 use icn_sim::{
@@ -299,6 +300,37 @@ pub fn cases() -> Vec<ParityCase> {
         name: "drop_wakes_parked",
         record_events: true,
         config: drop_wakes,
+    });
+
+    // Due times far ahead: store-and-forward 1,000-flit packets (1,000
+    // bits on one-bit paths), so a head's ready, vacate and busy-output
+    // cycles lie about a thousand cycles past the cycle that sets them.
+    // Two-deep buffers queue a second packet behind a draining one, and a
+    // transient stage-1 module outage holds the heads due in that module
+    // due, blocked, cycle after cycle (3,000 head-cycles of
+    // `blocked_fault` in the fixture).
+    let plan = StagePlan::uniform(4, 3);
+    let mut horizon = SimConfig::paper_baseline(plan, ChipModel::Dmc, 1, Workload::uniform(0.0003));
+    horizon.seed = 17;
+    horizon.packet_bits = 1_000;
+    horizon.cut_through = false;
+    horizon.buffer_capacity = 2;
+    horizon.faults = FaultPlan::new(vec![FaultEvent::transient(
+        FaultTarget::Module {
+            stage: 1,
+            module: 12,
+        },
+        2_000,
+        2_000,
+    )]);
+    horizon.telemetry = TelemetryConfig::sampled(250);
+    horizon.warmup_cycles = 200;
+    horizon.measure_cycles = 6_000;
+    horizon.drain_cycles = 40_000;
+    cases.push(ParityCase {
+        name: "long_packet_horizon",
+        record_events: true,
+        config: horizon,
     });
 
     // Paper scale: the §6 2048-port DMC network, short run, result only.

@@ -99,6 +99,12 @@ fn parity_matrix_exercises_the_interesting_paths() {
         "no recorded case has permanent faults past stage 0 draining \
          one-slot buffers under a hot spot"
     );
+    assert!(
+        cases
+            .iter()
+            .any(|c| c.record_events && c.config.flits_per_packet() >= 256),
+        "no recorded case sets due times hundreds of cycles ahead"
+    );
 
     // The recorded fixtures, between them, contain every event kind.
     let mut kinds = std::collections::BTreeSet::new();
