@@ -41,6 +41,7 @@
 
 mod config;
 pub mod dmux;
+mod due;
 mod engine;
 mod error;
 mod fault;

@@ -56,13 +56,15 @@
 //!
 //! # A module visit follows its due heads
 //!
-//! The grant sweep scans the stage's `ready_at` array once and visits
-//! each module with a due port, in module order. A visit costs
-//! O(due heads + requested outputs), not O(radix), through per-module
-//! bit sets in [`VisitScratch`] (⌈radix / 64⌉ words each, so any radix
-//! takes the same path):
+//! The grant sweep walks the stage's `ready_at` due set once, in port
+//! order, and visits each module with a due port, in module order. A
+//! visit costs O(due heads + requested outputs), not O(radix), through
+//! per-module bit sets in [`VisitScratch`] (⌈radix / 64⌉ words each, so
+//! any radix takes the same path):
 //!
-//! 1. the scan marks the module's due inputs;
+//! 1. the walk marks the module's due inputs, read from the due set that
+//!    the stage's calendar keeps ([`crate::due`]), so no port whose
+//!    `ready_at` lies ahead is read;
 //! 2. each due head's cached output tag ([`crate::module`]) adds its
 //!    input to that output's contender set;
 //! 3. the requested outputs are walked in ascending order — the order
@@ -75,10 +77,11 @@
 //! the resulting bytes.
 
 use crate::config::Arbitration;
+use crate::due::{next_set, DueTimes, UNTIL_DRAINED, WORD};
 use crate::engine::Source;
 use crate::fault::{FaultState, Health};
 use crate::metrics::StageCounters;
-use crate::module::{next_due, InputPorts, OutputPort, Stage, UNTIL_DRAINED};
+use crate::module::{InputPorts, OutputPort, Stage};
 use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::{EventSink, SimEvent, TelemetryState};
 
@@ -96,20 +99,6 @@ pub(crate) struct StageMeta {
 /// "Leave the head due" in [`VisitScratch::park_at`]: no output is busy
 /// until cycle 0.
 const STAY_DUE: u64 = 0;
-
-/// Bits per word of the grant sweep's port sets.
-const WORD: usize = 64;
-
-/// The first set bit at or after `from` in the bit set `words`.
-fn next_set(words: &[u64], from: usize) -> Option<usize> {
-    let mut word = from / WORD;
-    let mut bits = words.get(word)? & (u64::MAX << (from % WORD));
-    while bits == 0 {
-        word += 1;
-        bits = *words.get(word)?;
-    }
-    Some(word * WORD + bits.trailing_zeros() as usize)
-}
 
 /// The input that wins an output of a radix-`radix` module, given the
 /// bit set of the inputs whose due heads request it (`None` if empty):
@@ -233,7 +222,10 @@ impl VisitScratch {
 /// exact per head-cycle while the sweep skips them. A head parked on a
 /// busy output is due again at that output's `busy_until`, at most
 /// `head_latency + flits` cycles ahead, so those parks sit in a wake
-/// calendar of `head_latency + flits + 1` slots indexed by cycle.
+/// calendar of `head_latency + flits + 1` slots indexed by cycle. It
+/// stays apart from the stage's [`DueTimes`] calendar because it counts
+/// parks per cycle, which that calendar cannot tell from heads coming due
+/// on their natural ready cycle without reading their queues.
 #[derive(Debug)]
 pub(crate) struct Parked {
     /// Heads parked on a busy output and not yet due.
@@ -366,8 +358,8 @@ impl ExecState {
 
 /// Free drained slots in one stage's input ports and take them off the
 /// stage's occupancy counts, which the grant phase's back-pressure reads;
-/// returns how many slots were freed. The sweep scans the `vacate_at`
-/// array and touches only the queues whose granted front leaves by now.
+/// returns how many slots were freed. The sweep walks the `vacate_at`
+/// due set and touches only the queues whose granted front leaves by now.
 /// A port that was full may have heads parked on it upstream; it is
 /// recorded in `unblocked`, and the engine wakes them after the phase.
 pub(crate) fn vacate_stage(
@@ -379,7 +371,7 @@ pub(crate) fn vacate_stage(
 ) -> u64 {
     let mut freed = 0;
     let mut scan = 0;
-    while let Some(p) = next_due(inputs.vacate_at(), scan, now) {
+    while let Some(p) = inputs.next_vacate(scan) {
         let n = inputs.vacate(p, now);
         if occ[p] >= capacity {
             unblocked.push(p as u32);
@@ -398,7 +390,7 @@ pub(crate) enum Upstream<'a> {
     /// Stage 0's feeders: the sources and their due times.
     Sources {
         sources: &'a [Source],
-        due: &'a mut [u64],
+        due: &'a mut DueTimes,
     },
     /// The stage before, with its radix and parked-head gauges.
     Stage {
@@ -415,7 +407,7 @@ impl<'a> Upstream<'a> {
         before: &'a mut [Stage],
         parked: &'a mut [Parked],
         sources: &'a [Source],
-        due: &'a mut [u64],
+        due: &'a mut DueTimes,
     ) -> Self {
         match (before.last_mut(), parked.last_mut()) {
             (Some(feeding), Some(parked)) => Self::Stage {
@@ -450,7 +442,7 @@ impl<'a> Upstream<'a> {
         let (radix, inputs, parked) = match self {
             Self::Sources { sources, due } => {
                 if !sources[line].queue.is_empty() {
-                    due[line] = due[line].min(now);
+                    due.lower(line, now);
                 }
                 return;
             }
@@ -533,8 +525,8 @@ impl Sweep<'_> {
     /// Arbitrate and grant every free output of the stage, module by
     /// module, applying each grant's effects as it is made (see the
     /// module docs). Modules with no due head can grant, block or drop
-    /// nothing, so the sweep jumps from one module with a due `ready_at`
-    /// entry to the next. Heads left blocked on a healthy output park,
+    /// nothing, so the sweep walks the stage's `ready_at` due set from one
+    /// module with a due port to the next. Heads left blocked on a healthy output park,
     /// and the stage's gauges count them each cycle until they are due
     /// again.
     pub fn run(mut self) {
@@ -547,11 +539,11 @@ impl Sweep<'_> {
         self.counters.blocked_output_busy += parked_busy;
         self.counters.blocked_downstream_full += parked_downstream;
 
-        // One scan of `ready_at` finds every due port, module by module. A
-        // visit changes only its own module's ports of this stage, so the
+        // One walk of the due set finds every due port, module by module.
+        // A visit changes only its own module's ports of this stage, so the
         // first due port past the module, found before the visit, is still
         // the next one.
-        let mut first_due = next_due(self.inputs.ready_at(), 0, now);
+        let mut first_due = self.inputs.next_ready(0);
         while let Some(first) = first_due {
             let module = first / radix;
             let base = module * radix;
@@ -559,7 +551,7 @@ impl Sweep<'_> {
             let mut p = first;
             first_due = loop {
                 self.scratch.mark_due(p - base);
-                match next_due(self.inputs.ready_at(), p + 1, now) {
+                match self.inputs.next_ready(p + 1) {
                     Some(q) if q < base + radix => p = q,
                     beyond => break beyond,
                 }
