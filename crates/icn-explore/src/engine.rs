@@ -6,7 +6,7 @@
 //! The grid is split into fixed-size chunks by candidate index. Each
 //! chunk is evaluated by whichever thread claims it (scheduling is racy
 //! and irrelevant): [`Evaluator::fold`] walks it in ascending index
-//! order, one chassis run at a time, with a chunk-local chassis memo
+//! order, one chassis run at a time, through the call's one evaluator
 //! (see `eval`), and offers each run's fastest packet variants to a
 //! chunk-local frontier. `ordered_map` hands the results back in chunk
 //! order, and they are merged into the global frontier **in chunk-index
@@ -38,7 +38,6 @@
 
 use icn_core::pareto::Frontier;
 use icn_sim::{ordered_map, resolve_threads};
-use icn_tech::Technology;
 use serde::{Deserialize, Serialize};
 
 use crate::eval::{resolve_techs, Evaluator, FrontierPoint, OBJECTIVES};
@@ -138,6 +137,7 @@ pub fn explore(
     let threads = resolve_threads(options.threads);
     let wave_chunks = (threads as u64).saturating_mul(WAVE_CHUNKS_PER_THREAD);
 
+    let evaluator = Evaluator::new(spec, &techs);
     let mut frontier: Frontier<FrontierPoint, OBJECTIVES> = Frontier::new();
     let mut evaluated = 0u64;
     let mut feasible = 0u64;
@@ -146,7 +146,7 @@ pub fn explore(
         let wave_len = wave_chunks.min(chunks - wave_start);
         let wave = ordered_map(wave_len as usize, threads, |slot| {
             let start = (wave_start + slot as u64) * chunk;
-            evaluate_chunk(spec, &techs, start, total.min(start + chunk))
+            evaluate_chunk(&evaluator, start, total.min(start + chunk))
         });
         for result in wave {
             evaluated += result.evaluated;
@@ -175,12 +175,12 @@ pub fn explore(
     })
 }
 
-/// Fold candidates `start..end` into a chunk-local frontier with a
-/// fresh (chunk-local) chassis memo. Chunks are whole runs and so is
-/// the grid, so `start..end` cuts no run and each chassis is solved once.
-fn evaluate_chunk(spec: &GridSpec, techs: &[Technology], start: u64, end: u64) -> ChunkResult {
+/// Fold candidates `start..end` into a chunk-local frontier. Chunks are
+/// whole runs and so is the grid, so `start..end` cuts no run and each
+/// chassis is solved once.
+fn evaluate_chunk(evaluator: &Evaluator<'_>, start: u64, end: u64) -> ChunkResult {
     let mut frontier = Frontier::new();
-    let feasible = Evaluator::new(spec, techs).fold(start, end, &mut frontier);
+    let feasible = evaluator.fold(start, end, &mut frontier);
     ChunkResult {
         evaluated: end - start,
         feasible,

@@ -7,11 +7,12 @@
 //! * [`GridSpec`] — a lazy cross-product over (technology, kind, clock
 //!   scheme, N', N, W, P) that enumerates millions of candidates without
 //!   materialising them (`grid`);
-//! * [`Evaluator`] — closed-form evaluation with a chassis memo that
-//!   amortises one report-free chassis solve (area check, then
-//!   `icn_core::design::solve` per board option) across the packet-size
-//!   axis, and a fold that offers the frontier only each chassis's
-//!   fastest packet variants (`eval`);
+//! * [`Evaluator`] — closed-form evaluation: a fold that makes one
+//!   report-free chassis solve (area check, then
+//!   `icn_core::design::solve` per board option) per packet-size run and
+//!   offers the frontier only the run's fastest packet variants, found
+//!   from its shortest packets up, and a per-candidate path whose chassis
+//!   memo amortises the same solve (`eval`);
 //! * [`explore`] — chunked batch evaluation fanned across cores by
 //!   `icn_sim::ordered_map`, merged deterministically in chunk-index
 //!   order into an incremental Pareto frontier (delay × area × pins ×

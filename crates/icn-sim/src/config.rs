@@ -8,6 +8,14 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::telemetry::TelemetryConfig;
 
+/// The most flits (`⌈P/W⌉`) a packet may span. The engine keeps per-stage
+/// state that grows with the packet length (a wake slot per cycle a head
+/// can stay parked), so [`SimConfig::validate`] rejects longer packets
+/// before anything is allocated for them. 2^20 admits every configuration
+/// the repository runs about a thousand times over: the longest is a
+/// 1,000-flit store-and-forward parity case.
+pub const MAX_FLITS_PER_PACKET: u64 = 1 << 20;
+
 /// Which chip implementation's timing the modules use (§2.2/§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChipModel {
@@ -72,7 +80,8 @@ pub struct SimConfig {
     pub chip: ChipModel,
     /// Data path width `W` in bits.
     pub width: u32,
-    /// Packet size `P` in bits (100 in the paper).
+    /// Packet size `P` in bits (100 in the paper), at most
+    /// [`MAX_FLITS_PER_PACKET`] flits of `width` bits.
     pub packet_bits: u32,
     /// Input-buffer capacity in packets (1 in the paper's baseline; ~4
     /// captures most of the buffering gain per the studies cited in §2).
@@ -192,7 +201,8 @@ impl SimConfig {
     ///
     /// # Errors
     /// Returns [`SimError::InvalidConfig`] on a parameter outside its
-    /// domain (zero width, zero packet, zero buffers, a measurement window
+    /// domain (zero width, a zero packet or one above
+    /// [`MAX_FLITS_PER_PACKET`] flits, zero buffers, a measurement window
     /// of zero cycles, a workload whose load or pattern does not fit the
     /// network; see [`Workload::validate`]) and [`SimError::InvalidFault`]
     /// if the fault plan names hardware the stage plan does not have.
@@ -206,6 +216,13 @@ impl SimConfig {
         }
         require(self.width >= 1, "width must be at least 1")?;
         require(self.packet_bits >= 1, "packets must carry at least one bit")?;
+        let flits = self.flits_per_packet();
+        if flits > MAX_FLITS_PER_PACKET {
+            return Err(SimError::InvalidConfig(format!(
+                "a packet may span at most {MAX_FLITS_PER_PACKET} flits, got {flits} ({} bits at width {})",
+                self.packet_bits, self.width
+            )));
+        }
         require(
             self.buffer_capacity >= 1,
             "each input needs at least one buffer",
@@ -280,6 +297,34 @@ mod tests {
         assert_eq!(c.flits_per_packet(), 13); // ceil(100/8)
         c.width = 4;
         assert_eq!(c.flits_per_packet(), 25);
+    }
+
+    /// A packet of `u32::MAX` bits on 1-bit paths would ask the engine
+    /// for about 17 GB of wake slots per stage; it is refused first.
+    #[test]
+    fn packets_above_the_flit_bound_are_refused_before_building() {
+        use crate::{Engine, EngineOptions};
+        let mut c = SimConfig::paper_baseline(
+            StagePlan::uniform(4, 2),
+            ChipModel::Dmc,
+            1,
+            Workload::uniform(0.0),
+        );
+        c.packet_bits = u32::MAX;
+        let refused = |result: Result<(), SimError>| match result {
+            Err(SimError::InvalidConfig(message)) => {
+                assert!(message.contains("at most 1048576 flits"), "{message:?}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        refused(c.validate());
+        refused(Engine::try_with_options(c.clone(), EngineOptions::default()).map(drop));
+        // The bound itself is admitted, at any width.
+        c.packet_bits = (MAX_FLITS_PER_PACKET as u32) * 4;
+        c.width = 4;
+        assert!(c.validate().is_ok());
+        c.packet_bits += 1;
+        refused(c.validate());
     }
 
     #[test]

@@ -393,7 +393,7 @@ impl Stage {
     /// Heads parked on a full downstream buffer, counted per output line
     /// of the stage from the ports (debug builds check the engine's
     /// per-line gauges against this).
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     pub fn downstream_waiters(&self) -> Vec<u32> {
         let radix = self.radix as usize;
         let mut on_line = vec![0; self.front_tag.len()];
@@ -408,7 +408,7 @@ impl Stage {
     /// Heads parked and not yet due at `now`, recounted from the ports:
     /// `(on a busy output, on a full downstream buffer)` (debug builds
     /// check the engine's parked gauges against this).
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     pub fn parked(&self, now: u64) -> (u64, u64) {
         self.queues
             .iter()

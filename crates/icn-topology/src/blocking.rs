@@ -159,7 +159,7 @@ pub fn monte_carlo_acceptance<R: rand::Rng + ?Sized>(
         for src in 0..n {
             if rng.random::<f64>() < offered {
                 let dest = rng.random_range(0..n);
-                lines.push((src, topology.routing_tags(dest)));
+                lines.push((src, topology.routing_tags(dest).collect()));
             }
         }
         offered_total += lines.len() as u64;

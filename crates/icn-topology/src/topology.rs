@@ -72,22 +72,18 @@ impl Topology {
 
     /// The self-routing tag (output port) a packet destined for `dest` uses
     /// at each stage: the mixed-radix digits of `dest`, most significant
-    /// first, with stage `i`'s digit in radix `r_i`.
+    /// first, with stage `i`'s digit in radix `r_i`. The digits come one
+    /// per stage without an allocation; collect them for a `Vec`.
     ///
     /// # Panics
     /// Panics if `dest` is out of range.
-    #[must_use]
-    pub fn routing_tags(&self, dest: u32) -> Vec<u32> {
+    pub fn routing_tags(&self, dest: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
         assert!(dest < self.ports(), "destination {dest} out of range");
         let mut weight = u64::from(self.ports());
-        self.plan
-            .radices()
-            .iter()
-            .map(|&r| {
-                weight /= u64::from(r);
-                ((u64::from(dest) / weight) % u64::from(r)) as u32
-            })
-            .collect()
+        self.plan.radices().iter().map(move |&r| {
+            weight /= u64::from(r);
+            ((u64::from(dest) / weight) % u64::from(r)) as u32
+        })
     }
 
     /// The unique path from `src` to `dest`.
@@ -108,10 +104,9 @@ impl Topology {
     #[must_use]
     pub fn route(&self, src: u32, dest: u32) -> Path {
         assert!(src < self.ports(), "source {src} out of range");
-        let tags = self.routing_tags(dest);
         let mut line = src;
         let mut hops = Vec::with_capacity(self.stages() as usize);
-        for (stage, &tag) in tags.iter().enumerate() {
+        for (stage, tag) in self.routing_tags(dest).enumerate() {
             let stage = stage as u32;
             let r = self.stage_radix(stage);
             let shuffled = self.shuffle(stage, line);
@@ -283,9 +278,9 @@ mod tests {
         let t = net(&[16, 16, 8]);
         // dest = 1234 = 4·256 + 13·16 + 2·... in radix (16,16,8):
         // weights are 128, 8, 1: 1234 = 9·128 + 10·8 + 2.
-        assert_eq!(t.routing_tags(1234), vec![9, 10, 2]);
-        assert_eq!(t.routing_tags(0), vec![0, 0, 0]);
-        assert_eq!(t.routing_tags(2047), vec![15, 15, 7]);
+        assert_eq!(t.routing_tags(1234).collect::<Vec<_>>(), [9, 10, 2]);
+        assert_eq!(t.routing_tags(0).collect::<Vec<_>>(), [0, 0, 0]);
+        assert_eq!(t.routing_tags(2047).collect::<Vec<_>>(), [15, 15, 7]);
     }
 
     /// The shuffle before each stage is a permutation of the lines.

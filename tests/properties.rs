@@ -44,9 +44,8 @@ proptest! {
         let b = t.route(src, dest);
         prop_assert_eq!(&a, &b);
         // Tags recompose to the destination.
-        let tags = t.routing_tags(dest);
         let mut value = 0u64;
-        for (i, &tag) in tags.iter().enumerate() {
+        for (i, tag) in t.routing_tags(dest).enumerate() {
             value = value * u64::from(t.stage_radix(i as u32)) + u64::from(tag);
         }
         prop_assert_eq!(value, u64::from(dest));
