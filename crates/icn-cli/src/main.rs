@@ -1170,6 +1170,24 @@ fn explore_grid(opts: &Options) -> Result<(), Failure> {
             if outcome.ranking_agrees { "yes" } else { "NO" }
         );
     }
+    if outcome.spot_checks.len() < EXPLORE_SPOT_CHECKS {
+        // Fewer checks ran than were asked for, so every frontier point
+        // was tried: name the ones the simulator could not take.
+        println!(
+            "spot-checks: {} of {} ran (frontier size {})",
+            outcome.spot_checks.len(),
+            EXPLORE_SPOT_CHECKS,
+            outcome.frontier.len()
+        );
+        for p in &outcome.frontier {
+            if let Some(why) = icn_explore::spotcheck::unsimulable(p) {
+                println!(
+                    "  not simulated: #{} {}-port N={} W={} P={}: {why}",
+                    p.index, p.network_ports, p.chip_radix, p.width, p.packet_bits
+                );
+            }
+        }
+    }
     Ok(())
 }
 

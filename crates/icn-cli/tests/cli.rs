@@ -316,6 +316,49 @@ fn oversized_designs_are_infeasible_at_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A frontier whose networks the simulator refuses says so: with packets
+/// of 2^21 flits (above the 2^20-flit bound) no spot-check can run, and
+/// the human output names how many ran and why each point was skipped.
+/// The JSON body keeps its fields.
+#[test]
+fn explore_names_the_spot_checks_it_could_not_run() {
+    let dir = std::env::temp_dir().join(format!("icn-unsimulable-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = dir.join("grid.json");
+    std::fs::write(
+        &grid,
+        r#"{"techs":["paper-1986-mos-pga"],"kinds":["Mcc","Dmc"],"clock_schemes":["MultiplePulse"],"network_ports":[64],"radices":[4,8],"widths":[1],"packet_bits":[2097152]}"#,
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = icn(&["explore", "--grid", grid.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("spot-checks: 0 of 4 ran (frontier size 2)"),
+        "{stdout}"
+    );
+    let skips: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.starts_with("  not simulated: #"))
+        .collect();
+    assert_eq!(skips.len(), 2, "{stdout}");
+    for line in skips {
+        assert!(
+            line.contains(
+                "P=2097152: invalid configuration: a packet may span at most 1048576 flits"
+            ),
+            "{line}"
+        );
+    }
+
+    let (ok, stdout, stderr) = icn(&["explore", "--grid", grid.to_str().unwrap(), "--json"]);
+    assert!(ok, "{stderr}");
+    let outcome: serde_json::Value = serde_json::from_str(&stdout).expect("explore JSON");
+    assert_eq!(outcome["frontier"].as_array().map(Vec::len), Some(2));
+    assert_eq!(outcome["spot_checks"].as_array().map(Vec::len), Some(0));
+    assert!(!stdout.contains("not simulated"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One preset vocabulary: every frontier point `explore` prints, written
 /// as a design spec with the preset name it printed, passes
 /// `icn lint config` (the check `/v1/evaluate` also runs).

@@ -8,9 +8,11 @@
 //! (ground-bounce pins grow linearly with F, eq. 3.4). Package edges are
 //! quantized to whole pin rows, so the iteration settles within a few
 //! rounds. [`solve`] is that iteration and nothing else;
-//! [`DesignPoint::evaluate`] adds the area check, the delays and the
-//! violation report around it.
+//! [`Solution::violations`] is the one feasibility verdict over it; and
+//! [`DesignPoint::evaluate`] adds the delays and the report around both.
 
+use icn_phys::board::BoardConstraint;
+use icn_phys::clock::MAX_SKEW_FRACTION;
 use icn_phys::{
     area, board::BoardLayout, clock::ClockBudget, pins, rack::RackLayout, signal, ClockScheme,
     CrossbarKind, PinBudget,
@@ -79,13 +81,7 @@ impl DesignPoint {
     /// ```
     #[must_use]
     pub fn evaluate(&self) -> DesignReport {
-        let Solution {
-            pins,
-            rack,
-            clock,
-            frequency,
-            iterations,
-        } = solve(
+        let solution = solve(
             &self.tech,
             self.chip_radix,
             self.width,
@@ -93,30 +89,20 @@ impl DesignPoint {
             self.network_ports,
             self.clock_scheme,
         );
-        let board = rack.board.clone();
-
         let chip_area = area::crossbar_area(&self.tech, self.kind, self.chip_radix, self.width);
-        let die_area = self.tech.process.die_area();
-
-        let mut violations = Vec::new();
-        if !pins.fits() {
-            violations.push(format!(
-                "chip needs {} pins but the package provides {}",
-                pins.total(),
-                pins.max_pins
-            ));
-        }
-        if chip_area.square_meters() > die_area.square_meters() {
-            violations.push(format!(
-                "{} crossbar needs {:.2} cm² but the die is {:.2} cm²",
-                self.kind,
-                chip_area.square_centimeters(),
-                die_area.square_centimeters()
-            ));
-        }
-        for v in &board.violations {
-            violations.push(v.to_string());
-        }
+        let chip_area_fraction =
+            chip_area.square_meters() / self.tech.process.die_area().square_meters();
+        let violations = solution
+            .violations(chip_area_fraction, self.clock_scheme)
+            .collect();
+        let Solution {
+            pins,
+            rack,
+            clock,
+            frequency,
+            iterations,
+        } = solution;
+        let board = rack.board.clone();
 
         let one_way = delay::unloaded_delay(
             self.kind,
@@ -134,7 +120,7 @@ impl DesignPoint {
         DesignReport {
             point: self.clone(),
             pins,
-            chip_area_fraction: chip_area.square_meters() / die_area.square_meters(),
+            chip_area_fraction,
             board,
             rack,
             clock,
@@ -163,6 +149,89 @@ pub struct Solution {
     pub frequency: Frequency,
     /// Rounds the fixed point took (at most 16).
     pub iterations: u32,
+}
+
+impl Solution {
+    /// The one feasibility verdict: every rule this design breaks, in
+    /// report order, given its crossbar's share of the die and its clock
+    /// scheme. Nothing means feasible. The rules are the pin budget (eq.
+    /// 3.1–3.4), the die area (§3.2), the board (§3.3–3.4) and the clock
+    /// skew ([`ClockBudget::skew_within_budget`], eq. 5.3). The report,
+    /// the streaming explorer and `icn lint config` all read it.
+    pub fn violations(
+        &self,
+        chip_area_fraction: f64,
+        clock_scheme: ClockScheme,
+    ) -> impl Iterator<Item = Violation> + '_ {
+        let pins = (!self.pins.fits()).then_some(Violation::Pins(self.pins));
+        let board = self.rack.board.violations.iter().cloned();
+        let skew = (!self.clock.skew_within_budget(clock_scheme)).then(|| Violation::Skew {
+            fraction: self.clock.skew_fraction(clock_scheme),
+        });
+        pins.into_iter()
+            .chain(Violation::area(chip_area_fraction))
+            .chain(board.map(Violation::Board))
+            .chain(skew)
+    }
+}
+
+/// One rule a design breaks, with the numbers its message needs.
+/// `Display` is the message `icn lint config` prints.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Violation {
+    /// The chip needs more pins than its package provides.
+    Pins(PinBudget),
+    /// The crossbar layout needs `fraction` (> 1) of the die.
+    Area {
+        /// Crossbar area over die area.
+        fraction: f64,
+    },
+    /// The board breaks an edge, wire-pitch or connector limit.
+    Board(BoardConstraint),
+    /// Skew takes `fraction` (> [`MAX_SKEW_FRACTION`]) of the period.
+    Skew {
+        /// Skew over the minimum clock period.
+        fraction: f64,
+    },
+}
+
+impl Violation {
+    /// The die-area rule alone. It depends on neither board nor clock,
+    /// so the explorer runs it before any fixed point.
+    #[must_use]
+    pub fn area(chip_area_fraction: f64) -> Option<Self> {
+        (chip_area_fraction > 1.0).then_some(Self::Area {
+            fraction: chip_area_fraction,
+        })
+    }
+}
+
+impl core::fmt::Display for Violation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Self::Pins(p) => write!(
+                f,
+                "pin budget exceeded: chip needs {} pins (data {}, control {}, power/ground {}) \
+                 but the package provides {}",
+                p.total(),
+                p.data,
+                p.control,
+                p.power_ground,
+                p.max_pins
+            ),
+            Self::Area { fraction } => write!(
+                f,
+                "crossbar layout needs {fraction:.2}x the available die area"
+            ),
+            Self::Board(constraint) => constraint.fmt(f),
+            Self::Skew { fraction } => write!(
+                f,
+                "clock skew consumes {:.1}% of the cycle (limit {:.0}%)",
+                fraction * 100.0,
+                MAX_SKEW_FRACTION * 100.0
+            ),
+        }
+    }
 }
 
 /// Solve the frequency fixed point F → pins → package/board → trace →
@@ -244,8 +313,9 @@ pub struct DesignReport {
     pub slowdown_vs_local: f64,
     /// Iterations the frequency fixed point needed.
     pub fixed_point_iterations: u32,
-    /// Human-readable constraint violations (empty = feasible).
-    pub violations: Vec<String>,
+    /// The rules the design breaks, from [`Solution::violations`]
+    /// (empty = feasible).
+    pub violations: Vec<Violation>,
 }
 
 impl DesignReport {
@@ -263,7 +333,6 @@ impl DesignReport {
     /// used), which may differ from [`Technology::name`].
     #[must_use]
     pub fn summary_lines(&self, tech_label: &str) -> Vec<String> {
-        use icn_phys::clock::MAX_SKEW_FRACTION;
         let p = &self.point;
         let skew_fraction = self.clock.skew_fraction(p.clock_scheme);
         vec![
@@ -403,9 +472,29 @@ mod tests {
         let r = point.evaluate();
         assert!(!r.feasible());
         assert!(
-            r.violations.iter().any(|v| v.contains("pins")),
+            r.violations.iter().any(|v| matches!(v, Violation::Pins(_))),
             "violations: {:?}",
             r.violations
+        );
+    }
+
+    /// The verdict reads the clock-skew budget: tripling the paper
+    /// design's skew takes it past [`MAX_SKEW_FRACTION`] of the period,
+    /// and that is its only violation.
+    #[test]
+    fn verdict_reads_the_skew_budget() {
+        let paper = DesignPoint::paper_example(presets::paper1986(), CrossbarKind::Dmc);
+        let scheme = paper.clock_scheme;
+        let mut solution = solve(&paper.tech, 16, 4, 256, 2048, scheme);
+        assert_eq!(solution.violations(0.5, scheme).count(), 0);
+        solution.clock.skew = solution.clock.skew * 3.0;
+        let violations: Vec<Violation> = solution.violations(0.5, scheme).collect();
+        assert!(
+            matches!(
+                violations.as_slice(),
+                [Violation::Skew { fraction }] if *fraction > MAX_SKEW_FRACTION
+            ),
+            "{violations:?}"
         );
     }
 
@@ -428,7 +517,9 @@ mod tests {
         assert!(!r.feasible());
         assert!(r.chip_area_fraction > 1.0);
         assert!(
-            r.violations.iter().any(|v| v.contains("cm²")),
+            r.violations
+                .iter()
+                .any(|v| matches!(v, Violation::Area { fraction } if *fraction > 1.0)),
             "{:?}",
             r.violations
         );

@@ -28,5 +28,5 @@ pub mod pareto;
 pub mod report;
 pub mod table;
 
-pub use design::{DesignPoint, DesignReport};
+pub use design::{DesignPoint, DesignReport, Violation};
 pub use experiments::{Experiment, ExperimentRecord};

@@ -6,9 +6,9 @@
 //! (technology, kind, clock scheme, N', N, W), not on the packet size.
 //! The grid enumerates packet bits as the fastest axis, so the packet
 //! variants of a chassis form one contiguous run of indices. A chassis
-//! solve is the area check, then one `icn_core::design::solve` per board
-//! option: the fixed point alone, with no `DesignReport`, no
-//! `Technology` clone and no violation text.
+//! solve is the area rule, then one `icn_core::design::solve` per board
+//! option judged by `Solution::violations`, the one feasibility verdict:
+//! no `DesignReport`, no `Technology` clone and no violation text.
 //!
 //! [`Evaluator::fold`] walks a range run by run and solves each run's
 //! chassis once. `engine` hands every chunk of a call to one evaluator
@@ -47,7 +47,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use icn_core::delay;
-use icn_core::design;
+use icn_core::design::{self, Violation};
 use icn_core::explore::board_port_options;
 use icn_core::pareto::Frontier;
 use icn_phys::{crossbar_area, delta_network_chips, ClockScheme, CrossbarKind};
@@ -309,18 +309,19 @@ impl<'a> Evaluator<'a> {
     /// `icn_core::explore`, since cycles don't depend on the board) and
     /// capture the objective ingredients.
     ///
-    /// Feasibility is `DesignReport::feasible`'s verdict without the
-    /// report: the crossbar fits the die, and at the solved frequency
-    /// the pins fit the package and the board has no violation. Area
-    /// depends on neither board nor frequency, so a chassis too big for
-    /// its die is rejected before any fixed point is solved.
+    /// A board is feasible when `design::Solution::violations`, the one
+    /// verdict `DesignReport` and `icn lint config` also read, finds
+    /// nothing; no report is built. Its area rule depends on neither
+    /// board nor frequency, so a chassis too big for its die is rejected
+    /// by that rule alone before any fixed point is solved.
     fn evaluate_chassis(&self, candidate: &Candidate) -> Option<Chassis> {
         let tech = self.techs.get(candidate.tech_index)?;
         if candidate.chip_radix > candidate.network_ports {
             return None;
         }
         let area = crossbar_area(tech, candidate.kind, candidate.chip_radix, candidate.width);
-        if area.square_meters() > tech.process.die_area().square_meters() {
+        let area_fraction = area.square_meters() / tech.process.die_area().square_meters();
+        if Violation::area(area_fraction).is_some() {
             return None;
         }
         let boards = board_port_options(
@@ -338,7 +339,11 @@ impl<'a> Evaluator<'a> {
                 candidate.network_ports,
                 candidate.clock_scheme,
             );
-            if !solution.pins.fits() || !solution.rack.fits() {
+            if solution
+                .violations(area_fraction, candidate.clock_scheme)
+                .next()
+                .is_some()
+            {
                 continue;
             }
             if best.is_none_or(|(_, frequency, _)| solution.frequency.hz() > frequency.hz()) {

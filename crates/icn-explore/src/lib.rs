@@ -8,8 +8,9 @@
 //!   scheme, N', N, W, P) that enumerates millions of candidates without
 //!   materialising them (`grid`);
 //! * [`Evaluator`] — closed-form evaluation: a fold that makes one
-//!   report-free chassis solve (area check, then
-//!   `icn_core::design::solve` per board option) per packet-size run and
+//!   report-free chassis solve (area rule, then
+//!   `icn_core::design::solve` per board option, judged by the one
+//!   feasibility verdict `Solution::violations`) per packet-size run and
 //!   offers the frontier only the run's fastest packet variants, found
 //!   from its shortest packets up, and a per-candidate path whose chassis
 //!   memo amortises the same solve (`eval`);
@@ -19,7 +20,8 @@
 //!   cost) whose memory is `O(frontier)` (`engine`);
 //! * [`spot_check`] — `icn_sim::try_run` validation that the simulator's
 //!   latency floor ranks the top frontier points like the closed form
-//!   does, one simulation per distinct network (`spotcheck`).
+//!   does, one simulation per distinct network, skipping the networks
+//!   that are [`Unsimulable`] (`spotcheck`).
 //!
 //! Output is byte-identical at any thread count and chunk size; the
 //! argument lives in `icn_core::pareto` and `engine`, and the guarantee
@@ -33,4 +35,4 @@ pub mod spotcheck;
 pub use engine::{explore, ExploreOptions, ExploreOutcome, DEFAULT_CHUNK};
 pub use eval::{resolve_techs, Evaluator, FrontierPoint, OBJECTIVES};
 pub use grid::{Candidate, GridSpec, MAX_GRID_CANDIDATES};
-pub use spotcheck::{chip_model, spot_check, SpotCheck};
+pub use spotcheck::{chip_model, spot_check, SpotCheck, Unsimulable};

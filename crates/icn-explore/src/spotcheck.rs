@@ -12,11 +12,14 @@
 //! clocked differently — share one simulation, and each still gets its
 //! own [`SpotCheck`].
 //!
+//! A point whose network is [`Unsimulable`] is skipped for the next in
+//! delay order; [`unsimulable`] says which points those are, and why.
+//!
 //! Everything here is deterministic: the simulator is seeded, the load
 //! is fixed, and the points are chosen by `(delay, index)` order.
 
 use icn_core::delay::unloaded_cycles;
-use icn_sim::{ChipModel, SimConfig};
+use icn_sim::{ChipModel, SimConfig, SimError};
 use icn_topology::StagePlan;
 use icn_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -82,15 +85,15 @@ impl SimKey {
         }
     }
 
-    /// Simulate the network under light uniform load: its §4 analytic
-    /// unloaded floor and the minimum latency measured, in cycles.
-    /// `None` when the network exceeds [`MAX_SIM_PORTS`], has no
-    /// balanced power-of-two plan, or the simulator rejects it.
-    fn simulate(self) -> Option<(u64, u64)> {
+    /// The spot-check configuration of this network under light uniform
+    /// load, with its §4 analytic unloaded floor in cycles, or the skip
+    /// rule that rules it out.
+    fn config(self) -> Result<(SimConfig, u64), Unsimulable> {
         if self.network_ports > MAX_SIM_PORTS {
-            return None;
+            return Err(Unsimulable::TooLarge);
         }
-        let plan = StagePlan::balanced_pow2(self.network_ports, self.chip_radix)?;
+        let plan = StagePlan::balanced_pow2(self.network_ports, self.chip_radix)
+            .ok_or(Unsimulable::NoBalancedPlan)?;
         let mut config = SimConfig::paper_baseline(
             plan,
             chip_model(self.kind),
@@ -102,18 +105,49 @@ impl SimKey {
         config.warmup_cycles = analytic * 2;
         config.measure_cycles = analytic * 2 + 200;
         config.drain_cycles = analytic * 4 + 200;
-        let result = icn_sim::try_run(config).ok()?;
-        Some((analytic, result.network_latency.min))
+        config.validate().map_err(Unsimulable::Invalid)?;
+        Ok((config, analytic))
     }
 }
 
-/// Spot-check up to `k` lowest-delay frontier points. Points whose
-/// network cannot be planned as a balanced power-of-two network (or
-/// that exceed [`MAX_SIM_PORTS`]) are skipped. Returns the checks in
-/// the order they were run plus whether the simulator's latency floor
-/// agreed with the closed-form delay ranking across every checked pair
-/// (±1 cycle slack for the closed form's fractional `P/W` against the
-/// simulator's whole flits).
+/// Why a frontier point's network is not spot-checked: the three skip
+/// rules, checked in this order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Unsimulable {
+    /// More than [`MAX_SIM_PORTS`] ports.
+    TooLarge,
+    /// No balanced power-of-two stage plan builds `N'` from `N`-port
+    /// chips.
+    NoBalancedPlan,
+    /// `SimConfig::validate` refuses the spot-check configuration (a
+    /// packet of more than `icn_sim::MAX_FLITS_PER_PACKET` flits, say).
+    Invalid(SimError),
+}
+
+impl std::fmt::Display for Unsimulable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TooLarge => write!(f, "more than {MAX_SIM_PORTS} ports"),
+            Self::NoBalancedPlan => f.write_str("no balanced power-of-two stage plan"),
+            Self::Invalid(e) => e.fmt(f),
+        }
+    }
+}
+
+/// Why `point`'s network cannot be spot-checked, or `None` when it can;
+/// decided from its configuration, without simulating. [`spot_check`]
+/// passes over exactly these points.
+#[must_use]
+pub fn unsimulable(point: &FrontierPoint) -> Option<Unsimulable> {
+    SimKey::of(point).config().err()
+}
+
+/// Spot-check up to `k` lowest-delay frontier points, skipping those
+/// whose network is [`Unsimulable`]. Returns the checks in the order
+/// they were run plus whether the simulator's latency floor agreed with
+/// the closed-form delay ranking across every checked pair (±1 cycle
+/// slack for the closed form's fractional `P/W` against the simulator's
+/// whole flits). Fewer than `k` checks means every point was tried.
 #[must_use]
 pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool) {
     if k == 0 || frontier.is_empty() {
@@ -128,25 +162,25 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
 
     // The simulator reads only (kind, N', N, W, P) of a point, so each
     // distinct network is simulated once and its `(analytic floor,
-    // measured minimum)` reused; `None` records a network that cannot be
-    // simulated.
-    let mut simulated: Vec<(SimKey, Option<(u64, u64)>)> = Vec::new();
+    // measured minimum)` reused.
+    let mut simulated: Vec<(SimKey, (u64, u64))> = Vec::new();
     let mut checks = Vec::new();
     for point in by_delay {
         if checks.len() >= k {
             break;
         }
         let key = SimKey::of(point);
-        let outcome = match simulated.iter().find(|(seen, _)| *seen == key) {
+        let (analytic, min_latency) = match simulated.iter().find(|(seen, _)| *seen == key) {
             Some(&(_, outcome)) => outcome,
             None => {
-                let outcome = key.simulate();
+                let Ok((config, analytic)) = key.config() else {
+                    continue;
+                };
+                // `config` passed `SimConfig::validate`, so `run` takes it.
+                let outcome = (analytic, icn_sim::run(config).network_latency.min);
                 simulated.push((key, outcome));
                 outcome
             }
-        };
-        let Some((analytic, min_latency)) = outcome else {
-            continue;
         };
         checks.push(SpotCheck {
             index: point.index,
@@ -248,6 +282,46 @@ mod tests {
             },
             checks[0]
         );
+    }
+
+    #[test]
+    fn unsimulable_names_the_rule_that_skips_each_point() {
+        let fastest = paper_frontier_points()
+            .into_iter()
+            .min_by(|a, b| a.delay_us.total_cmp(&b.delay_us))
+            .unwrap();
+        let too_large = FrontierPoint {
+            index: 1,
+            network_ports: 2 * MAX_SIM_PORTS,
+            ..fastest.clone()
+        };
+        let unbalanced = FrontierPoint {
+            index: 2,
+            network_ports: 48,
+            ..fastest.clone()
+        };
+        let invalid = FrontierPoint {
+            index: 3,
+            width: 1,
+            packet_bits: u32::try_from(2 * icn_sim::MAX_FLITS_PER_PACKET).unwrap(),
+            ..fastest.clone()
+        };
+        let frontier = [fastest, too_large, unbalanced, invalid];
+        let reasons: Vec<Option<Unsimulable>> = frontier.iter().map(unsimulable).collect();
+        assert_eq!(reasons[0], None);
+        assert_eq!(reasons[1], Some(Unsimulable::TooLarge));
+        assert_eq!(reasons[2], Some(Unsimulable::NoBalancedPlan));
+        assert!(
+            matches!(
+                reasons[3],
+                Some(Unsimulable::Invalid(SimError::InvalidConfig(_)))
+            ),
+            "{reasons:?}"
+        );
+        // Exactly those points go unchecked.
+        let (checks, _) = spot_check(&frontier, 4);
+        assert_eq!(checks.len(), 1, "{checks:?}");
+        assert_eq!(checks[0].index, frontier[0].index);
     }
 
     #[test]

@@ -1,19 +1,23 @@
-//! Pins the explorer's report-free chassis solve to the rule it replaced:
-//! `DesignPoint::evaluate` for every board option of the chassis, keeping
-//! the feasible board with the highest frequency (the first on ties).
-//! For every chassis of the bench and million grids, `Evaluator::evaluate`
-//! must give the same verdict, board, frequency bits and pins.
+//! Pins the explorer's report-free chassis solve to `icn lint config`:
+//! `check_design` on every board option of the chassis, keeping the
+//! board it finds clean with the highest frequency (the first on ties).
+//! For every chassis of the bench and million grids, and of a grid with
+//! boards of up to 1,024 ports, `Evaluator::evaluate` must give the same
+//! verdict, board, frequency bits and pins. The lint renders the
+//! report's typed violations one diagnostic each, so this is also the
+//! `DesignReport` rule.
 
-use icn_core::design::DesignPoint;
+use icn_core::design::Violation;
 use icn_core::explore::board_port_options;
 use icn_explore::{resolve_techs, Evaluator, GridSpec};
-use icn_units::{Frequency, Time};
+use icn_lint::{check_design, DesignSpec};
+use icn_units::Frequency;
 
-/// What the old rule chose for one chassis: board, frequency and pins of
-/// the best feasible board, or `None`.
+/// What the lint rule chose for one chassis: board, frequency and pins
+/// of the best clean board, or `None`.
 type Choice = Option<(u32, Frequency, u32)>;
 
-/// Walks of the old rule over a grid: its per-chassis choices and what
+/// Walks of the lint rule over a grid: its per-chassis choices and what
 /// the fixed point did on every (chassis, board) pair.
 struct Reference {
     choices: Vec<Choice>,
@@ -24,9 +28,8 @@ struct Reference {
     max_iterations: u32,
 }
 
-/// The old rule, written out: a full `DesignPoint::evaluate` per board.
+/// The lint rule, written out: a full `check_design` per board.
 fn reference(spec: &GridSpec) -> Reference {
-    let techs = resolve_techs(spec).expect("built-in presets resolve");
     let packets = spec.packet_bits.len() as u64;
     let chassis = spec.candidate_count().expect("a built-in grid") / packets;
     let mut walk = Reference {
@@ -45,24 +48,33 @@ fn reference(spec: &GridSpec) -> Reference {
                 candidate.network_ports,
                 spec.max_board_ports_resolved(),
             ) {
-                let report = DesignPoint {
-                    tech: techs[candidate.tech_index].clone(),
-                    kind: candidate.kind,
-                    chip_radix: candidate.chip_radix,
-                    width: candidate.width,
-                    board_ports,
-                    network_ports: candidate.network_ports,
-                    packet_bits: candidate.packet_bits,
-                    clock_scheme: candidate.clock_scheme,
-                    memory_access: Time::from_nanos(spec.memory_access_ns_resolved()),
-                }
-                .evaluate();
+                let check = check_design(
+                    "grid",
+                    &DesignSpec {
+                        tech: spec.techs[candidate.tech_index].clone(),
+                        kind: candidate.kind,
+                        chip_radix: candidate.chip_radix,
+                        width: candidate.width,
+                        board_ports,
+                        network_ports: candidate.network_ports,
+                        packet_bits: candidate.packet_bits,
+                        clock_scheme: candidate.clock_scheme,
+                        memory_access_ns: spec.memory_access_ns_resolved(),
+                        min_frequency_mhz: None,
+                    },
+                );
+                let report = check.report.as_ref().expect("grid designs are well formed");
+                assert_eq!(check.diagnostics.len(), report.violations.len());
                 walk.pairs += 1;
-                let area_fails = report.chip_area_fraction > 1.0;
-                walk.area_failures += u64::from(area_fails);
-                walk.area_only += u64::from(area_fails && report.violations.len() == 1);
+                let violations = report.violations.as_slice();
+                walk.area_failures += u64::from(
+                    violations
+                        .iter()
+                        .any(|v| matches!(v, Violation::Area { .. })),
+                );
+                walk.area_only += u64::from(matches!(violations, [Violation::Area { .. }]));
                 walk.max_iterations = walk.max_iterations.max(report.fixed_point_iterations);
-                if !report.feasible() {
+                if !check.feasible() {
                     continue;
                 }
                 if best.is_none_or(|(_, frequency, _)| report.frequency.hz() > frequency.hz()) {
@@ -75,9 +87,9 @@ fn reference(spec: &GridSpec) -> Reference {
     walk
 }
 
-/// Assert that `Evaluator::evaluate` reproduces the old rule on every
-/// chassis of `spec`, and return the old rule's walk.
-fn assert_matches_old_rule(spec: &GridSpec) -> Reference {
+/// Assert that `Evaluator::evaluate` reproduces the lint rule on every
+/// chassis of `spec`, and return the lint rule's walk.
+fn assert_matches_lint_rule(spec: &GridSpec) -> Reference {
     let walk = reference(spec);
     let techs = resolve_techs(spec).expect("built-in presets resolve");
     let packets = spec.packet_bits.len() as u64;
@@ -100,14 +112,14 @@ fn assert_matches_old_rule(spec: &GridSpec) -> Reference {
 
 #[test]
 fn bench_grid_chassis_match_the_report_rule() {
-    let walk = assert_matches_old_rule(&GridSpec::bench());
+    let walk = assert_matches_lint_rule(&GridSpec::bench());
     assert!(walk.choices.iter().any(Option::is_some));
     assert!(walk.choices.iter().any(Option::is_none));
 }
 
 #[test]
 fn million_grid_chassis_match_the_report_rule() {
-    let walk = assert_matches_old_rule(&GridSpec::million());
+    let walk = assert_matches_lint_rule(&GridSpec::million());
     assert_eq!(walk.choices.len(), 2_304);
     assert_eq!(walk.pairs, 6_912);
     assert_eq!(walk.area_failures, 872);
@@ -123,7 +135,9 @@ fn million_grid_chassis_match_the_report_rule() {
 /// On the built-in grids every chassis too big for its die also fails
 /// its pins or board, so they cannot tell whether the area check runs.
 /// Boards of up to 1024 ports bring radix-24 and radix-32 chassis whose
-/// only violation is the die area.
+/// only violation is the die area, and 48 chassis (chassis 312, MCC,
+/// 1,024 ports, N = 24, W = 1, among them) that only the clock-skew
+/// budget makes infeasible.
 #[test]
 fn large_board_chassis_match_the_report_rule() {
     let spec = GridSpec {
@@ -132,6 +146,6 @@ fn large_board_chassis_match_the_report_rule() {
         max_board_ports: 1024,
         ..GridSpec::million()
     };
-    let walk = assert_matches_old_rule(&spec);
+    let walk = assert_matches_lint_rule(&spec);
     assert!(walk.area_only > 0, "no chassis fails on area alone");
 }

@@ -1,30 +1,32 @@
 //! `icn lint config`: static design-rule checking of a network design point
 //! against the paper's physical constraints, before any simulation runs.
 //!
-//! The check is the same evaluation pipeline the experiments use
-//! ([`DesignPoint::evaluate`]) with each constraint mapped to a coded
-//! diagnostic:
+//! The verdict is icn-core's: [`DesignPoint::evaluate`] reports every
+//! [`Violation`] of `Solution::violations`, the verdict the explorer also
+//! applies to each board it tries, and each becomes one coded diagnostic:
 //!
-//! | code   | constraint                                         | paper    |
+//! | code   | violation                                          | paper    |
 //! |--------|----------------------------------------------------|----------|
-//! | ICN101 | chip pin budget `2WN + 2N + 3 + ground(F)`          | eq. 3.1–3.4 |
-//! | ICN102 | crossbar layout must fit the die                   | §3.2     |
-//! | ICN103 | board edge within manufacturable maximum           | §3.3     |
-//! | ICN104 | inter-stage wire pitch above the crosstalk limit   | §3.3     |
-//! | ICN105 | edge connectors must fit along one board edge      | §3.4     |
-//! | ICN106 | clock skew within budget, required frequency met   | eq. 5.3  |
+//! | ICN101 | `Pins`: chip pin budget `2WN + 2N + 3 + ground(F)` | eq. 3.1–3.4 |
+//! | ICN102 | `Area`: crossbar layout must fit the die           | §3.2     |
+//! | ICN103 | `Board(EdgeTooLong)`: manufacturable board edge    | §3.3     |
+//! | ICN104 | `Board(WirePitchTooFine)`: crosstalk-safe pitch    | §3.3     |
+//! | ICN105 | `Board(ConnectorsDontFit)`: connectors on one edge | §3.4     |
+//! | ICN106 | `Skew`: clock skew within budget                   | eq. 5.3  |
 //!
-//! Config parse and resolution failures are reported as ICN100.
+//! Two checks stay here, because they judge the input rather than the
+//! design: ICN100 for a spec that cannot be parsed, resolved or evaluated,
+//! and ICN106 for a frequency below the spec's own `min_frequency_mhz`.
 
-use icn_core::DesignPoint;
+use icn_core::{DesignPoint, Violation};
 use icn_phys::board::BoardConstraint;
-use icn_phys::clock::MAX_SKEW_FRACTION;
 use icn_phys::{ClockScheme, CrossbarKind};
 use icn_tech::{presets, Technology};
 use icn_units::Time;
 use serde::{Deserialize, Serialize};
 
 use crate::diagnostics::{Diagnostic, Severity};
+use crate::report::plural;
 
 /// A design point as written in a config file: [`DesignPoint`] with the
 /// technology named by preset and times in explicit units.
@@ -112,12 +114,6 @@ impl DesignCheck {
     pub fn feasible(&self) -> bool {
         self.diagnostics.is_empty()
     }
-
-    /// The violated rule codes (`ICN100`–`ICN106`), in report order.
-    #[must_use]
-    pub fn codes(&self) -> Vec<&str> {
-        self.diagnostics.iter().map(|d| d.code.as_str()).collect()
-    }
 }
 
 fn design_diag(file: &str, code: &str, message: String, suggestion: &str) -> Diagnostic {
@@ -131,23 +127,56 @@ fn design_diag(file: &str, code: &str, message: String, suggestion: &str) -> Dia
     }
 }
 
+/// A spec the design rules cannot judge: one ICN100 diagnostic, no
+/// evaluation.
+fn invalid(file: &str, message: String, suggestion: &str) -> DesignCheck {
+    DesignCheck {
+        summary: Vec::new(),
+        diagnostics: vec![design_diag(file, "ICN100", message, suggestion)],
+        report: None,
+    }
+}
+
+/// The code and suggestion `icn lint config` gives each violation.
+fn rule(violation: &Violation) -> (&'static str, &'static str) {
+    match violation {
+        Violation::Pins(_) => (
+            "ICN101",
+            "reduce the data path width W or the chip radix N (eq. 3.1-3.4: pins = 2WN + 2N + 3 + ground(F))",
+        ),
+        Violation::Area { .. } => (
+            "ICN102",
+            "reduce N or W, or switch crossbar style (S3.2: MCC area grows as N^2, DMC wiring as N^4)",
+        ),
+        Violation::Board(BoardConstraint::EdgeTooLong { .. }) => (
+            "ICN103",
+            "fewer chips per stage: reduce board_ports or raise chip_radix (S3.3)",
+        ),
+        Violation::Board(BoardConstraint::WirePitchTooFine { .. }) => (
+            "ICN104",
+            "fewer inter-stage wires per gap: reduce W or board_ports, or add signal layers (S3.3)",
+        ),
+        Violation::Board(BoardConstraint::ConnectorsDontFit { .. }) => (
+            "ICN105",
+            "fewer external lines: reduce W or board_ports (S3.4)",
+        ),
+        Violation::Skew { .. } => (
+            "ICN106",
+            "shorten the clock distribution (smaller boards) or accept a lower frequency (eq. 5.3: skew ~ 0.7 tau)",
+        ),
+    }
+}
+
 /// Parse `json` (the contents of `file`, used for labeling) and check it.
 #[must_use]
 pub fn check_design_json(file: &str, json: &str) -> DesignCheck {
     let spec: DesignSpec = match serde_json::from_str(json) {
         Ok(spec) => spec,
-        Err(e) => {
-            return DesignCheck {
-                summary: Vec::new(),
-                diagnostics: vec![design_diag(
-                    file,
-                    "ICN100",
-                    format!("cannot parse design spec: {e}"),
-                    "see DesignSpec in icn-lint for the schema (tech/kind/chip_radix/width/board_ports/network_ports/packet_bits/clock_scheme/memory_access_ns)",
-                )],
-                report: None,
-            }
-        }
+        Err(e) => return invalid(
+            file,
+            format!("cannot parse design spec: {e}"),
+            "see DesignSpec in icn-lint for the schema (tech/kind/chip_radix/width/board_ports/network_ports/packet_bits/clock_scheme/memory_access_ns)",
+        ),
     };
     check_design(file, &spec)
 }
@@ -157,16 +186,11 @@ pub fn check_design_json(file: &str, json: &str) -> DesignCheck {
 pub fn check_design(file: &str, spec: &DesignSpec) -> DesignCheck {
     let Some(tech) = spec.resolve_tech() else {
         let names: Vec<String> = presets::all().into_iter().map(|t| t.name).collect();
-        return DesignCheck {
-            summary: Vec::new(),
-            diagnostics: vec![design_diag(
-                file,
-                "ICN100",
-                format!("unknown technology preset `{}`", spec.tech),
-                &format!("use one of: {}", names.join(", ")),
-            )],
-            report: None,
-        };
+        return invalid(
+            file,
+            format!("unknown technology preset `{}`", spec.tech),
+            &format!("use one of: {}", names.join(", ")),
+        );
     };
     // The evaluation pipeline asserts its structural preconditions; check
     // them here so a malformed spec gets a diagnostic, not a panic.
@@ -186,76 +210,21 @@ pub fn check_design(file: &str, spec: &DesignSpec) -> DesignCheck {
         None
     };
     if let Some(problem) = structural {
-        return DesignCheck {
-            summary: Vec::new(),
-            diagnostics: vec![design_diag(
-                file,
-                "ICN100",
-                format!("structurally invalid design: {problem}"),
-                "fix the spec field; see DesignSpec in icn-lint for the schema",
-            )],
-            report: None,
-        };
+        return invalid(
+            file,
+            format!("structurally invalid design: {problem}"),
+            "fix the spec field; see DesignSpec in icn-lint for the schema",
+        );
     }
     let report = spec.to_point(tech).evaluate();
-    let mut diagnostics = Vec::new();
-
-    if !report.pins.fits() {
-        diagnostics.push(design_diag(
-            file,
-            "ICN101",
-            format!(
-                "pin budget exceeded: chip needs {} pins (data {}, control {}, power/ground {}) but the package provides {}",
-                report.pins.total(),
-                report.pins.data,
-                report.pins.control,
-                report.pins.power_ground,
-                report.pins.max_pins
-            ),
-            "reduce the data path width W or the chip radix N (eq. 3.1-3.4: pins = 2WN + 2N + 3 + ground(F))",
-        ));
-    }
-    if report.chip_area_fraction > 1.0 {
-        diagnostics.push(design_diag(
-            file,
-            "ICN102",
-            format!(
-                "crossbar layout needs {:.2}x the available die area",
-                report.chip_area_fraction
-            ),
-            "reduce N or W, or switch crossbar style (S3.2: MCC area grows as N^2, DMC wiring as N^4)",
-        ));
-    }
-    for violation in &report.board.violations {
-        let (code, suggestion) = match violation {
-            BoardConstraint::EdgeTooLong { .. } => (
-                "ICN103",
-                "fewer chips per stage: reduce board_ports or raise chip_radix (S3.3)",
-            ),
-            BoardConstraint::WirePitchTooFine { .. } => (
-                "ICN104",
-                "fewer inter-stage wires per gap: reduce W or board_ports, or add signal layers (S3.3)",
-            ),
-            BoardConstraint::ConnectorsDontFit { .. } => (
-                "ICN105",
-                "fewer external lines: reduce W or board_ports (S3.4)",
-            ),
-        };
-        diagnostics.push(design_diag(file, code, violation.to_string(), suggestion));
-    }
-    let skew_fraction = report.clock.skew_fraction(spec.clock_scheme);
-    if skew_fraction > MAX_SKEW_FRACTION {
-        diagnostics.push(design_diag(
-            file,
-            "ICN106",
-            format!(
-                "clock skew consumes {:.1}% of the cycle (limit {:.0}%)",
-                skew_fraction * 100.0,
-                MAX_SKEW_FRACTION * 100.0
-            ),
-            "shorten the clock distribution (smaller boards) or accept a lower frequency (eq. 5.3: skew ~ 0.7 tau)",
-        ));
-    }
+    let mut diagnostics: Vec<Diagnostic> = report
+        .violations
+        .iter()
+        .map(|violation| {
+            let (code, suggestion) = rule(violation);
+            design_diag(file, code, violation.to_string(), suggestion)
+        })
+        .collect();
     if let Some(min_mhz) = spec.min_frequency_mhz {
         if report.frequency.mhz() < min_mhz {
             diagnostics.push(design_diag(
@@ -301,11 +270,7 @@ pub fn render_design_human(check: &DesignCheck) -> String {
         out.push_str(&format!(
             "verdict: INFEASIBLE ({} constraint violation{})\n",
             check.diagnostics.len(),
-            if check.diagnostics.len() == 1 {
-                ""
-            } else {
-                "s"
-            }
+            plural(check.diagnostics.len())
         ));
     }
     out

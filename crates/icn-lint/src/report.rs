@@ -36,7 +36,8 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
     out
 }
 
-fn plural(n: usize) -> &'static str {
+/// The plural suffix for a count of `n`.
+pub(crate) fn plural(n: usize) -> &'static str {
     if n == 1 {
         ""
     } else {

@@ -83,7 +83,8 @@ pub fn clock_skew(tech: &Technology, tau: Time) -> Time {
 }
 
 /// Design-rule ceiling on the fraction of the clock period that skew may
-/// consume (used by `icn lint config`, rule ICN106).
+/// consume: the skew rule of the feasibility verdict
+/// (`icn_core::design::Solution::violations`; ICN106 in `icn lint config`).
 ///
 /// Eq. 5.1 only requires `D_L + D_P + δ ≤ 1/F`, so any skew fraction below
 /// 1 is *schedulable* — but a budget where skew eats most of the cycle has

@@ -112,12 +112,6 @@ impl RackLayout {
         }
     }
 
-    /// Whether the rack's board design satisfies all board-level constraints.
-    #[must_use]
-    pub fn fits(&self) -> bool {
-        self.board.fits()
-    }
-
     /// Physical footprint of the rack with boards stacked face-to-face at
     /// `board_spacing`: (edge × depth) board outline, `total_boards` deep.
     ///
@@ -198,7 +192,7 @@ mod tests {
         assert_eq!(r.total_boards, 16);
         assert_eq!(r.total_chips, 3 * 128);
         assert!((34.0..=38.0).contains(&r.longest_wire.inches()));
-        assert!(r.fits());
+        assert!(r.board.fits());
     }
 
     #[test]

@@ -241,7 +241,10 @@ pub struct ExploreRequest {
     #[serde(default)]
     pub priority: Option<Priority>,
     /// Wall-clock budget in milliseconds (default: the server's
-    /// `--deadline-ms`, 0 = none). Excluded from the cache key.
+    /// `--deadline-ms`, 0 = none). Excluded from the cache key. Checked
+    /// only when a worker claims the job: a job still queued past it
+    /// fails, but `icn_explore::explore` takes no stop predicate, so an
+    /// exploration that has started runs to the end.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
 }

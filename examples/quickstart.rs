@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use icn_core::DesignPoint;
+use icn_core::{DesignPoint, Violation};
 use icn_phys::CrossbarKind;
 use icn_tech::presets;
 
@@ -63,8 +63,26 @@ fn main() {
         println!("status: feasible — this is the paper's §6 conclusion");
     } else {
         println!("status: INFEASIBLE:");
-        for v in &report.violations {
-            println!("  - {v}");
-        }
+        print_violations(&report.violations);
+    }
+
+    // 5. Double the path width and see which rules break: each violation
+    //    is typed, with the numbers behind its message.
+    let mut wide = DesignPoint::paper_example(presets::paper1986(), CrossbarKind::Dmc);
+    wide.width = 8;
+    let wide = wide.evaluate();
+    println!("W=8:    {} violations", wide.violations.len());
+    print_violations(&wide.violations);
+}
+
+fn print_violations(violations: &[Violation]) {
+    for v in violations {
+        let rule = match v {
+            Violation::Pins(_) => "pins, eq. 3.1-3.4",
+            Violation::Area { .. } => "die area, §3.2",
+            Violation::Board(_) => "board, §3.3-3.4",
+            Violation::Skew { .. } => "clock skew, eq. 5.3",
+        };
+        println!("  - [{rule}] {v}");
     }
 }
