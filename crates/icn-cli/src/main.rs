@@ -43,10 +43,11 @@
 //!                              POST /v1/simulate (async job, content-addressed
 //!                              result cache), GET /v1/healthz, GET /v1/stats;
 //!                              --workers/--queue-depth/--cache-entries size it,
-//!                              --journal enables the crash-safe job journal,
-//!                              --cache-dir spills results to disk (both together
-//!                              make restarts lossless), --deadline-ms sets a
-//!                              default per-job wall-clock budget,
+//!                              --journal makes restarts lossless (job journal,
+//!                              result bodies spilled beside it), --cache-dir
+//!                              puts the result spill in DIR instead (alone: a
+//!                              disk cache without a journal), --deadline-ms
+//!                              sets a default per-job wall-clock budget,
 //!                              --telemetry-out writes the final /v1/metrics
 //!                              exposition at shutdown for `icn metrics`
 //!
@@ -1563,6 +1564,11 @@ fn serve(opts: &Options) -> Result<(), Failure> {
         sim_threads: opts.sim_threads,
         ..icn_serve::ServeConfig::default()
     };
+    let durability = match (&config.journal, config.spill_dir()) {
+        (Some(_), Some(spill)) => format!(", journal, spill {}", spill.display()),
+        (None, Some(spill)) => format!(", disk cache {}", spill.display()),
+        (_, None) => String::new(),
+    };
     let server = icn_serve::Server::bind(config).map_err(|e| {
         Failure::Io(if e.kind() == std::io::ErrorKind::AddrInUse {
             format!(
@@ -1575,12 +1581,6 @@ fn serve(opts: &Options) -> Result<(), Failure> {
         })
     })?;
     let addr = server.local_addr();
-    let durability = match (&opts.journal, &opts.cache_dir) {
-        (Some(_), Some(_)) => ", journal + disk cache",
-        (Some(_), None) => ", journal",
-        (None, Some(_)) => ", disk cache",
-        (None, None) => "",
-    };
     // Banner via fallible writes, not eprintln!: a supervisor that reads
     // the first line and closes the pipe must not kill the server with
     // an EPIPE panic between the two lines.

@@ -1,9 +1,11 @@
 //! Crash-recovery end-to-end test through the real `icn` binary:
 //! `kill -9` a serving process with jobs in flight, restart it on the
-//! same journal and cache directory, and verify nothing was lost —
-//! every job reaches a terminal state exactly once, results completed
-//! before the crash come back byte-identical without re-running, and a
-//! re-POST of a recovered configuration is answered from the cache.
+//! same journal and result spill, and verify nothing was lost — every
+//! job reaches a terminal state exactly once, results completed before
+//! the crash come back byte-identical without re-running, and a re-POST
+//! of a recovered configuration is answered from the cache. It runs with
+//! `--journal` and `--cache-dir` together, and with `--journal` alone,
+//! where the spill lives beside the journal.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
@@ -11,23 +13,24 @@ use std::time::{Duration, Instant};
 
 /// Spawn `icn serve` on an ephemeral port with the given durability
 /// flags and return the child plus its bound address (from the banner).
-fn spawn_serve(journal: &str, cache_dir: &str) -> (Child, String) {
+/// The banner must name the spill directory in use.
+fn spawn_serve(journal: &str, cache_dir: Option<&str>) -> (Child, String) {
+    let mut args = vec![
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "1",
+        "--queue-depth",
+        "16",
+        "--cache-entries",
+        "8",
+        "--journal",
+        journal,
+    ];
+    args.extend(cache_dir.iter().flat_map(|dir| ["--cache-dir", dir]));
     let mut child = Command::new(env!("CARGO_BIN_EXE_icn"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--queue-depth",
-            "16",
-            "--cache-entries",
-            "8",
-            "--journal",
-            journal,
-            "--cache-dir",
-            cache_dir,
-        ])
+        .args(&args)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -47,6 +50,11 @@ fn spawn_serve(journal: &str, cache_dir: &str) -> (Child, String) {
         .next()
         .unwrap()
         .to_string();
+    let spill = cache_dir.map_or_else(|| format!("{journal}.spill"), str::to_string);
+    assert!(
+        banner.contains(&format!("spill {spill})")),
+        "banner names the spill: {banner}"
+    );
     (child, addr)
 }
 
@@ -124,14 +132,25 @@ fn sim_body(seed: u64, heavy: bool) -> String {
 #[test]
 fn kill_dash_nine_loses_no_jobs_and_no_results() {
     let dir = std::env::temp_dir().join(format!("icn-cli-recovery-{}", std::process::id()));
+    let with_cache_dir = dir.join("with-cache-dir");
+    let cache_dir = with_cache_dir.join("cache").to_string_lossy().into_owned();
+    // The two deployments share nothing on disk, so they run side by side.
+    std::thread::scope(|scope| {
+        scope.spawn(|| crash_and_restart(&with_cache_dir, Some(&cache_dir)));
+        crash_and_restart(&dir.join("journal-only"), None);
+    });
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+}
+
+/// One crash-restart scenario on a fresh `dir`.
+fn crash_and_restart(dir: &std::path::Path, cache_dir: Option<&str>) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
     let journal = dir.join("jobs.journal").to_string_lossy().into_owned();
-    let cache_dir = dir.join("cache").to_string_lossy().into_owned();
 
     // First life: one fast job driven to completion, then a backlog of
     // heavy jobs the single worker cannot finish before the kill.
-    let (mut child, addr) = spawn_serve(&journal, &cache_dir);
+    let (mut child, addr) = spawn_serve(&journal, cache_dir);
     let fast = sim_body(1, false);
     let accepted = call(&addr, "POST", "/v1/simulate", &fast);
     assert!(accepted.starts_with("HTTP/1.1 202"), "{accepted}");
@@ -157,8 +176,8 @@ fn kill_dash_nine_loses_no_jobs_and_no_results() {
     child.kill().expect("kill -9");
     child.wait().expect("child reaped");
 
-    // Second life: same journal + cache dir.
-    let (mut child2, addr2) = spawn_serve(&journal, &cache_dir);
+    // Second life: same journal and spill.
+    let (mut child2, addr2) = spawn_serve(&journal, cache_dir);
 
     // The pre-crash completed result is already terminal — served from
     // the journal + spill without re-running — and byte-identical.
@@ -200,5 +219,5 @@ fn kill_dash_nine_loses_no_jobs_and_no_results() {
     let bye = call(&addr2, "POST", "/v1/shutdown", "");
     assert!(bye.starts_with("HTTP/1.1 200"), "{bye}");
     child2.wait().expect("clean exit");
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
 }

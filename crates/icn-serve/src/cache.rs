@@ -127,9 +127,10 @@ impl ResultCache {
     /// recency without eviction.
     pub fn insert(&mut self, key: &str, body: Arc<String>) {
         if let Some(spill) = &self.spill {
-            // Write-through; a spill I/O error costs durability for this
-            // one entry, not correctness — the job result is still served
-            // from memory and recomputable after a restart.
+            // Write-through; a failed spill write (an I/O error, or a body
+            // the frame codec refuses) costs durability for this one
+            // entry, not correctness — the job result is still served from
+            // memory and recomputes after a restart.
             let _ = spill.put(key, &body);
         }
         self.insert_memory(key, body);

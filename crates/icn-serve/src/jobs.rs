@@ -39,7 +39,7 @@ use std::time::Instant;
 use icn_sim::SimConfig;
 
 use crate::api::{Priority, ResolvedExplore};
-use crate::journal::JobRecord;
+use crate::journal::{JobRecord, Outcome};
 use crate::telemetry::Progress;
 use crate::trace::TraceBuilder;
 
@@ -373,8 +373,8 @@ impl JobQueue {
 
     /// Reinstall a journal-recovered job under its original id, returning
     /// whether it is pending again. A completed job comes back done when
-    /// `body` (its result, from the journal or the disk spill) is present
-    /// and re-runs otherwise; a failed job keeps its error. Unfinished jobs
+    /// `body` (its result, from the disk spill) is present and re-runs
+    /// otherwise; a failed job keeps its error. Unfinished jobs
     /// re-enter their band with a fresh deadline, or fail closed when their
     /// configuration no longer parses. A pending job whose key is already
     /// pending (a journal append-race artifact) becomes an *alias* of the
@@ -390,20 +390,16 @@ impl JobQueue {
             config,
             outcome,
         } = record;
-        let outcome = match outcome {
-            Some(Ok(_)) => body.map(Ok),
-            Some(Err(message)) => Some(Err(message)),
-            None => None,
-        };
-        let payload = match outcome {
-            None => JobPayload::from_journal(&key, &config),
-            Some(_) => None,
-        };
-        let outcome = match (outcome, &payload) {
-            (None, None) => Some(Err(
-                "unrecoverable: journaled configuration no longer parses".to_string(),
-            )),
-            (outcome, _) => outcome,
+        let mut payload = None;
+        let outcome = match (outcome, body) {
+            (Outcome::Completed, Some(body)) => Some(Ok(body)),
+            (Outcome::Failed(message), _) => Some(Err(message)),
+            (Outcome::Completed | Outcome::Pending, _) => {
+                payload = JobPayload::from_journal(&key, &config);
+                payload.is_none().then(|| {
+                    Err("unrecoverable: journaled configuration no longer parses".to_string())
+                })
+            }
         };
         let pending = outcome.is_none();
         let mut inner = lock(&self.inner);
@@ -560,11 +556,10 @@ impl JobQueue {
     }
 
     /// Project every known job into journal form for the compactor,
-    /// together with the id floor to persist. `inline` decides what a
-    /// completed job's `Complete` record carries of its body. Alias jobs
-    /// report their target's outcome.
+    /// together with the id floor to persist. Alias jobs report their
+    /// target's outcome.
     #[must_use]
-    pub fn journal_view(&self, inline: impl Fn(&str) -> Option<String>) -> (u64, Vec<JobRecord>) {
+    pub fn journal_view(&self) -> (u64, Vec<JobRecord>) {
         let inner = lock(&self.inner);
         let records = inner
             .jobs
@@ -572,14 +567,14 @@ impl JobQueue {
             .map(|(&id, job)| {
                 let resolved = job.alias_of.and_then(|t| inner.jobs.get(&t)).unwrap_or(job);
                 let outcome = match resolved.state {
-                    JobState::Done => Some(Ok(inline(
-                        resolved.result.as_deref().map_or("", String::as_str),
-                    ))),
-                    JobState::Failed => Some(Err(resolved
-                        .error
-                        .clone()
-                        .unwrap_or_else(|| "failed".to_string()))),
-                    JobState::Queued | JobState::Running => None,
+                    JobState::Done => Outcome::Completed,
+                    JobState::Failed => Outcome::Failed(
+                        resolved
+                            .error
+                            .clone()
+                            .unwrap_or_else(|| "failed".to_string()),
+                    ),
+                    JobState::Queued | JobState::Running => Outcome::Pending,
                 };
                 JobRecord {
                     id,
@@ -673,12 +668,7 @@ mod tests {
     }
 
     /// A journal record of job `id` with the given outcome.
-    fn record(
-        id: u64,
-        key: &str,
-        priority: Priority,
-        outcome: Option<Result<Option<String>, String>>,
-    ) -> JobRecord {
+    fn record(id: u64, key: &str, priority: Priority, outcome: Outcome) -> JobRecord {
         JobRecord {
             id,
             key: key.into(),
@@ -822,13 +812,13 @@ mod tests {
     #[test]
     fn restore_rebuilds_terminal_and_pending_jobs() {
         let q = JobQueue::with_recovered(4, 10);
-        let done = record(3, "done", Priority::Normal, Some(Ok(None)));
+        let done = record(3, "done", Priority::Normal, Outcome::Completed);
         assert!(!q.restore(done, Some(Arc::new("{\"x\":1}".into()))));
-        let mut pending = record(5, "pending", Priority::High, None);
+        let mut pending = record(5, "pending", Priority::High, Outcome::Pending);
         pending.deadline_ms = Some(60_000);
         assert!(q.restore(pending, None));
         // A configuration that no longer parses fails closed, not pending.
-        let mut broken = record(6, "broken", Priority::Normal, None);
+        let mut broken = record(6, "broken", Priority::Normal, Outcome::Pending);
         broken.config = "{".into();
         assert!(!q.restore(broken, None));
         assert_eq!(q.snapshot(6).unwrap().state, JobState::Failed);
@@ -849,8 +839,8 @@ mod tests {
     #[test]
     fn duplicate_pending_key_becomes_an_alias_and_runs_once() {
         let q = JobQueue::new(4);
-        assert!(q.restore(record(1, "k", Priority::Normal, None), None));
-        assert!(q.restore(record(2, "k", Priority::Normal, None), None));
+        assert!(q.restore(record(1, "k", Priority::Normal, Outcome::Pending), None));
+        assert!(q.restore(record(2, "k", Priority::Normal, Outcome::Pending), None));
         let taken = q.take().unwrap();
         assert_eq!(taken.id, 1);
         q.finish(1, Ok(Arc::new("{\"once\":true}".into())), 100);
@@ -869,18 +859,15 @@ mod tests {
         let Enqueue::Enqueued(id) = push(&q, "a", 1, Priority::Low) else {
             panic!("expected accept");
         };
-        let (_, records) = q.journal_view(|body| Some(body.to_string()));
+        let (_, records) = q.journal_view();
         assert_eq!(records.len(), 1);
-        assert!(records[0].outcome.is_none());
+        assert_eq!(records[0].outcome, Outcome::Pending);
         assert_eq!(records[0].priority, Priority::Low);
         let _ = q.take().unwrap();
         q.finish(id, Ok(Arc::new("{\"r\":1}".into())), 10);
-        let (next_id, records) = q.journal_view(|body| Some(body.to_string()));
+        let (next_id, records) = q.journal_view();
         assert!(next_id > id);
-        assert_eq!(records[0].outcome, Some(Ok(Some("{\"r\":1}".to_string()))));
-        // Left to the spill, the body stays out of the journal.
-        let (_, records) = q.journal_view(|_| None);
-        assert_eq!(records[0].outcome, Some(Ok(None)));
+        assert_eq!(records[0].outcome, Outcome::Completed);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Write-ahead job journal: crash-safe job state on an append-only file.
 //!
-//! Every job lifecycle transition is appended as one framed record —
-//! `[u32 payload length][u32 CRC-32][JSON payload]` after an 8-byte magic
-//! header — and fsync'd before the server acts on it, so a `kill -9` at
-//! any instant loses at most the record being written. On restart,
+//! Every job lifecycle transition is appended as one JSON record, framed
+//! by the shared [`crate::frame`] codec behind the `ICNJRNL1` magic, and
+//! fsync'd before the server acts on it, so a `kill -9` at any instant
+//! loses at most the record being written. On restart,
 //! [`Journal::recover`] replays the file: submitted-but-unfinished jobs
 //! are re-enqueued, completed jobs are restored with their result bodies
-//! (from the disk cache spill, or inline in the `Complete` record when no
-//! spill directory is configured), and failed jobs keep their error. A
-//! truncated or corrupt tail — the signature of a crash mid-append — is
-//! detected by the length/checksum framing and discarded, never parsed.
+//! from the disk spill (a `Complete` record never carries a body), and
+//! failed jobs keep their error. A truncated or corrupt tail — the
+//! signature of a crash mid-append — fails the frame check and is
+//! discarded, never parsed.
 //!
 //! Replay is **order-insensitive** within the file: records are bucketed
 //! by job id first, then reduced to a final state, because the HTTP
@@ -17,23 +17,30 @@
 //! `Start`/`Complete` race on the file offset (each append is atomic
 //! under the journal lock, but their interleaving is scheduling luck).
 //!
+//! Journals written before bodies moved out of the journal may hold
+//! `Complete` records with an inline `body` key. Records are decoded by
+//! field name, so such a record still parses and its body is ignored: the
+//! job comes back done when the spill holds its key, and re-runs
+//! (deterministically, to the same bytes) when it does not.
+//!
 //! The journal would grow without bound under sustained load, so it is
-//! **compacted**: once a completed job's body lives in the disk spill the
-//! journal no longer needs any of its records (the spill is keyed by
-//! content, not job id), and a compaction rewrites the file with only the
-//! still-live jobs. Compaction runs at recovery and whenever the file
-//! passes the larger of [`COMPACT_THRESHOLD_BYTES`] and twice its size
-//! after the previous compaction. That hysteresis matters once the live
-//! records alone outgrow the fixed threshold: without it, every job
-//! would rewrite and fsync the whole file.
+//! **compacted**: a compaction rewrites the file with only the jobs the
+//! queue still retains. Bodies live in the spill, keyed by content rather
+//! than job id, so dropping a job's records never loses its body.
+//! Compaction runs at recovery and whenever the file passes the larger of
+//! [`COMPACT_THRESHOLD_BYTES`] and twice its size after the previous
+//! compaction. That hysteresis matters once the live records alone
+//! outgrow the fixed threshold: without it, every job would rewrite and
+//! fsync the whole file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
 use crate::api::Priority;
+use crate::frame;
 
 /// File magic: identifies a journal and versions its framing.
 const MAGIC: &[u8; 8] = b"ICNJRNL1";
@@ -44,11 +51,6 @@ pub const COMPACT_THRESHOLD_BYTES: u64 = 256 * 1024;
 /// Compact again only once the file has grown to this multiple of its
 /// size right after the previous compaction.
 const COMPACT_GROWTH_FACTOR: u64 = 2;
-
-/// Largest accepted record payload; anything bigger is corruption (the
-/// biggest legitimate payload is a `Complete` with an inline result body,
-/// and result bodies are far below this).
-const MAX_RECORD_BYTES: u32 = 16 * 1024 * 1024;
 
 /// One journal record. The payload is JSON (externally tagged) so the
 /// format is self-describing and future variants can be added without
@@ -80,15 +82,12 @@ pub enum Record {
         /// Job id.
         id: u64,
     },
-    /// The job finished; its result body is durable.
+    /// The job finished; its result body is in the disk spill.
     Complete {
         /// Job id.
         id: u64,
         /// Content key (locates the body in the disk spill).
         key: String,
-        /// The serialized result body, inline only when no disk spill is
-        /// configured (otherwise the spill holds it and this is `None`).
-        body: Option<String>,
     },
     /// The job failed.
     Fail {
@@ -114,15 +113,24 @@ pub struct JobRecord {
     pub deadline_ms: Option<u64>,
     /// Canonical resolved configuration JSON.
     pub config: String,
-    /// Terminal outcome, if the job reached one: `Some(Ok(Some(body)))`
-    /// completed with its body inline, `Some(Ok(None))` completed with its
-    /// body in the disk spill (or lost), `Some(Err(message))` failed, and
-    /// `None` still queued or running — re-enqueue it.
-    pub outcome: Option<Result<Option<String>, String>>,
+    /// Where the job ended up.
+    pub outcome: Outcome,
+}
+
+/// A journaled job's state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
+    /// Still queued or running: re-enqueue it.
+    Pending,
+    /// Completed; its body is in the disk spill under the job's key (or
+    /// lost, and the job re-runs).
+    Completed,
+    /// Failed with this message.
+    Failed(String),
 }
 
 /// What [`Journal::recover`] found.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Recovery {
     /// Replayed jobs in id order.
     pub jobs: Vec<JobRecord>,
@@ -130,10 +138,6 @@ pub struct Recovery {
     pub next_id: u64,
     /// Bytes of corrupt/truncated tail that were discarded.
     pub discarded_bytes: u64,
-    /// `Complete` records whose job id had no `Submit` (the submit append
-    /// lost a race with the crash); their `(key, body)` pairs are still
-    /// usable as cache entries.
-    pub orphan_results: Vec<(String, String)>,
 }
 
 /// The append-side handle: owns the file and its write offset.
@@ -146,49 +150,10 @@ pub struct Journal {
     compacted_bytes: u64,
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — first-party, table-driven.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        let idx = (crc ^ u32::from(b)) & 0xFF;
-        crc = (crc >> 8) ^ TABLE[idx as usize];
-    }
-    !crc
-}
-
-/// The standard CRC-32 lookup table, built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// Frame one record into `out`: length, checksum, payload.
-fn frame(record: &Record, out: &mut Vec<u8>) -> std::io::Result<()> {
-    let payload = serde_json::to_string(record)
-        .map_err(std::io::Error::other)?
-        .into_bytes();
-    let len = u32::try_from(payload.len()).map_err(std::io::Error::other)?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(())
+/// Frame one record onto `out`.
+fn encode_record(record: &Record, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let payload = serde_json::to_string(record).map_err(std::io::Error::other)?;
+    frame::encode(payload.as_bytes(), out)
 }
 
 impl Journal {
@@ -232,7 +197,7 @@ impl Journal {
     /// functioning in memory; durability is reported, not assumed).
     pub fn append(&mut self, record: &Record) -> std::io::Result<()> {
         let mut buf = Vec::with_capacity(256);
-        frame(record, &mut buf)?;
+        encode_record(record, &mut buf)?;
         self.file.write_all(&buf)?;
         self.file.sync_data()?;
         self.bytes += buf.len() as u64;
@@ -264,7 +229,7 @@ impl Journal {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(MAGIC);
         for record in records {
-            frame(record, &mut buf)?;
+            encode_record(record, &mut buf)?;
         }
         {
             let mut out = File::create(&tmp)?;
@@ -295,73 +260,55 @@ impl Journal {
     /// Propagates file I/O errors. Corruption is not an error — it is the
     /// expected signature of a crash and handled by truncation.
     pub fn recover(path: &Path) -> std::io::Result<(Self, Recovery)> {
-        let mut recovery = Recovery::default();
-        let mut records: Vec<Record> = Vec::new();
-        let mut good_end: u64 = 0;
-        if path.exists() {
-            let mut raw = Vec::new();
-            File::open(path)?.read_to_end(&mut raw)?;
-            let (parsed, end) = parse_records(&raw);
-            records = parsed;
-            good_end = end;
-            recovery.discarded_bytes = raw.len() as u64 - end;
-        }
-        if recovery.discarded_bytes > 0 {
+        let raw = if path.exists() {
+            std::fs::read(path)?
+        } else {
+            Vec::new()
+        };
+        let (records, good_end) = parse_records(&raw);
+        let discarded_bytes = raw.len() as u64 - good_end;
+        if discarded_bytes > 0 {
             // Truncate the torn tail before reopening for append.
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(good_end)?;
             file.sync_data()?;
         }
         let journal = Self::open(path)?;
-        reduce_records(records, &mut recovery);
-        Ok((journal, recovery))
+        Ok((journal, reduce_records(records, discarded_bytes)))
     }
 }
 
 /// Decode framed records from `raw`; returns the records and the byte
 /// offset just past the last intact one (0 when even the magic is wrong).
 fn parse_records(raw: &[u8]) -> (Vec<Record>, u64) {
-    if raw.len() < MAGIC.len() || &raw[..MAGIC.len()] != MAGIC {
+    let Some(mut rest) = raw.strip_prefix(MAGIC) else {
         return (Vec::new(), 0);
-    }
+    };
     let mut records = Vec::new();
-    let mut at = MAGIC.len();
-    while let Some(header) = raw.get(at..at + 8) {
-        // Indexing a just-fetched 8-byte slice cannot fail; spell it
-        // fallibly anyway to keep this module panic-free.
-        let (Some(len_bytes), Some(crc_bytes)) = (header.get(..4), header.get(4..8)) else {
+    while let Some((payload, tail)) = frame::decode(rest) {
+        // A frame that checks out but is not a record of this schema is
+        // foreign: stop, don't guess.
+        let Some(record) = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| serde_json::from_str::<Record>(text).ok())
+        else {
             break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap_or([0; 4]));
-        let want_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap_or([0; 4]));
-        if len == 0 || len > MAX_RECORD_BYTES {
-            break;
-        }
-        let Some(payload) = raw.get(at + 8..at + 8 + len as usize) else {
-            break; // truncated mid-payload
-        };
-        if crc32(payload) != want_crc {
-            break; // torn or bit-rotted record
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break; // checksum fine but not UTF-8: foreign, stop
-        };
-        let Ok(record) = serde_json::from_str::<Record>(text) else {
-            break; // checksum fine but schema foreign: stop, don't guess
         };
         records.push(record);
-        at += 8 + len as usize;
+        rest = tail;
     }
-    (records, at as u64)
+    (records, (raw.len() - rest.len()) as u64)
 }
 
 /// Reduce a record stream to final per-job states (order-insensitive).
-fn reduce_records(records: Vec<Record>, recovery: &mut Recovery) {
+/// A terminal record whose `Submit` never made it (the append lost a race
+/// with the crash) only raises the id floor; its body, if any, is in the
+/// spill.
+fn reduce_records(records: Vec<Record>, discarded_bytes: u64) -> Recovery {
     use std::collections::BTreeMap;
 
     let mut submits: BTreeMap<u64, JobRecord> = BTreeMap::new();
-    let mut outcomes: BTreeMap<u64, Result<Option<String>, String>> = BTreeMap::new();
-    let mut orphan_completes: Vec<(u64, String, Option<String>)> = Vec::new();
+    let mut outcomes: BTreeMap<u64, Outcome> = BTreeMap::new();
     let mut max_id = 0u64;
     let mut meta_next = 1u64;
     for record in records {
@@ -383,40 +330,31 @@ fn reduce_records(records: Vec<Record>, recovery: &mut Recovery) {
                         priority,
                         deadline_ms,
                         config,
-                        outcome: None,
+                        outcome: Outcome::Pending,
                     },
                 );
             }
             Record::Start { id } => max_id = max_id.max(id),
-            Record::Complete { id, key, body } => {
+            Record::Complete { id, .. } => {
                 max_id = max_id.max(id);
-                orphan_completes.push((id, key, body));
-                outcomes.insert(id, Ok(None));
+                outcomes.insert(id, Outcome::Completed);
             }
             Record::Fail { id, error } => {
                 max_id = max_id.max(id);
-                outcomes.insert(id, Err(error));
+                outcomes.insert(id, Outcome::Failed(error));
             }
-        }
-    }
-    // Attach complete bodies to their submits; completes without a submit
-    // are still useful as (key, body) cache entries.
-    for (id, key, body) in orphan_completes {
-        if let Some(job) = submits.get_mut(&id) {
-            job.outcome = Some(Ok(body));
-        } else if let Some(body) = body {
-            recovery.orphan_results.push((key, body));
         }
     }
     for (id, outcome) in outcomes {
         if let Some(job) = submits.get_mut(&id) {
-            if job.outcome.is_none() {
-                job.outcome = Some(outcome);
-            }
+            job.outcome = outcome;
         }
     }
-    recovery.next_id = meta_next.max(max_id + 1);
-    recovery.jobs = submits.into_values().collect();
+    Recovery {
+        jobs: submits.into_values().collect(),
+        next_id: meta_next.max(max_id + 1),
+        discarded_bytes,
+    }
 }
 
 /// Build the compacted record set for `jobs`: a `Meta` id floor, then a
@@ -435,13 +373,12 @@ pub fn compaction_records(next_id: u64, jobs: &[JobRecord]) -> Vec<Record> {
             config: job.config.clone(),
         });
         match &job.outcome {
-            None => {}
-            Some(Ok(body)) => records.push(Record::Complete {
+            Outcome::Pending => {}
+            Outcome::Completed => records.push(Record::Complete {
                 id: job.id,
                 key: job.key.clone(),
-                body: body.clone(),
             }),
-            Some(Err(error)) => records.push(Record::Fail {
+            Outcome::Failed(error) => records.push(Record::Fail {
                 id: job.id,
                 error: error.clone(),
             }),
@@ -473,13 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn append_then_recover_round_trips_every_state() {
         let path = tmp("roundtrip");
         let (mut j, r) = Journal::recover(&path).unwrap();
@@ -490,7 +420,6 @@ mod tests {
         j.append(&Record::Complete {
             id: 1,
             key: "a".into(),
-            body: Some("{\"x\":1}".into()),
         })
         .unwrap();
         j.append(&submit(3, "c")).unwrap();
@@ -505,9 +434,13 @@ mod tests {
         assert_eq!(r.discarded_bytes, 0);
         assert_eq!(r.next_id, 4);
         assert_eq!(r.jobs.len(), 3);
-        assert_eq!(r.jobs[0].outcome, Some(Ok(Some("{\"x\":1}".into()))));
-        assert_eq!(r.jobs[1].outcome, None, "started-not-finished re-enqueues");
-        assert_eq!(r.jobs[2].outcome, Some(Err("boom".into())));
+        assert_eq!(r.jobs[0].outcome, Outcome::Completed);
+        assert_eq!(
+            r.jobs[1].outcome,
+            Outcome::Pending,
+            "started-not-finished re-enqueues"
+        );
+        assert_eq!(r.jobs[2].outcome, Outcome::Failed("boom".into()));
     }
 
     #[test]
@@ -548,14 +481,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_order_insensitive_and_keeps_orphan_results() {
+    fn replay_is_order_insensitive_and_orphans_raise_the_id_floor() {
         let path = tmp("orphan");
         let (mut j, _) = Journal::recover(&path).unwrap();
         // Worker's Complete wins the file-offset race against Submit.
         j.append(&Record::Complete {
             id: 9,
             key: "k9".into(),
-            body: Some("{\"y\":2}".into()),
         })
         .unwrap();
         j.append(&Record::Start { id: 9 }).unwrap();
@@ -564,15 +496,13 @@ mod tests {
         j.append(&Record::Complete {
             id: 77,
             key: "k77".into(),
-            body: Some("{\"z\":3}".into()),
         })
         .unwrap();
         drop(j);
 
         let (_, r) = Journal::recover(&path).unwrap();
         assert_eq!(r.jobs.len(), 1);
-        assert_eq!(r.jobs[0].outcome, Some(Ok(Some("{\"y\":2}".into()))));
-        assert_eq!(r.orphan_results, vec![("k77".into(), "{\"z\":3}".into())]);
+        assert_eq!(r.jobs[0].outcome, Outcome::Completed);
         assert_eq!(r.next_id, 78, "ids never reused, submit or not");
     }
 
@@ -585,7 +515,6 @@ mod tests {
             j.append(&Record::Complete {
                 id,
                 key: format!("k{id}"),
-                body: None, // body lives in the spill
             })
             .unwrap();
         }
@@ -600,7 +529,7 @@ mod tests {
                 priority: Priority::High,
                 deadline_ms: Some(5000),
                 config: "{\"seed\":31}".into(),
-                outcome: None,
+                outcome: Outcome::Pending,
             }],
         );
         j.compact(&records).unwrap();

@@ -60,9 +60,11 @@
 //!    every submit/start/complete/fail is an fsync'd, checksummed record;
 //!    restart replays the file (truncating any torn tail from `kill -9`),
 //!    restores finished results, and re-enqueues unfinished jobs — each
-//!    submitted job reaches a terminal state exactly once. The [`spill`]
-//!    directory (`--cache-dir`) keeps completed bodies on disk behind the
-//!    memory LRU, which is also what lets journal compaction drop them.
+//!    submitted job reaches a terminal state exactly once. Completed
+//!    bodies live only in the [`spill`] directory behind the memory LRU
+//!    (`--cache-dir`, or `<journal>.spill` beside the journal), so a
+//!    journal record never carries a body. Journal records and spill
+//!    files share one checksummed [`frame`] codec.
 //! 5. **Degradation is prioritized and honest.** Jobs carry a
 //!    [`api::Priority`] and optional wall-clock deadline; past the
 //!    queue's high-water mark `Low` work is shed first, and every `429`'s
@@ -78,6 +80,7 @@
 
 pub mod api;
 pub mod cache;
+pub mod frame;
 pub mod http;
 pub mod jobs;
 pub mod journal;
@@ -96,7 +99,7 @@ pub use jobs::{
     retry_after_secs, Enqueue, JobPayload, JobQueue, JobSnapshot, JobState, QueueStats,
     DEFAULT_MEAN_SERVICE_US,
 };
-pub use journal::{JobRecord, Journal, Record, Recovery};
+pub use journal::{JobRecord, Journal, Outcome, Record, Recovery};
 pub use metrics::{parse_exposition, Exposition, MetricFamily, MetricSample, MetricsSnapshot};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
 pub use spill::DiskStore;

@@ -15,9 +15,11 @@
 //! appended (fsync'd) to a write-ahead journal before the client observes
 //! it, and [`Server::bind`] replays the journal on startup — completed
 //! results come back servable, unfinished jobs re-enter the queue, and a
-//! torn tail from `kill -9` is truncated, not trusted. With `--cache-dir`
-//! the result cache spills to disk, so cached bodies survive restarts and
-//! memory eviction both (see [`crate::spill`]).
+//! torn tail from `kill -9` is truncated, not trusted. Completed bodies
+//! live only in the result cache's disk spill (see [`crate::spill`]):
+//! `--cache-dir` names it, and `--journal` alone puts it beside the
+//! journal ([`ServeConfig::spill_dir`]), so cached bodies survive restarts
+//! and memory eviction both.
 //!
 //! Overload degrades in layers: the accept handoff queue sheds whole
 //! connections at 503; the job queue sheds `Low`-priority work past its
@@ -37,7 +39,7 @@
 use std::collections::VecDeque;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -51,7 +53,7 @@ use crate::api::{
 use crate::cache::{CacheStats, ResultCache};
 use crate::http::{read_request, ChunkedResponse, HttpError, Request, Response};
 use crate::jobs::{retry_after_secs, Enqueue, JobPayload, JobQueue, JobState, TakenJob};
-use crate::journal::{compaction_records, Journal, Record, Recovery};
+use crate::journal::{compaction_records, Journal, Outcome, Record, Recovery};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::spill::DiskStore;
 use crate::telemetry::{ProgressSink, ServeTelemetry};
@@ -84,7 +86,8 @@ pub struct ServeConfig {
     pub telemetry_out: Option<String>,
     /// Write-ahead job journal path (None = no crash safety).
     pub journal: Option<String>,
-    /// Result-cache disk spill directory (None = memory-only cache).
+    /// Result-cache disk spill directory (None = beside the journal, or
+    /// a memory-only cache without one; see [`ServeConfig::spill_dir`]).
     pub cache_dir: Option<String>,
     /// Default per-job wall-clock budget in milliseconds (0 = none);
     /// requests may override with their own `deadline_ms`.
@@ -114,6 +117,21 @@ impl Default for ServeConfig {
             sim_threads: 1,
             limits: Limits::default(),
         }
+    }
+}
+
+impl ServeConfig {
+    /// The result cache's disk spill directory: `cache_dir` when set,
+    /// else `<journal>.spill` beside the journal, else none. A journal
+    /// always has a spill, because that is where its completed jobs'
+    /// bodies live.
+    #[must_use]
+    pub fn spill_dir(&self) -> Option<PathBuf> {
+        let beside_journal = || self.journal.as_ref().map(|j| format!("{j}.spill"));
+        self.cache_dir
+            .clone()
+            .or_else(beside_journal)
+            .map(PathBuf::from)
     }
 }
 
@@ -202,9 +220,6 @@ struct ServerState {
     /// journal before jobs (compaction holds the journal lock while
     /// snapshotting the queue); nothing locks the other way around.
     journal: Option<Mutex<Journal>>,
-    /// Whether the cache has a disk spill; read only by
-    /// [`ServerState::journal_body`].
-    spill_active: bool,
 }
 
 impl ServerState {
@@ -214,38 +229,15 @@ impl ServerState {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A completed body as the journal carries it, for both a worker's
-    /// `Complete` record and compaction. With a disk spill the body is
-    /// already durable under its content key, so the journal leaves it
-    /// out; without one it goes inline.
-    fn journal_body(&self, body: &str) -> Option<String> {
-        (!self.spill_active).then(|| body.to_string())
-    }
-
-    /// Reinstall a replayed journal: orphan results and inline bodies warm
-    /// the cache, and every job returns under its original id.
+    /// Reinstall a replayed journal: every job returns under its original
+    /// id, a completed one with its body from the spill.
     fn replay(&self, recovery: Recovery) {
-        for (key, body) in recovery.orphan_results {
-            self.cache().insert(&key, Arc::new(body));
-        }
         let mut requeued = 0u64;
-        for mut job in recovery.jobs {
-            // A completed job's body is inline in its `Complete` record or
-            // in the spill, which a cache probe reaches; a lost body makes
-            // the job re-run.
-            let body = match job.outcome.as_mut() {
-                Some(Ok(inline)) => {
-                    let mut cache = self.cache();
-                    match inline.take() {
-                        Some(inline) => {
-                            let body = Arc::new(inline);
-                            cache.insert(&job.key, Arc::clone(&body));
-                            Some(body)
-                        }
-                        None => cache.get(&job.key),
-                    }
-                }
-                _ => None,
+        for job in recovery.jobs {
+            // A lost body makes the job re-run.
+            let body = match job.outcome {
+                Outcome::Completed => self.cache().get(&job.key),
+                Outcome::Pending | Outcome::Failed(_) => None,
             };
             requeued += u64::from(self.jobs.restore(job, body));
         }
@@ -257,7 +249,7 @@ impl ServerState {
 
     /// Rewrite `journal` down to the queue's jobs.
     fn compact(&self, journal: &mut Journal) -> std::io::Result<()> {
-        let (next_id, jobs) = self.jobs.journal_view(|body| self.journal_body(body));
+        let (next_id, jobs) = self.jobs.journal_view();
         journal.compact(&compaction_records(next_id, &jobs))
     }
 }
@@ -290,11 +282,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the configured address and, when a journal and/or cache spill
-    /// directory is configured, recover the previous run's state: replay
-    /// the journal (truncating any torn tail), restore completed results
-    /// into the cache, re-enqueue unfinished jobs, and compact the journal
-    /// down to what is still live.
+    /// Bind the configured address, open the disk spill
+    /// ([`ServeConfig::spill_dir`]) and, when a journal is configured,
+    /// recover the previous run's state: replay the journal (truncating
+    /// any torn tail), restore completed results from the spill,
+    /// re-enqueue unfinished jobs, and compact the journal down to the
+    /// jobs the queue retains.
     ///
     /// # Errors
     /// Returns the bind error (address in use, permission, bad syntax) or
@@ -305,9 +298,8 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let spill = config
-            .cache_dir
-            .as_deref()
-            .map(|dir| DiskStore::open(Path::new(dir)).map(Arc::new))
+            .spill_dir()
+            .map(|dir| DiskStore::open(&dir).map(Arc::new))
             .transpose()?;
         let cache = match spill {
             Some(store) => ResultCache::with_spill(config.cache_entries, store),
@@ -329,12 +321,11 @@ impl Server {
             telemetry: ServeTelemetry::new(),
             shutdown: AtomicBool::new(false),
             journal: None,
-            spill_active: config.cache_dir.is_some(),
             config,
         };
         if let Some((mut journal, recovery)) = recovered {
             state.replay(recovery);
-            // Compact away everything the spill now owns.
+            // Compact away the records of jobs the queue no longer retains.
             state.compact(&mut journal)?;
             state.journal = Some(Mutex::new(journal));
         }
@@ -577,7 +568,6 @@ fn job_worker(state: &ServerState) {
                     &Record::Complete {
                         id,
                         key: key.clone(),
-                        body: state.journal_body(body),
                     },
                 );
             }

@@ -2,19 +2,19 @@
 //!
 //! Each cached result body is written to its own file under the spill
 //! directory, named by its content key (so the store is content-addressed
-//! exactly like the memory cache in front of it). Files are framed —
-//! magic, length, CRC-32, body — and written atomically (temp file +
-//! rename + fsync), so a crash mid-write leaves either the old file, a
-//! stray temp file, or nothing; never a torn entry. Reads verify the
-//! frame and **delete** anything corrupt or truncated rather than serve
-//! it: the spill is a cache, and a discarded entry just recomputes.
+//! exactly like the memory cache in front of it). Each file is the
+//! `ICNSPILL` magic and one frame of the shared [`crate::frame`] codec,
+//! written atomically (temp file + fsync + rename), so a crash mid-write
+//! leaves either the old file, a stray temp file, or nothing; never a
+//! torn entry. Reads verify the frame and **delete** anything corrupt or
+//! truncated rather than serve it: a discarded entry just recomputes.
 
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::journal::crc32;
+use crate::frame;
 
 /// File magic: identifies a spill entry and versions its framing.
 const MAGIC: &[u8; 8] = b"ICNSPILL";
@@ -68,16 +68,13 @@ impl DiskStore {
     /// Write `body` for `key`, atomically. Overwrites any previous entry.
     ///
     /// # Errors
-    /// Propagates file I/O errors; the store is left without a (new)
-    /// entry for the key but never with a torn one.
+    /// `InvalidInput` for a body the frame codec refuses (empty, or over
+    /// [`frame::MAX_PAYLOAD_BYTES`]); otherwise propagates file I/O
+    /// errors. The store is left without a (new) entry for the key but
+    /// never with a torn one.
     pub fn put(&self, key: &str, body: &str) -> std::io::Result<()> {
-        let bytes = body.as_bytes();
-        let len = u32::try_from(bytes.len()).map_err(std::io::Error::other)?;
-        let mut buf = Vec::with_capacity(16 + bytes.len());
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(&crc32(bytes).to_le_bytes());
-        buf.extend_from_slice(bytes);
+        let mut buf = MAGIC.to_vec();
+        frame::encode(body.as_bytes(), &mut buf)?;
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(".tmp-{}-{seq}", std::process::id()));
         {
@@ -119,12 +116,6 @@ impl DiskStore {
         }
     }
 
-    /// Whether an (unverified) entry exists for `key`.
-    #[must_use]
-    pub fn contains(&self, key: &str) -> bool {
-        self.dir.join(file_name(key)).exists()
-    }
-
     /// Number of entries currently on disk (temp files excluded).
     #[must_use]
     pub fn entries(&self) -> u64 {
@@ -137,16 +128,11 @@ impl DiskStore {
     }
 }
 
-/// Verify and strip the frame; `None` means corrupt or truncated.
+/// Verify and strip the magic and the one frame; `None` means corrupt or
+/// truncated.
 fn decode(raw: &[u8]) -> Option<String> {
-    let magic = raw.get(..8)?;
-    if magic != MAGIC {
-        return None;
-    }
-    let len = u32::from_le_bytes(raw.get(8..12)?.try_into().ok()?) as usize;
-    let want_crc = u32::from_le_bytes(raw.get(12..16)?.try_into().ok()?);
-    let body = raw.get(16..16 + len)?;
-    if raw.len() != 16 + len || crc32(body) != want_crc {
+    let (body, rest) = frame::decode(raw.strip_prefix(MAGIC)?)?;
+    if !rest.is_empty() {
         return None;
     }
     String::from_utf8(body.to_vec()).ok()

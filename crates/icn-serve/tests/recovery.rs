@@ -7,12 +7,13 @@
 //! pointed at the same spill directory must serve the same bodies (that
 //! is exactly the restart path).
 //!
-//! The scenario tests hand-craft "crashed" journals — completed jobs with
-//! inline bodies, submitted-but-unfinished jobs, failed jobs, torn tails —
-//! then boot a real server on them and assert the HTTP surface shows full
-//! recovery: old results served verbatim, unfinished work re-run to
-//! completion, and re-POSTs of recovered configurations answered from the
-//! cache (`x-icn-cache: hit`).
+//! The scenario tests hand-craft "crashed" journals — completed jobs whose
+//! bodies sit in the spill beside the journal, submitted-but-unfinished
+//! jobs, failed jobs, torn tails, `Complete` records from journals that
+//! still carried bodies inline — then boot a real server on them and
+//! assert the HTTP surface shows full recovery: old results served
+//! verbatim, unfinished work re-run to completion, and re-POSTs of
+//! recovered configurations answered from the cache (`x-icn-cache: hit`).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -21,9 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use icn_serve::journal::{compaction_records, JobRecord, Journal, Record, COMPACT_THRESHOLD_BYTES};
+use icn_serve::journal::{
+    compaction_records, JobRecord, Journal, Outcome, Record, COMPACT_THRESHOLD_BYTES,
+};
 use icn_serve::{
-    content_key, stream_key, DiskStore, Limits, Priority, ResultCache, ServeConfig, Server,
+    content_key, frame, stream_key, DiskStore, Limits, Priority, ResultCache, ServeConfig, Server,
     SimulateRequest,
 };
 use proptest::prelude::*;
@@ -195,6 +198,13 @@ fn canonical_sim(seed: u64) -> (String, String, String) {
 /// with the `trace_packets` field that `SimConfig` no longer has.
 const OLDER_FORMAT_CONFIG: &str = r#"{"plan":{"radices":[16]},"chip":"Dmc","width":4,"packet_bits":100,"buffer_capacity":1,"cut_through":true,"arbitration":"RoundRobin","workload":{"load":0.02,"pattern":"Uniform"},"seed":9003,"trace_packets":0,"warmup_cycles":200,"measure_cycles":500,"drain_cycles":2000,"faults":{"events":[]},"retry":{"max_retries":3,"backoff_base":16,"backoff_cap":1024},"watchdog_cycles":10000,"telemetry":{"sample_interval":0,"ring_capacity":4096,"histogram_precision":7,"profile":false}}"#;
 
+/// Put `body` under `key` in the spill a journal-only server derives
+/// beside its journal, as a previous run of that server would have.
+fn seed_spill(config: &ServeConfig, key: &str, body: &str) {
+    let dir = config.spill_dir().expect("a journal has a spill");
+    DiskStore::open(&dir).unwrap().put(key, body).unwrap();
+}
+
 fn serve_config(dir: &std::path::Path) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -217,10 +227,11 @@ fn recovered_journal_serves_completed_and_reruns_unfinished() {
     let journal_path = dir.join("jobs.journal");
     let (request_json, canonical, key) = canonical_sim(9001);
 
-    // Hand-craft the "crashed" journal: job 1 completed with an inline
-    // body, job 2 submitted and started but never finished, job 3 failed,
-    // plus a torn partial frame at the tail (crash mid-append).
+    // Hand-craft the "crashed" journal: job 1 completed with its body in
+    // the spill, job 2 submitted and started but never finished, job 3
+    // failed, plus a torn partial frame at the tail (crash mid-append).
     let fake_body = r#"{"fake":"completed result","delivered":12345}"#;
+    seed_spill(&serve_config(&dir), "deadbeef", fake_body);
     {
         let mut journal = Journal::open(&journal_path).unwrap();
         journal
@@ -236,7 +247,6 @@ fn recovered_journal_serves_completed_and_reruns_unfinished() {
             .append(&Record::Complete {
                 id: 1,
                 key: "deadbeef".into(),
-                body: Some(fake_body.to_string()),
             })
             .unwrap();
         journal
@@ -316,20 +326,30 @@ fn recovered_journal_serves_completed_and_reruns_unfinished() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A completed job's body round-trips through the disk spill, whether
+/// `--cache-dir` names it or the server derives it beside a journal given
+/// alone.
 #[test]
 fn recovery_restores_spilled_bodies_without_rerunning() {
+    for with_cache_dir in [true, false] {
+        restores_spilled_body_without_rerunning(with_cache_dir);
+    }
+}
+
+fn restores_spilled_body_without_rerunning(with_cache_dir: bool) {
     let dir = scratch("spill");
     let journal_path = dir.join("jobs.journal");
-    let cache_dir = dir.join("cache");
+    let mut config = serve_config(&dir);
+    if with_cache_dir {
+        config.cache_dir = Some(dir.join("cache").to_string_lossy().into_owned());
+    }
     let (request_json, canonical, key) = canonical_sim(9002);
 
     // First life: a real server computes the result so the spill and
     // journal hold exactly what a production run would have written.
     let first_body;
     {
-        let mut config = serve_config(&dir);
-        config.cache_dir = Some(cache_dir.to_string_lossy().into_owned());
-        let server = Server::bind(config).expect("first bind");
+        let server = Server::bind(config.clone()).expect("first bind");
         let addr = server.local_addr();
         let handle = server.handle();
         let join = std::thread::spawn(move || server.run().expect("run"));
@@ -341,24 +361,28 @@ fn recovery_restores_spilled_bodies_without_rerunning() {
         handle.shutdown();
         join.join().unwrap();
     }
-    // With a spill configured the Complete record carries no inline body —
-    // the result round-trips through the disk store instead.
+    // The Complete record carries no body — the result round-trips
+    // through the disk store instead.
     let raw = String::from_utf8_lossy(&std::fs::read(&journal_path).unwrap()).into_owned();
     assert!(
         raw.contains("Submit") && !raw.contains("delivered_total"),
         "result body must live in the spill, not the journal"
     );
+    let spill = DiskStore::open(&config.spill_dir().expect("spill dir")).unwrap();
+    assert_eq!(spill.get(&key).as_deref(), Some(first_body.as_str()));
 
-    // Second life: same journal + cache dir. The completed job comes back
-    // served from disk — no recomputation (verified by zero queue work).
-    let mut config = serve_config(&dir);
-    config.cache_dir = Some(cache_dir.to_string_lossy().into_owned());
+    // Second life: same journal and spill. The completed job comes back
+    // served from disk, with nothing re-enqueued.
     let server = Server::bind(config).expect("second bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run().expect("run"));
 
-    let (status, body) = poll_result(addr, 1);
+    let (status, _, metrics) = call(addr, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200);
+    let metrics = icn_serve::parse_exposition(&metrics).expect("exposition parses");
+    assert_eq!(metrics.value("icn_journal_replayed_jobs_total"), Some(0.0));
+    let (status, _, body) = call(addr, "GET", "/v1/jobs/1/result", "");
     assert_eq!(status, 200);
     assert_eq!(
         body, first_body,
@@ -381,6 +405,73 @@ fn recovery_restores_spilled_bodies_without_rerunning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal written before bodies left it may hold `Complete` records
+/// with an inline `body` key. Such a record replays without error; the
+/// inline body is ignored. Its job is served from the spill when the
+/// spill has the key, and re-runs deterministically otherwise.
+#[test]
+fn inline_body_records_replay_from_the_spill_or_rerun() {
+    let dir = scratch("inline");
+    let journal_path = dir.join("jobs.journal");
+    let config = serve_config(&dir);
+    let (_, spilled_canonical, spilled_key) = canonical_sim(9006);
+    let (_, lost_canonical, lost_key) = canonical_sim(9007);
+    let spilled_body = r#"{"from":"the spill"}"#;
+    seed_spill(&config, &spilled_key, spilled_body);
+    {
+        let mut journal = Journal::open(&journal_path).unwrap();
+        for (id, key, canonical) in [
+            (1, &spilled_key, &spilled_canonical),
+            (2, &lost_key, &lost_canonical),
+        ] {
+            journal
+                .append(&Record::Submit {
+                    id,
+                    key: key.clone(),
+                    priority: Priority::Normal,
+                    deadline_ms: None,
+                    config: canonical.clone(),
+                })
+                .unwrap();
+        }
+    }
+    // The older `Complete` shape, framed by hand as that build wrote it.
+    let mut raw = std::fs::read(&journal_path).unwrap();
+    for (id, key) in [(1, &spilled_key), (2, &lost_key)] {
+        let older = format!(
+            r#"{{"Complete":{{"id":{id},"key":"{key}","body":"{{\"from\":\"the journal\"}}"}}}}"#
+        );
+        frame::encode(older.as_bytes(), &mut raw).unwrap();
+    }
+    std::fs::write(&journal_path, &raw).unwrap();
+    let (_, recovery) = Journal::recover(&journal_path).unwrap();
+    assert_eq!(recovery.discarded_bytes, 0, "the older records parse");
+    let outcomes: Vec<&Outcome> = recovery.jobs.iter().map(|job| &job.outcome).collect();
+    assert_eq!(outcomes, [&Outcome::Completed, &Outcome::Completed]);
+
+    let server = Server::bind(config).expect("bind over an older journal");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("run"));
+
+    // Job 1: served from the spill, as restored, not re-run.
+    let (status, _, body) = call(addr, "GET", "/v1/jobs/1/result", "");
+    assert_eq!(status, 200);
+    assert_eq!(body, spilled_body);
+
+    // Job 2: its body is not in the spill, so it re-runs to exactly what
+    // `try_run` computes.
+    let (status, body) = poll_result(addr, 2);
+    assert_eq!(status, 200, "{body}");
+    let config: icn_sim::SimConfig = serde_json::from_str(&lost_canonical).unwrap();
+    let expected = serde_json::to_string(&icn_sim::try_run(config).unwrap()).unwrap();
+    assert_eq!(body, expected);
+
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A body computed under an older random stream is never served for the
 /// same configuration. The journal holds a completed simulate job under
 /// the key form from before the stream version joined the key (the bare
@@ -394,6 +485,7 @@ fn results_from_an_older_random_stream_are_misses() {
     let old_key = content_key("simulate", &canonical);
     assert_ne!(old_key, key);
     let stale_body = r#"{"stale":"older stream","delivered_total":1}"#;
+    seed_spill(&serve_config(&dir), &old_key, stale_body);
     {
         let mut journal = Journal::open(&journal_path).unwrap();
         journal
@@ -409,7 +501,6 @@ fn results_from_an_older_random_stream_are_misses() {
             .append(&Record::Complete {
                 id: 1,
                 key: old_key,
-                body: Some(stale_body.to_string()),
             })
             .unwrap();
     }
@@ -562,11 +653,11 @@ fn compaction_hysteresis_loses_no_job_state() {
         // 11th is still running, every 5th fails, and the others complete
         // with their body in the spill.
         let outcome = if id % 7 == 0 {
-            None
+            Outcome::Pending
         } else {
             journal.append(&Record::Start { id }).unwrap();
             if id % 11 == 0 {
-                None
+                Outcome::Pending
             } else if id % 5 == 0 {
                 let error = format!("failure {id}");
                 journal
@@ -575,17 +666,16 @@ fn compaction_hysteresis_loses_no_job_state() {
                         error: error.clone(),
                     })
                     .unwrap();
-                Some(Err(error))
+                Outcome::Failed(error)
             } else {
                 spill.put(&key, &body(id)).unwrap();
                 journal
                     .append(&Record::Complete {
                         id,
                         key: key.clone(),
-                        body: None,
                     })
                     .unwrap();
-                Some(Ok(None))
+                Outcome::Completed
             }
         };
         live.push(JobRecord {
@@ -623,7 +713,7 @@ fn compaction_hysteresis_loses_no_job_state() {
         assert_eq!(got.key, want.key);
         assert_eq!(got.config, want.config);
         assert_eq!(got.outcome, want.outcome, "job {}", want.id);
-        if got.outcome == Some(Ok(None)) {
+        if got.outcome == Outcome::Completed {
             assert_eq!(spill.get(&got.key), Some(body(got.id)), "job {}", got.id);
         }
     }
@@ -637,6 +727,7 @@ fn compaction_hysteresis_loses_no_job_state() {
 fn restored_jobs_have_no_trace_and_new_jobs_trace_every_span() {
     let dir = scratch("trace");
     let (_, canonical, key) = canonical_sim(9004);
+    seed_spill(&serve_config(&dir), &key, r#"{"restored":true}"#);
     {
         let mut journal = Journal::open(&dir.join("jobs.journal")).unwrap();
         journal
@@ -648,13 +739,7 @@ fn restored_jobs_have_no_trace_and_new_jobs_trace_every_span() {
                 config: canonical,
             })
             .unwrap();
-        journal
-            .append(&Record::Complete {
-                id: 1,
-                key,
-                body: Some(r#"{"restored":true}"#.to_string()),
-            })
-            .unwrap();
+        journal.append(&Record::Complete { id: 1, key }).unwrap();
     }
     let server = Server::bind(serve_config(&dir)).expect("bind over the journal");
     let addr = server.local_addr();
