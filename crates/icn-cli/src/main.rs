@@ -44,10 +44,12 @@
 //!                              result cache), GET /v1/healthz, GET /v1/stats;
 //!                              --workers/--queue-depth/--cache-entries size it,
 //!                              --journal makes restarts lossless (job journal,
-//!                              result bodies spilled beside it), --cache-dir
-//!                              puts the result spill in DIR instead (alone: a
-//!                              disk cache without a journal), --deadline-ms
-//!                              sets a default per-job wall-clock budget,
+//!                              result bodies spilled beside it, both pruned
+//!                              to the retained jobs), --cache-dir puts the
+//!                              result spill in DIR instead and keeps every
+//!                              body (alone: a disk cache without a journal),
+//!                              --deadline-ms sets a default per-job
+//!                              wall-clock budget,
 //!                              --telemetry-out writes the final /v1/metrics
 //!                              exposition at shutdown for `icn metrics`
 //!

@@ -136,6 +136,14 @@ impl ResultCache {
         self.insert_memory(key, body);
     }
 
+    /// Delete every spilled body whose key `keep` does not name. Spill
+    /// writes need `&mut self` too, so none races the deletion.
+    pub fn retain_spilled<'a>(&mut self, keep: impl IntoIterator<Item = &'a str>) {
+        if let Some(spill) = &self.spill {
+            spill.retain(keep);
+        }
+    }
+
     /// Store a body in the memory LRU only, never the disk spill: for
     /// bodies that recompute faster than a spill write syncs.
     pub fn insert_memory(&mut self, key: &str, body: Arc<String>) {

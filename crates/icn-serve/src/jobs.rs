@@ -517,8 +517,15 @@ impl JobQueue {
                 inner.active_by_key.remove(&key);
             }
         }
-        // Bound the job table: drop the oldest terminal entries (their
-        // results live on in the content-addressed cache).
+        drop(inner);
+        self.prune_finished();
+    }
+
+    /// Bound the job table: drop the oldest terminal entries, traces and
+    /// all, past [`RETAINED_FINISHED_JOBS`] (their results live on in the
+    /// content-addressed cache). Recovery calls it after restoring.
+    pub fn prune_finished(&self) {
+        let mut inner = lock(&self.inner);
         let terminal: Vec<u64> = inner
             .jobs
             .iter()

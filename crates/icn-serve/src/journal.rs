@@ -16,6 +16,8 @@
 //! thread that appends `Submit` and the worker thread that appends
 //! `Start`/`Complete` race on the file offset (each append is atomic
 //! under the journal lock, but their interleaving is scheduling luck).
+//! Should one job hold both a `Complete` and a `Fail`, the `Complete`
+//! wins wherever each sits.
 //!
 //! Journals written before bodies moved out of the journal may hold
 //! `Complete` records with an inline `body` key. Records are decoded by
@@ -26,7 +28,9 @@
 //! The journal would grow without bound under sustained load, so it is
 //! **compacted**: a compaction rewrites the file with only the jobs the
 //! queue still retains. Bodies live in the spill, keyed by content rather
-//! than job id, so dropping a job's records never loses its body.
+//! than job id; the server prunes a spill it derived beside the journal
+//! to the retained jobs' keys after each compaction, so both files stay
+//! bounded.
 //! Compaction runs at recovery and whenever the file passes the larger of
 //! [`COMPACT_THRESHOLD_BYTES`] and twice its size after the previous
 //! compaction. That hysteresis matters once the live records alone
@@ -300,10 +304,11 @@ fn parse_records(raw: &[u8]) -> (Vec<Record>, u64) {
     (records, (raw.len() - rest.len()) as u64)
 }
 
-/// Reduce a record stream to final per-job states (order-insensitive).
-/// A terminal record whose `Submit` never made it (the append lost a race
-/// with the crash) only raises the id floor; its body, if any, is in the
-/// spill.
+/// Reduce a record stream to final per-job states (order-insensitive:
+/// a `Complete` beats a `Fail` for the same id wherever each sits in the
+/// file). A terminal record whose `Submit` never made it (the append lost
+/// a race with the crash) only raises the id floor; its body, if any, is
+/// in the spill.
 fn reduce_records(records: Vec<Record>, discarded_bytes: u64) -> Recovery {
     use std::collections::BTreeMap;
 
@@ -341,7 +346,8 @@ fn reduce_records(records: Vec<Record>, discarded_bytes: u64) -> Recovery {
             }
             Record::Fail { id, error } => {
                 max_id = max_id.max(id);
-                outcomes.insert(id, Outcome::Failed(error));
+                // A `Complete` for the same id wins, whichever came first.
+                outcomes.entry(id).or_insert(Outcome::Failed(error));
             }
         }
     }
@@ -492,6 +498,12 @@ mod tests {
         .unwrap();
         j.append(&Record::Start { id: 9 }).unwrap();
         j.append(&submit(9, "k9")).unwrap();
+        // A stray later `Fail` does not undo the `Complete`.
+        j.append(&Record::Fail {
+            id: 9,
+            error: "late".into(),
+        })
+        .unwrap();
         // A Complete whose Submit never made it at all.
         j.append(&Record::Complete {
             id: 77,

@@ -62,8 +62,8 @@
 //!    restores finished results, and re-enqueues unfinished jobs — each
 //!    submitted job reaches a terminal state exactly once. Completed
 //!    bodies live only in the [`spill`] directory behind the memory LRU
-//!    (`--cache-dir`, or `<journal>.spill` beside the journal), so a
-//!    journal record never carries a body. Journal records and spill
+//!    (`--cache-dir`, or `<journal>.spill` beside the journal and pruned
+//!    with it), so a journal record never carries a body. Journal records and spill
 //!    files share one checksummed [`frame`] codec.
 //! 5. **Degradation is prioritized and honest.** Jobs carry a
 //!    [`api::Priority`] and optional wall-clock deadline; past the

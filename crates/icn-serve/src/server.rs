@@ -19,7 +19,10 @@
 //! live only in the result cache's disk spill (see [`crate::spill`]):
 //! `--cache-dir` names it, and `--journal` alone puts it beside the
 //! journal ([`ServeConfig::spill_dir`]), so cached bodies survive restarts
-//! and memory eviction both.
+//! and memory eviction both. A spill derived beside the journal is pruned
+//! at every journal compaction to the jobs the journal retains, so its
+//! disk use is bounded like the journal's; a `--cache-dir` spill keeps
+//! every body.
 //!
 //! Overload degrades in layers: the accept handoff queue sheds whole
 //! connections at 503; the job queue sheds `Low`-priority work past its
@@ -217,8 +220,9 @@ struct ServerState {
     telemetry: ServeTelemetry,
     shutdown: AtomicBool,
     /// The write-ahead journal, when durability is enabled. Lock order:
-    /// journal before jobs (compaction holds the journal lock while
-    /// snapshotting the queue); nothing locks the other way around.
+    /// journal, then cache, then jobs (compaction holds the journal and
+    /// cache locks while snapshotting the queue); nothing locks the other
+    /// way around.
     journal: Option<Mutex<Journal>>,
 }
 
@@ -241,16 +245,26 @@ impl ServerState {
             };
             requeued += u64::from(self.jobs.restore(job, body));
         }
+        self.jobs.prune_finished();
         self.telemetry.update(|c| {
             c.journal_replayed_jobs = requeued;
             c.journal_discarded_bytes = recovery.discarded_bytes;
         });
     }
 
-    /// Rewrite `journal` down to the queue's jobs.
+    /// Rewrite `journal` down to the queue's jobs. A spill derived beside
+    /// the journal is then pruned to those jobs' keys, so it stays as
+    /// bounded as the journal it holds bodies for; a `--cache-dir` spill
+    /// keeps every body. The cache lock is held from the queue snapshot
+    /// to the prune, so no body written meanwhile is deleted.
     fn compact(&self, journal: &mut Journal) -> std::io::Result<()> {
+        let mut cache = self.cache();
         let (next_id, jobs) = self.jobs.journal_view();
-        journal.compact(&compaction_records(next_id, &jobs))
+        journal.compact(&compaction_records(next_id, &jobs))?;
+        if self.config.cache_dir.is_none() {
+            cache.retain_spilled(jobs.iter().map(|job| job.key.as_str()));
+        }
+        Ok(())
     }
 }
 

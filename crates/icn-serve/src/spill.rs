@@ -8,7 +8,9 @@
 //! leaves either the old file, a stray temp file, or nothing; never a
 //! torn entry. Reads verify the frame and **delete** anything corrupt or
 //! truncated rather than serve it: a discarded entry just recomputes.
+//! The store never evicts; [`DiskStore::retain`] prunes it.
 
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -112,6 +114,21 @@ impl DiskStore {
                 let _ = std::fs::remove_file(&path);
                 self.counters.discarded.fetch_add(1, Ordering::Relaxed);
                 None
+            }
+        }
+    }
+
+    /// Delete every entry whose key `keep` does not name (best effort).
+    /// A [`DiskStore::put`] racing it may lose its entry.
+    pub fn retain<'a>(&self, keep: impl IntoIterator<Item = &'a str>) {
+        let keep: BTreeSet<String> = keep.into_iter().map(file_name).collect();
+        let Ok(read) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in read.filter_map(Result::ok) {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.ends_with(".res") && !keep.contains(&name) {
+                let _ = std::fs::remove_file(entry.path());
             }
         }
     }

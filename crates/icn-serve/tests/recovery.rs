@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use icn_serve::jobs::RETAINED_FINISHED_JOBS;
 use icn_serve::journal::{
     compaction_records, JobRecord, Journal, Outcome, Record, COMPACT_THRESHOLD_BYTES,
 };
@@ -718,6 +719,71 @@ fn compaction_hysteresis_loses_no_job_state() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A spill derived beside the journal is bounded like the journal. A
+/// journal holding more completed jobs than the queue retains comes back
+/// with the oldest dropped, and their bodies leave the spill with their
+/// records, as does a body no job names. A `--cache-dir` spill keeps
+/// every body.
+#[test]
+fn derived_spill_is_pruned_to_the_retained_jobs() {
+    const EXTRA: u64 = 10;
+    let jobs = RETAINED_FINISHED_JOBS as u64 + EXTRA;
+    let dir = scratch("bounded");
+    let config = serve_config(&dir);
+    let spill = DiskStore::open(&config.spill_dir().expect("a journal has a spill")).unwrap();
+    let body = |id: u64| format!("{{\"result\":{id}}}");
+    let live: Vec<JobRecord> = (1..=jobs)
+        .map(|id| {
+            let key = format!("k{id}");
+            spill.put(&key, &body(id)).unwrap();
+            JobRecord {
+                id,
+                key,
+                priority: Priority::Normal,
+                deadline_ms: None,
+                config: "{}".into(),
+                outcome: Outcome::Completed,
+            }
+        })
+        .collect();
+    spill.put("stray", "{}").unwrap();
+    let (mut journal, _) = Journal::recover(&dir.join("jobs.journal")).unwrap();
+    journal
+        .compact(&compaction_records(jobs + 1, &live))
+        .unwrap();
+    drop(journal);
+    assert_eq!(spill.entries(), jobs + 1);
+
+    let server = Server::bind(config).expect("bind over the journal");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("run"));
+    assert_eq!(spill.entries(), RETAINED_FINISHED_JOBS as u64);
+    for id in 1..=EXTRA {
+        let (status, _, reply) = call(addr, "GET", &format!("/v1/jobs/{id}/result"), "");
+        assert_eq!(status, 404, "job {id} past retention: {reply}");
+        assert_eq!(spill.get(&format!("k{id}")), None, "job {id}");
+    }
+    assert_eq!(spill.get("stray"), None);
+    for id in [EXTRA + 1, jobs] {
+        let (status, _, reply) = call(addr, "GET", &format!("/v1/jobs/{id}/result"), "");
+        assert_eq!(status, 200, "job {id}");
+        assert_eq!(reply, body(id));
+        assert_eq!(spill.get(&format!("k{id}")), Some(body(id)), "job {id}");
+    }
+    handle.shutdown();
+    join.join().unwrap();
+
+    // The same stray body in a `--cache-dir` spill survives a bind.
+    let mut config = serve_config(&dir);
+    config.cache_dir = Some(dir.join("cache").to_string_lossy().into_owned());
+    let cache = DiskStore::open(&config.spill_dir().expect("cache dir")).unwrap();
+    cache.put("stray", "{}").unwrap();
+    drop(Server::bind(config).expect("bind with a cache dir"));
+    assert_eq!(cache.get("stray").as_deref(), Some("{}"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A trace is recorded by the process that accepted the job: a job
