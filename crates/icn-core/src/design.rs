@@ -7,9 +7,12 @@
 //! package size (pin count), and the pin count depends on the frequency
 //! (ground-bounce pins grow linearly with F, eq. 3.4). Package edges are
 //! quantized to whole pin rows, so the iteration settles within a few
-//! rounds. [`solve`] is that iteration and nothing else;
-//! [`Solution::violations`] is the one feasibility verdict over it; and
-//! [`DesignPoint::evaluate`] adds the delays and the report around both.
+//! rounds. The whole loop is board-scale: the network size `N′` sets only
+//! the stage count and the chip count, so it never enters it. [`solve`] is
+//! that iteration and nothing else; [`Solution::violations`] is the one
+//! feasibility verdict over it; and [`DesignPoint::evaluate`] racks the
+//! converged board into the `N′`-port network
+//! ([`RackLayout::from_board`]) and adds the delays and the report.
 
 use icn_phys::board::BoardConstraint;
 use icn_phys::clock::MAX_SKEW_FRACTION;
@@ -86,7 +89,6 @@ impl DesignPoint {
             self.chip_radix,
             self.width,
             self.board_ports,
-            self.network_ports,
             self.clock_scheme,
         );
         let chip_area = area::crossbar_area(&self.tech, self.kind, self.chip_radix, self.width);
@@ -97,12 +99,12 @@ impl DesignPoint {
             .collect();
         let Solution {
             pins,
-            rack,
+            board,
             clock,
             frequency,
             iterations,
         } = solution;
-        let board = rack.board.clone();
+        let rack = RackLayout::from_board(board.clone(), self.network_ports);
 
         let one_way = delay::unloaded_delay(
             self.kind,
@@ -136,14 +138,16 @@ impl DesignPoint {
 }
 
 /// The converged frequency fixed point of one chip on one board: what
-/// [`solve`] returns.
+/// [`solve`] returns. Nothing in it depends on the network size; the rack
+/// of an `N′`-port network is [`RackLayout::from_board`] of its board.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Chip pin budget at the converged frequency.
     pub pins: PinBudget,
-    /// Rack layout (and its board) at the converged frequency.
-    pub rack: RackLayout,
-    /// Clock delay budget of the rack's longest wire.
+    /// Board layout at the converged frequency.
+    pub board: BoardLayout,
+    /// Clock delay budget of the board's longest trace, which is the
+    /// longest wire of any rack built from it (§6.1).
     pub clock: ClockBudget,
     /// Achievable clock frequency under the chosen scheme.
     pub frequency: Frequency,
@@ -164,7 +168,7 @@ impl Solution {
         clock_scheme: ClockScheme,
     ) -> impl Iterator<Item = Violation> + '_ {
         let pins = (!self.pins.fits()).then_some(Violation::Pins(self.pins));
-        let board = self.rack.board.violations.iter().cloned();
+        let board = self.board.violations.iter().cloned();
         let skew = (!self.clock.skew_within_budget(clock_scheme)).then(|| Violation::Skew {
             fraction: self.clock.skew_fraction(clock_scheme),
         });
@@ -236,24 +240,25 @@ impl core::fmt::Display for Violation {
 
 /// Solve the frequency fixed point F → pins → package/board → trace →
 /// clock budget → F for an `N = chip_radix`, width-`W` chip on
-/// `board_ports`-port boards of a `network_ports`-port network.
+/// `board_ports`-port boards.
 ///
 /// Starts at 10 MHz and stops once a round moves F by at most 1 Hz, or
-/// after 16 rounds. Area, packet size and memory time play no part, so
-/// this is the whole physical solve a design needs;
-/// [`DesignPoint::evaluate`] audits and reports on it, and the streaming
-/// explorer calls it directly.
+/// after 16 rounds. Area, network size, packet size and memory time play
+/// no part, so this is the whole physical solve a design needs, and one
+/// solve serves every network and crossbar kind built from the same
+/// chip and board. [`DesignPoint::evaluate`] racks and reports on it;
+/// the streaming explorer calls it once per distinct chip and board of
+/// an `explore` call.
 ///
 /// # Panics
-/// Panics if `network_ports` is smaller than `board_ports` (see
-/// [`RackLayout::plan`]).
+/// Panics if `chip_radix` is below 2, `width` is 0, or `board_ports` is
+/// not a positive power of `chip_radix` (see [`BoardLayout::plan`]).
 #[must_use]
 pub fn solve(
     tech: &Technology,
     chip_radix: u32,
     width: u32,
     board_ports: u32,
-    network_ports: u32,
     clock_scheme: ClockScheme,
 ) -> Solution {
     let mut f = Frequency::from_mhz(10.0);
@@ -261,21 +266,15 @@ pub fn solve(
     loop {
         let pins = pins::pin_budget(tech, chip_radix, width, f);
         let package_edge = tech.packaging.package_edge(pins.total());
-        let rack = RackLayout::plan_for_package(
-            tech,
-            chip_radix,
-            width,
-            board_ports,
-            network_ports,
-            package_edge,
-        );
-        let clock = ClockBudget::compute(tech, chip_radix, rack.longest_wire);
+        let board =
+            BoardLayout::plan_for_package(tech, chip_radix, width, board_ports, package_edge);
+        let clock = ClockBudget::compute(tech, chip_radix, board.longest_trace);
         let frequency = clock.max_frequency(clock_scheme);
         iterations += 1;
         if (frequency.hz() - f.hz()).abs() <= 1.0 || iterations >= 16 {
             return Solution {
                 pins,
-                rack,
+                board,
                 clock,
                 frequency,
                 iterations,
@@ -431,8 +430,9 @@ mod tests {
         );
     }
 
-    /// `evaluate` reports exactly what `solve` converges to, for a
-    /// feasible design, a pin violator and an area violator.
+    /// `evaluate` reports exactly what `solve` converges to, racked into
+    /// the design's network, for a feasible design, a pin violator and an
+    /// area violator.
     #[test]
     fn evaluate_reports_the_solve() {
         let paper = DesignPoint::paper_example(presets::paper1986(), CrossbarKind::Dmc);
@@ -449,12 +449,14 @@ mod tests {
                 point.chip_radix,
                 point.width,
                 point.board_ports,
-                point.network_ports,
                 point.clock_scheme,
             );
             assert_eq!(report.pins, solution.pins);
-            assert_eq!(report.rack, solution.rack);
-            assert_eq!(report.board, solution.rack.board);
+            assert_eq!(report.board, solution.board);
+            assert_eq!(
+                report.rack,
+                RackLayout::from_board(solution.board.clone(), point.network_ports)
+            );
             assert_eq!(report.clock, solution.clock);
             assert_eq!(
                 report.frequency.hz().to_bits(),
@@ -485,7 +487,7 @@ mod tests {
     fn verdict_reads_the_skew_budget() {
         let paper = DesignPoint::paper_example(presets::paper1986(), CrossbarKind::Dmc);
         let scheme = paper.clock_scheme;
-        let mut solution = solve(&paper.tech, 16, 4, 256, 2048, scheme);
+        let mut solution = solve(&paper.tech, 16, 4, 256, scheme);
         assert_eq!(solution.violations(0.5, scheme).count(), 0);
         solution.clock.skew = solution.clock.skew * 3.0;
         let violations: Vec<Violation> = solution.violations(0.5, scheme).collect();

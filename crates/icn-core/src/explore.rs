@@ -70,19 +70,15 @@ impl ExploredDesign {
 /// All power-of-`radix` board sizes up to `max_board_ports` (each board
 /// hosts a whole number of full stages), capped at the network size.
 /// Shared with the `icn-explore` streaming engine so both explorers
-/// package a radix on exactly the same candidate boards.
-#[must_use]
-pub fn board_port_options(radix: u32, network_ports: u32, max_board_ports: u32) -> Vec<u32> {
-    let mut options = Vec::new();
-    let mut ports = radix;
-    while ports <= max_board_ports && ports <= network_ports {
-        options.push(ports);
-        match ports.checked_mul(radix) {
-            Some(next) => ports = next,
-            None => break,
-        }
-    }
-    options
+/// package a radix on exactly the same candidate boards, in ascending
+/// order: a smaller network's options are a prefix of a larger one's.
+pub fn board_port_options(
+    radix: u32,
+    network_ports: u32,
+    max_board_ports: u32,
+) -> impl Iterator<Item = u32> {
+    std::iter::successors(Some(radix), move |&ports| ports.checked_mul(radix))
+        .take_while(move |&ports| ports <= max_board_ports && ports <= network_ports)
 }
 
 /// Enumerate and evaluate the whole space, returning designs ranked best
@@ -106,7 +102,6 @@ pub fn explore(tech: &Technology, spec: &ExploreSpec) -> Vec<ExploredDesign> {
                         });
                 let variants: Vec<ExploredDesign> =
                     board_port_options(radix, spec.network_ports, 256)
-                        .into_iter()
                         .map(|board_ports| {
                             debug_assert!(exact_log(board_ports, radix).is_some());
                             let point = DesignPoint {
@@ -237,12 +232,20 @@ mod tests {
 
     #[test]
     fn board_options_are_powers_of_radix() {
-        assert_eq!(board_port_options(16, 2048, 256), vec![16, 256]);
-        assert_eq!(board_port_options(4, 2048, 256), vec![4, 16, 64, 256]);
-        assert_eq!(board_port_options(8, 2048, 256), vec![8, 64]);
-        assert_eq!(board_port_options(32, 2048, 256), vec![32]);
+        let options =
+            |radix, network, max_board| board_port_options(radix, network, max_board).collect();
+        let expect = |got: Vec<u32>, want: &[u32]| assert_eq!(got, want);
+        expect(options(16, 2048, 256), &[16, 256]);
+        expect(options(4, 2048, 256), &[4, 16, 64, 256]);
+        expect(options(8, 2048, 256), &[8, 64]);
+        expect(options(32, 2048, 256), &[32]);
         // Capped at the network size.
-        assert_eq!(board_port_options(16, 16, 256), vec![16]);
+        expect(options(16, 16, 256), &[16]);
+        // The last power below 2^32 ends the list instead of wrapping.
+        expect(
+            options(2, u32::MAX, u32::MAX),
+            &(1..32).map(|k| 1 << k).collect::<Vec<u32>>(),
+        );
     }
 
     #[test]

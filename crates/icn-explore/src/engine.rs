@@ -24,6 +24,9 @@
 //! solved twice). The argument would hold for any edges anyway: a cut
 //! run folds as two runs, each offering its own minima, which include
 //! the whole run's; `tests/fold_parity.rs` folds such ranges directly.
+//! The chunks also share the evaluator's board memo, filled by whichever
+//! thread first needs a board. A board's outcome is a pure function of
+//! its key, so which thread fills it changes nothing.
 //!
 //! The Pareto set of a multiset is unique, so merging the chunk
 //! frontiers equals one sequential pass regardless of thread count,

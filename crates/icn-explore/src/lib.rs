@@ -8,12 +8,14 @@
 //!   scheme, N', N, W, P) that enumerates millions of candidates without
 //!   materialising them (`grid`);
 //! * [`Evaluator`] — closed-form evaluation: a fold that makes one
-//!   report-free chassis solve (area rule, then
-//!   `icn_core::design::solve` per board option, judged by the one
-//!   feasibility verdict `Solution::violations`) per packet-size run and
-//!   offers the frontier only the run's fastest packet variants, found
-//!   from its shortest packets up, and a per-candidate path whose chassis
-//!   memo amortises the same solve (`eval`);
+//!   report-free chassis solve (area rule, then the best board option
+//!   that the one feasibility verdict `Solution::violations` passes) per
+//!   packet-size run and offers the frontier only the run's fastest
+//!   packet variants, found from its shortest packets up, and a
+//!   per-candidate path whose chassis memo amortises the same solve. The
+//!   board fixed point (`icn_core::design::solve`) depends on neither
+//!   the crossbar kind nor the network size, so a bounded memo shared by
+//!   the whole call solves each distinct chip-on-board once (`eval`);
 //! * [`explore`] — chunked batch evaluation fanned across cores by
 //!   `icn_sim::ordered_map`, merged deterministically in chunk-index
 //!   order into an incremental Pareto frontier (delay × area × pins ×

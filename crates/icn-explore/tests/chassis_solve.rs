@@ -1,15 +1,16 @@
 //! Pins the explorer's report-free chassis solve to `icn lint config`:
 //! `check_design` on every board option of the chassis, keeping the
 //! board it finds clean with the highest frequency (the first on ties).
-//! For every chassis of the bench and million grids, and of a grid with
-//! boards of up to 1,024 ports, `Evaluator::evaluate` must give the same
-//! verdict, board, frequency bits and pins. The lint renders the
+//! For every chassis of the bench and million grids, of a grid with
+//! boards of up to 1,024 ports and of a grid with networks of 4 to 1,024
+//! ports, `Evaluator::evaluate` must give the same verdict, board,
+//! frequency bits and pins. The lint renders the
 //! report's typed violations one diagnostic each, so this is also the
 //! `DesignReport` rule.
 
 use icn_core::design::Violation;
 use icn_core::explore::board_port_options;
-use icn_explore::{resolve_techs, Evaluator, GridSpec};
+use icn_explore::{resolve_techs, Candidate, Evaluator, GridSpec};
 use icn_lint::{check_design, DesignSpec};
 use icn_units::Frequency;
 
@@ -148,4 +149,56 @@ fn large_board_chassis_match_the_report_rule() {
     };
     let walk = assert_matches_lint_rule(&spec);
     assert!(walk.area_only > 0, "no chassis fails on area alone");
+}
+
+/// The explorer shares one solve of a chip on a board across network
+/// sizes, and a network smaller than a board cuts that board from its
+/// options. The bench and million grids never cut one: no network is
+/// smaller than their largest board, 256 ports. Networks of 4 to 1,024
+/// ports on boards of up to 256 ports cut boards at every size below
+/// 256, radices 8 and 16 exceed the 4-port network outright, and the cut
+/// changes the choice of some chassis from that of the same chip on
+/// 1,024 ports.
+#[test]
+fn small_network_chassis_match_the_report_rule() {
+    let spec = GridSpec {
+        network_ports: vec![4, 16, 64, 256, 1024],
+        radices: vec![2, 4, 8, 16],
+        packet_bits: vec![100],
+        max_board_ports: 256,
+        ..GridSpec::million()
+    };
+    let walk = assert_matches_lint_rule(&spec);
+    let chassis: Vec<Candidate> = (0..walk.choices.len() as u64)
+        .map(|id| spec.candidate(id))
+        .collect();
+    let board_count = |c: &Candidate, network_ports| {
+        board_port_options(c.chip_radix, network_ports, spec.max_board_ports).count()
+    };
+    let cut = chassis
+        .iter()
+        .filter(|c| board_count(c, c.network_ports) < board_count(c, u32::MAX))
+        .count();
+    assert!(cut > 0, "no chassis loses a board to its network size");
+    assert!(chassis.iter().any(|c| c.chip_radix > c.network_ports));
+    let on_largest = |c: &Candidate| {
+        let twin = chassis
+            .iter()
+            .position(|t| {
+                *t == Candidate {
+                    index: t.index,
+                    network_ports: 1024,
+                    ..*c
+                }
+            })
+            .expect("every chip has a 1,024-port chassis");
+        walk.choices[twin].map(|(board, ..)| board)
+    };
+    assert!(
+        chassis
+            .iter()
+            .zip(&walk.choices)
+            .any(|(c, choice)| choice.map(|(board, ..)| board) != on_largest(c)),
+        "the cut never changes a chassis's board"
+    );
 }

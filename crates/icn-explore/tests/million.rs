@@ -1,8 +1,11 @@
 //! Pins the million-grid exploration: the feasible count, the frontier
-//! size and every frontier index of `GridSpec::million()`. The numbers
-//! were recorded from the per-candidate explorer (every feasible
-//! candidate offered to the frontier), so any change to how candidates
-//! reach the frontier must reproduce them exactly.
+//! size and every frontier index of `GridSpec::million()`, serially and
+//! at `ICN_PARITY_THREADS` threads (default 2), where the chunks share
+//! one evaluator's board memo. The numbers were recorded from the
+//! per-candidate explorer (every feasible candidate offered to the
+//! frontier), so any change to how candidates reach the frontier must
+//! reproduce them exactly. The CLI's `explore_million.json` fixture pins
+//! the same frontier's every field.
 
 use icn_explore::{explore, ExploreOptions, GridSpec};
 
@@ -19,15 +22,22 @@ const FRONTIER: [u64; 64] = [
 #[test]
 fn million_grid_feasible_count_and_frontier_are_pinned() {
     let spec = GridSpec::million();
-    let options = ExploreOptions {
-        spot_checks: 0,
-        ..ExploreOptions::default()
-    };
-    let outcome = explore(&spec, &options, None).expect("the million grid explores");
-    assert_eq!(outcome.grid_candidates, 1_163_520);
-    assert_eq!(outcome.evaluated, 1_163_520);
-    assert_eq!(outcome.feasible, 525_200);
-    assert_eq!(outcome.frontier.len(), 64);
-    let indices: Vec<u64> = outcome.frontier.iter().map(|p| p.index).collect();
-    assert_eq!(indices, FRONTIER);
+    let parity_threads: usize = std::env::var("ICN_PARITY_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2);
+    for threads in [1, parity_threads] {
+        let options = ExploreOptions {
+            threads,
+            spot_checks: 0,
+            ..ExploreOptions::default()
+        };
+        let outcome = explore(&spec, &options, None).expect("the million grid explores");
+        assert_eq!(outcome.grid_candidates, 1_163_520);
+        assert_eq!(outcome.evaluated, 1_163_520);
+        assert_eq!(outcome.feasible, 525_200, "{threads} threads");
+        assert_eq!(outcome.frontier.len(), 64, "{threads} threads");
+        let indices: Vec<u64> = outcome.frontier.iter().map(|p| p.index).collect();
+        assert_eq!(indices, FRONTIER, "{threads} threads");
+    }
 }

@@ -13,7 +13,6 @@ use icn_units::{Frequency, Length};
 use serde::{Deserialize, Serialize};
 
 use crate::board::BoardLayout;
-use crate::pins;
 
 /// A planned rack of boards implementing the full N′×N′ network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,38 +57,27 @@ impl RackLayout {
         network_ports: u32,
         clock: Frequency,
     ) -> Self {
-        let budget = pins::pin_budget(tech, chip_radix, width, clock);
-        let package_edge = tech.packaging.package_edge(budget.total());
-        Self::plan_for_package(
-            tech,
-            chip_radix,
-            width,
-            board_ports,
+        Self::from_board(
+            BoardLayout::plan(tech, chip_radix, width, board_ports, clock),
             network_ports,
-            package_edge,
         )
     }
 
-    /// [`Self::plan`] for chips whose package edge is already known (see
-    /// [`BoardLayout::plan_for_package`]).
+    /// Rack an `network_ports`-port network out of copies of `board`:
+    /// the network-scale step of [`Self::plan`]. The board fixes the
+    /// chip radix, the stages per layer and the longest wire, so a board
+    /// planned once serves every network size.
     ///
     /// # Panics
     /// As [`Self::plan`].
     #[must_use]
-    pub fn plan_for_package(
-        tech: &Technology,
-        chip_radix: u32,
-        width: u32,
-        board_ports: u32,
-        network_ports: u32,
-        package_edge: Length,
-    ) -> Self {
+    pub fn from_board(board: BoardLayout, network_ports: u32) -> Self {
+        let board_ports = board.board_ports;
+        let chip_radix = board.chip_radix;
         assert!(
             network_ports >= board_ports,
             "network ({network_ports} ports) must be at least one board ({board_ports} ports)"
         );
-        let board =
-            BoardLayout::plan_for_package(tech, chip_radix, width, board_ports, package_edge);
         let stages = ceil_log(network_ports, chip_radix);
         let full_layers = stages / board.stages;
         let remainder_stages = stages % board.stages;
@@ -148,6 +136,7 @@ pub fn ceil_log(value: u32, base: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pins;
     use icn_tech::presets::paper1986;
 
     fn paper_rack() -> RackLayout {
@@ -168,13 +157,14 @@ mod tests {
             let edge = tech
                 .packaging
                 .package_edge(pins::pin_budget(&tech, radix, width, clock).total());
+            let board = BoardLayout::plan_for_package(&tech, radix, width, board_ports, edge);
             assert_eq!(
-                RackLayout::plan_for_package(&tech, radix, width, board_ports, network_ports, edge),
-                RackLayout::plan(&tech, radix, width, board_ports, network_ports, clock),
+                board,
+                BoardLayout::plan(&tech, radix, width, board_ports, clock)
             );
             assert_eq!(
-                BoardLayout::plan_for_package(&tech, radix, width, board_ports, edge),
-                BoardLayout::plan(&tech, radix, width, board_ports, clock),
+                RackLayout::from_board(board, network_ports),
+                RackLayout::plan(&tech, radix, width, board_ports, network_ports, clock),
             );
         }
     }

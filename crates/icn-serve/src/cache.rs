@@ -68,6 +68,9 @@ pub struct CacheStats {
     pub capacity: usize,
     /// Bodies written through to the disk spill.
     pub spill_writes: u64,
+    /// Spill writes that failed or were refused (the body stays in
+    /// memory only).
+    pub spill_write_failures: u64,
     /// Memory misses answered by the disk spill.
     pub disk_hits: u64,
     /// Corrupt or truncated disk entries detected and discarded.
@@ -130,7 +133,8 @@ impl ResultCache {
             // Write-through; a failed spill write (an I/O error, or a body
             // the frame codec refuses) costs durability for this one
             // entry, not correctness — the job result is still served from
-            // memory and recomputes after a restart.
+            // memory and recomputes after a restart. The store counts it
+            // (`CacheStats::spill_write_failures`).
             let _ = spill.put(key, &body);
         }
         self.insert_memory(key, body);
@@ -182,13 +186,14 @@ impl ResultCache {
     /// Current counter snapshot.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let (spill_writes, disk_hits, disk_discarded) = match &self.spill {
+        let (spill_writes, spill_write_failures, disk_hits, disk_discarded) = match &self.spill {
             Some(s) => (
                 s.counters.writes.load(Ordering::Relaxed),
+                s.counters.write_failures.load(Ordering::Relaxed),
                 s.counters.hits.load(Ordering::Relaxed),
                 s.counters.discarded.load(Ordering::Relaxed),
             ),
-            None => (0, 0, 0),
+            None => (0, 0, 0, 0),
         };
         CacheStats {
             hits: self.hits,
@@ -197,6 +202,7 @@ impl ResultCache {
             entries: self.entries.len(),
             capacity: self.capacity,
             spill_writes,
+            spill_write_failures,
             disk_hits,
             disk_discarded,
         }
@@ -283,6 +289,18 @@ mod tests {
         }
         let mut c2 = ResultCache::with_spill(4, s);
         assert_eq!(c2.get("k").unwrap().as_str(), "{\"persisted\":true}");
+    }
+
+    /// A body over the frame codec's bound cannot be spilled: the failure
+    /// is counted, and the body is still served from memory.
+    #[test]
+    fn oversized_body_counts_a_spill_write_failure() {
+        let mut c = ResultCache::with_spill(4, spill("oversized"));
+        let big = "x".repeat(crate::frame::MAX_PAYLOAD_BYTES + 1);
+        c.insert("big", Arc::new(big.clone()));
+        let stats = c.stats();
+        assert_eq!((stats.spill_writes, stats.spill_write_failures), (0, 1));
+        assert_eq!(c.get("big").as_deref(), Some(&big));
     }
 
     #[test]

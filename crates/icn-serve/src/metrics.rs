@@ -179,6 +179,12 @@ pub fn render(snap: &MetricsSnapshot) -> String {
             k.spill_writes,
         ),
         (
+            "icn_cache_spill_write_failures_total",
+            "counter",
+            "Disk spill writes that failed or were refused (body kept in memory only).",
+            k.spill_write_failures,
+        ),
+        (
             "icn_cache_disk_hits_total",
             "counter",
             "Memory misses answered by the disk spill.",
@@ -636,6 +642,7 @@ mod tests {
                 entries: 4,
                 capacity: 64,
                 spill_writes: 3,
+                spill_write_failures: 1,
                 disk_hits: 2,
                 disk_discarded: 0,
             },
@@ -654,6 +661,10 @@ mod tests {
         assert_eq!(parsed.value("icn_jobs_shed_total"), Some(2.0));
         assert_eq!(parsed.value("icn_cache_hits_total"), Some(5.0));
         assert_eq!(parsed.value("icn_cache_spill_writes_total"), Some(3.0));
+        assert_eq!(
+            parsed.value("icn_cache_spill_write_failures_total"),
+            Some(1.0)
+        );
         assert_eq!(parsed.value("icn_cache_disk_hits_total"), Some(2.0));
         assert_eq!(parsed.value("icn_journal_appends_total"), Some(23.0));
         assert_eq!(parsed.value("icn_journal_replayed_jobs_total"), Some(4.0));
@@ -775,6 +786,10 @@ b 1
             ("icn_cache_entries", k.entries as u64),
             ("icn_cache_capacity", k.capacity as u64),
             ("icn_cache_spill_writes_total", k.spill_writes),
+            (
+                "icn_cache_spill_write_failures_total",
+                k.spill_write_failures,
+            ),
             ("icn_cache_disk_hits_total", k.disk_hits),
             ("icn_cache_disk_discarded_total", k.disk_discarded),
             ("icn_journal_appends_total", c.journal_appends),
@@ -787,7 +802,7 @@ b 1
         ]
     }
 
-    /// A snapshot built from 25 drawn counters and a drawn latency sample
+    /// A snapshot built from 26 drawn counters and a drawn latency sample
     /// set. Counters stay below 2^53 so every value is exact as an `f64`.
     fn drawn_snapshot(n: &[u64], latencies: &[u64]) -> MetricsSnapshot {
         let mut latency_us = Histogram::new(DEFAULT_PRECISION);
@@ -827,6 +842,7 @@ b 1
                 spill_writes: n[22],
                 disk_hits: n[23],
                 disk_discarded: n[24],
+                spill_write_failures: n[25],
             },
         }
     }
@@ -839,7 +855,7 @@ b 1
         /// snapshot's.
         #[test]
         fn rendered_snapshot_parses_back_to_its_values(
-            n in proptest::collection::vec(0u64..(1 << 53), 25),
+            n in proptest::collection::vec(0u64..(1 << 53), 26),
             latencies in proptest::collection::vec(0u64..10_000_000, 0..40),
         ) {
             let snap = drawn_snapshot(&n, &latencies);
@@ -879,7 +895,7 @@ b 1
         /// `icn metrics <file>` reads whatever is on disk.
         #[test]
         fn mutated_exposition_never_panics_the_parser(
-            n in proptest::collection::vec(0u64..(1 << 53), 25),
+            n in proptest::collection::vec(0u64..(1 << 53), 26),
             latencies in proptest::collection::vec(0u64..10_000_000, 0..20),
             edits in proptest::collection::vec(any::<u64>(), 1..8),
         ) {

@@ -6,9 +6,11 @@
 //! `ICNSPILL` magic and one frame of the shared [`crate::frame`] codec,
 //! written atomically (temp file + fsync + rename), so a crash mid-write
 //! leaves either the old file, a stray temp file, or nothing; never a
-//! torn entry. Reads verify the frame and **delete** anything corrupt or
-//! truncated rather than serve it: a discarded entry just recomputes.
-//! The store never evicts; [`DiskStore::retain`] prunes it.
+//! torn entry. A write that fails removes its temp file, and
+//! [`DiskStore::open`] removes the temp files a dead process left. Reads
+//! verify the frame and **delete** anything corrupt or truncated rather
+//! than serve it: a discarded entry just recomputes. The store never
+//! evicts; [`DiskStore::retain`] prunes it.
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -21,6 +23,9 @@ use crate::frame;
 /// File magic: identifies a spill entry and versions its framing.
 const MAGIC: &[u8; 8] = b"ICNSPILL";
 
+/// Name prefix of a write's temp file (`.tmp-<pid>-<seq>`).
+const TMP_PREFIX: &str = ".tmp-";
+
 /// Counters for the spill store (monotonic over the store's lifetime).
 #[derive(Debug, Default)]
 pub struct SpillCounters {
@@ -30,6 +35,10 @@ pub struct SpillCounters {
     pub hits: AtomicU64,
     /// Corrupt or truncated entries detected and deleted.
     pub discarded: AtomicU64,
+    /// Writes that failed (an I/O error) or that the frame codec refused
+    /// (an empty or oversized body); each left its key without a new
+    /// entry.
+    pub write_failures: AtomicU64,
 }
 
 /// A directory of per-key result files behind the memory LRU.
@@ -54,12 +63,23 @@ fn file_name(key: &str) -> String {
 }
 
 impl DiskStore {
-    /// Open (creating if needed) the spill directory.
+    /// Open (creating if needed) the spill directory, deleting every
+    /// temp file in it (best effort). A temp file outlives its write only
+    /// when the writing process died mid-write, since a failed write
+    /// removes its own; a directory belongs to one live server at a time
+    /// (DESIGN.md §9), so none of them is still being written.
     ///
     /// # Errors
     /// Propagates directory-creation errors.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
+        if let Ok(read) = std::fs::read_dir(dir) {
+            for entry in read.filter_map(Result::ok) {
+                if entry.file_name().to_string_lossy().starts_with(TMP_PREFIX) {
+                    let _ = std::fs::remove_file(entry.path());
+                }
+            }
+        }
         Ok(Self {
             dir: dir.to_path_buf(),
             tmp_seq: AtomicU64::new(0),
@@ -68,26 +88,44 @@ impl DiskStore {
     }
 
     /// Write `body` for `key`, atomically. Overwrites any previous entry.
+    /// Counts the write in [`SpillCounters::writes`] or, when it fails,
+    /// [`SpillCounters::write_failures`].
     ///
     /// # Errors
     /// `InvalidInput` for a body the frame codec refuses (empty, or over
     /// [`frame::MAX_PAYLOAD_BYTES`]); otherwise propagates file I/O
-    /// errors. The store is left without a (new) entry for the key but
-    /// never with a torn one.
+    /// errors. The store is then left without a (new) entry for the key,
+    /// never with a torn one, and without the write's temp file.
     pub fn put(&self, key: &str, body: &str) -> std::io::Result<()> {
+        let written = self.write(key, body);
+        let counter = match written {
+            Ok(()) => &self.counters.writes,
+            Err(_) => &self.counters.write_failures,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        written
+    }
+
+    /// [`DiskStore::put`] without the counting: frame, write and sync a
+    /// temp file, rename it over the entry, and remove it if any step
+    /// fails.
+    fn write(&self, key: &str, body: &str) -> std::io::Result<()> {
         let mut buf = MAGIC.to_vec();
         frame::encode(body.as_bytes(), &mut buf)?;
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(".tmp-{}-{seq}", std::process::id()));
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(&buf)?;
-            out.sync_data()?;
+        let tmp = self
+            .dir
+            .join(format!("{TMP_PREFIX}{}-{seq}", std::process::id()));
+        let written = File::create(&tmp)
+            .and_then(|mut out| {
+                out.write_all(&buf)?;
+                out.sync_data()
+            })
+            .and_then(|()| std::fs::rename(&tmp, self.dir.join(file_name(key))));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        let final_path = self.dir.join(file_name(key));
-        std::fs::rename(&tmp, &final_path)?;
-        self.counters.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        written
     }
 
     /// Fetch the body for `key`, verifying the frame. Returns `None` when
@@ -215,6 +253,41 @@ mod tests {
         let s = store("missing");
         assert_eq!(s.get("nothing"), None);
         assert_eq!(s.counters.discarded.load(Ordering::Relaxed), 0);
+    }
+
+    /// Temp files in the spill directory, by name.
+    fn temp_files(s: &DiskStore) -> Vec<String> {
+        std::fs::read_dir(&s.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(TMP_PREFIX))
+            .collect()
+    }
+
+    /// A rename onto a directory fails after the temp file is written
+    /// and synced: the write is counted as failed and leaves no temp file.
+    #[test]
+    fn failed_rename_removes_its_temp_file() {
+        let s = store("rename");
+        std::fs::create_dir(s.dir.join(file_name("k"))).unwrap();
+        assert!(s.put("k", "a body with nowhere to go").is_err());
+        assert_eq!(temp_files(&s), Vec::<String>::new());
+        assert_eq!(s.counters.write_failures.load(Ordering::Relaxed), 1);
+        assert_eq!(s.counters.writes.load(Ordering::Relaxed), 0);
+        assert_eq!(s.get("k"), None);
+    }
+
+    /// A temp file a dead process left is gone once the store reopens;
+    /// entries stay.
+    #[test]
+    fn open_sweeps_stale_temp_files() {
+        let s = store("sweep");
+        s.put("k", "kept").unwrap();
+        std::fs::write(s.dir.join(".tmp-999999-7"), b"ICNSPILL torn").unwrap();
+        assert_eq!(temp_files(&s).len(), 1);
+        let reopened = DiskStore::open(&s.dir).unwrap();
+        assert_eq!(temp_files(&reopened), Vec::<String>::new());
+        assert_eq!(reopened.get("k").as_deref(), Some("kept"));
     }
 
     #[test]

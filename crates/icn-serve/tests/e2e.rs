@@ -699,6 +699,10 @@ fn shutdown_endpoint_drains_and_telemetry_dump_is_written() {
         ("icn_cache_entries", cache.entries as u64),
         ("icn_cache_capacity", cache.capacity as u64),
         ("icn_cache_spill_writes_total", cache.spill_writes),
+        (
+            "icn_cache_spill_write_failures_total",
+            cache.spill_write_failures,
+        ),
         ("icn_cache_disk_hits_total", cache.disk_hits),
         ("icn_cache_disk_discarded_total", cache.disk_discarded),
     ] {
