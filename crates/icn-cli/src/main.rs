@@ -1,66 +1,18 @@
 //! `icn` — regenerate the paper's tables and figures, run simulations and
-//! design-space sweeps from the command line.
-//!
-//! ```text
-//! icn list                     list available experiments
-//! icn all                      run every analytic experiment
-//! icn table1|table2-pins|table3-area|delay-table|fig1-topology|
-//!     fig2-blocking|board-layout|clock-budget|example-2048
-//!                              run one analytic experiment
-//! icn sim-validation           simulator vs analytic (cycle-exact)
-//! icn loaded [--full]          X1: load sweep + hot spot
-//! icn ablations [--full]       X2: buffering / pass-through / arbitration
-//! icn fault-tolerance [--full] X10: failed-module degradation sweep
-//! icn saturation [--full]      X11: sampled occupancy through saturation onset
-//! icn explore                  design-space sweep over (kind, N, W)
-//! icn simulate --load L [...]  one simulation run; --fail-modules/--fail-links
-//!                              inject faults, --retry-limit/--watchdog-cycles
-//!                              tune degraded operation, --sample-interval/
-//!                              --telemetry-out record a telemetry dump,
-//!                              --warmup/measure/drain-cycles set the schedule
-//! icn inspect <dump.jsonl>     render a telemetry dump: occupancy sparklines,
-//!                              per-stage heatmap, histogram quantiles
-//! icn trace <dump.jsonl | URL> render a span profile: the per-phase span
-//!                              tree and hotspot heatmap from a profiled
-//!                              dump (simulate --profile), or a job's
-//!                              wall-clock trace fetched live from
-//!                              http://HOST:PORT/v1/jobs/ID/trace
-//! icn metrics <URL | file>     scrape a Prometheus text exposition (or read
-//!                              `serve --telemetry-out`'s file) and validate
-//!                              it with the service's parser
-//! icn bench [--smoke]          observability-overhead gate: simulator
-//!                              cycles/sec with the span profiler on must
-//!                              stay >= 95% of the telemetry-off run
-//!                              (throughput itself: see perfbench/README.md)
-//! icn lint [--json] [PATH ..]  run the ICN determinism/panic-freedom rules
-//!                              (ICN001-ICN005) and lock confinement
-//!                              (ICN203) over the workspace sources, or
-//!                              over the given files/dirs
-//! icn lint config <spec.json>  statically check a design point against the
-//!                              paper's pin/board/clock limits (ICN101-ICN106)
-//! icn serve [--addr A] [...]   HTTP design-evaluation / simulation job
-//!                              service: POST /v1/evaluate (closed-form check),
-//!                              POST /v1/simulate (async job, content-addressed
-//!                              result cache), GET /v1/healthz, GET /v1/stats;
-//!                              --workers/--queue-depth/--cache-entries size it,
-//!                              --journal makes restarts lossless (job journal,
-//!                              result bodies spilled beside it, both pruned
-//!                              to the retained jobs), --cache-dir puts the
-//!                              result spill in DIR instead and keeps every
-//!                              body (alone: a disk cache without a journal),
-//!                              --deadline-ms sets a default per-job
-//!                              wall-clock budget,
-//!                              --telemetry-out writes the final /v1/metrics
-//!                              exposition at shutdown for `icn metrics`
-//!
-//! options: --tech <preset>  --json  --full
-//! ```
+//! design-space sweeps, and serve and lint designs from the command line.
+//! `icn help` prints every command with the flags it reads; a flag the
+//! command does not read is a usage error (exit 2). The experiment
+//! commands come from the registry `franklin_dhar_icn::experiments::EXPERIMENTS`,
+//! which `icn list` prints.
 
 use std::process::ExitCode;
 
-use icn_core::experiments::{self, SimEffort};
-use icn_core::table::{sparkline, trim_float, TextTable};
-use icn_core::{explore, ExperimentRecord};
+use franklin_dhar_icn::experiments::{
+    self, Experiment, ExperimentRecord, Runner, SimEffort, EXPERIMENTS,
+};
+use franklin_dhar_icn::report;
+use franklin_dhar_icn::table::{sparkline, trim_float, TextTable};
+use icn_core::explore;
 use icn_sim::telemetry::{
     DumpLine, DumpMeta, Heatmap, NamedHistogram, Sample, SpanNode, SpanProfile,
 };
@@ -132,30 +84,86 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> &'static str {
-    "usage: icn <command> [--tech <preset>] [--json] [--full]\n\
-     commands: list, all, dump, report, table1, table2-pins, table3-area, delay-table,\n\
-     \t fig1-topology, fig2-blocking, board-layout, clock-budget, example-2048,\n\
-     \t cost, clock-schemes, blocking-validation, scaling, tech-evolution,\n\
-     \t sim-validation, mesh-validation, loaded, ablations, roundtrip, queueing,\n\
-     \t fault-tolerance, saturation,\n\
-     \t explore [--grid paper|bench|million|spec.json] [--threads N]\n\
-     \t         [--top K] [--json]\n\
-     \t simulate [--load L] [--ports P] [--chip mcc|dmc] [--width W] [--seed S]\n\
-     \t          [--fail-modules N] [--fail-links N] [--fault-seed S]\n\
-     \t          [--retry-limit N] [--watchdog-cycles N]\n\
-     \t          [--warmup-cycles N] [--measure-cycles N] [--drain-cycles N]\n\
-     \t          [--sample-interval K] [--telemetry-out dump.jsonl|series.csv]\n\
-     \t          [--profile]\n\
-     \t inspect <dump.jsonl>\n\
-     \t trace <dump.jsonl | http://HOST:PORT/v1/jobs/ID/trace>\n\
-     \t metrics <http://HOST:PORT/v1/metrics | metrics.txt>\n\
-     \t bench [--smoke] [--json] [--iters N]\n\
-     \t lint [--json] [PATH ...]\n\
-     \t lint config <spec.json> [--json]\n\
-     \t serve [--addr HOST:PORT] [--workers N] [--sim-threads N]\n\
-     \t       [--queue-depth N] [--cache-entries N] [--journal FILE]\n\
-     \t       [--cache-dir DIR] [--deadline-ms N] [--telemetry-out serve.prom]"
+fn usage() -> String {
+    let experiments: Vec<String> = EXPERIMENTS
+        .chunks(6)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .map(|e| e.command)
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+        .collect();
+    format!(
+        "usage: icn <command> [options]\n\
+         experiments: <experiment> [--json] [--tech <preset> | --full]\n\
+         \t (`icn list` shows which of the two, if either, each one reads)\n\
+         \t {}\n\
+         commands: list, all [--tech <preset>] [--json],\n\
+         \t dump|report [--tech <preset>] [--full], fig1-dot [--ports P],\n\
+         \t explore [--tech <preset>] [--json]\n\
+         \t explore --grid paper|bench|million|spec.json [--threads N] [--top K] [--json]\n\
+         \t simulate [--load L] [--ports P] [--chip mcc|dmc] [--width W] [--seed S]\n\
+         \t          [--fail-modules N] [--fail-links N] [--fault-seed S]\n\
+         \t          [--retry-limit N] [--watchdog-cycles N]\n\
+         \t          [--warmup-cycles N] [--measure-cycles N] [--drain-cycles N]\n\
+         \t          [--sample-interval K] [--telemetry-out dump.jsonl|series.csv]\n\
+         \t          [--profile] [--json]\n\
+         \t inspect <dump.jsonl>\n\
+         \t trace <dump.jsonl | http://HOST:PORT/v1/jobs/ID/trace>\n\
+         \t metrics <http://HOST:PORT/v1/metrics | metrics.txt>\n\
+         \t bench [--smoke] [--json] [--iters N]\n\
+         \t lint [--json] [PATH ...]\n\
+         \t lint config <spec.json> [--json]\n\
+         \t serve [--addr HOST:PORT] [--workers N] [--sim-threads N]\n\
+         \t       [--queue-depth N] [--cache-entries N] [--journal FILE]\n\
+         \t       [--cache-dir DIR] [--deadline-ms N] [--telemetry-out serve.prom]",
+        experiments.join(",\n\t ")
+    )
+}
+
+/// Stands for the one bare argument `inspect`, `trace` and `metrics` take.
+const PATH: &str = "<path>";
+
+/// What each command other than an experiment reads; a flag (or bare
+/// argument) a command does not read is a usage error, never ignored.
+const COMMANDS: &[(&str, &str)] = &[
+    ("help", ""),
+    ("list", ""),
+    ("all", "--tech --json"),
+    ("dump", "--tech --full"),
+    ("report", "--tech --full"),
+    ("fig1-dot", "--ports"),
+    ("explore", "--tech --json"),
+    (
+        "simulate",
+        "--load --ports --chip --width --seed --fail-modules --fail-links --fault-seed \
+         --retry-limit --watchdog-cycles --warmup-cycles --measure-cycles --drain-cycles \
+         --sample-interval --telemetry-out --profile --json",
+    ),
+    ("inspect", PATH),
+    ("trace", PATH),
+    ("metrics", PATH),
+    ("bench", "--smoke --json --iters"),
+    (
+        "serve",
+        "--addr --workers --sim-threads --queue-depth --cache-entries --journal --cache-dir \
+         --deadline-ms --telemetry-out",
+    ),
+];
+
+/// What `explore --grid`, the streaming explorer, reads instead.
+const EXPLORE_GRID: (&str, &str) = ("explore --grid", "--grid --threads --top --json");
+
+/// The flag an experiment reads beyond `--json`: `--tech` if it takes a
+/// technology, `--full` if it takes a simulation effort.
+const fn experiment_flag(experiment: &Experiment) -> &'static str {
+    match experiment.runner {
+        Runner::Fixed(_) | Runner::Sim(_) => "",
+        Runner::Tech(_) => "--tech",
+        Runner::Effort(_) => "--full",
+    }
 }
 
 struct Options {
@@ -163,7 +171,8 @@ struct Options {
     json: bool,
     full: bool,
     load: f64,
-    ports: u32,
+    /// `--ports`; each command that reads it has its own default.
+    ports: Option<u32>,
     chip: ChipModel,
     width: u32,
     seed: u64,
@@ -201,17 +210,24 @@ struct Options {
     grid: Option<String>,
     /// `explore --top`: cap the rendered frontier rows / spot-checks.
     top: Option<usize>,
-    /// First bare (non-`--`) argument: the dump path for `inspect`.
+    /// The bare argument: the dump path for `inspect`.
     path: Option<String>,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// The flag's value: the next argument, parsed.
+fn value<T: std::str::FromStr>(args: &mut std::slice::Iter<'_, String>) -> Option<T> {
+    args.next().and_then(|s| s.parse().ok())
+}
+
+/// Parse the arguments of `icn <command>`, refusing any flag or bare
+/// argument that `accepts` does not list.
+fn parse_options(command: &str, accepts: &str, args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         tech: presets::paper1986(),
         json: false,
         full: false,
         load: 0.01,
-        ports: 256,
+        ports: None,
         chip: ChipModel::Dmc,
         width: 4,
         seed: 0x1986,
@@ -241,15 +257,21 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         top: None,
         path: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let arg = arg.as_str();
+        let kind = if arg.starts_with("--") { arg } else { PATH };
+        if !accepts.split_whitespace().any(|a| a == kind) || (kind == PATH && opts.path.is_some()) {
+            return Err(format!("`icn {command}` does not take `{arg}`"));
+        }
+        match arg {
             "--json" => opts.json = true,
             "--full" => opts.full = true,
+            "--profile" => opts.profile = true,
+            "--smoke" => opts.smoke = true,
             "--tech" => {
-                i += 1;
-                let name = args.get(i).ok_or("--tech needs a preset name")?;
-                opts.tech = presets::by_name(name).ok_or_else(|| {
+                let name: String = value(&mut args).ok_or("--tech needs a preset name")?;
+                opts.tech = presets::by_name(&name).ok_or_else(|| {
                     format!(
                         "unknown preset `{name}`; available: {}",
                         presets::all()
@@ -261,210 +283,108 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 })?;
             }
             "--load" => {
-                i += 1;
-                opts.load = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.load = value(&mut args)
                     .filter(|&load| icn_workloads::validate_load(load).is_ok())
                     .ok_or("--load needs a number in [0,1]")?;
             }
             "--ports" => {
-                i += 1;
-                opts.ports = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--ports needs a power-of-two integer")?;
+                opts.ports = Some(value(&mut args).ok_or("--ports needs a power-of-two integer")?);
             }
-            "--width" => {
-                i += 1;
-                opts.width = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--width needs an integer")?;
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?;
-            }
+            "--width" => opts.width = value(&mut args).ok_or("--width needs an integer")?,
+            "--seed" => opts.seed = value(&mut args).ok_or("--seed needs an integer")?,
             "--fail-modules" => {
-                i += 1;
-                opts.fail_modules = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--fail-modules needs a count")?;
+                opts.fail_modules = value(&mut args).ok_or("--fail-modules needs a count")?;
             }
             "--fail-links" => {
-                i += 1;
-                opts.fail_links = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--fail-links needs a count")?;
+                opts.fail_links = value(&mut args).ok_or("--fail-links needs a count")?;
             }
             "--fault-seed" => {
-                i += 1;
-                opts.fault_seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--fault-seed needs an integer")?;
+                opts.fault_seed = value(&mut args).ok_or("--fault-seed needs an integer")?;
             }
             "--retry-limit" => {
-                i += 1;
-                opts.retry_limit = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--retry-limit needs a count")?;
+                opts.retry_limit = value(&mut args).ok_or("--retry-limit needs a count")?;
             }
             "--watchdog-cycles" => {
-                i += 1;
                 opts.watchdog_cycles = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--watchdog-cycles needs a cycle count (0 disables)")?,
+                    value(&mut args).ok_or("--watchdog-cycles needs a cycle count (0 disables)")?,
                 );
             }
             "--chip" => {
-                i += 1;
-                opts.chip = match args.get(i).map(String::as_str) {
+                opts.chip = match value::<String>(&mut args).as_deref() {
                     Some("mcc") => ChipModel::Mcc,
                     Some("dmc") => ChipModel::Dmc,
                     _ => return Err("--chip needs `mcc` or `dmc`".into()),
                 };
             }
             "--sample-interval" => {
-                i += 1;
-                opts.sample_interval = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--sample-interval needs a cycle count")?;
+                opts.sample_interval =
+                    value(&mut args).ok_or("--sample-interval needs a cycle count")?;
             }
             "--telemetry-out" => {
-                i += 1;
-                opts.telemetry_out = Some(
-                    args.get(i)
-                        .ok_or("--telemetry-out needs a file path")?
-                        .clone(),
-                );
+                opts.telemetry_out =
+                    Some(value(&mut args).ok_or("--telemetry-out needs a file path")?);
             }
             "--warmup-cycles" => {
-                i += 1;
-                opts.warmup_cycles = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--warmup-cycles needs a cycle count")?,
-                );
+                opts.warmup_cycles =
+                    Some(value(&mut args).ok_or("--warmup-cycles needs a cycle count")?);
             }
             "--measure-cycles" => {
-                i += 1;
-                opts.measure_cycles = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--measure-cycles needs a cycle count")?,
-                );
+                opts.measure_cycles =
+                    Some(value(&mut args).ok_or("--measure-cycles needs a cycle count")?);
             }
             "--drain-cycles" => {
-                i += 1;
-                opts.drain_cycles = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--drain-cycles needs a cycle count")?,
-                );
+                opts.drain_cycles =
+                    Some(value(&mut args).ok_or("--drain-cycles needs a cycle count")?);
             }
             "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.threads = value(&mut args)
                     .ok_or("--threads needs a count (1 = serial, 0 = one per core)")?;
             }
             "--sim-threads" => {
-                i += 1;
-                opts.sim_threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.sim_threads = value(&mut args)
                     .filter(|&n| n >= 1)
                     .ok_or("--sim-threads needs a positive count")?;
             }
-            "--addr" => {
-                i += 1;
-                opts.addr = args.get(i).ok_or("--addr needs host:port")?.clone();
-            }
+            "--addr" => opts.addr = value(&mut args).ok_or("--addr needs host:port")?,
             "--workers" => {
-                i += 1;
-                opts.workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.workers = value(&mut args)
                     .filter(|&n| n >= 1)
                     .ok_or("--workers needs a positive count")?;
             }
             "--queue-depth" => {
-                i += 1;
-                opts.queue_depth = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.queue_depth = value(&mut args)
                     .filter(|&n| n >= 1)
                     .ok_or("--queue-depth needs a positive count")?;
             }
             "--cache-entries" => {
-                i += 1;
-                opts.cache_entries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--cache-entries needs a count (0 disables caching)")?;
+                opts.cache_entries =
+                    value(&mut args).ok_or("--cache-entries needs a count (0 disables caching)")?;
             }
             "--journal" => {
-                i += 1;
-                opts.journal = Some(args.get(i).ok_or("--journal needs a file path")?.clone());
+                opts.journal = Some(value(&mut args).ok_or("--journal needs a file path")?);
             }
             "--cache-dir" => {
-                i += 1;
-                opts.cache_dir = Some(
-                    args.get(i)
-                        .ok_or("--cache-dir needs a directory path")?
-                        .clone(),
-                );
+                opts.cache_dir =
+                    Some(value(&mut args).ok_or("--cache-dir needs a directory path")?);
             }
             "--deadline-ms" => {
-                i += 1;
-                opts.deadline_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.deadline_ms = value(&mut args)
                     .ok_or("--deadline-ms needs a millisecond count (0 disables)")?;
             }
             "--grid" => {
-                i += 1;
-                opts.grid = Some(
-                    args.get(i)
-                        .ok_or("--grid needs a built-in name (paper|bench|million) or a spec.json path")?
-                        .clone(),
-                );
+                opts.grid = Some(value(&mut args).ok_or(
+                    "--grid needs a built-in name (paper|bench|million) or a spec.json path",
+                )?);
             }
-            "--top" => {
-                i += 1;
-                opts.top = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--top needs a row count")?,
-                );
-            }
-            "--profile" => opts.profile = true,
-            "--smoke" => opts.smoke = true,
+            "--top" => opts.top = Some(value(&mut args).ok_or("--top needs a row count")?),
             "--iters" => {
-                i += 1;
-                opts.iters = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
+                opts.iters = value(&mut args)
                     .filter(|&n| n >= 1)
                     .ok_or("--iters needs a positive count")?;
             }
-            other if !other.starts_with("--") && opts.path.is_none() => {
-                opts.path = Some(other.to_string());
-            }
+            other if kind == PATH => opts.path = Some(other.to_string()),
             other => return Err(format!("unknown option `{other}`")),
         }
-        i += 1;
     }
     Ok(opts)
 }
@@ -476,12 +396,7 @@ fn emit(record: &ExperimentRecord, json: bool) {
             serde_json::to_string_pretty(record).expect("records serialize")
         );
     } else {
-        println!("== {} — {} ==", record.id, record.title);
-        println!("{}", record.text);
-        for note in &record.notes {
-            println!("note: {note}");
-        }
-        println!();
+        println!("{}", record.to_text());
     }
 }
 
@@ -833,23 +748,7 @@ fn render_serve_span(span: &serde_json::Value, depth: usize) {
 /// document, so CI can gate the `/v1/metrics` format.
 fn metrics_check(target: &str) -> Result<(), Failure> {
     let text = if let Some(rest) = target.strip_prefix("http://") {
-        let (addr, path) = rest.split_at(rest.find('/').unwrap_or(rest.len()));
-        if addr.is_empty() {
-            return Err(Failure::Usage(format!("no host in metrics URL `{target}`")));
-        }
-        let path = if path.is_empty() { "/v1/metrics" } else { path };
-        let response = http_call(addr, "GET", path, "")
-            .map_err(|e| Failure::Io(format!("fetching {target}: {e}")))?;
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .unwrap_or((response.as_str(), ""));
-        if !head.starts_with("HTTP/1.1 200") {
-            return Err(Failure::Other(format!(
-                "{target}: {}",
-                head.lines().next().unwrap_or("empty response")
-            )));
-        }
-        body.to_string()
+        http_get(target, rest, "metrics", "/v1/metrics")?
     } else {
         std::fs::read_to_string(target)
             .map_err(|e| Failure::Io(format!("reading {target}: {e}")))?
@@ -880,22 +779,7 @@ fn metrics_check(target: &str) -> Result<(), Failure> {
 /// under the `execute` span.
 fn trace(target: &str) -> Result<(), Failure> {
     if let Some(rest) = target.strip_prefix("http://") {
-        let (addr, path) = rest.split_at(rest.find('/').unwrap_or(rest.len()));
-        if addr.is_empty() {
-            return Err(Failure::Usage(format!("no host in trace URL `{target}`")));
-        }
-        let path = if path.is_empty() { "/" } else { path };
-        let response = http_call(addr, "GET", path, "")
-            .map_err(|e| Failure::Io(format!("fetching {target}: {e}")))?;
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .unwrap_or((response.as_str(), ""));
-        if !head.starts_with("HTTP/1.1 200") {
-            return Err(Failure::Other(format!(
-                "{target}: {}",
-                head.lines().next().unwrap_or("empty response")
-            )));
-        }
+        let body = http_get(target, rest, "trace", "/")?;
         let tree: serde_json::Value = serde_json::from_str(body.trim())
             .map_err(|e| Failure::Other(format!("{target}: unparseable trace body: {e}")))?;
         println!(
@@ -1064,6 +948,15 @@ fn bench(opts: &Options) -> Result<(), Failure> {
     Ok(())
 }
 
+/// The simulation effort `--full` selects.
+const fn effort(opts: &Options) -> SimEffort {
+    if opts.full {
+        SimEffort::Full
+    } else {
+        SimEffort::Quick
+    }
+}
+
 /// Spot-checks `icn explore --grid` runs against the simulator.
 const EXPLORE_SPOT_CHECKS: usize = 4;
 
@@ -1194,133 +1087,113 @@ fn explore_grid(opts: &Options) -> Result<(), Failure> {
     Ok(())
 }
 
-/// One ad-hoc HTTP exchange against a running server (`metrics`/`trace`).
-fn http_call(addr: &str, method: &str, path: &str, body: &str) -> Result<String, String> {
+/// GET `target` from a running server (`metrics`/`trace`) and return the
+/// body of a 200 response. `rest` is `target` after `http://`; an empty
+/// path means `default_path`.
+fn http_get(target: &str, rest: &str, what: &str, default_path: &str) -> Result<String, Failure> {
     use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| e.to_string())?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| e.to_string())?;
-    Ok(response)
+    let (addr, path) = rest.split_at(rest.find('/').unwrap_or(rest.len()));
+    if addr.is_empty() {
+        return Err(Failure::Usage(format!("no host in {what} URL `{target}`")));
+    }
+    let path = if path.is_empty() { default_path } else { path };
+    let exchange = || -> std::io::Result<String> {
+        let mut stream = std::net::TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
+        write!(
+            stream,
+            "GET {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\n\r\n"
+        )?;
+        let mut response = String::new();
+        stream.read_to_string(&mut response)?;
+        Ok(response)
+    };
+    let response = exchange().map_err(|e| Failure::Io(format!("fetching {target}: {e}")))?;
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .unwrap_or((response.as_str(), ""));
+    if !head.starts_with("HTTP/1.1 200") {
+        return Err(Failure::Other(format!(
+            "{target}: {}",
+            head.lines().next().unwrap_or("empty response")
+        )));
+    }
+    Ok(body.to_string())
 }
 
 fn run(args: &[String]) -> Result<(), Failure> {
     let command = args.first().map_or("help", String::as_str);
+    let rest = args.get(1..).unwrap_or(&[]);
     if command == "lint" {
         // `lint` takes positional subcommand + path arguments that the
         // global option parser would reject, so it parses its own.
-        return lint(args.get(1..).unwrap_or(&[]));
+        return lint(rest);
     }
-    let opts = parse_options(args.get(1..).unwrap_or(&[])).map_err(Failure::Usage)?;
-    let effort = if opts.full {
-        SimEffort::Full
+    if let Some(experiment) = experiments::find(command) {
+        let accepts = format!("--json {}", experiment_flag(experiment));
+        let opts = parse_options(command, &accepts, rest).map_err(Failure::Usage)?;
+        emit(&experiment.run(&opts.tech, effort(&opts)), opts.json);
+        return Ok(());
+    }
+    let command = if matches!(command, "--help" | "-h") {
+        "help"
     } else {
-        SimEffort::Quick
+        command
     };
+    let (command, accepts) = if command == "explore" && rest.iter().any(|a| a == "--grid") {
+        EXPLORE_GRID
+    } else {
+        *COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .ok_or_else(|| Failure::Usage(format!("unknown command `{command}`")))?
+    };
+    let opts = parse_options(command, accepts, rest).map_err(Failure::Usage)?;
 
     match command {
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-        }
+        "help" => println!("{}", usage()),
         "list" => {
-            for r in experiments::analytic_experiments(&opts.tech) {
-                println!("{:14} {}", r.id, r.title);
+            for e in &EXPERIMENTS {
+                println!(
+                    "{:14} {:20} {:7} {}{}",
+                    e.id,
+                    e.command,
+                    experiment_flag(e),
+                    e.title,
+                    if e.simulated() { " (sim)" } else { "" }
+                );
             }
-            println!("{:14} Simulator vs analytic (sim)", "E4-validation");
-            println!(
-                "{:14} MCC crosspoint-level abstraction check (sim)",
-                "E4-mesh"
-            );
-            println!("{:14} Loaded network (sim)", "X1");
-            println!("{:14} Ablations (sim)", "X2");
-            println!("{:14} Closed-loop round trips (sim)", "X3");
-            println!("{:14} Queueing baseline vs simulator (sim)", "X6");
-            println!("{:14} Fault tolerance / graceful degradation (sim)", "X10");
-            println!("{:14} Saturation onset: occupancy over time (sim)", "X11");
         }
         "all" => {
-            for r in experiments::analytic_experiments(&opts.tech) {
-                emit(&r, opts.json);
+            for e in EXPERIMENTS.iter().filter(|e| !e.simulated()) {
+                emit(&e.run(&opts.tech, effort(&opts)), opts.json);
             }
         }
         "report" => {
-            let mut records = experiments::analytic_experiments(&opts.tech);
-            records.extend(experiments::simulation_experiments(effort));
-            let md = icn_core::report::markdown(
-                &format!(
-                    "Franklin & Dhar 1986 reproduction — full evidence ({})",
-                    opts.tech.name
-                ),
-                &records,
-            );
-            std::fs::write("REPORT.md", md)
-                .map_err(|e| Failure::Io(format!("writing REPORT.md: {e}")))?;
+            let records = experiments::run_all(&opts.tech, effort(&opts));
+            report::write_report(std::path::Path::new("REPORT.md"), &opts.tech, &records)
+                .map_err(Failure::Io)?;
             println!("wrote REPORT.md ({} experiments)", records.len());
         }
         "dump" => {
-            // Write every record (analytic + simulated) as .txt into
-            // ./results — the one-command reproduction package. `--json`
-            // on each record's own command prints its structured form.
-            let dir = std::path::Path::new("results");
-            std::fs::create_dir_all(dir)
-                .map_err(|e| Failure::Io(format!("creating results/: {e}")))?;
-            let mut records = experiments::analytic_experiments(&opts.tech);
-            records.extend(experiments::simulation_experiments(effort));
-            for r in &records {
-                let txt = dir.join(format!("{}.txt", r.id.replace('/', "_")));
-                let mut text = format!("== {} — {} ==\n{}\n", r.id, r.title, r.text);
-                for note in &r.notes {
-                    text.push_str(&format!("note: {note}\n"));
-                }
-                std::fs::write(&txt, text)
-                    .map_err(|e| Failure::Io(format!("writing {txt:?}: {e}")))?;
-                println!("wrote {} ({})", txt.display(), r.title);
+            // Every record as .txt in ./results: the one-command
+            // reproduction package. `--json` on each record's own command
+            // prints its structured form.
+            let records = experiments::run_all(&opts.tech, effort(&opts));
+            let paths = report::write_results(std::path::Path::new("results"), &records)
+                .map_err(Failure::Io)?;
+            for (path, r) in paths.iter().zip(&records) {
+                println!("wrote {} ({})", path.display(), r.title);
             }
         }
-        "table1" => emit(&experiments::table1(&opts.tech), opts.json),
-        "table2-pins" => emit(&experiments::table2_pins(&opts.tech), opts.json),
-        "table3-area" => emit(&experiments::table3_area(&opts.tech), opts.json),
-        "delay-table" => emit(&experiments::delay_table(), opts.json),
-        "fig1-topology" => emit(&experiments::fig1_topology(), opts.json),
         "fig1-dot" => {
             // Graphviz rendering of a (small) network; --ports controls the
             // size, default Figure 1's 16 ports of 2×2 modules.
-            let ports = if opts.ports == 256 { 16 } else { opts.ports };
-            let plan = StagePlan::balanced_pow2(ports, 2).ok_or_else(|| {
+            let plan = StagePlan::balanced_pow2(opts.ports.unwrap_or(16), 2).ok_or_else(|| {
                 Failure::Usage("--ports must be a power of two for fig1-dot".into())
             })?;
             println!("{}", icn_topology::Topology::new(plan).to_dot());
         }
-        "fig2-blocking" => emit(&experiments::fig2_blocking(), opts.json),
-        "board-layout" => emit(&experiments::board_layout(&opts.tech), opts.json),
-        "clock-budget" => emit(&experiments::clock_budget(&opts.tech), opts.json),
-        "example-2048" => emit(&experiments::example2048(&opts.tech), opts.json),
-        "cost" => emit(&experiments::cost_comparison(), opts.json),
-        "clock-schemes" => emit(&experiments::clock_schemes(&opts.tech), opts.json),
-        "blocking-validation" => emit(&experiments::blocking_validation(), opts.json),
-        "scaling" => emit(&experiments::scaling_study(&opts.tech), opts.json),
-        "tech-evolution" => emit(&experiments::tech_evolution(), opts.json),
-        "power" => emit(&experiments::power_budget(&opts.tech), opts.json),
-        "dmc-scaling" => emit(&experiments::dmc_scaling(&opts.tech), opts.json),
-        "sensitivity" => emit(&experiments::sensitivity(&opts.tech), opts.json),
-        "queueing" => emit(&experiments::queueing_model(effort), opts.json),
-        "sim-validation" => emit(&experiments::sim_validation(), opts.json),
-        "mesh-validation" => emit(&experiments::mesh_validation(), opts.json),
-        "loaded" => emit(&experiments::loaded_network(effort), opts.json),
-        "ablations" => emit(&experiments::ablations(effort), opts.json),
-        "roundtrip" => emit(&experiments::roundtrip_sim(effort), opts.json),
-        "fault-tolerance" => emit(&experiments::fault_tolerance(effort), opts.json),
-        "saturation" => emit(&experiments::saturation_onset(effort), opts.json),
         "inspect" => {
             let path = opts.path.as_deref().ok_or_else(|| {
                 Failure::Usage(
@@ -1351,7 +1224,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         "serve" => serve(&opts)?,
         "bench" => bench(&opts)?,
-        "explore" if opts.grid.is_some() => explore_grid(&opts)?,
+        "explore --grid" => explore_grid(&opts)?,
         "explore" => {
             let designs = explore::explore(&opts.tech, &explore::ExploreSpec::paper_space());
             if opts.json {
@@ -1391,7 +1264,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             }
         }
         "simulate" => {
-            let plan = StagePlan::balanced_pow2(opts.ports, 16)
+            let plan = StagePlan::balanced_pow2(opts.ports.unwrap_or(256), 16)
                 .ok_or_else(|| Failure::Usage("--ports must be a power of two ≥ 2".into()))?;
             let mut config = SimConfig::paper_baseline(
                 plan,

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use franklin_dhar_icn::experiments::{Runner, EXPERIMENTS};
+
 fn icn(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_icn"))
         .args(args)
@@ -653,6 +655,8 @@ fn inspect_labels_unknown_dump_tags_instead_of_aborting() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--ports` sizes the drawing, 256 included: each port count P draws one
+/// edge per line into each of the log2(P) stages and one out of the last.
 #[test]
 fn fig1_dot_emits_graphviz() {
     let (ok, stdout, _) = icn(&["fig1-dot"]);
@@ -660,6 +664,13 @@ fn fig1_dot_emits_graphviz() {
     assert!(stdout.starts_with("digraph network {"));
     assert!(stdout.contains("s0m0"));
     assert!(stdout.contains("-> out15;"));
+    assert_eq!(stdout.matches(" -> ").count(), 16 * 5);
+    for (ports, stages) in [(64, 6), (256, 8)] {
+        let (ok, stdout, stderr) = icn(&["fig1-dot", "--ports", &ports.to_string()]);
+        assert!(ok, "{stderr}");
+        assert_eq!(stdout.matches(" -> ").count(), ports * (stages + 1));
+        assert!(stdout.contains(&format!("-> out{};", ports - 1)));
+    }
 }
 
 /// The published reproduction is what the code writes: `dump` rewrites
@@ -753,8 +764,37 @@ fn exit_codes_are_distinct_and_stable() {
     let (code, _, _) = icn_status(&["table1"]);
     assert_eq!(code, 0);
 
-    // 2 — usage errors print the message to stderr, then the usage text.
-    for args in [
+    // 2 — usage errors print the message to stderr, then the usage text,
+    // and run nothing. One misplaced flag per command: a flag (or bare
+    // argument) the command does not read is refused, never ignored, and
+    // each experiment refuses the flag of the other runner kinds.
+    let tech = ["--tech", "paper-1986-mos-pga"];
+    let mut misplaced: Vec<Vec<&str>> = vec![
+        vec!["table1", "--load", "0.5", "--threads", "9"],
+        vec!["table1", "extra"],
+        vec!["help", "--json"],
+        vec!["list", tech[0], tech[1]],
+        vec!["all", "--full"],
+        vec!["dump", "--json"],
+        vec!["report", "--json"],
+        vec!["fig1-dot", "--json"],
+        vec!["explore", "--threads", "2"],
+        vec!["explore", "--grid", "paper", tech[0], tech[1]],
+        vec!["simulate", tech[0], tech[1]],
+        vec!["inspect", "dump.jsonl", "--json"],
+        vec!["trace", "dump.jsonl", "second.jsonl"],
+        vec!["metrics", "metrics.txt", "--full"],
+        vec!["bench", "--load", "0.5"],
+        vec!["serve", "--json"],
+        vec!["lint", "--full"],
+    ];
+    for e in &EXPERIMENTS {
+        misplaced.push(match e.runner {
+            Runner::Effort(_) => vec![e.command, tech[0], tech[1]],
+            _ => vec![e.command, "--full"],
+        });
+    }
+    for args in misplaced.into_iter().chain([
         vec!["frobnicate"],
         vec!["simulate", "--ports", "100"],
         vec!["simulate", "--ports", "16", "--width", "0"],
@@ -774,9 +814,10 @@ fn exit_codes_are_distinct_and_stable() {
         vec!["bench", "--serve"],
         vec!["bench", "--explore"],
         vec!["bench", "--baseline", "x"],
-    ] {
-        let (code, _, stderr) = icn_status(&args);
+    ]) {
+        let (code, stdout, stderr) = icn_status(&args);
         assert_eq!(code, 2, "args {args:?}: {stderr}");
+        assert!(stdout.is_empty(), "args {args:?} ran: {stdout}");
         assert!(stderr.starts_with("error: "), "args {args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "args {args:?}: {stderr}");
     }

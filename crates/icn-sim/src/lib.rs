@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod blocking;
 mod config;
 pub mod dmux;
 mod due;

@@ -1,8 +1,8 @@
 //! Golden integration tests: every headline number the paper prints,
 //! checked end to end through the public API of the umbrella crate.
 
-use franklin_dhar_icn::core::experiments;
 use franklin_dhar_icn::core::{delay, DesignPoint};
+use franklin_dhar_icn::experiments::{SimEffort, EXPERIMENTS};
 use franklin_dhar_icn::phys::{area, pins, ClockBudget, ClockScheme, CrossbarKind};
 use franklin_dhar_icn::tech::presets;
 use franklin_dhar_icn::topology::{blocking, StagePlan};
@@ -102,7 +102,11 @@ fn example_2048_conclusion() {
 /// Every analytic experiment renders non-trivially and with stable ids.
 #[test]
 fn experiment_harness_covers_all_artifacts() {
-    let records = experiments::analytic_experiments(&presets::paper1986());
+    let records: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| !e.simulated())
+        .map(|e| e.run(&presets::paper1986(), SimEffort::Quick))
+        .collect();
     let ids: Vec<&str> = records.iter().map(|r| r.id.as_str()).collect();
     assert_eq!(
         ids,
