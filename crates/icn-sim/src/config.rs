@@ -16,6 +16,14 @@ use crate::telemetry::TelemetryConfig;
 /// 1,000-flit store-and-forward parity case.
 pub const MAX_FLITS_PER_PACKET: u64 = 1 << 20;
 
+/// The most packets an input buffer may hold. The engine stores every
+/// input's buffers as a fixed ring of this many slots at most, allocated
+/// when it is built, so [`SimConfig::validate`] rejects deeper buffers
+/// first. 64 is eight times the deepest buffer any experiment or test
+/// runs (8), and far past the depth of about 4 that captures most of the
+/// buffering gain (§2).
+pub const MAX_BUFFER_CAPACITY: u32 = 64;
+
 /// Which chip implementation's timing the modules use (§2.2/§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChipModel {
@@ -84,7 +92,8 @@ pub struct SimConfig {
     /// [`MAX_FLITS_PER_PACKET`] flits of `width` bits.
     pub packet_bits: u32,
     /// Input-buffer capacity in packets (1 in the paper's baseline; ~4
-    /// captures most of the buffering gain per the studies cited in §2).
+    /// captures most of the buffering gain per the studies cited in §2),
+    /// 1 to [`MAX_BUFFER_CAPACITY`].
     pub buffer_capacity: u32,
     /// Pass-through (cut-through) enabled; disabling it forces full
     /// store-and-forward buffering at every module.
@@ -202,9 +211,10 @@ impl SimConfig {
     /// # Errors
     /// Returns [`SimError::InvalidConfig`] on a parameter outside its
     /// domain (zero width, a zero packet or one above
-    /// [`MAX_FLITS_PER_PACKET`] flits, zero buffers, a measurement window
-    /// of zero cycles, a workload whose load or pattern does not fit the
-    /// network; see [`Workload::validate`]) and [`SimError::InvalidFault`]
+    /// [`MAX_FLITS_PER_PACKET`] flits, zero buffers or more than
+    /// [`MAX_BUFFER_CAPACITY`], a measurement window of zero cycles, a
+    /// workload whose load or pattern does not fit the network; see
+    /// [`Workload::validate`]) and [`SimError::InvalidFault`]
     /// if the fault plan names hardware the stage plan does not have.
     pub fn validate(&self) -> Result<(), SimError> {
         fn require(ok: bool, msg: &str) -> Result<(), SimError> {
@@ -227,6 +237,12 @@ impl SimConfig {
             self.buffer_capacity >= 1,
             "each input needs at least one buffer",
         )?;
+        if self.buffer_capacity > MAX_BUFFER_CAPACITY {
+            return Err(SimError::InvalidConfig(format!(
+                "an input may hold at most {MAX_BUFFER_CAPACITY} packets, got {}",
+                self.buffer_capacity
+            )));
+        }
         require(
             self.measure_cycles >= 1,
             "measurement window must be non-empty",
@@ -327,6 +343,32 @@ mod tests {
         refused(c.validate());
     }
 
+    /// An engine whose inputs hold the deepest admitted buffer builds and
+    /// simulates, and conserves its packets; a deeper one is refused
+    /// before anything is allocated for it.
+    #[test]
+    fn engine_at_the_buffer_bound_builds_and_runs() {
+        use crate::{Engine, EngineOptions};
+        let mut c = SimConfig::paper_baseline(
+            StagePlan::uniform(4, 2),
+            ChipModel::Dmc,
+            4,
+            Workload::uniform(0.3),
+        );
+        c.buffer_capacity = MAX_BUFFER_CAPACITY;
+        c.warmup_cycles = 100;
+        c.measure_cycles = 1_000;
+        c.drain_cycles = 2_000;
+        let result = crate::try_run(c.clone()).expect("the bound is admitted");
+        assert!(result.conservation_ok());
+        assert!(result.delivered_in_window > 0);
+        c.buffer_capacity = u32::MAX;
+        assert!(matches!(
+            Engine::try_with_options(c, EngineOptions::default()),
+            Err(SimError::InvalidConfig(_))
+        ));
+    }
+
     #[test]
     #[should_panic(expected = "at least 2")]
     fn radix_one_head_latency_panics() {
@@ -347,6 +389,19 @@ mod tests {
         c.width = 0;
         assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
         c.width = 1;
+        // Buffer depth: the bound is admitted, one more is refused.
+        c.buffer_capacity = MAX_BUFFER_CAPACITY;
+        assert!(c.validate().is_ok());
+        c.buffer_capacity = MAX_BUFFER_CAPACITY + 1;
+        match c.validate() {
+            Err(SimError::InvalidConfig(message)) => {
+                assert!(message.contains("at most 64 packets"), "{message:?}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        c.buffer_capacity = 0;
+        assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
+        c.buffer_capacity = 1;
         // Every workload precondition `Pattern::destination` would panic
         // on, checked against this 16-port network (odd-bit and non-power-
         // of-two networks for the address-bit patterns).

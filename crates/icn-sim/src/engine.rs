@@ -47,9 +47,12 @@
 //! * **Entry tables** — `entry[stage][line]` precomputes
 //!   `Topology::stage_input` into a flat port index, removing div/mod
 //!   from every grant and source entry.
-//! * **Flat stages** — each stage stores its ports module-major in two
-//!   contiguous arrays (see [`crate::module`]).
-//! * **Due-time arrays** — beside its queues, each stage keeps
+//! * **Flat stages** — each stage stores its ports module-major in
+//!   contiguous arrays, its input buffers included: every input's FIFO
+//!   is a fixed ring of `buffer_capacity` slots in one flat slot array
+//!   per stage, with a head and a length per port, so no port owns a
+//!   heap buffer (see [`crate::module`]).
+//! * **Due-time arrays** — beside its buffers, each stage keeps
 //!   `ready_at[p]` (the next cycle worth examining port `p`'s ungranted
 //!   front) and `vacate_at[p]` (the cycle its granted front leaves) in
 //!   two flat `u64` arrays (see [`crate::module`]); each source keeps the
@@ -302,7 +305,10 @@ impl Engine {
         let stages: Vec<Stage> = radices
             .iter()
             .enumerate()
-            .map(|(i, &r)| Stage::new(r, config.plan.modules_in_stage(i as u32), ready_offset))
+            .map(|(i, &r)| {
+                let modules = config.plan.modules_in_stage(i as u32);
+                Stage::new(r, modules, config.buffer_capacity, ready_offset)
+            })
             .collect();
         let ports = config.plan.ports();
         let stage_count = config.plan.stages() as usize;

@@ -59,7 +59,7 @@ mod sweep;
 pub mod telemetry;
 mod trace;
 
-pub use config::{Arbitration, ChipModel, SimConfig, MAX_FLITS_PER_PACKET};
+pub use config::{Arbitration, ChipModel, SimConfig, MAX_BUFFER_CAPACITY, MAX_FLITS_PER_PACKET};
 pub use engine::{Delivery, DroppedPacket, Engine, STOP_POLL_CYCLES};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, RetryPolicy, StallReport};

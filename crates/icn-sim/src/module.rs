@@ -6,11 +6,27 @@
 //! `Vec<Module<Vec<Port>>>` pointer chase. Buffer slots hold a 4-byte
 //! [`PacketRef`] into the engine's packet arena, not the packet itself.
 //!
+//! # Input buffers
+//!
+//! Like the paper's module inputs (§2), every input port has a fixed
+//! number of packet buffers, `SimConfig::buffer_capacity`, and the
+//! buffer-full line keeps it from ever holding more. So a stage keeps
+//! all its buffers in one flat array of `ports × capacity` slots
+//! ([`Buffers`]): port `p` owns the fixed ring
+//! `slots[p * capacity .. (p + 1) * capacity]`, and a per-port head and
+//! length say where its FIFO starts and how many slots it fills. Reading
+//! a front is one index computation into that array, with no per-port
+//! heap buffer to chase, and a stage makes two allocations for its
+//! buffers however many ports it has. The back-pressure checks guarantee
+//! a free slot before every push; a push into a full port is a caller
+//! error that debug builds assert and release builds refuse rather than
+//! overwrite the port's front.
+//!
 //! # Due-time arrays
 //!
-//! Next to the queues, each stage keeps two flat `u64` arrays indexed
+//! Next to the buffers, each stage keeps two flat `u64` arrays indexed
 //! like them, so the vacate and grant sweeps can find the ports with work
-//! due without touching a queue. Each lives in a [`DueTimes`], whose
+//! due without touching a buffer. Each lives in a [`DueTimes`], whose
 //! calendar keeps the set of ports due now: the vacate sweep walks
 //! `vacate_at`'s set and the grant sweep `ready_at`'s, in port order, and
 //! neither reads an array end to end (see [`crate::due`]):
@@ -36,7 +52,7 @@
 //! table's digit), set when the packet is pushed, and a third flat array
 //! `front_tag[p]` holds the front slot's tag ([`NO_TAG`] for an empty
 //! port). The grant sweep and the downstream wakes read a head's tag
-//! from it without touching the queue, the packet arena or the route
+//! from it without touching the buffer, the packet arena or the route
 //! table.
 //!
 //! Only four operations change a port's front — a push into an empty
@@ -47,9 +63,9 @@
 //! [`DueTimes::set`], which keeps the calendar in step with its array.
 //! That keeps the invariant in this file alone.
 
-use std::collections::VecDeque;
 use std::num::NonZeroU64;
 
+use crate::config::MAX_BUFFER_CAPACITY;
 use crate::due::{DueTimes, NEVER, UNTIL_DRAINED};
 use crate::store::PacketRef;
 
@@ -58,6 +74,7 @@ pub(crate) const NO_TAG: u32 = u32::MAX;
 
 /// A packet occupying (or reserved into) one input-buffer slot.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Slot {
     /// The packet, by arena reference.
     packet: PacketRef,
@@ -77,6 +94,14 @@ struct Slot {
 const _: () = assert!(size_of::<Slot>() == 24);
 
 impl Slot {
+    /// What a slot holds before its first push; never read as a packet.
+    const EMPTY: Self = Self {
+        packet: PacketRef(0),
+        tag: NO_TAG,
+        head_arrival: 0,
+        vacate_at: None,
+    };
+
     fn granted(&self) -> bool {
         self.vacate_at.is_some()
     }
@@ -87,25 +112,111 @@ impl Slot {
     }
 }
 
-/// One module input port's FIFO of buffer slots. Its length counts both
-/// resident packets and in-flight reservations, which is exactly what
-/// the paper's buffer-full line signals upstream. Only the front slot
-/// can be granted: the next one waits for it to vacate.
-type Queue = VecDeque<Slot>;
+/// Where one port's FIFO lies in its ring: the front slot's offset and
+/// how many slots are filled. The length counts both resident packets
+/// and in-flight reservations, which is exactly what the paper's
+/// buffer-full line signals upstream.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ring {
+    head: u32,
+    len: u32,
+}
 
-/// The due cycle of `queue`'s front if it is parked (its `ready_at` moved
-/// off its natural ready cycle) and not yet due at `now`.
-fn pending_park(queue: &Queue, ready_at: u64, ready_offset: u64, now: u64) -> Option<u64> {
-    let front = queue.front()?;
+/// One stage's input buffers: every port's FIFO of slots, each in its
+/// own fixed ring of one flat array (see the module docs). Only the
+/// front slot can be granted: the next one waits for it to vacate.
+#[derive(Debug)]
+struct Buffers {
+    /// Each port's front offset and length.
+    rings: Vec<Ring>,
+    /// `capacity` slots per port; port `p`'s ring is
+    /// `slots[p * capacity .. (p + 1) * capacity]`.
+    slots: Vec<Slot>,
+    /// Slots per port, 1 to [`MAX_BUFFER_CAPACITY`].
+    capacity: usize,
+}
+
+impl Buffers {
+    fn new(ports: usize, capacity: u32) -> Self {
+        assert!(
+            (1..=MAX_BUFFER_CAPACITY).contains(&capacity),
+            "buffer capacity {capacity} outside 1..={MAX_BUFFER_CAPACITY}"
+        );
+        let capacity = capacity as usize;
+        // Rings before slots: the benchmark's set-up times read the heap
+        // layout this order leaves (DESIGN.md §7.3, flat input rings).
+        Self {
+            rings: vec![Ring::default(); ports],
+            slots: vec![Slot::EMPTY; ports * capacity],
+            capacity,
+        }
+    }
+
+    /// How many slots port `p` fills.
+    fn len(&self, p: usize) -> usize {
+        self.rings[p].len as usize
+    }
+
+    /// The index in `slots` of port `p`'s slot `offset` places behind its
+    /// front (`offset < capacity`).
+    fn index(&self, p: usize, offset: usize) -> usize {
+        let at = self.rings[p].head as usize + offset;
+        let at = if at >= self.capacity {
+            at - self.capacity
+        } else {
+            at
+        };
+        p * self.capacity + at
+    }
+
+    fn front(&self, p: usize) -> Option<&Slot> {
+        (self.rings[p].len > 0).then(|| &self.slots[self.index(p, 0)])
+    }
+
+    fn front_mut(&mut self, p: usize) -> Option<&mut Slot> {
+        let at = self.index(p, 0);
+        (self.rings[p].len > 0).then(|| &mut self.slots[at])
+    }
+
+    /// Append `slot` behind port `p`'s last slot. The caller has checked
+    /// for room: a full port is left as it is (see the module docs).
+    fn push_back(&mut self, p: usize, slot: Slot) {
+        let len = self.len(p);
+        debug_assert!(len < self.capacity, "push into full input port {p}");
+        if len < self.capacity {
+            let at = self.index(p, len);
+            self.slots[at] = slot;
+            self.rings[p].len += 1;
+        }
+    }
+
+    /// Remove and return port `p`'s front slot.
+    fn pop_front(&mut self, p: usize) -> Option<Slot> {
+        let slot = *self.front(p)?;
+        let ring = &mut self.rings[p];
+        ring.head = if ring.head as usize + 1 == self.capacity {
+            0
+        } else {
+            ring.head + 1
+        };
+        ring.len -= 1;
+        Some(slot)
+    }
+}
+
+/// The due cycle of `front` if it is parked (its `ready_at` moved off
+/// its natural ready cycle) and not yet due at `now`.
+fn pending_park(front: Option<&Slot>, ready_at: u64, ready_offset: u64, now: u64) -> Option<u64> {
+    let front = front?;
     (ready_at > now && !front.granted() && ready_at != front.head_arrival + ready_offset)
         .then_some(ready_at)
 }
 
 /// One stage's input ports together with their due-time arrays — the
-/// only way to change a port's queue (see the module docs).
+/// only way to change a port's buffers (see the module docs).
 #[derive(Debug)]
 pub(crate) struct InputPorts<'a> {
-    queues: &'a mut [Queue],
+    buffers: &'a mut Buffers,
     ready: &'a mut DueTimes,
     vacate: &'a mut DueTimes,
     front_tag: &'a mut [u32],
@@ -143,15 +254,15 @@ impl InputPorts<'_> {
 
     /// Whether port `p` can accept a new packet (or reservation).
     pub fn has_space(&self, p: usize, capacity: u32) -> bool {
-        self.queues[p].len() < capacity as usize
+        self.buffers.len(p) < capacity as usize
     }
 
     /// Port `p`'s front packet if it is ready to request its output at
     /// `now` — present, not yet granted, and its head (cut-through) or
-    /// tail (store-and-forward) has arrived — read from the queue itself:
+    /// tail (store-and-forward) has arrived — read from the buffer itself:
     /// the reference `ready_at` must agree with.
     pub fn requesting_head(&self, p: usize, now: u64) -> Option<PacketRef> {
-        let front = self.queues[p].front()?;
+        let front = self.buffers.front(p)?;
         if front.granted() || front.head_arrival + self.ready_offset > now {
             None
         } else {
@@ -161,13 +272,13 @@ impl InputPorts<'_> {
 
     /// Port `p`'s front output tag if its head is due for examination at
     /// `now`: one `ready_at` compare and the cached tag, without touching
-    /// the queue. A parked head requests but is not due. Debug builds
+    /// the buffer. A parked head requests but is not due. Debug builds
     /// check a due port against [`Self::requesting_head`].
     pub fn ready_tag(&self, p: usize, now: u64) -> Option<u32> {
         let ready = self.ready.at(p) <= now;
         debug_assert!(
             !ready || self.requesting_head(p, now).is_some(),
-            "ready_at disagrees with input port {p}'s queue at cycle {now}"
+            "ready_at disagrees with input port {p}'s buffer at cycle {now}"
         );
         ready.then(|| self.front_tag[p])
     }
@@ -175,14 +286,14 @@ impl InputPorts<'_> {
     /// Port `p`'s front packet, granted or not (debug builds check cached
     /// tags against its route).
     pub fn front_packet(&self, p: usize) -> Option<PacketRef> {
-        self.queues[p].front().map(|front| front.packet)
+        self.buffers.front(p).map(|front| front.packet)
     }
 
     /// The cycle port `p`'s front head became (or becomes) ready to
     /// request — `ready_at` before any park; [`NEVER`] for an empty port.
     pub fn ready_cycle(&self, p: usize) -> u64 {
-        self.queues[p]
-            .front()
+        self.buffers
+            .front(p)
             .map_or(NEVER, |front| front.head_arrival + self.ready_offset)
     }
 
@@ -190,7 +301,12 @@ impl InputPorts<'_> {
     /// and not yet due at `now` ([`UNTIL_DRAINED`]: parked on a full
     /// downstream buffer).
     pub fn park_of(&self, p: usize, now: u64) -> Option<u64> {
-        pending_park(&self.queues[p], self.ready.at(p), self.ready_offset, now)
+        pending_park(
+            self.buffers.front(p),
+            self.ready.at(p),
+            self.ready_offset,
+            now,
+        )
     }
 
     /// Port `p`'s front output tag if its head is parked on a full
@@ -204,7 +320,7 @@ impl InputPorts<'_> {
     /// downstream buffer is full.
     pub fn park(&mut self, p: usize, until: u64) {
         debug_assert!(
-            self.queues[p].front().is_some_and(
+            self.buffers.front(p).is_some_and(
                 |front| !front.granted() && front.head_arrival + self.ready_offset < until
             ),
             "parked input port {p} has no requesting front"
@@ -226,13 +342,16 @@ impl InputPorts<'_> {
     /// `tag`. Behind an existing front nothing due changes, so a parked
     /// front stays parked.
     pub fn push(&mut self, p: usize, packet: PacketRef, head_arrival: u64, tag: u32) {
-        self.queues[p].push_back(Slot {
-            packet,
-            head_arrival,
-            tag,
-            vacate_at: None,
-        });
-        if self.queues[p].len() == 1 {
+        self.buffers.push_back(
+            p,
+            Slot {
+                packet,
+                head_arrival,
+                tag,
+                vacate_at: None,
+            },
+        );
+        if self.buffers.len(p) == 1 {
             self.refresh(p);
         }
     }
@@ -244,7 +363,7 @@ impl InputPorts<'_> {
     /// arbitration error).
     #[must_use]
     pub fn grant_front(&mut self, p: usize, vacate_at: u64) -> Option<PacketRef> {
-        let front = self.queues[p].front_mut()?;
+        let front = self.buffers.front_mut(p)?;
         debug_assert!(!front.granted(), "double grant on input port");
         debug_assert!(vacate_at > 0, "a grant vacates after cycle 0");
         if front.granted() {
@@ -259,13 +378,13 @@ impl InputPorts<'_> {
     /// Drop port `p`'s front slots whose tails have fully left the
     /// buffer. Returns how many slots were freed.
     pub fn vacate(&mut self, p: usize, now: u64) -> u64 {
-        let queue = &mut self.queues[p];
         let mut freed = 0;
-        while queue
-            .front()
+        while self
+            .buffers
+            .front(p)
             .is_some_and(|front| front.vacate_cycle() <= now)
         {
-            queue.pop_front();
+            self.buffers.pop_front(p);
             freed += 1;
         }
         self.refresh(p);
@@ -279,7 +398,7 @@ impl InputPorts<'_> {
     /// droppable).
     #[must_use]
     pub fn drop_front(&mut self, p: usize) -> Option<PacketRef> {
-        let slot = self.queues[p].pop_front()?;
+        let slot = self.buffers.pop_front(p)?;
         debug_assert!(!slot.granted(), "dropped a granted (in-transfer) packet");
         self.refresh(p);
         Some(slot.packet)
@@ -287,7 +406,7 @@ impl InputPorts<'_> {
 
     /// Recompute port `p`'s due times and front tag from its (new) front.
     fn refresh(&mut self, p: usize) {
-        let (ready, vacate, tag) = match self.queues[p].front() {
+        let (ready, vacate, tag) = match self.buffers.front(p) {
             None => (NEVER, NEVER, NO_TAG),
             Some(front) if front.granted() => (NEVER, front.vacate_cycle(), front.tag),
             Some(front) => (front.head_arrival + self.ready_offset, NEVER, front.tag),
@@ -319,10 +438,10 @@ impl OutputPort {
 #[derive(Debug)]
 pub(crate) struct Stage {
     pub radix: u32,
-    /// Input-port queues, module-major: `queues[m * radix + port]`.
-    queues: Vec<Queue>,
+    /// Input-port buffers, module-major: port `m * radix + port`'s ring.
+    buffers: Buffers,
     /// Due-time arrays with their calendars, and front tags, indexed like
-    /// `queues` (see the module docs).
+    /// the ports (see the module docs).
     ready: DueTimes,
     vacate: DueTimes,
     front_tag: Vec<u32>,
@@ -334,14 +453,15 @@ pub(crate) struct Stage {
 }
 
 impl Stage {
-    /// An empty stage of `module_count` radix-`radix` modules. (Per-stage
-    /// head latency lives in the engine's `StageMeta`, shared with the
-    /// grant kernel.)
-    pub fn new(radix: u32, module_count: u32, ready_offset: u64) -> Self {
+    /// An empty stage of `module_count` radix-`radix` modules whose inputs
+    /// hold `buffer_capacity` packets each (1 to [`MAX_BUFFER_CAPACITY`],
+    /// as [`crate::SimConfig::validate`] admits). (Per-stage head latency
+    /// lives in the engine's `StageMeta`, shared with the grant kernel.)
+    pub fn new(radix: u32, module_count: u32, buffer_capacity: u32, ready_offset: u64) -> Self {
         let ports = (radix * module_count) as usize;
         Self {
             radix,
-            queues: (0..ports).map(|_| Queue::new()).collect(),
+            buffers: Buffers::new(ports, buffer_capacity),
             ready: DueTimes::new(ports),
             vacate: DueTimes::new(ports),
             front_tag: vec![NO_TAG; ports],
@@ -366,7 +486,7 @@ impl Stage {
     pub fn split(&mut self) -> (InputPorts<'_>, &mut [OutputPort]) {
         (
             InputPorts {
-                queues: &mut self.queues,
+                buffers: &mut self.buffers,
                 ready: &mut self.ready,
                 vacate: &mut self.vacate,
                 front_tag: &mut self.front_tag,
@@ -383,11 +503,11 @@ impl Stage {
         [&self.ready, &self.vacate]
     }
 
-    /// Each input queue's length, in port order (the engine keeps these
-    /// as counts; debug builds check the counts against this).
+    /// Each input port's buffer occupancy, in port order (the engine
+    /// keeps these as counts; debug builds check the counts against this).
     #[cfg(any(test, debug_assertions))]
     pub fn queue_lens(&self) -> impl Iterator<Item = usize> + '_ {
-        self.queues.iter().map(VecDeque::len)
+        self.buffers.rings.iter().map(|ring| ring.len as usize)
     }
 
     /// Heads parked on a full downstream buffer, counted per output line
@@ -410,10 +530,13 @@ impl Stage {
     /// check the engine's parked gauges against this).
     #[cfg(debug_assertions)]
     pub fn parked(&self, now: u64) -> (u64, u64) {
-        self.queues
+        self.ready
+            .times()
             .iter()
-            .zip(self.ready.times())
-            .filter_map(|(queue, &ready_at)| pending_park(queue, ready_at, self.ready_offset, now))
+            .enumerate()
+            .filter_map(|(p, &ready_at)| {
+                pending_park(self.buffers.front(p), ready_at, self.ready_offset, now)
+            })
             .fold((0, 0), |(busy, downstream), until| {
                 if until == UNTIL_DRAINED {
                     (busy, downstream + 1)
@@ -429,6 +552,7 @@ mod tests {
     use super::*;
     use crate::due::WHEEL;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn packet(id: u32) -> PacketRef {
         PacketRef(id)
@@ -436,7 +560,7 @@ mod tests {
 
     #[test]
     fn drop_front_removes_ungranted_head() {
-        let mut stage = Stage::new(1, 1, 0);
+        let mut stage = Stage::new(1, 1, 2, 0);
         let mut port = stage.inputs();
         port.push(0, packet(3), 0, 0);
         port.push(0, packet(4), 0, 0);
@@ -448,7 +572,7 @@ mod tests {
 
     #[test]
     fn space_accounting_includes_reservations() {
-        let mut stage = Stage::new(1, 1, 0);
+        let mut stage = Stage::new(1, 1, 2, 0);
         let mut port = stage.inputs();
         assert!(port.has_space(0, 1));
         port.push(0, packet(0), 10, 0); // reservation, head arrives later
@@ -458,14 +582,14 @@ mod tests {
 
     #[test]
     fn head_not_ready_until_arrival() {
-        let mut stage = Stage::new(1, 1, 0);
+        let mut stage = Stage::new(1, 1, 1, 0);
         let mut port = stage.inputs();
         port.push(0, packet(0), 10, 0);
         assert!(port.requesting_head(0, 9).is_none());
         assert!(port.requesting_head(0, 10).is_some());
         assert_eq!(port.ready_at()[0], 10);
         // Store-and-forward: ready only after the tail (offset) arrives.
-        let mut stage = Stage::new(1, 1, 24);
+        let mut stage = Stage::new(1, 1, 1, 24);
         let mut port = stage.inputs();
         port.push(0, packet(0), 10, 0);
         assert!(port.requesting_head(0, 10).is_none());
@@ -475,7 +599,7 @@ mod tests {
 
     #[test]
     fn granted_head_stops_requesting_and_vacates() {
-        let mut stage = Stage::new(1, 1, 0);
+        let mut stage = Stage::new(1, 1, 1, 0);
         let mut port = stage.inputs();
         port.push(0, packet(0), 0, 0);
         let p = port.grant_front(0, 25);
@@ -490,7 +614,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut stage = Stage::new(1, 1, 0);
+        let mut stage = Stage::new(1, 1, 2, 0);
         let mut port = stage.inputs();
         port.push(0, packet(0), 0, 0);
         port.push(0, packet(1), 0, 0);
@@ -513,15 +637,18 @@ mod tests {
 
     #[test]
     fn flat_stage_layout_is_module_major() {
-        let mut stage = Stage::new(4, 3, 0);
+        let mut stage = Stage::new(4, 3, 2, 0);
         assert_eq!(stage.inputs().ready_at().len(), 12);
         assert_eq!(stage.outputs.len(), 12);
         assert_eq!(stage.queue_lens().sum::<usize>(), 0);
+        // One flat array holds every port's ring of two slots.
+        assert_eq!(stage.buffers.slots.len(), 24);
+        assert_eq!(stage.buffers.rings.len(), 12);
     }
 
     #[test]
     fn grant_and_drop_on_empty_port_return_none() {
-        let mut stage = Stage::new(1, 1, 0);
+        let mut stage = Stage::new(1, 1, 1, 0);
         let mut port = stage.inputs();
         assert_eq!(port.grant_front(0, 1), None);
         assert_eq!(port.drop_front(0), None);
@@ -544,7 +671,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The due-time arrays agree with the queues after every push,
+        /// The due-time arrays agree with the buffers after every push,
         /// grant, vacate, drop, park and wake: `ready_at[p] <= now` only
         /// when the front requests, and a requesting front is either due
         /// or parked; `ready_at[p]` never falls below the front's natural
@@ -564,7 +691,7 @@ mod tests {
             ready_offset in prop_oneof![Just(0u64), Just(24), Just(2 * WHEEL as u64 + 13)],
             ops in proptest::collection::vec(any::<u64>(), 1..300),
         ) {
-            let mut stage = Stage::new(MODEL_PORTS as u32, 1, ready_offset);
+            let mut stage = Stage::new(MODEL_PORTS as u32, 1, capacity, ready_offset);
             let mut now = 0u64;
             let mut next_packet = 0u32;
             for op in ops {
@@ -573,7 +700,7 @@ mod tests {
                 let mut ports = stage.inputs();
                 match op % 8 {
                     0 if ports.has_space(p, capacity) => {
-                        let behind = !ports.queues[p].is_empty();
+                        let behind = ports.buffers.len(p) > 0;
                         let before = ports.ready_at()[p];
                         ports.push(p, packet(next_packet), now + delay, next_packet % 5);
                         next_packet += 1;
@@ -623,7 +750,7 @@ mod tests {
                     let parked = ports.park_of(q, now).is_some();
                     prop_assert!(ready_at > now || requesting);
                     prop_assert_eq!(requesting, ready_at <= now || parked);
-                    let front = ports.queues[q].front().copied();
+                    let front = ports.buffers.front(q).copied();
                     if front.is_some_and(|front| !front.granted()) {
                         let natural = ports.ready_cycle(q);
                         prop_assert!(ready_at >= natural);
@@ -640,6 +767,125 @@ mod tests {
                     let granted_vacate = front.map_or(NEVER, |front| front.vacate_cycle());
                     prop_assert_eq!(ports.vacate_at()[q], granted_vacate);
                 }
+            }
+        }
+
+        /// The flat rings hold exactly what one `VecDeque` per port would,
+        /// through random pushes, grants, vacates, drops, parks and wakes
+        /// at depths 1 to 8: after every operation each port's length and
+        /// slots, in FIFO order, equal the model's, and so do its
+        /// `ready_at`, `vacate_at` and front tag, computed from the
+        /// model's front and park. Pushes and pops far outnumber any depth,
+        /// so every ring's head wraps many times.
+        #[test]
+        fn flat_rings_match_a_fifo_model(
+            capacity in 1u32..=8,
+            ready_offset in prop_oneof![Just(0u64), Just(24)],
+            ops in proptest::collection::vec(any::<u64>(), 1..400),
+        ) {
+            let mut stage = Stage::new(RING_PORTS as u32, 1, capacity, ready_offset);
+            let mut model: Vec<ModelPort> = (0..RING_PORTS).map(|_| ModelPort::default()).collect();
+            let mut now = 0u64;
+            let mut next_packet = 0u32;
+            for op in ops {
+                let p = (op >> 8) as usize % RING_PORTS;
+                let delay = (op >> 16) % 8;
+                let port = &mut model[p];
+                let ungranted = port.fifo.front().is_some_and(|front| !front.granted());
+                let mut ports = stage.inputs();
+                match op % 10 {
+                    0..=2 if port.fifo.len() < capacity as usize => {
+                        let slot = Slot {
+                            packet: packet(next_packet),
+                            tag: next_packet % 5,
+                            head_arrival: now + delay,
+                            vacate_at: None,
+                        };
+                        next_packet += 1;
+                        ports.push(p, slot.packet, slot.head_arrival, slot.tag);
+                        port.fifo.push_back(slot);
+                    }
+                    3 if ungranted => {
+                        let vacate_at = now + 1 + delay;
+                        let front = port.fifo.front_mut().map(|front| {
+                            front.vacate_at = NonZeroU64::new(vacate_at);
+                            front.packet
+                        });
+                        port.park = None;
+                        prop_assert_eq!(ports.grant_front(p, vacate_at), front);
+                    }
+                    4 => {
+                        let mut freed = 0;
+                        while port.fifo.front().is_some_and(|front| front.vacate_cycle() <= now) {
+                            port.fifo.pop_front();
+                            freed += 1;
+                        }
+                        port.park = None;
+                        prop_assert_eq!(ports.vacate(p, now), freed);
+                    }
+                    5 if ungranted => {
+                        let front = port.fifo.pop_front().map(|front| front.packet);
+                        port.park = None;
+                        prop_assert_eq!(ports.drop_front(p), front);
+                    }
+                    6 if ungranted => {
+                        let until = if delay % 2 == 0 {
+                            ports.ready_cycle(p) + 1 + delay
+                        } else {
+                            UNTIL_DRAINED
+                        };
+                        ports.park(p, until);
+                        port.park = Some(until);
+                    }
+                    7 => {
+                        let woken = port.park.filter(|&until| until > now);
+                        if woken.is_some() {
+                            port.park = None;
+                        }
+                        prop_assert_eq!(ports.unpark(p, now), woken);
+                    }
+                    _ => now += delay,
+                }
+                let ports = stage.inputs();
+                for (q, want) in model.iter().enumerate() {
+                    let len = ports.buffers.len(q);
+                    prop_assert_eq!(len, want.fifo.len());
+                    let fifo: Vec<Slot> = (0..len)
+                        .map(|i| ports.buffers.slots[ports.buffers.index(q, i)])
+                        .collect();
+                    prop_assert_eq!(&fifo, &Vec::from(want.fifo.clone()));
+                    let front = want.fifo.front();
+                    prop_assert_eq!(ports.front_packet(q), front.map(|front| front.packet));
+                    prop_assert_eq!(ports.ready_at()[q], want.ready_at(ready_offset));
+                    prop_assert_eq!(
+                        ports.vacate_at()[q],
+                        front.map_or(NEVER, Slot::vacate_cycle)
+                    );
+                    prop_assert_eq!(ports.front_tag[q], front.map_or(NO_TAG, |front| front.tag));
+                }
+            }
+        }
+    }
+
+    /// Ports in the ring model test's run.
+    const RING_PORTS: usize = 2;
+
+    /// One port of the ring test's model: a plain FIFO and the cycle its
+    /// front is parked until, if it is.
+    #[derive(Default)]
+    struct ModelPort {
+        fifo: VecDeque<Slot>,
+        park: Option<u64>,
+    }
+
+    impl ModelPort {
+        /// The `ready_at` the port's front implies (see the module docs).
+        fn ready_at(&self, ready_offset: u64) -> u64 {
+            match self.fifo.front() {
+                Some(front) if !front.granted() => {
+                    self.park.unwrap_or(front.head_arrival + ready_offset)
+                }
+                _ => NEVER,
             }
         }
     }
