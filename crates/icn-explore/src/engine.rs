@@ -108,8 +108,10 @@ pub struct ExploreOutcome {
     pub frontier: Vec<FrontierPoint>,
     /// Simulator spot-checks of the lowest-delay frontier points.
     pub spot_checks: Vec<SpotCheck>,
-    /// Whether the simulator agreed with the closed-form delay ranking
-    /// across every spot-checked pair (vacuously true with < 2 checks).
+    /// Whether the simulator agreed with the closed form: every measured
+    /// minimum latency is at least its analytic floor, and the minima
+    /// follow the closed-form delay ranking across every spot-checked
+    /// pair (vacuously true with no checks).
     pub ranking_agrees: bool,
 }
 

@@ -20,10 +20,12 @@
 //!   `icn_sim::ordered_map`, merged deterministically in chunk-index
 //!   order into an incremental Pareto frontier (delay × area × pins ×
 //!   cost) whose memory is `O(frontier)` (`engine`);
-//! * [`spot_check`] — `icn_sim::try_run` validation that the simulator's
-//!   latency floor ranks the top frontier points like the closed form
-//!   does, one simulation per distinct network, skipping the networks
-//!   that are [`Unsimulable`] (`spotcheck`).
+//! * [`spot_check`] — cycle-level simulation of the top frontier points,
+//!   checking that the minimum latency the simulator measures ranks them
+//!   like the closed form does and never beats the §4 analytic floor: one
+//!   `icn_sim::Engine` per distinct network, stepped only until a tracked
+//!   packet arrives at that floor (no later one can lower the minimum),
+//!   skipping the networks that are [`Unsimulable`] (`spotcheck`).
 //!
 //! Output is byte-identical at any thread count and chunk size; the
 //! argument lives in `icn_core::pareto` and `engine`, and the guarantee

@@ -2,10 +2,21 @@
 //!
 //! The frontier is ranked by *closed-form* delay (eq. 4.2/4.5). The
 //! spot-checker picks the K lowest-delay frontier points, runs each
-//! through the event-driven simulator (`icn_sim::try_run`) under light
-//! uniform load, and verifies that the simulator's unloaded-latency
-//! floor ranks the designs the same way the closed form does — the §4
+//! through the cycle-level simulator (an `icn_sim::Engine` driven step by
+//! step) under light uniform load, and verifies that the minimum latency
+//! the simulator measures ranks the designs the same way the closed form
+//! does, and never beats the simulator's §4 analytic floor — the §4
 //! cross-validation, applied to the explorer's own output.
+//!
+//! Only the minimum network latency is reported, and no delivery is
+//! faster than the analytic floor (`SimConfig::analytic_unloaded_cycles`;
+//! pinned by icn-sim's `latency_floor_holds` property). So a simulation
+//! stops at the first tracked delivery whose total latency (generation to
+//! tail arrival) equals the floor: its network latency, between the total
+//! and the floor, equals the floor too, and no later delivery can lower
+//! the minimum. A network whose packets never reach the floor runs to the
+//! engine's own end-of-run rules (`Engine::done`), exactly as
+//! `icn_sim::run` would.
 //!
 //! The simulation depends only on (kind, N', N, W, P): frontier points
 //! that differ in technology or clock scheme alone — the same network
@@ -19,7 +30,7 @@
 //! is fixed, and the points are chosen by `(delay, index)` order.
 
 use icn_core::delay::unloaded_cycles;
-use icn_sim::{ChipModel, SimConfig, SimError};
+use icn_sim::{ChipModel, Engine, SimConfig, SimError, SimResult};
 use icn_topology::StagePlan;
 use icn_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -142,12 +153,36 @@ pub fn unsimulable(point: &FrontierPoint) -> Option<Unsimulable> {
     SimKey::of(point).config().err()
 }
 
+/// Simulate `config` until a tracked delivery's total latency equals
+/// `floor`, its analytic unloaded latency, or else to the end of the run
+/// ([`Engine::done`], where `icn_sim::run` stops too). No delivery is
+/// faster than the floor, so none after the stop could lower the result's
+/// minimum latency: that field equals `icn_sim::run(config)`'s, and when
+/// no delivery meets `floor` the whole result does.
+fn simulate_to_floor(config: SimConfig, floor: u64) -> SimResult {
+    let mut engine = Engine::new(config);
+    engine.collect_deliveries(true);
+    while !engine.done() {
+        engine.step();
+        let at_floor = engine
+            .take_deliveries()
+            .iter()
+            .any(|d| d.tracked && d.delivered_at - d.injected_at == floor);
+        if at_floor {
+            break;
+        }
+    }
+    engine.finish()
+}
+
 /// Spot-check up to `k` lowest-delay frontier points, skipping those
 /// whose network is [`Unsimulable`]. Returns the checks in the order
-/// they were run plus whether the simulator's latency floor agreed with
-/// the closed-form delay ranking across every checked pair (±1 cycle
-/// slack for the closed form's fractional `P/W` against the simulator's
-/// whole flits). Fewer than `k` checks means every point was tried.
+/// they were run plus whether the simulator agreed with the closed form:
+/// every measured minimum latency is at least its analytic floor, and the
+/// minima rank the checked points like the closed-form delay does (±1
+/// cycle slack for the closed form's fractional `P/W` against the
+/// simulator's whole flits). Fewer than `k` checks means every point was
+/// tried.
 #[must_use]
 pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool) {
     if k == 0 || frontier.is_empty() {
@@ -176,8 +211,12 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
                 let Ok((config, analytic)) = key.config() else {
                     continue;
                 };
-                // `config` passed `SimConfig::validate`, so `run` takes it.
-                let outcome = (analytic, icn_sim::run(config).network_latency.min);
+                // `config` passed `SimConfig::validate`, so `Engine::new`
+                // takes it.
+                let outcome = (
+                    analytic,
+                    simulate_to_floor(config, analytic).network_latency.min,
+                );
                 simulated.push((key, outcome));
                 outcome
             }
@@ -203,23 +242,29 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
     // Ranking agreement: walking the checks in closed-form order (they
     // were produced sorted by delay, and cycles at a fixed frequency
     // order like delays only per-chassis, so re-sort by the closed-form
-    // cycle count), the simulator's analytic floor must not decrease by
-    // more than the fractional-flit slack.
+    // cycle count), the measured minimum latency must not decrease by
+    // more than the fractional-flit slack. No minimum may beat its
+    // analytic floor either: the early stop in `simulate_to_floor` rests
+    // on it.
     let mut by_cycles = checks.clone();
     by_cycles.sort_by(|a, b| {
         (a.closed_form_cycles, a.index)
             .partial_cmp(&(b.closed_form_cycles, b.index))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let agrees = by_cycles
-        .windows(2)
-        .all(|pair| pair[1].sim_analytic_cycles + 1 >= pair[0].sim_analytic_cycles);
+    let agrees = checks
+        .iter()
+        .all(|check| check.sim_min_latency_cycles >= check.sim_analytic_cycles)
+        && by_cycles
+            .windows(2)
+            .all(|pair| pair[1].sim_min_latency_cycles + 1 >= pair[0].sim_min_latency_cycles);
     (checks, agrees)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{explore, ExploreOptions};
     use crate::eval::{resolve_techs, Evaluator};
     use crate::grid::GridSpec;
 
@@ -322,6 +367,63 @@ mod tests {
         let (checks, _) = spot_check(&frontier, 4);
         assert_eq!(checks.len(), 1, "{checks:?}");
         assert_eq!(checks[0].index, frontier[0].index);
+    }
+
+    /// The configuration and analytic floor of each distinct network that
+    /// `k` spot-checks of `spec`'s frontier simulate, in the order run.
+    fn spot_check_networks(spec: &GridSpec, k: usize) -> Vec<(SimConfig, u64)> {
+        let options = ExploreOptions {
+            threads: 1,
+            spot_checks: k,
+            ..ExploreOptions::default()
+        };
+        let outcome = explore(spec, &options, None).unwrap();
+        let mut keys: Vec<SimKey> = Vec::new();
+        for check in &outcome.spot_checks {
+            let point = outcome.frontier.iter().find(|p| p.index == check.index);
+            let key = SimKey::of(point.unwrap());
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys.into_iter().map(|key| key.config().unwrap()).collect()
+    }
+
+    #[test]
+    fn stopping_at_the_floor_keeps_the_full_runs_minimum() {
+        // Each 2,048-port paper network runs 550–900 cycles in full; a
+        // debug build checks the networks of the first four points.
+        let paper_checks = if cfg!(debug_assertions) { 4 } else { 8 };
+        let grids = [
+            ("bench", GridSpec::bench(), 8),
+            ("million", GridSpec::million(), 8),
+            ("paper", GridSpec::paper(), paper_checks),
+        ];
+        for (name, spec, k) in grids {
+            for (config, floor) in spot_check_networks(&spec, k) {
+                let network = format!(
+                    "{name} grid: {} ports, W = {}, floor {floor}",
+                    config.plan.ports(),
+                    config.width
+                );
+                let stopped = simulate_to_floor(config.clone(), floor);
+                let full = icn_sim::run(config);
+                assert_eq!(
+                    stopped.network_latency.min, full.network_latency.min,
+                    "{network}"
+                );
+                // The stop happens: some packet reaches the floor early.
+                assert!(stopped.cycles_run < full.cycles_run, "{network}");
+            }
+        }
+        // One cycle below the analytic floor no delivery arrives, so the
+        // run goes to the engine's own end and the whole result is the
+        // full run's.
+        let (config, floor) = spot_check_networks(&GridSpec::million(), 1).remove(0);
+        assert_eq!(
+            simulate_to_floor(config.clone(), floor - 1),
+            icn_sim::run(config)
+        );
     }
 
     #[test]

@@ -730,26 +730,26 @@ impl Engine {
         Ok(self.finish())
     }
 
+    /// Whether the run has ended by the engine's end-of-run rules, which
+    /// [`Engine::run`] and [`Engine::run_bounded`] stop on and a caller
+    /// driving [`Engine::step`] itself can stop on too: the schedule's
+    /// last cycle (warmup + measurement + drain) has passed, the watchdog
+    /// has fired (no forward progress is possible, or worth waiting for),
+    /// the measurement window has closed with no tracked packet pending,
+    /// or, with no workload, the network has fully drained.
+    #[must_use]
+    pub fn done(&self) -> bool {
+        let measure_end = self.config.warmup_cycles + self.config.measure_cycles;
+        self.now >= measure_end + self.config.drain_cycles
+            || self.stall.is_some()
+            || (self.now >= measure_end && self.pending_tracked == 0)
+            || (self.live_packets == 0 && self.arrivals.is_none())
+    }
+
     /// The shared run loop. Returns `true` iff the stop predicate fired
     /// (never when `should_stop` is `None`).
     fn run_core(&mut self, mut should_stop: Option<&mut dyn FnMut() -> bool>) -> bool {
-        let measure_end = self.config.warmup_cycles + self.config.measure_cycles;
-        let hard_end = measure_end + self.config.drain_cycles;
-        while self.now < hard_end {
-            // A fired watchdog means no forward progress is possible (or
-            // worth waiting for); stop with the diagnostic instead of
-            // spinning out the remaining drain budget.
-            if self.stall.is_some() {
-                break;
-            }
-            if self.now >= measure_end && self.pending_tracked == 0 {
-                break;
-            }
-            // With no workload there is nothing left to simulate once the
-            // network has fully drained.
-            if self.live_packets == 0 && self.arrivals.is_none() {
-                break;
-            }
+        while !self.done() {
             if let Some(stop) = should_stop.as_deref_mut() {
                 if self.now.is_multiple_of(STOP_POLL_CYCLES) && stop() {
                     return true;
