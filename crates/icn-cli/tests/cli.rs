@@ -277,7 +277,7 @@ fn explore_bench_grid_json_matches_golden_fixture_exactly() {
 }
 
 /// Exact-match golden-file check of `icn explore --grid million --json`
-/// at one and two threads: every frontier point's frequency, pins and
+/// at one, two and four threads: every frontier point's frequency, pins and
 /// delay bits, not only the indices `icn-explore`'s `tests/million.rs`
 /// pins. Regenerate ONLY for an intentional change:
 ///
@@ -290,7 +290,7 @@ fn explore_million_grid_json_matches_golden_fixture_exactly() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let golden = std::fs::read_to_string(fixtures.join("explore_million.json"))
         .unwrap_or_else(|e| panic!("reading fixture explore_million.json: {e}"));
-    for threads in ["1", "2"] {
+    for threads in ["1", "2", "4"] {
         let (ok, stdout, stderr) = icn(&[
             "explore",
             "--grid",

@@ -1,16 +1,18 @@
 //! The streaming exploration engine: lazy grid → chunks →
-//! `icn_sim::ordered_map` → incremental Pareto frontier.
+//! `icn_sim::fold_by_worker` → one Pareto frontier per worker → one
+//! merge.
 //!
 //! # Determinism argument
 //!
-//! The grid is split into fixed-size chunks by candidate index. Each
-//! chunk is evaluated by whichever thread claims it (scheduling is racy
-//! and irrelevant): [`Evaluator::fold`] walks it in ascending index
-//! order, one chassis run at a time, through the call's one evaluator
-//! (see `eval`), and offers each run's fastest packet variants to a
-//! chunk-local frontier. `ordered_map` hands the results back in chunk
-//! order, and they are merged into the global frontier **in chunk-index
-//! order** on the coordinating thread.
+//! The grid is split into fixed-size chunks by candidate index. One call
+//! spawns its workers once (the caller is one of them). Each worker
+//! claims chunks from one shared counter (scheduling is racy and
+//! irrelevant) and folds every chunk it claims straight into its own
+//! frontier: [`Evaluator::fold`] walks a chunk in ascending index order,
+//! one chassis run at a time, through the call's one evaluator (see
+//! `eval`), and offers each run's fastest packet variants. Once every
+//! chunk is folded, the worker frontiers are merged into one, in worker
+//! order; at one thread there is one frontier and nothing to merge.
 //!
 //! Offering only the run minima keeps the result exact. Every variant
 //! of a chassis run has the same area, pins and cost, so a variant whose
@@ -24,40 +26,43 @@
 //! solved twice). The argument would hold for any edges anyway: a cut
 //! run folds as two runs, each offering its own minima, which include
 //! the whole run's; `tests/fold_parity.rs` folds such ranges directly.
-//! The chunks also share the evaluator's board memo, filled by whichever
+//! The workers also share the evaluator's board memo, filled by whichever
 //! thread first needs a board. A board's outcome is a pure function of
 //! its key, so which thread fills it changes nothing.
 //!
-//! The Pareto set of a multiset is unique, so merging the chunk
-//! frontiers equals one sequential pass regardless of thread count,
-//! chunk size or claim order; `Frontier::into_sorted` then canonicalises
-//! the output order by candidate index. Byte-identical output at
-//! `--threads 1` and `--threads 4` is a test, a CI gate and a bench
-//! invariant, not an aspiration.
+//! The Pareto set of a multiset is unique, so it does not matter which
+//! worker folded which chunk, in what order, or in what order the worker
+//! frontiers are merged: the result is the Pareto set of every offered
+//! candidate, at any thread count, chunk size or claim order.
+//! `Frontier::into_sorted` then canonicalises the output order by
+//! candidate index. Byte-identical output at `--threads` 1, 2 and 4 is a
+//! test, a CI gate and a bench invariant, not an aspiration.
 //!
-//! Chunks are processed in bounded *waves* (a few chunks per thread), so
-//! peak memory is `O(frontier + wave × chunk-frontier)` — never
-//! `O(grid)`.
+//! Peak memory is `O(frontier × threads)`: one frontier per worker and
+//! one tie buffer each, never `O(grid)` and never a frontier per chunk.
+
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use icn_core::pareto::Frontier;
-use icn_sim::{ordered_map, resolve_threads};
+use icn_sim::fold_by_worker;
 use serde::{Deserialize, Serialize};
 
 use crate::eval::{resolve_techs, Evaluator, FrontierPoint, OBJECTIVES};
 use crate::grid::GridSpec;
 use crate::spotcheck::{self, SpotCheck};
 
-/// Candidates per chunk. Small enough that a wave of chunk frontiers is
-/// tiny, big enough that claiming a chunk never contends.
+/// Candidates per chunk: the unit a worker claims, and the interval of
+/// the progress reports and stop polls. Big enough that claiming a chunk
+/// never contends.
 pub const DEFAULT_CHUNK: u64 = 4096;
-
-/// Chunks in flight per wave, per thread.
-const WAVE_CHUNKS_PER_THREAD: u64 = 4;
 
 /// Knobs of one exploration run.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Threads (1 = serial, 0 = one per available core).
+    /// Threads (1 = serial, 0 = one per available core): the workers
+    /// that fold the chunks, and the fan-out of the distinct spot-check
+    /// simulations.
     pub threads: usize,
     /// Candidates per chunk (0 = [`DEFAULT_CHUNK`]), rounded up to a
     /// whole number of packet-axis runs so that no chunk starts inside a
@@ -115,18 +120,51 @@ pub struct ExploreOutcome {
     pub ranking_agrees: bool,
 }
 
-/// What one chunk hands back to the merger.
-struct ChunkResult {
-    evaluated: u64,
-    feasible: u64,
+/// Why [`explore_bounded`] returned no outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExploreError {
+    /// The grid spec failed validation; the message says why.
+    Invalid(String),
+    /// The caller's stop predicate fired. The partial work is discarded.
+    Stopped,
+}
+
+impl std::fmt::Display for ExploreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Invalid(message) => f.write_str(message),
+            Self::Stopped => f.write_str("exploration stopped before it finished"),
+        }
+    }
+}
+
+impl std::error::Error for ExploreError {}
+
+/// What one worker folds the chunks it claims into.
+#[derive(Default)]
+struct WorkerFold {
+    /// The Pareto set of every candidate this worker has offered.
     frontier: Frontier<FrontierPoint, OBJECTIVES>,
+    /// Feasible candidates among the chunks this worker folded.
+    feasible: u64,
+    /// `Evaluator::fold`'s scratch, reused across chunks.
+    ties: Vec<(u64, u32)>,
+    /// Whether this worker is the caller, the one thread that reports
+    /// progress.
+    reports: bool,
 }
 
 /// Run one exploration: enumerate, evaluate, merge, spot-check.
 ///
-/// `progress` (if given) is called from the coordinating thread after
-/// every merged wave with `(candidates evaluated so far, current
-/// frontier size)` — the hook `/v1/explore` streams from.
+/// `progress` (if given) is called on the caller's thread only: after
+/// every chunk the caller folds, with `(candidates evaluated so far by
+/// every worker, the caller's own frontier size)`, and once more when
+/// the fold is over, with `(grid size, merged frontier size)` — the hook
+/// `/v1/explore` streams from. The evaluated count never decreases. At
+/// one thread the frontier size is the frontier so far; with more it is
+/// the Pareto set of the chunks the caller folded, which can shrink when
+/// another worker's chunks are merged in, and only the final report's
+/// size is the frontier's.
 ///
 /// # Errors
 /// Returns a message when the spec fails validation.
@@ -135,67 +173,96 @@ pub fn explore(
     options: &ExploreOptions,
     progress: Option<&(dyn Fn(u64, u64) + Sync)>,
 ) -> Result<ExploreOutcome, String> {
-    let total = spec.candidate_count()?;
-    let techs = resolve_techs(spec)?;
+    explore_bounded(spec, options, progress, || false).map_err(|e| e.to_string())
+}
+
+/// [`explore`] under a caller-supplied stop predicate, polled before
+/// every chunk a worker folds, and by each spot-check simulation at its
+/// start and every `icn_sim::STOP_POLL_CYCLES` cycles — as
+/// `icn_sim::Engine::run_bounded` polls one simulation. Services use it
+/// to bound a job by a wall-clock deadline. Until the predicate fires,
+/// the outcome is exactly [`explore`]'s.
+///
+/// # Errors
+/// [`ExploreError::Invalid`] when the spec fails validation, and
+/// [`ExploreError::Stopped`] when `should_stop` fired: a stopped
+/// exploration returns no partial outcome.
+pub fn explore_bounded(
+    spec: &GridSpec,
+    options: &ExploreOptions,
+    progress: Option<&(dyn Fn(u64, u64) + Sync)>,
+    should_stop: impl Fn() -> bool + Sync,
+) -> Result<ExploreOutcome, ExploreError> {
+    let total = spec.candidate_count().map_err(ExploreError::Invalid)?;
+    let techs = resolve_techs(spec).map_err(ExploreError::Invalid)?;
     let chunk = options.resolved_chunk(spec.packet_bits.len() as u64);
-    let chunks = total.div_ceil(chunk);
-    let threads = resolve_threads(options.threads);
-    let wave_chunks = (threads as u64).saturating_mul(WAVE_CHUNKS_PER_THREAD);
+    let chunks = usize::try_from(total.div_ceil(chunk)).map_err(|_| {
+        ExploreError::Invalid(format!("{total} candidates are too many chunks to count"))
+    })?;
 
     let evaluator = Evaluator::new(spec, &techs);
-    let mut frontier: Frontier<FrontierPoint, OBJECTIVES> = Frontier::new();
-    let mut evaluated = 0u64;
-    let mut feasible = 0u64;
-    let mut wave_start = 0u64;
-    while wave_start < chunks {
-        let wave_len = wave_chunks.min(chunks - wave_start);
-        let wave = ordered_map(wave_len as usize, threads, |slot| {
-            let start = (wave_start + slot as u64) * chunk;
-            evaluate_chunk(&evaluator, start, total.min(start + chunk))
-        });
-        for result in wave {
-            evaluated += result.evaluated;
-            feasible += result.feasible;
-            frontier.merge(result.frontier);
-        }
-        if let Some(report) = progress {
-            report(evaluated, frontier.len() as u64);
-        }
-        wave_start += wave_len;
+    let evaluated = AtomicU64::new(0);
+    let workers = fold_by_worker(
+        chunks,
+        options.threads,
+        |worker| WorkerFold {
+            reports: worker == 0,
+            ..WorkerFold::default()
+        },
+        |worker, index| {
+            if should_stop() {
+                return ControlFlow::Break(());
+            }
+            let start = index as u64 * chunk;
+            let end = total.min(start + chunk);
+            worker.feasible += evaluator.fold(start, end, &mut worker.frontier, &mut worker.ties);
+            let done = evaluated.fetch_add(end - start, Ordering::Relaxed) + (end - start);
+            if let Some(report) = progress.filter(|_| worker.reports) {
+                report(done, worker.frontier.len() as u64);
+            }
+            ControlFlow::Continue(())
+        },
+    );
+    let evaluated = evaluated.into_inner();
+    // Only a fired stop predicate leaves a chunk unfolded.
+    if evaluated < total {
+        return Err(ExploreError::Stopped);
+    }
+    let merged = workers
+        .into_iter()
+        .reduce(|mut merged, worker| {
+            merged.frontier.merge(worker.frontier);
+            merged.feasible += worker.feasible;
+            merged
+        })
+        .unwrap_or_default();
+    if let Some(report) = progress {
+        report(total, merged.frontier.len() as u64);
     }
 
-    let points: Vec<FrontierPoint> = frontier
+    let points: Vec<FrontierPoint> = merged
+        .frontier
         .into_sorted()
         .into_iter()
         .map(|entry| entry.item)
         .collect();
-    let (spot_checks, ranking_agrees) = spotcheck::spot_check(&points, options.spot_checks);
+    let (spot_checks, ranking_agrees) =
+        spotcheck::spot_check_bounded(&points, options.spot_checks, options.threads, &should_stop)
+            .ok_or(ExploreError::Stopped)?;
     Ok(ExploreOutcome {
         grid_candidates: total,
         evaluated,
-        feasible,
+        feasible: merged.feasible,
         frontier: points,
         spot_checks,
         ranking_agrees,
     })
 }
 
-/// Fold candidates `start..end` into a chunk-local frontier. Chunks are
-/// whole runs and so is the grid, so `start..end` cuts no run and each
-/// chassis is solved once.
-fn evaluate_chunk(evaluator: &Evaluator<'_>, start: u64, end: u64) -> ChunkResult {
-    let mut frontier = Frontier::new();
-    let feasible = evaluator.fold(start, end, &mut frontier);
-    ChunkResult {
-        evaluated: end - start,
-        feasible,
-        frontier,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
     fn outcome_bytes(outcome: &ExploreOutcome) -> String {
@@ -249,22 +316,90 @@ mod tests {
     #[test]
     fn progress_reports_are_monotonic_and_complete() {
         let spec = GridSpec::bench();
-        let seen = Mutex::new(Vec::new());
-        let options = ExploreOptions {
-            threads: 2,
-            chunk: 2048,
-            spot_checks: 0,
-        };
-        let outcome = explore(
-            &spec,
-            &options,
-            Some(&|evaluated, frontier| seen.lock().unwrap().push((evaluated, frontier))),
-        )
-        .unwrap();
-        let seen = seen.into_inner().unwrap();
-        assert!(!seen.is_empty());
-        assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(seen.last().unwrap().0, outcome.evaluated);
+        for threads in [1, 2] {
+            let seen = Mutex::new(Vec::new());
+            let options = ExploreOptions {
+                threads,
+                chunk: 512,
+                spot_checks: 0,
+            };
+            let outcome = explore(
+                &spec,
+                &options,
+                Some(&|evaluated, frontier| seen.lock().unwrap().push((evaluated, frontier))),
+            )
+            .unwrap();
+            let seen = seen.into_inner().unwrap();
+            assert!(seen.len() >= 2, "threads={threads}: {seen:?}");
+            assert!(
+                seen.windows(2).all(|w| w[0].0 <= w[1].0),
+                "threads={threads}: {seen:?}"
+            );
+            assert_eq!(
+                seen.last(),
+                Some(&(outcome.evaluated, outcome.frontier.len() as u64)),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stop_predicate_that_fires_yields_the_error() {
+        let spec = GridSpec::bench();
+        // The bench grid is 10 chunks of 512 candidates, polled once per
+        // chunk; the checks' simulations poll after the fold.
+        for (threads, fire_at) in [(1, 0), (1, 3), (2, 3), (1, 10), (2, 10)] {
+            let polls = AtomicUsize::new(0);
+            let options = ExploreOptions {
+                threads,
+                chunk: 512,
+                spot_checks: 2,
+            };
+            let result = explore_bounded(&spec, &options, None, || {
+                polls.fetch_add(1, Ordering::Relaxed) >= fire_at
+            });
+            assert_eq!(
+                result,
+                Err(ExploreError::Stopped),
+                "threads={threads} fire_at={fire_at}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stop_predicate_that_never_fires_changes_nothing() {
+        for spec in [GridSpec::bench(), GridSpec::paper()] {
+            for threads in [1, 2] {
+                let options = ExploreOptions {
+                    threads,
+                    chunk: 512,
+                    spot_checks: 2,
+                };
+                let polls = AtomicUsize::new(0);
+                let bounded = explore_bounded(&spec, &options, None, || {
+                    polls.fetch_add(1, Ordering::Relaxed);
+                    false
+                })
+                .unwrap();
+                assert!(polls.into_inner() > 0);
+                assert_eq!(
+                    outcome_bytes(&bounded),
+                    outcome_bytes(&explore(&spec, &options, None).unwrap()),
+                    "threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_spec_is_an_invalid_error_with_explores_message() {
+        let mut spec = GridSpec::bench();
+        spec.widths.clear();
+        let message = explore(&spec, &ExploreOptions::default(), None).unwrap_err();
+        assert_eq!(
+            explore_bounded(&spec, &ExploreOptions::default(), None, || true),
+            Err(ExploreError::Invalid(message))
+        );
     }
 
     #[test]

@@ -288,15 +288,16 @@ impl<'a> Evaluator<'a> {
     /// the first slower size: one or two delays per run instead of two
     /// per variant. A range edge that cuts a run only skips the positions
     /// outside the range. Nothing is offered when the minimum is not
-    /// finite (then no variant's delay is).
+    /// finite (then no variant's delay is). `ties` is scratch, kept by
+    /// the caller so that successive folds reuse one buffer.
     pub fn fold(
         &self,
         start: u64,
         end: u64,
         frontier: &mut Frontier<FrontierPoint, OBJECTIVES>,
+        ties: &mut Vec<(u64, u32)>,
     ) -> u64 {
         let packets = self.spec.packet_bits.len() as u64;
-        let mut ties = Vec::new();
         let mut feasible = 0u64;
         let mut run_start = start;
         while run_start < end {
@@ -306,7 +307,7 @@ impl<'a> Evaluator<'a> {
             if let Some(chassis) = self.evaluate_chassis(&candidate) {
                 feasible += run_end - run_start;
                 let positions = first..first + (run_end - run_start);
-                self.offer_fastest(&candidate, &chassis, positions, &mut ties, frontier);
+                self.offer_fastest(&candidate, &chassis, positions, ties, frontier);
             }
             run_start = run_end;
         }

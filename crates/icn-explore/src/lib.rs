@@ -16,16 +16,19 @@
 //!   board fixed point (`icn_core::design::solve`) depends on neither
 //!   the crossbar kind nor the network size, so a bounded memo shared by
 //!   the whole call solves each distinct chip-on-board once (`eval`);
-//! * [`explore`] — chunked batch evaluation fanned across cores by
-//!   `icn_sim::ordered_map`, merged deterministically in chunk-index
-//!   order into an incremental Pareto frontier (delay × area × pins ×
-//!   cost) whose memory is `O(frontier)` (`engine`);
+//! * [`explore`] — chunked batch evaluation across cores: one
+//!   `icn_sim::fold_by_worker` spawn per call, each worker folding the
+//!   chunks it claims into its own incremental Pareto frontier (delay ×
+//!   area × pins × cost), merged once at the end, so memory is
+//!   `O(frontier × threads)`; [`explore_bounded`] is the same call under
+//!   a stop predicate (`engine`);
 //! * [`spot_check`] — cycle-level simulation of the top frontier points,
 //!   checking that the minimum latency the simulator measures ranks them
 //!   like the closed form does and never beats the §4 analytic floor: one
 //!   `icn_sim::Engine` per distinct network, stepped only until a tracked
 //!   packet arrives at that floor (no later one can lower the minimum),
-//!   skipping the networks that are [`Unsimulable`] (`spotcheck`).
+//!   skipping the networks that are [`Unsimulable`]; an exploration runs
+//!   its distinct networks through `icn_sim::ordered_map` (`spotcheck`).
 //!
 //! Output is byte-identical at any thread count and chunk size; the
 //! argument lives in `icn_core::pareto` and `engine`, and the guarantee
@@ -36,7 +39,9 @@ pub mod eval;
 pub mod grid;
 pub mod spotcheck;
 
-pub use engine::{explore, ExploreOptions, ExploreOutcome, DEFAULT_CHUNK};
+pub use engine::{
+    explore, explore_bounded, ExploreError, ExploreOptions, ExploreOutcome, DEFAULT_CHUNK,
+};
 pub use eval::{resolve_techs, Evaluator, FrontierPoint, OBJECTIVES};
 pub use grid::{Candidate, GridSpec, MAX_GRID_CANDIDATES};
 pub use spotcheck::{chip_model, spot_check, SpotCheck, Unsimulable};

@@ -21,7 +21,8 @@
 //! The simulation depends only on (kind, N', N, W, P): frontier points
 //! that differ in technology or clock scheme alone — the same network
 //! clocked differently — share one simulation, and each still gets its
-//! own [`SpotCheck`].
+//! own [`SpotCheck`]. An exploration runs its distinct networks through
+//! `icn_sim::ordered_map` at its own thread count.
 //!
 //! A point whose network is [`Unsimulable`] is skipped for the next in
 //! delay order; [`unsimulable`] says which points those are, and why.
@@ -30,7 +31,7 @@
 //! is fixed, and the points are chosen by `(delay, index)` order.
 
 use icn_core::delay::unloaded_cycles;
-use icn_sim::{ChipModel, Engine, SimConfig, SimError, SimResult};
+use icn_sim::{ordered_map, ChipModel, Engine, SimConfig, SimError, SimResult, STOP_POLL_CYCLES};
 use icn_topology::StagePlan;
 use icn_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -158,11 +159,20 @@ pub fn unsimulable(point: &FrontierPoint) -> Option<Unsimulable> {
 /// ([`Engine::done`], where `icn_sim::run` stops too). No delivery is
 /// faster than the floor, so none after the stop could lower the result's
 /// minimum latency: that field equals `icn_sim::run(config)`'s, and when
-/// no delivery meets `floor` the whole result does.
-fn simulate_to_floor(config: SimConfig, floor: u64) -> SimResult {
+/// no delivery meets `floor` the whole result does. `should_stop` is
+/// polled at the start and every [`STOP_POLL_CYCLES`] cycles, as
+/// [`Engine::run_bounded`] polls it; `None` means it fired.
+fn simulate_to_floor(
+    config: SimConfig,
+    floor: u64,
+    should_stop: &(dyn Fn() -> bool + Sync),
+) -> Option<SimResult> {
     let mut engine = Engine::new(config);
     engine.collect_deliveries(true);
     while !engine.done() {
+        if engine.now() % STOP_POLL_CYCLES == 0 && should_stop() {
+            return None;
+        }
         engine.step();
         let at_floor = engine
             .take_deliveries()
@@ -172,21 +182,39 @@ fn simulate_to_floor(config: SimConfig, floor: u64) -> SimResult {
             break;
         }
     }
-    engine.finish()
+    Some(engine.finish())
 }
 
 /// Spot-check up to `k` lowest-delay frontier points, skipping those
-/// whose network is [`Unsimulable`]. Returns the checks in the order
-/// they were run plus whether the simulator agreed with the closed form:
-/// every measured minimum latency is at least its analytic floor, and the
-/// minima rank the checked points like the closed-form delay does (±1
-/// cycle slack for the closed form's fractional `P/W` against the
-/// simulator's whole flits). Fewer than `k` checks means every point was
-/// tried.
+/// whose network is [`Unsimulable`]. Returns the checks in delay order
+/// plus whether the simulator agreed with the closed form: every measured
+/// minimum latency is at least its analytic floor, and the minima rank
+/// the checked points like the closed-form delay does (±1 cycle slack for
+/// the closed form's fractional `P/W` against the simulator's whole
+/// flits). Fewer than `k` checks means every point was tried.
 #[must_use]
 pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool) {
+    // A predicate that never fires never stops the checks.
+    spot_check_bounded(frontier, k, 1, &|| false).unwrap_or_default()
+}
+
+/// [`spot_check`] with its simulations fanned out on up to `threads`
+/// threads and each polling `should_stop` (see [`simulate_to_floor`]);
+/// `None` when it fired.
+///
+/// The skip rules are decided from each network's configuration, so
+/// which points are checked, and the distinct networks they need, are
+/// known before anything is simulated. Only those networks are simulated,
+/// each once, through `icn_sim::ordered_map`; the checks are then
+/// assembled in delay order, the same at any thread count.
+pub(crate) fn spot_check_bounded(
+    frontier: &[FrontierPoint],
+    k: usize,
+    threads: usize,
+    should_stop: &(dyn Fn() -> bool + Sync),
+) -> Option<(Vec<SpotCheck>, bool)> {
     if k == 0 || frontier.is_empty() {
-        return (Vec::new(), true);
+        return Some((Vec::new(), true));
     }
     let mut by_delay: Vec<&FrontierPoint> = frontier.iter().collect();
     by_delay.sort_by(|a, b| {
@@ -195,33 +223,40 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    // The simulator reads only (kind, N', N, W, P) of a point, so each
-    // distinct network is simulated once and its `(analytic floor,
-    // measured minimum)` reused.
-    let mut simulated: Vec<(SimKey, (u64, u64))> = Vec::new();
-    let mut checks = Vec::new();
+    // The simulator reads only (kind, N', N, W, P) of a point, so the
+    // checked points share one simulation per distinct network.
+    let mut networks: Vec<(SimKey, SimConfig, u64)> = Vec::new();
+    let mut planned: Vec<(&FrontierPoint, usize)> = Vec::new();
     for point in by_delay {
-        if checks.len() >= k {
+        if planned.len() >= k {
             break;
         }
         let key = SimKey::of(point);
-        let (analytic, min_latency) = match simulated.iter().find(|(seen, _)| *seen == key) {
-            Some(&(_, outcome)) => outcome,
+        let network = match networks.iter().position(|(seen, ..)| *seen == key) {
+            Some(network) => network,
             None => {
                 let Ok((config, analytic)) = key.config() else {
                     continue;
                 };
-                // `config` passed `SimConfig::validate`, so `Engine::new`
-                // takes it.
-                let outcome = (
-                    analytic,
-                    simulate_to_floor(config, analytic).network_latency.min,
-                );
-                simulated.push((key, outcome));
-                outcome
+                networks.push((key, config, analytic));
+                networks.len() - 1
             }
         };
-        checks.push(SpotCheck {
+        planned.push((point, network));
+    }
+    // Each `config` passed `SimConfig::validate`, so `Engine::new` takes
+    // it.
+    let minima = ordered_map(networks.len(), threads, |network| {
+        let (_, config, floor) = &networks[network];
+        simulate_to_floor(config.clone(), *floor, should_stop)
+            .map(|result| result.network_latency.min)
+    })
+    .into_iter()
+    .collect::<Option<Vec<u64>>>()?;
+
+    let checks: Vec<SpotCheck> = planned
+        .into_iter()
+        .map(|(point, network)| SpotCheck {
             index: point.index,
             network_ports: point.network_ports,
             chip_radix: point.chip_radix,
@@ -234,10 +269,10 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
                 point.packet_bits,
                 point.network_ports,
             ),
-            sim_analytic_cycles: analytic,
-            sim_min_latency_cycles: min_latency,
-        });
-    }
+            sim_analytic_cycles: networks[network].2,
+            sim_min_latency_cycles: minima[network],
+        })
+        .collect();
 
     // Ranking agreement: walking the checks in closed-form order (they
     // were produced sorted by delay, and cycles at a fixed frequency
@@ -258,7 +293,7 @@ pub fn spot_check(frontier: &[FrontierPoint], k: usize) -> (Vec<SpotCheck>, bool
         && by_cycles
             .windows(2)
             .all(|pair| pair[1].sim_min_latency_cycles + 1 >= pair[0].sim_min_latency_cycles);
-    (checks, agrees)
+    Some((checks, agrees))
 }
 
 #[cfg(test)]
@@ -406,7 +441,7 @@ mod tests {
                     config.plan.ports(),
                     config.width
                 );
-                let stopped = simulate_to_floor(config.clone(), floor);
+                let stopped = simulate_to_floor(config.clone(), floor, &|| false).unwrap();
                 let full = icn_sim::run(config);
                 assert_eq!(
                     stopped.network_latency.min, full.network_latency.min,
@@ -421,8 +456,8 @@ mod tests {
         // full run's.
         let (config, floor) = spot_check_networks(&GridSpec::million(), 1).remove(0);
         assert_eq!(
-            simulate_to_floor(config.clone(), floor - 1),
-            icn_sim::run(config)
+            simulate_to_floor(config.clone(), floor - 1, &|| false),
+            Some(icn_sim::run(config))
         );
     }
 

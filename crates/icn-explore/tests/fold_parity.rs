@@ -81,7 +81,7 @@ fn folded_in_pieces(spec: &GridSpec, range: u64) -> ExploreOutcome {
     while start < total {
         let end = total.min(start + range);
         let mut piece = Frontier::new();
-        feasible += Evaluator::new(spec, &techs).fold(start, end, &mut piece);
+        feasible += Evaluator::new(spec, &techs).fold(start, end, &mut piece, &mut Vec::new());
         frontier.merge(piece);
         start = end;
     }

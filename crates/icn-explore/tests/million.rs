@@ -1,7 +1,8 @@
 //! Pins the million-grid exploration: the feasible count, the frontier
 //! size and every frontier index of `GridSpec::million()`, serially and
-//! at `ICN_PARITY_THREADS` threads (default 2), where the chunks share
-//! one evaluator's board memo. The numbers were recorded from the
+//! at 2, 4 and `ICN_PARITY_THREADS` threads, where each worker folds the
+//! chunks it claims into its own frontier and the workers share one
+//! evaluator's board memo. The numbers were recorded from the
 //! per-candidate explorer (every feasible candidate offered to the
 //! frontier), so any change to how candidates reach the frontier must
 //! reproduce them exactly. The CLI's `explore_million.json` fixture pins
@@ -26,7 +27,11 @@ fn million_grid_feasible_count_and_frontier_are_pinned() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
-    for threads in [1, parity_threads] {
+    let mut thread_counts = vec![1, 2, 4];
+    if !thread_counts.contains(&parity_threads) {
+        thread_counts.push(parity_threads);
+    }
+    for threads in thread_counts {
         let options = ExploreOptions {
             threads,
             spot_checks: 0,

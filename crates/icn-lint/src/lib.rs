@@ -25,7 +25,8 @@
 //!
 //! * **Lock confinement** (ICN203), a source rule scoped to `icn-sim`:
 //!   `Mutex`/`RwLock`/`Condvar`/`spawn(` appear only in `pool.rs`, whose
-//!   `ordered_map` is the crate's one fan-out. The engine itself is serial.
+//!   `fold_by_worker` (and `ordered_map` on it) is the crate's one
+//!   fan-out. The engine itself is serial.
 //!
 //! * **Design rules** (ICN101–ICN106), run by
 //!   [`design_rules::check_design_json`] and surfaced as `icn lint config`:

@@ -329,8 +329,9 @@ fn icn004_no_float_eq(
 
 /// ICN203 `lock-confinement`: `Mutex`/`RwLock`/`Condvar` and `spawn(…)`
 /// in `icn-sim` outside `pool.rs`. The engine steps on its caller's
-/// thread; the crate's one fan-out, `ordered_map`, lives in `pool.rs`, so
-/// a lock or a spawn anywhere else is a second concurrency mechanism.
+/// thread; the crate's one fan-out, `fold_by_worker` (and `ordered_map`
+/// on it), lives in `pool.rs`, so a lock or a spawn anywhere else is a
+/// second concurrency mechanism.
 /// Each (line, name) is reported once.
 fn icn203_lock_confinement(
     ctx: &FileContext,

@@ -241,10 +241,12 @@ pub struct ExploreRequest {
     #[serde(default)]
     pub priority: Option<Priority>,
     /// Wall-clock budget in milliseconds (default: the server's
-    /// `--deadline-ms`, 0 = none). Excluded from the cache key. Checked
-    /// only when a worker claims the job: a job still queued past it
-    /// fails, but `icn_explore::explore` takes no stop predicate, so an
-    /// exploration that has started runs to the end.
+    /// `--deadline-ms`, 0 = none). Excluded from the cache key. A job
+    /// still queued past it fails when a worker claims it, and a running
+    /// exploration stops at it (`icn_explore::explore_bounded` polls it
+    /// before every chunk and during the spot-check simulations) and
+    /// fails with no partial result. Graceful shutdown does not cancel a
+    /// running exploration: it drains, as a simulate job does.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
 }

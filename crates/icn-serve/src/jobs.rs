@@ -15,9 +15,9 @@
 //! so a thundering herd of identical configurations costs one simulation.
 //!
 //! Jobs carry an optional wall-clock **deadline**; the worker turns it
-//! into a stop predicate for [`icn_sim::Engine::run_bounded`], so an
-//! over-budget simulation is abandoned mid-run rather than pinning a
-//! worker. And the queue can be **rebuilt from a journal** after a crash
+//! into a stop predicate for [`icn_sim::Engine::run_bounded`] or
+//! [`icn_explore::explore_bounded`], so an over-budget simulation or
+//! exploration is abandoned mid-run rather than pinning a worker. And the queue can be **rebuilt from a journal** after a crash
 //! ([`JobQueue::with_recovered`] + [`JobQueue::restore`]): terminal jobs
 //! come back with their results, unfinished jobs re-enter the queue, and
 //! the id counter never moves backwards.

@@ -4,12 +4,13 @@
 //!
 //! * **HTTP workers** pull accepted connections off a bounded handoff
 //!   queue, parse one request, route it, and reply (`Connection: close`).
-//! * **Job workers** pull validated simulation configs off the
-//!   [`JobQueue`] and run them behind a panic guard; the engine's own
-//!   watchdog (PR 1) bounds each job's cycles, a per-request wall-clock
-//!   deadline bounds its time (via [`icn_sim::Engine::run_bounded`]), so a
-//!   wedged configuration becomes a typed `Failed` job, never a stuck
-//!   worker.
+//! * **Job workers** pull validated simulation configs and exploration
+//!   grids off the [`JobQueue`] and run them behind a panic guard; the
+//!   engine's own watchdog bounds each simulation's cycles, and a
+//!   per-request wall-clock deadline bounds any job's time (via
+//!   [`icn_sim::Engine::run_bounded`] or
+//!   [`icn_explore::explore_bounded`]), so a wedged configuration or an
+//!   oversized sweep becomes a typed `Failed` job, never a stuck worker.
 //!
 //! With `--journal` the server is **crash-safe**: every job transition is
 //! appended (fsync'd) to a write-ahead journal before the client observes
@@ -35,9 +36,11 @@
 //! the `--telemetry-out` file all render that one snapshot.
 //!
 //! Graceful shutdown (`POST /v1/shutdown` or [`ServerHandle::shutdown`])
-//! stops accepting, drains queued connections and jobs, writes the final
-//! `/v1/metrics` exposition to `--telemetry-out` if one was requested, and
-//! returns a [`ServeSummary`] of the same snapshot.
+//! stops accepting, drains queued connections and jobs (a running
+//! simulation or exploration runs to its end or its deadline; shutdown
+//! does not cancel it), writes the final `/v1/metrics` exposition to
+//! `--telemetry-out` if one was requested, and returns a [`ServeSummary`]
+//! of the same snapshot.
 
 use std::collections::VecDeque;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -513,16 +516,23 @@ fn run_job(
     }
 }
 
-/// Run one design-space exploration behind a panic guard. The engine's
-/// wave-merge progress hook feeds the job's counters (`cycle` :=
-/// candidates evaluated, `injected` := grid size, `delivered` := live
-/// frontier size), which is what `/v1/jobs/:id/stream` renders as
-/// frontier updates. The response body is the `ExploreOutcome` JSON —
-/// free of wall-clock fields, so cache hits stay byte-identical.
+/// Run one design-space exploration behind a panic guard, honoring its
+/// wall-clock deadline (via [`icn_explore::explore_bounded`]). The
+/// engine's progress hook, called on the job worker's thread after each
+/// chunk it folds, feeds the job's counters (`cycle` := candidates
+/// evaluated, never decreasing and ending at the grid size, `injected` :=
+/// grid size, `delivered` := frontier size), which is what
+/// `/v1/jobs/:id/stream` renders as frontier updates. With `--sim-threads`
+/// above 1, the mid-run `delivered` is the frontier of the chunks the
+/// worker's own thread folded, and which chunks those are depends on
+/// scheduling; the last report is the merged frontier's size. The
+/// response body is the `ExploreOutcome` JSON — free of wall-clock
+/// fields, so cache hits stay byte-identical.
 fn run_explore_job(
     state: &ServerState,
     resolved: &ResolvedExplore,
     progress: &Arc<crate::telemetry::Progress>,
+    deadline: Option<Instant>,
 ) -> Result<Arc<String>, String> {
     let total = resolved.spec.candidate_count().unwrap_or(0);
     progress.injected.store(total, Ordering::Relaxed);
@@ -538,14 +548,20 @@ fn run_explore_job(
             progress.cycle.store(evaluated, Ordering::Relaxed);
             progress.delivered.store(frontier, Ordering::Relaxed);
         };
-        icn_explore::explore(&resolved.spec, &options, Some(&report))
+        icn_explore::explore_bounded(&resolved.spec, &options, Some(&report), || {
+            deadline.is_some_and(|deadline| Instant::now() >= deadline)
+        })
     }));
     match result {
         Ok(Ok(outcome)) => match serde_json::to_string(&outcome) {
             Ok(body) => Ok(Arc::new(body)),
             Err(e) => Err(format!("serializing outcome: {e}")),
         },
-        Ok(Err(message)) => Err(message),
+        Ok(Err(icn_explore::ExploreError::Stopped)) => {
+            state.telemetry.update(|c| c.deadline_expired += 1);
+            Err("deadline exceeded while exploring".to_string())
+        }
+        Ok(Err(e)) => Err(e.to_string()),
         Err(_) => Err("exploration panicked; see server logs".to_string()),
     }
 }
@@ -570,7 +586,9 @@ fn job_worker(state: &ServerState) {
             }
             deadline => match payload {
                 JobPayload::Simulate(config) => run_job(state, *config, progress, deadline),
-                JobPayload::Explore(resolved) => run_explore_job(state, &resolved, &progress),
+                JobPayload::Explore(resolved) => {
+                    run_explore_job(state, &resolved, &progress, deadline)
+                }
             },
         };
         let micros = elapsed_micros(started);

@@ -405,6 +405,54 @@ fn deadline_exceeded_job_fails_with_a_typed_error() {
 }
 
 #[test]
+fn running_explore_job_stops_at_its_deadline() {
+    // 3 × 2 × 2 × 5,000 × 100 × 100 = 6 × 10^9 candidates: at about
+    // 75 ns each in an optimised build the job would run for more than
+    // seven minutes, and a debug build is slower still. Its deadline is
+    // 1.5 s, long enough that an idle worker has claimed it well before,
+    // so it stops mid-run.
+    let config = ServeConfig {
+        limits: Limits {
+            max_candidates: icn_explore::MAX_GRID_CANDIDATES,
+            ..Limits::default()
+        },
+        ..test_config()
+    };
+    let (addr, handle, join) = start(config);
+    let axis = |range: std::ops::RangeInclusive<u32>| {
+        range.map(|v| v.to_string()).collect::<Vec<_>>().join(",")
+    };
+    let body = format!(
+        r#"{{"spec":{{"techs":["paper-1986-mos-pga","scaled-cmos-early90s","conservative-1986"],"kinds":["Mcc","Dmc"],"clock_schemes":["Standard","MultiplePulse"],"network_ports":[{}],"radices":[{}],"widths":[{}],"packet_bits":[100]}},"spot_checks":2,"deadline_ms":1500}}"#,
+        axis(2..=5001),
+        axis(2..=101),
+        axis(1..=100)
+    );
+    let submitted = Instant::now();
+    let accepted = call(addr, "POST", "/v1/explore", &body);
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let result_url = json_str(&accepted.body, "result_url");
+    let result = poll_result(addr, &result_url, Duration::from_secs(120));
+    assert_eq!(result.status, 500, "{}", result.body);
+    assert!(
+        result.body.contains("deadline exceeded while exploring"),
+        "{}",
+        result.body
+    );
+    assert!(submitted.elapsed() >= Duration::from_millis(1500));
+    let scrape = call(addr, "GET", "/v1/metrics", "");
+    let expired = icn_serve::parse_exposition(&scrape.body)
+        .expect("scrape parses")
+        .value("icn_deadline_expired_total");
+    assert_eq!(expired, Some(1.0));
+
+    handle.shutdown();
+    let summary = join.join().expect("server thread");
+    assert_eq!(summary.jobs_failed, 1);
+    assert_eq!(summary.jobs_completed, 0);
+}
+
+#[test]
 fn low_priority_work_is_shed_past_the_high_water_mark() {
     // One worker, capacity 4 → high water 3.
     let config = ServeConfig {

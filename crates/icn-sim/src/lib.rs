@@ -66,11 +66,10 @@ pub use fault::{FaultEvent, FaultPlan, FaultTarget, RetryPolicy, StallReport};
 pub use metrics::{LatencyStats, SimResult, StageCounters};
 pub use options::EngineOptions;
 pub use packet::Packet;
-pub use pool::{ordered_map, resolve_threads};
+pub use pool::{fold_by_worker, ordered_map, resolve_threads};
 pub use roundtrip::{run_roundtrip, RoundTripConfig, RoundTripResult};
 pub use runner::{
-    run, run_parallel, run_trace, sweep_load, sweep_module_failures, try_run, FaultSweepPoint,
-    LoadSweepPoint,
+    run, run_parallel, sweep_load, sweep_module_failures, try_run, FaultSweepPoint, LoadSweepPoint,
 };
 pub use telemetry::{
     EventSink, Histogram, MemorySink, Sample, SimEvent, TelemetryConfig, TelemetryReport,

@@ -27,41 +27,6 @@ pub fn try_run(config: SimConfig) -> Result<SimResult, crate::error::SimError> {
     Ok(Engine::try_with_options(config, EngineOptions::default())?.run())
 }
 
-/// Replay a recorded [`icn_workloads::TrafficTrace`] through the network:
-/// the trace drives injection (the config's workload load is ignored), so
-/// the *same arrivals* can be replayed against different switch designs —
-/// buffer depths, chip models, arbitration — for apples-to-apples
-/// comparisons.
-///
-/// # Panics
-/// Panics if the trace's port count does not match the plan.
-#[must_use]
-pub fn run_trace(mut config: SimConfig, trace: &icn_workloads::TrafficTrace) -> SimResult {
-    assert_eq!(
-        trace.ports(),
-        config.plan.ports(),
-        "trace recorded for a different network size"
-    );
-    config.workload.load = 0.0; // injections come from the trace
-    let measure_end = config.warmup_cycles + config.measure_cycles;
-    let hard_end = measure_end + config.drain_cycles;
-    let mut engine = Engine::new(config);
-    let entries = trace.entries();
-    let mut next = 0usize;
-    while engine.now() < hard_end {
-        while next < entries.len() && entries[next].cycle == engine.now() {
-            engine.inject(entries[next].src, entries[next].dest);
-            next += 1;
-        }
-        let exhausted = next >= entries.len();
-        if exhausted && engine.now() >= measure_end && engine.pending_tracked() == 0 {
-            break;
-        }
-        engine.step();
-    }
-    engine.finish()
-}
-
 /// Run many configurations concurrently, one thread per configuration up
 /// to the machine's parallelism, preserving input order in the output.
 ///
@@ -275,47 +240,5 @@ mod tests {
         // Replays are deterministic in the fault seed.
         let again = sweep_module_failures(&small_config(0.02, 11), &[0, 1, 4], 99);
         assert_eq!(points, again);
-    }
-
-    #[test]
-    fn trace_replay_injects_exactly_the_trace() {
-        use icn_workloads::TrafficTrace;
-        use rand::SeedableRng;
-        let config = small_config(0.0, 1);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
-        let trace = TrafficTrace::synthesize(
-            &Workload::uniform(0.01),
-            config.plan.ports(),
-            config.warmup_cycles + config.measure_cycles,
-            &mut rng,
-        );
-        let result = run_trace(config, &trace);
-        assert_eq!(result.injected_total, trace.len() as u64);
-        assert_eq!(result.tracked_lost, 0);
-        assert_eq!(result.delivered_total, trace.len() as u64);
-    }
-
-    /// The same trace replayed against different switch configurations sees
-    /// identical arrivals — the whole point of trace-driven comparison.
-    #[test]
-    fn same_trace_different_switches_same_arrivals() {
-        use icn_workloads::TrafficTrace;
-        use rand::SeedableRng;
-        let base = small_config(0.0, 1);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let trace = TrafficTrace::synthesize(
-            &Workload::uniform(0.02),
-            base.plan.ports(),
-            base.warmup_cycles + base.measure_cycles,
-            &mut rng,
-        );
-        let mut deep = base.clone();
-        deep.buffer_capacity = 8;
-        let a = run_trace(base, &trace);
-        let b = run_trace(deep, &trace);
-        assert_eq!(a.injected_total, b.injected_total);
-        assert_eq!(a.tracked_injected, b.tracked_injected);
-        // Different switch, same packets: both deliver everything.
-        assert_eq!(a.delivered_total, b.delivered_total);
     }
 }
