@@ -28,8 +28,8 @@ use icn_workloads::Workload;
 /// * `2` — usage error: unknown command/option, missing argument, or a
 ///   configuration that cannot describe a runnable simulation (the usage
 ///   text is printed after the error);
-/// * `3` — the work ran and the verdict is negative: lint rule violations
-///   or an infeasible design point;
+/// * `3` — the work ran and the verdict is negative: an infeasible design
+///   point;
 /// * `4` — I/O trouble: unreadable input, unwritable output, or a socket
 ///   that will not bind;
 /// * `1` — any other failure (e.g. the `icn bench` overhead gate tripping).
@@ -114,8 +114,7 @@ fn usage() -> String {
          \t trace <dump.jsonl | http://HOST:PORT/v1/jobs/ID/trace>\n\
          \t metrics <http://HOST:PORT/v1/metrics | metrics.txt>\n\
          \t bench [--smoke] [--json] [--iters N]\n\
-         \t lint [--json] [PATH ...]\n\
-         \t lint config <spec.json> [--json]\n\
+         \t lint config <spec.json> [--json]   (source rules: cargo clippy)\n\
          \t serve [--addr HOST:PORT] [--workers N] [--sim-threads N]\n\
          \t       [--queue-depth N] [--cache-entries N] [--journal FILE]\n\
          \t       [--cache-dir DIR] [--deadline-ms N] [--telemetry-out serve.prom]",
@@ -1125,7 +1124,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
     let command = args.first().map_or("help", String::as_str);
     let rest = args.get(1..).unwrap_or(&[]);
     if command == "lint" {
-        // `lint` takes positional subcommand + path arguments that the
+        // `lint config` takes a positional subcommand and path that the
         // global option parser would reject, so it parses its own.
         return lint(rest);
     }
@@ -1480,12 +1479,10 @@ fn serve(opts: &Options) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `icn lint [--json] [PATH ...]` — run the ICN source rules. With no
-/// paths (or a single workspace-root path), the whole workspace is
-/// scanned; otherwise each path (a `.rs` file or a directory) selects the
-/// files to lint.
 /// `icn lint config <spec.json> [--json]` — statically check a design point
-/// against the paper's pin/board/clock constraints (ICN101–ICN106).
+/// against the paper's pin/board/clock constraints (ICN101–ICN106). The
+/// source rules are clippy configuration (`cargo clippy`), not a mode of
+/// this command.
 fn lint(args: &[String]) -> Result<(), Failure> {
     let mut json = false;
     let mut positional: Vec<&str> = Vec::new();
@@ -1496,55 +1493,27 @@ fn lint(args: &[String]) -> Result<(), Failure> {
             other => return Err(Failure::Usage(format!("unknown lint option `{other}`"))),
         }
     }
-
-    if positional.first() == Some(&"config") {
-        let Some(path) = positional.get(1) else {
-            return Err(Failure::Usage(
-                "lint config needs a design spec: icn lint config <spec.json>".into(),
-            ));
-        };
-        let source = std::fs::read_to_string(path)
-            .map_err(|e| Failure::Io(format!("cannot read {path}: {e}")))?;
-        let check = icn_lint::check_design_json(path, &source);
-        if json {
-            print!("{}", icn_lint::render_design_json(&check));
-        } else {
-            print!("{}", icn_lint::render_design_human(&check));
-        }
-        return if check.feasible() {
-            Ok(())
-        } else {
-            Err(Failure::Infeasible(format!(
-                "design violates {} constraint(s)",
-                check.diagnostics.len()
-            )))
-        };
-    }
-
-    // Back-compat: no paths, or one path that is itself a workspace root
-    // (contains `crates/`), means a full scan rooted there.
-    let diags = if positional.is_empty()
-        || (positional.len() == 1 && std::path::Path::new(positional[0]).join("crates").is_dir())
-    {
-        let root = positional.first().copied().unwrap_or(".");
-        icn_lint::scan_workspace(std::path::Path::new(root))
-    } else {
-        let paths: Vec<std::path::PathBuf> =
-            positional.iter().map(std::path::PathBuf::from).collect();
-        icn_lint::scan_paths(std::path::Path::new("."), &paths)
-    }
-    .map_err(|e| Failure::Io(e.to_string()))?;
+    let ["config", path] = positional[..] else {
+        return Err(Failure::Usage(
+            "lint checks a design spec: icn lint config <spec.json> \
+             (the source rules run as `cargo clippy`)"
+                .into(),
+        ));
+    };
+    let source = std::fs::read_to_string(path)
+        .map_err(|e| Failure::Io(format!("cannot read {path}: {e}")))?;
+    let check = icn_lint::check_design_json(path, &source);
     if json {
-        print!("{}", icn_lint::render_json(&diags));
+        print!("{}", icn_lint::render_design_json(&check));
     } else {
-        print!("{}", icn_lint::render_human(&diags));
+        print!("{}", icn_lint::render_design_human(&check));
     }
-    if icn_lint::is_failure(&diags) {
-        Err(Failure::Infeasible(format!(
-            "{} rule violation(s); see diagnostics above",
-            icn_lint::diagnostics::error_count(&diags)
-        )))
-    } else {
+    if check.feasible() {
         Ok(())
+    } else {
+        Err(Failure::Infeasible(format!(
+            "design violates {} constraint(s)",
+            check.diagnostics.len()
+        )))
     }
 }

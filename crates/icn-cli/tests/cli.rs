@@ -804,6 +804,11 @@ fn exit_codes_are_distinct_and_stable() {
         vec!["simulate", "--ports", "16", "--load", "-1"],
         vec!["simulate", "--ports", "16", "--load", "nan"],
         vec!["lint", "--frobnicate"],
+        // The source rules are `cargo clippy`: a bare `lint` or a path
+        // scan is a usage error.
+        vec!["lint"],
+        vec!["lint", "--json"],
+        vec!["lint", "crates/icn-sim"],
         vec!["inspect"],
         vec!["explore", "--grid"],
         vec!["explore", "--top", "x"],
@@ -821,6 +826,12 @@ fn exit_codes_are_distinct_and_stable() {
         assert!(stderr.starts_with("error: "), "args {args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "args {args:?}: {stderr}");
     }
+
+    let (_, _, stderr) = icn_status(&["lint"]);
+    assert!(
+        stderr.contains("icn lint config") && stderr.contains("cargo clippy"),
+        "{stderr}"
+    );
 
     // 3 — the check ran; the verdict is negative (infeasible design).
     let spec = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

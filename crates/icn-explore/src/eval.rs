@@ -319,6 +319,10 @@ impl<'a> Evaluator<'a> {
     /// whose delay objective is the minimum over `positions`: every tie,
     /// in index order, and none when the minimum is not finite. `ties` is
     /// scratch.
+    #[expect(
+        clippy::float_cmp,
+        reason = "ties are exact equality of delay objectives, which keeps the frontier deterministic"
+    )]
     fn offer_fastest(
         &self,
         first: &Candidate,
@@ -548,6 +552,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a tie is exact equality of two delay objectives, as offer_fastest decides it"
+    )]
     fn distinct_packet_sizes_that_round_to_one_delay_are_all_offered() {
         // A fill of 2^53 cycles leaves a spacing of 2 between the cycle
         // counts a double can hold, so at W = 1 the 17-bit packet rounds

@@ -34,6 +34,10 @@
 //! argument lives in `icn_core::pareto` and `engine`, and the guarantee
 //! is pinned by tests and the CLI parity gate.
 
+// ICN003: a panic would tear down a caller's whole exploration; errors are
+// typed. `clippy.toml` allows these in tests.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod engine;
 pub mod eval;
 pub mod grid;

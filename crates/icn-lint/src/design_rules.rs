@@ -26,7 +26,6 @@ use icn_units::Time;
 use serde::{Deserialize, Serialize};
 
 use crate::diagnostics::{Diagnostic, Severity};
-use crate::report::plural;
 
 /// A design point as written in a config file: [`DesignPoint`] with the
 /// technology named by preset and times in explicit units.
@@ -274,6 +273,15 @@ pub fn render_design_human(check: &DesignCheck) -> String {
         ));
     }
     out
+}
+
+/// The plural suffix for a count of `n`.
+fn plural(n: usize) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
 }
 
 /// The machine-readable design-check envelope. (Owns its data: the

@@ -2,19 +2,17 @@
 
 use serde::Serialize;
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How bad a finding is. Every design rule reports an error; the level is
+/// kept in the output so it reads like rustc's `--error-format=json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Advisory: does not fail the lint run.
-    Warning,
-    /// A rule violation: fails the lint run (non-zero exit, red CI).
+    /// A rule violation: the design is infeasible (`icn lint config` exits 3).
     Error,
 }
 
 impl core::fmt::Display for Severity {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Self::Warning => f.write_str("warning"),
             Self::Error => f.write_str("error"),
         }
     }
@@ -28,42 +26,20 @@ impl Serialize for Severity {
     }
 }
 
-/// One finding: a coded rule violation at a source (or config) location.
+/// One finding: a coded rule violation in a design spec.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
-    /// The rule code (`ICN001`…`ICN005` source rules, `ICN101`…`ICN106`
-    /// design rules, `ICN000` for meta-findings).
+    /// The rule code: `ICN101`…`ICN106` for the design rules, `ICN100`
+    /// for a spec that cannot be checked.
     pub code: String,
-    /// Whether this finding fails the run.
+    /// How bad the finding is.
     pub severity: Severity,
-    /// Workspace-relative path (or the config file name).
+    /// The design spec's file name (`<request>` for a service request).
     pub file: String,
-    /// 1-based line; 0 means the finding concerns the file as a whole.
+    /// 1-based line; 0 means the finding concerns the spec as a whole.
     pub line: u32,
     /// What is wrong.
     pub message: String,
     /// How to fix it.
     pub suggestion: String,
-}
-
-impl Diagnostic {
-    /// Stable ordering for reports: by file, then line, then code.
-    #[must_use]
-    pub fn sort_key(&self) -> (String, u32, String) {
-        (self.file.clone(), self.line, self.code.clone())
-    }
-}
-
-/// Sort diagnostics into the stable report order.
-pub fn sort(diags: &mut [Diagnostic]) {
-    diags.sort_by_key(Diagnostic::sort_key);
-}
-
-/// How many findings are errors (the count that gates CI).
-#[must_use]
-pub fn error_count(diags: &[Diagnostic]) -> usize {
-    diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count()
 }

@@ -137,7 +137,11 @@ pub fn pin_budget(tech: &Technology, radix: u32, width: u32, clock: Frequency) -
     let data = saturate(2u64.saturating_mul(u64::from(width) * u64::from(radix)));
     let control = saturate(2 * u64::from(radix) + u64::from(tech.packaging.fixed_control_pins()));
     let ng = ground_pins_exact(tech, radix, width, clock);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the ground-pin count is non-negative, and `as` saturates an out-of-range value instead of wrapping"
+    )]
     let power_ground = (ng.ceil() as u32).max(2);
     PinBudget {
         radix,

@@ -232,6 +232,10 @@ fn threaded_server_bodies_match_serial_server_bodies() {
 /// the memory cache and never reach the disk spill; simulate results,
 /// which cost a whole run, are spilled.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "scraped counters are integers, exactly representable in f64"
+)]
 fn evaluate_results_stay_in_memory_while_simulate_results_spill() {
     let dir = std::env::temp_dir().join(format!("icn-serve-e2e-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -588,6 +592,10 @@ fn trace_endpoint_nests_the_engine_profile_under_execute() {
 }
 
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "scraped counters are integers, exactly representable in f64"
+)]
 fn metrics_endpoint_scrapes_clean_under_load() {
     let (addr, handle, join) = start(test_config());
 

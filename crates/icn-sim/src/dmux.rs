@@ -149,7 +149,10 @@ pub fn simulate_dmc(radix: u32, width: u32, packets: &[DmcPacket]) -> Vec<DmcTra
         .iter()
         .zip(packets)
         .map(|(f, p)| {
-            // icn-lint: allow(ICN003) -- the grant loop above runs until `remaining == 0`, which sets every granted_at
+            #[expect(
+                clippy::expect_used,
+                reason = "the grant loop above runs until `remaining == 0`, which sets every granted_at"
+            )]
             let granted_at = f.granted_at.expect("loop exits only when all granted");
             DmcTransit {
                 input: p.input,

@@ -281,7 +281,10 @@ impl Engine {
     pub fn new(config: SimConfig) -> Self {
         match Self::try_with_options(config, EngineOptions::default()) {
             Ok(engine) => engine,
-            // icn-lint: allow(ICN003) -- documented panicking wrapper; try_with_options returns the typed error
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper; try_with_options returns the typed error"
+            )]
             Err(e) => panic!("invalid simulation config: {e}"),
         }
     }
@@ -509,7 +512,10 @@ impl Engine {
     pub fn inject_tracked(&mut self, src: u32, dest: u32, tracked: bool) -> u64 {
         match self.try_inject(src, dest, tracked) {
             Ok(id) => id,
-            // icn-lint: allow(ICN003) -- documented panicking wrapper; try_inject returns the typed error
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper; try_inject returns the typed error"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

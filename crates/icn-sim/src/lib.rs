@@ -38,6 +38,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// ICN003: callers get typed `SimError`s; `clippy.toml` allows these in tests.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod blocking;
 mod config;

@@ -1,5 +1,5 @@
 //! The crate's one fan-out, and the only file where ICN203 allows thread
-//! spawns and locks.
+//! spawns (`clippy.toml` disallows them everywhere else in the crate).
 //!
 //! [`fold_by_worker`] spawns its workers once and lets each fold the
 //! indices it claims from one shared counter into its own accumulator.
@@ -9,6 +9,11 @@
 //! simulations, and `icn-explore` over candidate chunks (one frontier per
 //! worker) and spot-check simulations. One simulation always steps on its
 //! caller's thread (see [`crate::Engine`]).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the crate's one fan-out: the scoped threads that fold_by_worker spawns"
+)]
 
 use std::ops::ControlFlow;
 use std::panic::resume_unwind;

@@ -128,9 +128,12 @@ struct PendingAccess {
 /// # Panics
 /// Panics if the configuration is invalid.
 #[must_use]
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper over SimConfig::validate's typed error"
+)]
 pub fn run_roundtrip(config: RoundTripConfig) -> RoundTripResult {
     if let Err(e) = config.net.validate() {
-        // icn-lint: allow(ICN003) -- documented panicking wrapper over SimConfig::validate's typed error
         panic!("invalid round-trip configuration: {e}");
     }
     let ports = config.net.plan.ports();

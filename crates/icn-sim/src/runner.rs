@@ -54,12 +54,15 @@ pub struct LoadSweepPoint {
 /// Panics with [`icn_workloads::validate_load`]'s message if any load is
 /// outside `[0, 1]`.
 #[must_use]
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper over icn_workloads::validate_load's message"
+)]
 pub fn sweep_load(base: &SimConfig, loads: &[f64]) -> Vec<LoadSweepPoint> {
     let configs: Vec<SimConfig> = loads
         .iter()
         .map(|&load| {
             if let Err(message) = icn_workloads::validate_load(load) {
-                // icn-lint: allow(ICN003) -- documented panicking wrapper over icn_workloads::validate_load's message
                 panic!("{message}");
             }
             let mut c = base.clone();

@@ -45,7 +45,10 @@ impl PacketStore {
             slot.occupied = true;
             PacketRef(idx)
         } else {
-            // icn-lint: allow(ICN003) -- arena refs are u32 by design; 4 Gi live packets exceeds any simulable network
+            #[expect(
+                clippy::expect_used,
+                reason = "arena refs are u32 by design; 4 Gi live packets exceeds any simulable network"
+            )]
             let idx = u32::try_from(self.slots.len()).expect("more than u32::MAX live packets");
             self.slots.push(StoreSlot {
                 packet,

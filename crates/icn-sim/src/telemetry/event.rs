@@ -22,7 +22,7 @@ use crate::trace::{HopTrace, PacketTrace};
 /// One structured engine event. Serialized externally tagged, so a JSONL
 /// stream reads as `{"Inject":{...}}`, `{"Grant":{...}}`, … one per line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)] // field meanings are documented on the variants
+#[expect(missing_docs, reason = "field meanings are documented on the variants")]
 pub enum SimEvent {
     /// A packet was generated and enqueued at its source.
     Inject {
@@ -109,7 +109,10 @@ pub trait EventSink: Send + std::fmt::Debug {
 /// owns the sink.
 #[derive(Debug, Default, Clone)]
 pub struct MemorySink {
-    // icn-lint: allow(ICN203) -- consumer-side sink handle shared with test/CLI code; the engine only appends from the thread that steps it
+    #[expect(
+        clippy::disallowed_types,
+        reason = "consumer-side sink handle shared with test/CLI code; the engine only appends from the thread that steps it"
+    )]
     events: Arc<std::sync::Mutex<Vec<SimEvent>>>,
 }
 
@@ -159,7 +162,10 @@ impl EventSink for MemorySink {
 /// stream. Cloning shares the underlying map, like [`MemorySink`].
 #[derive(Debug, Default, Clone)]
 pub struct TraceBuilder {
-    // icn-lint: allow(ICN203) -- consumer-side trace handle, same sharing shape as MemorySink
+    #[expect(
+        clippy::disallowed_types,
+        reason = "consumer-side trace handle, same sharing shape as MemorySink"
+    )]
     traces: Arc<std::sync::Mutex<BTreeMap<u64, PacketTrace>>>,
 }
 

@@ -154,7 +154,10 @@ fn trace_replay_stops_on_a_stall() {
 /// depths, both chip models and arbitration policies, cut-through vs
 /// store-and-forward, packet tracing, deterministic fault plans with
 /// retry + watchdog, and sampled telemetry.
-#[allow(clippy::too_many_arguments, clippy::fn_params_excessive_bools)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per independently drawn knob, so each proptest strategy maps to one argument"
+)]
 fn assemble_config(
     plan: &StagePlan,
     chip: ChipModel,

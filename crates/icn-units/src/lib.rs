@@ -56,6 +56,10 @@ pub const DEFAULT_REL_TOL: f64 = 1e-6;
 ///
 /// This is the common implementation behind each quantity's `approx_eq`.
 #[must_use]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact equality is the contract's first case: it makes equal infinities compare equal"
+)]
 pub fn approx_eq_f64(a: f64, b: f64, rel_tol: f64) -> bool {
     if a == b {
         return true;

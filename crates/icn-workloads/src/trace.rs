@@ -197,6 +197,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "an empty trace's mean load is the exact-zero sentinel, never a computed value"
+    )]
     fn empty_trace_basics() {
         let t = TrafficTrace::new(4, vec![]);
         assert!(t.is_empty());
