@@ -35,43 +35,49 @@ pub fn monte_carlo_acceptance<R: rand::Rng + ?Sized>(
     assert!(trials > 0, "at least one trial required");
     let topology = Topology::new(plan.clone());
     let n = plan.ports();
+    let stages = plan.stages() as usize;
+    let routes = topology.route_table();
+    let shuffles: Vec<Vec<u32>> = (0..plan.stages())
+        .map(|s| topology.shuffle_table(s))
+        .collect();
     let mut accepted_total = 0u64;
     let mut offered_total = 0u64;
-    // Reusable scratch: requests as (line, remaining routing tags).
-    let mut lines: Vec<(u32, Vec<u32>)> = Vec::with_capacity(n as usize);
+    // Reusable scratch: requests as (line, destination).
+    let mut lines: Vec<(u32, u32)> = Vec::with_capacity(n as usize);
     let mut winner: Vec<Option<usize>> = vec![None; n as usize];
+    let mut claim_counts = vec![0u32; n as usize];
+    let mut survivors: Vec<usize> = Vec::with_capacity(n as usize);
     for _ in 0..trials {
         lines.clear();
         for src in 0..n {
             if rng.random::<f64>() < offered {
-                let dest = rng.random_range(0..n);
-                lines.push((src, topology.routing_tags(dest).collect()));
+                lines.push((src, rng.random_range(0..n)));
             }
         }
         offered_total += lines.len() as u64;
-        let mut survivors: Vec<usize> = (0..lines.len()).collect();
-        for stage in 0..plan.stages() {
-            let radix = topology.stage_radix(stage);
+        survivors.clear();
+        survivors.extend(0..lines.len());
+        for (stage, shuffle) in shuffles.iter().enumerate() {
+            let radix = topology.stage_radix(stage as u32);
+            let out_line = |(line, dest): (u32, u32)| {
+                let shuffled = shuffle[line as usize];
+                shuffled - shuffled % radix + routes[dest as usize * stages + stage]
+            };
             winner.iter_mut().for_each(|w| *w = None);
+            claim_counts.fill(0);
             // Reservoir-style uniform winner per contended output line.
-            let mut claim_counts = vec![0u32; n as usize];
             for &idx in &survivors {
-                let (line, tags) = &lines[idx];
-                let shuffled = topology.shuffle(stage, *line);
-                let module = shuffled / radix;
-                let out_line = (module * radix + tags[stage as usize]) as usize;
-                claim_counts[out_line] += 1;
-                if rng.random_range(0..claim_counts[out_line]) == 0 {
-                    winner[out_line] = Some(idx);
+                let out = out_line(lines[idx]) as usize;
+                claim_counts[out] += 1;
+                if rng.random_range(0..claim_counts[out]) == 0 {
+                    winner[out] = Some(idx);
                 }
             }
-            survivors = winner.iter().flatten().copied().collect();
+            survivors.clear();
+            survivors.extend(winner.iter().flatten());
             // Advance the surviving requests to their output lines.
             for &idx in &survivors {
-                let (line, tags) = &mut lines[idx];
-                let shuffled = topology.shuffle(stage, *line);
-                let module = shuffled / radix;
-                *line = module * radix + tags[stage as usize];
+                lines[idx].0 = out_line(lines[idx]);
             }
         }
         accepted_total += survivors.len() as u64;

@@ -43,10 +43,12 @@
 //!   4-byte [`PacketRef`]s instead of cloning packets.
 //! * **Route table** — routing tags are a pure function of the
 //!   destination (its mixed-radix digits), so one `ports × stages` table
-//!   built at construction replaces the old per-packet tag `Vec`.
-//! * **Entry tables** — `entry[stage][line]` precomputes
-//!   `Topology::stage_input` into a flat port index, removing div/mod
-//!   from every grant and source entry.
+//!   built at construction ([`Topology::route_table`]) replaces the old
+//!   per-packet tag `Vec`.
+//! * **Entry tables** — `entry[stage][line]` is the stage's shuffle
+//!   ([`Topology::shuffle_table`]), which is also the flat
+//!   `module · r + port` index of the input the line reaches, removing
+//!   div/mod from every grant and source entry.
 //! * **Flat stages** — each stage stores its ports module-major in
 //!   contiguous arrays, its input buffers included: every input's FIFO
 //!   is a fixed ring of `buffer_capacity` slots in one flat slot array
@@ -315,20 +317,9 @@ impl Engine {
             .collect();
         let ports = config.plan.ports();
         let stage_count = config.plan.stages() as usize;
-        let mut routes = Vec::with_capacity(ports as usize * stage_count);
-        for dest in 0..ports {
-            routes.extend(topology.routing_tags(dest));
-        }
+        let routes = topology.route_table();
         let entry: Vec<Vec<u32>> = (0..stage_count)
-            .map(|s| {
-                let radix = radices[s];
-                (0..ports)
-                    .map(|line| {
-                        let (module, port) = topology.stage_input(s as u32, line);
-                        module * radix + port
-                    })
-                    .collect()
-            })
+            .map(|s| topology.shuffle_table(s as u32))
             .collect();
         let meta: Vec<StageMeta> = radices
             .iter()
@@ -795,7 +786,7 @@ impl Engine {
             unreachable_pairs: self
                 .faults
                 .as_deref()
-                .map_or(0, |f| f.unreachable_pairs(&self.topology)),
+                .map_or(0, |f| f.unreachable_pairs(&self.entry)),
             stall: self.stall,
             telemetry,
         }

@@ -39,7 +39,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use icn_topology::{StagePlan, Topology};
+use icn_topology::StagePlan;
 
 use crate::error::SimError;
 
@@ -448,41 +448,90 @@ impl FaultState {
     }
 
     /// Count (src, dest) pairs whose unique path crosses a permanently
-    /// failed component — the connectivity actually lost, straight from
-    /// the topology's routing.
-    pub fn unreachable_pairs(&self, topology: &Topology) -> u64 {
+    /// failed component — the connectivity actually lost. `entry` is the
+    /// engine's wiring: `entry[stage]` is the stage's
+    /// [`icn_topology::Topology::shuffle_table`], whose `entry[stage][line]`
+    /// is the flat `module · r + port` input that line `line` reaches.
+    ///
+    /// Each source's paths form a tree: the module a line enters fans its
+    /// `r` outputs out to consecutive destination blocks, one per digit.
+    /// The walk counts a whole block as soon as its module or output link
+    /// is permanently down, so it never enumerates the pairs one by one.
+    pub fn unreachable_pairs(&self, entry: &[Vec<u32>]) -> u64 {
         if !self.any_permanent {
             return 0;
         }
-        let n = topology.ports();
-        let mut count = 0u64;
-        for src in 0..n {
-            if self.source_down[src as usize] == u64::MAX {
-                count += u64::from(n);
-                continue;
-            }
-            for dest in 0..n {
-                let path = topology.route(src, dest);
-                let severed = path.hops.iter().any(|hop| {
-                    let line = hop.module * self.radices[hop.stage as usize] + hop.out_port;
-                    self.module_down[hop.stage as usize][hop.module as usize] == u64::MAX
-                        || self.link_down[hop.stage as usize][line as usize] == u64::MAX
-                });
-                if severed {
-                    count += 1;
+        let n = self.source_down.len() as u32;
+        (0..n)
+            .map(|src| {
+                if self.source_down[src as usize] == u64::MAX {
+                    u64::from(n)
+                } else {
+                    self.severed_below(entry, 0, src, u64::from(n))
                 }
-            }
+            })
+            .sum()
+    }
+
+    /// Destinations severed among the `span` ones that line `line`,
+    /// entering stage `stage`, can still reach.
+    fn severed_below(&self, entry: &[Vec<u32>], stage: usize, line: u32, span: u64) -> u64 {
+        let r = self.radices[stage];
+        let input = entry[stage][line as usize];
+        let first_out = input - input % r;
+        if self.module_down[stage][(input / r) as usize] == u64::MAX {
+            return span;
         }
-        count
+        let span = span / u64::from(r);
+        (first_out..first_out + r)
+            .map(|out| {
+                if self.link_down[stage][out as usize] == u64::MAX {
+                    span
+                } else if stage + 1 == entry.len() {
+                    0
+                } else {
+                    self.severed_below(entry, stage + 1, out, span)
+                }
+            })
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icn_topology::Topology;
+    use proptest::prelude::*;
 
     fn plan_4x2() -> StagePlan {
         StagePlan::uniform(4, 2) // 16 ports, 2 stages of 4 modules
+    }
+
+    /// The engine's entry tables for `plan`.
+    fn wiring(plan: &StagePlan) -> Vec<Vec<u32>> {
+        let topology = Topology::new(plan.clone());
+        (0..plan.stages())
+            .map(|s| topology.shuffle_table(s))
+            .collect()
+    }
+
+    /// The pair-by-pair count over [`Topology::route`]'s paths.
+    fn reference_unreachable(state: &FaultState, topology: &Topology) -> u64 {
+        let n = topology.ports();
+        let mut count = 0;
+        for src in 0..n {
+            for dest in 0..n {
+                let severed = state.source_down[src as usize] == u64::MAX
+                    || topology.route(src, dest).hops.iter().any(|hop| {
+                        let s = hop.stage as usize;
+                        state.module_down[s][hop.module as usize] == u64::MAX
+                            || state.link_down[s][hop.output_line(state.radices[s]) as usize]
+                                == u64::MAX
+                    });
+                count += u64::from(severed);
+            }
+        }
+        count
     }
 
     #[test]
@@ -606,7 +655,7 @@ mod tests {
         // destinations 4m..4m+4 exclusively, so killing it severs
         // 16 sources × 4 dests = 64 pairs.
         let p = plan_4x2();
-        let topology = Topology::new(p.clone());
+        let entry = wiring(&p);
         let plan = FaultPlan::new(vec![FaultEvent::permanent(
             FaultTarget::Module {
                 stage: 1,
@@ -616,7 +665,7 @@ mod tests {
         )]);
         let mut state = FaultState::build(&plan, &p).expect("non-empty");
         state.apply(0);
-        assert_eq!(state.unreachable_pairs(&topology), 64);
+        assert_eq!(state.unreachable_pairs(&entry), 64);
 
         // A single last-stage link severs exactly one destination: 16 pairs.
         let plan = FaultPlan::new(vec![FaultEvent::permanent(
@@ -629,7 +678,7 @@ mod tests {
         )]);
         let mut state = FaultState::build(&plan, &p).expect("non-empty");
         state.apply(0);
-        assert_eq!(state.unreachable_pairs(&topology), 16);
+        assert_eq!(state.unreachable_pairs(&entry), 16);
 
         // A dead source severs all 16 of its destinations.
         let plan = FaultPlan::new(vec![FaultEvent::permanent(
@@ -638,7 +687,7 @@ mod tests {
         )]);
         let mut state = FaultState::build(&plan, &p).expect("non-empty");
         state.apply(0);
-        assert_eq!(state.unreachable_pairs(&topology), 16);
+        assert_eq!(state.unreachable_pairs(&entry), 16);
 
         // Transient faults never count as lost connectivity.
         let plan = FaultPlan::new(vec![FaultEvent::transient(
@@ -651,7 +700,39 @@ mod tests {
         )]);
         let mut state = FaultState::build(&plan, &p).expect("non-empty");
         state.apply(0);
-        assert_eq!(state.unreachable_pairs(&topology), 0);
+        assert_eq!(state.unreachable_pairs(&entry), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-source tree walk counts exactly the pairs whose
+        /// `Topology::route` path crosses a permanently dead module or
+        /// link, on mixed-radix plans with faults of both kinds (and a
+        /// transient one, which must not count).
+        #[test]
+        fn unreachable_pairs_match_pair_by_pair_routes(
+            radices in proptest::collection::vec(2u32..=8, 1..=4)
+                .prop_filter("at most 256 ports", |r| r.iter().product::<u32>() <= 256),
+            modules in 0u32..4,
+            links in 0u32..6,
+            seed in any::<u64>(),
+        ) {
+            let p = StagePlan::from_radices(radices);
+            let plan = FaultPlan::random_module_failures(&p, modules, 0, seed)
+                .merged(FaultPlan::random_link_failures(&p, links, 0, seed ^ 1))
+                .merged(FaultPlan::new(vec![FaultEvent::transient(
+                    FaultTarget::Module { stage: 0, module: 0 },
+                    0,
+                    1_000,
+                )]));
+            let mut state = FaultState::build(&plan, &p).expect("non-empty");
+            state.apply(0);
+            prop_assert_eq!(
+                state.unreachable_pairs(&wiring(&p)),
+                reference_unreachable(&state, &Topology::new(p.clone()))
+            );
+        }
     }
 
     #[test]

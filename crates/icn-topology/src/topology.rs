@@ -156,6 +156,53 @@ impl Topology {
         (shuffled / r, shuffled % r)
     }
 
+    /// Every destination's routing tags in one flat table, destination
+    /// major: `table[dest · stages + stage]` is the `stage`-th item of
+    /// [`Topology::routing_tags`]`(dest)`.
+    ///
+    /// Built without per-element division: stage `s`'s digit is constant
+    /// over blocks of `∏_{j>s} r_j` consecutive destinations and steps
+    /// through `0..r_s` from one block to the next. The returned `Vec`'s
+    /// capacity is exactly its length.
+    #[must_use]
+    pub fn route_table(&self) -> Vec<u32> {
+        let radices = self.plan.radices();
+        let stages = radices.len();
+        let mut table = vec![0; self.ports() as usize * stages];
+        let mut block = self.ports() as usize;
+        for (stage, &r) in radices.iter().enumerate() {
+            block /= r as usize;
+            let mut digit = 0;
+            for rows in table.chunks_exact_mut(block * stages) {
+                for row in rows.chunks_exact_mut(stages) {
+                    row[stage] = digit;
+                }
+                digit = if digit + 1 == r { 0 } else { digit + 1 };
+            }
+        }
+        table
+    }
+
+    /// The perfect shuffle ahead of stage `stage` for every line:
+    /// `table[line]` = [`Topology::shuffle`]`(stage, line)`, which is also
+    /// [`Topology::stage_input`]'s `module · r + port`.
+    ///
+    /// Built without division: line `k·(N′/r) + j` lands on `j·r + k`.
+    /// The returned `Vec`'s capacity is exactly its length.
+    ///
+    /// # Panics
+    /// Panics if `stage` is out of range.
+    #[must_use]
+    pub fn shuffle_table(&self, stage: u32) -> Vec<u32> {
+        let r = self.stage_radix(stage);
+        let per_turn = self.ports() / r;
+        let mut table = Vec::with_capacity(self.ports() as usize);
+        for k in 0..r {
+            table.extend((0..per_turn).map(|j| j * r + k));
+        }
+        table
+    }
+
     /// Render the network as a Graphviz DOT digraph (Figure 1 style):
     /// input nodes, one node per module per stage, output nodes, and an
     /// edge per wire. Intended for small networks — a 16-port network

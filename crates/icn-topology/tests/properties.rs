@@ -14,8 +14,43 @@ fn small_plan() -> impl Strategy<Value = StagePlan> {
         .prop_map(StagePlan::from_radices)
 }
 
+/// Mixed-radix plans of 1–4 stages and at most 4,096 ports with at least
+/// one stage wider than 64.
+fn wide_plan() -> impl Strategy<Value = StagePlan> {
+    proptest::collection::vec(prop_oneof![2u32..=16, 65u32..=256], 1..=4)
+        .prop_filter("at most 4,096 ports, one radix above 64", |r| {
+            r.iter().any(|&x| x > 64) && r.iter().map(|&x| u64::from(x)).product::<u64>() <= 4096
+        })
+        .prop_map(StagePlan::from_radices)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The closed-form wiring tables equal the per-element functions they
+    /// replace: `route_table` row `d` is `routing_tags(d)`, and
+    /// `shuffle_table(s)[p]` is `shuffle(s, p)`, i.e. `stage_input`'s
+    /// `module · r + port`.
+    #[test]
+    fn wiring_tables_match_per_element_functions(plan in prop_oneof![wide_plan(), small_plan()]) {
+        let t = Topology::new(plan);
+        let stages = t.stages() as usize;
+        let routes = t.route_table();
+        prop_assert_eq!(routes.len(), t.ports() as usize * stages);
+        for (dest, row) in routes.chunks_exact(stages).enumerate() {
+            prop_assert!(row.iter().copied().eq(t.routing_tags(dest as u32)), "dest {}", dest);
+        }
+        for stage in 0..t.stages() {
+            let shuffle = t.shuffle_table(stage);
+            let r = t.stage_radix(stage);
+            prop_assert_eq!(shuffle.len(), t.ports() as usize);
+            for (line, &to) in (0..).zip(&shuffle) {
+                prop_assert_eq!(to, t.shuffle(stage, line), "stage {} line {}", stage, line);
+                let (module, port) = t.stage_input(stage, line);
+                prop_assert_eq!(to, module * r + port);
+            }
+        }
+    }
 
     /// Full access: every route call lands at its destination.
     #[test]
