@@ -13,7 +13,8 @@
 //! The matrix deliberately crosses the engine's behavioural switches:
 //! chip model, width, cut-through vs store-and-forward, arbitration,
 //! buffer depth, faults (permanent + transient, with retries), telemetry
-//! sampling, packet tracing, hot-spot traffic, mixed radices, a stage
+//! sampling, the span profiler and heatmap, packet tracing, hot-spot
+//! traffic, mixed radices, a stage
 //! wider than 64 ports, 1,000-flit packets, a watchdog stall, and one
 //! paper-scale 2048-port run (result only — its event stream would dwarf
 //! the repository).
@@ -331,6 +332,29 @@ pub fn cases() -> Vec<ParityCase> {
         name: "long_packet_horizon",
         record_events: true,
         config: horizon,
+    });
+
+    // The span profiler and hotspot heatmap, with no time series: a
+    // mixed-radix network with two-deep buffers under a hot spot, so the
+    // heatmap's occupancy cells (each module's buffered packets, read
+    // every 64 cycles) see queues of both depths backed up along the hot
+    // tree, and its grant cells see contended outputs.
+    let mut profiled = SimConfig::paper_baseline(
+        StagePlan::from_radices(vec![8, 4, 2]),
+        ChipModel::Dmc,
+        4,
+        Workload::hot_spot(0.02, 0.03, 9),
+    );
+    profiled.seed = 19;
+    profiled.buffer_capacity = 2;
+    profiled.telemetry = TelemetryConfig::profiled(0);
+    profiled.warmup_cycles = 64;
+    profiled.measure_cycles = 320;
+    profiled.drain_cycles = 1_000;
+    cases.push(ParityCase {
+        name: "profiled_hotspot_mixed",
+        record_events: true,
+        config: profiled,
     });
 
     // Paper scale: the §6 2048-port DMC network, short run, result only.

@@ -79,10 +79,16 @@ fn results_and_event_streams_match_fixtures_byte_for_byte() {
 #[test]
 fn parity_matrix_exercises_the_interesting_paths() {
     let cases = parity_cases::cases();
-    assert!(cases.len() >= 5);
+    assert!(cases.len() >= 11);
     assert!(cases.iter().any(|c| !c.config.faults.is_empty()));
     assert!(cases.iter().any(|c| c.config.retry.max_retries > 0));
     assert!(cases.iter().any(|c| c.config.telemetry.enabled()));
+    assert!(
+        cases.iter().any(|c| c.record_events
+            && c.config.telemetry.profile
+            && c.config.buffer_capacity >= 2),
+        "no recorded case pins the profiler's heatmap over multi-slot buffers"
+    );
     assert!(cases.iter().any(|c| !c.config.cut_through));
     assert!(cases
         .iter()
