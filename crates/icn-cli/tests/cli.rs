@@ -755,6 +755,28 @@ fn icn_status(args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// A schedule whose last cycle overflows `u64` is refused before any
+/// engine runs: a usage error (exit 2) naming the schedule, not a run
+/// that reports zero throughput.
+#[test]
+fn an_overflowing_schedule_is_a_usage_error() {
+    let (code, stdout, stderr) = icn_status(&[
+        "simulate",
+        "--ports",
+        "16",
+        "--load",
+        "0.01",
+        "--warmup-cycles",
+        "18446744073709551615",
+        "--measure-cycles",
+        "10",
+    ]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stdout.is_empty(), "ran: {stdout}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("schedule"), "{stderr}");
+}
+
 /// Golden exit-code contract: scripts branch on the status alone, so the
 /// code for each failure class is pinned here (see `Failure` in
 /// `src/main.rs`): 0 success, 2 usage, 3 negative verdict, 4 I/O, 1 other.

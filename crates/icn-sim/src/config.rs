@@ -247,6 +247,14 @@ impl SimConfig {
             self.measure_cycles >= 1,
             "measurement window must be non-empty",
         )?;
+        // The engine adds the three windows with plain `+`.
+        require(
+            self.warmup_cycles
+                .checked_add(self.measure_cycles)
+                .and_then(|end| end.checked_add(self.drain_cycles))
+                .is_some(),
+            "the schedule (warmup + measure + drain cycles) must not overflow u64",
+        )?;
         self.workload
             .validate(self.plan.ports())
             .map_err(SimError::InvalidConfig)?;
@@ -402,6 +410,24 @@ mod tests {
         c.buffer_capacity = 0;
         assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
         c.buffer_capacity = 1;
+        // Schedule: the end of drain must fit in a u64, however the
+        // overflow is split among the three windows.
+        let schedule = (c.warmup_cycles, c.measure_cycles, c.drain_cycles);
+        for (warmup, measure, drain) in [(u64::MAX, 10, 0), (0, u64::MAX, 1), (u64::MAX - 5, 3, 3)]
+        {
+            c.warmup_cycles = warmup;
+            c.measure_cycles = measure;
+            c.drain_cycles = drain;
+            match c.validate() {
+                Err(SimError::InvalidConfig(message)) => {
+                    assert!(message.contains("schedule"), "{message:?}");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+        (c.warmup_cycles, c.measure_cycles, c.drain_cycles) = (u64::MAX - 6, 3, 3);
+        assert!(c.validate().is_ok(), "an end of exactly u64::MAX fits");
+        (c.warmup_cycles, c.measure_cycles, c.drain_cycles) = schedule;
         // Every workload precondition `Pattern::destination` would panic
         // on, checked against this 16-port network (odd-bit and non-power-
         // of-two networks for the address-bit patterns).

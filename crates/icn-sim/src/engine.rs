@@ -45,7 +45,7 @@
 //!   destination (its mixed-radix digits), so one `ports × stages` table
 //!   built at construction ([`Topology::route_table`]) replaces the old
 //!   per-packet tag `Vec`.
-//! * **Entry tables** — `entry[stage][line]` is the stage's shuffle
+//! * **Entry tables** — each stage's `entry[line]` is its shuffle
 //!   ([`Topology::shuffle_table`]), which is also the flat
 //!   `module · r + port` index of the input the line reaches, removing
 //!   div/mod from every grant and source entry.
@@ -86,10 +86,17 @@
 //!   (busy parks in a wake calendar of `head_latency + flits + 1` slots)
 //!   and adds them to its counters every cycle. Before this, about 500
 //!   ready heads were re-examined, tag lookup included, every cycle.
-//! * **Occupancy counts** — `ExecState::occ` holds every input queue's
-//!   length, updated as ports change (pushes, vacates, fault drops)
-//!   instead of re-counted each cycle; back-pressure, the watchdog's
-//!   stall report, telemetry samples and the heatmap all read it.
+//! * **Occupancy from the rings** — an input's occupancy is its ring's
+//!   own length, which counts resident packets and reservations alike:
+//!   back-pressure reads one port's through
+//!   [`crate::module::InputPorts::has_space`], and the watchdog's stall
+//!   report, telemetry samples and the heatmap sum them
+//!   ([`Stage::queue_lens`]), so no second count is kept in step.
+//! * **One home per stage** — everything a stage owns lives in its
+//!   [`Stage`]: wiring, buffers, due calendars, outputs, parked-head
+//!   gauges and the ports its vacate freed from full. A stage's sweep
+//!   borrows it, the stage after and the stage before with one
+//!   `split_at_mut` of the stage list.
 //! * **Scratch buffers** — a module visit's bit sets (due inputs,
 //!   requested outputs, one contender set per requested output) live in
 //!   one engine-owned scratch reused every visit, so a visit costs
@@ -125,10 +132,8 @@ use crate::module::Stage;
 use crate::options::EngineOptions;
 use crate::packet::Packet;
 use crate::store::{PacketRef, PacketStore};
-use crate::sweep::{
-    rearm_module, vacate_stage, Downstream, ExecState, Exit, StageMeta, Sweep, Upstream,
-};
-use crate::telemetry::{EventSink, Gauges, PhaseGauges, SimEvent, StageDims, TelemetryState};
+use crate::sweep::{rearm_module, Exit, Sweep, Upstream, VisitScratch};
+use crate::telemetry::{EventSink, Gauges, PhaseGauges, SimEvent, TelemetryState};
 
 /// How often (in cycles) [`Engine::run_bounded`] polls its stop predicate.
 /// Coarse on purpose: the predicate typically reads a wall clock, and a
@@ -219,7 +224,6 @@ impl Ord for RetryEntry {
 #[derive(Debug)]
 pub struct Engine {
     config: SimConfig,
-    topology: Topology,
     stages: Vec<Stage>,
     sources: Vec<Source>,
     /// Per source, the next cycle worth visiting it: [`NEVER`] while its
@@ -236,13 +240,14 @@ pub struct Engine {
     flits: u64,
     // Precomputed routing (see the module docs).
     store: PacketStore,
-    /// `routes[dest * stage_count + stage]` = output port at `stage`.
+    /// `routes[dest * stages + stage]` = output port at `stage`.
     routes: Vec<u32>,
-    /// `entry[stage][line]` = flat input-port index within `stage`.
-    entry: Vec<Vec<u32>>,
-    stage_count: usize,
-    // Per-stage sweep buffers and occupancy counts (see `crate::sweep`).
-    exec: ExecState,
+    /// Arbitration scratch, shared by the stages' sweeps.
+    scratch: VisitScratch,
+    /// The packets the current sweep (a stage's, or the sources')
+    /// delivered or dropped, in sweep order (cleared after each sweep,
+    /// never shrunk).
+    exits: Vec<Exit>,
     // Statistics.
     injected_total: u64,
     delivered_total: u64,
@@ -306,46 +311,31 @@ impl Engine {
         } else {
             flits.saturating_sub(1)
         };
-        let radices = config.plan.radices().to_vec();
-        let stages: Vec<Stage> = radices
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                let modules = config.plan.modules_in_stage(i as u32);
-                Stage::new(r, modules, config.buffer_capacity, ready_offset)
+        // The route table before the stages: the benchmark's set-up
+        // times read the heap layout this order leaves (DESIGN.md §7.3,
+        // one home per stage).
+        let routes = topology.route_table();
+        let stages: Vec<Stage> = (0..)
+            .zip(config.plan.radices())
+            .map(|(s, &r)| {
+                Stage::new(
+                    topology.shuffle_table(s),
+                    r,
+                    config.stage_head_latency(r),
+                    flits,
+                    config.buffer_capacity,
+                    ready_offset,
+                )
             })
             .collect();
         let ports = config.plan.ports();
-        let stage_count = config.plan.stages() as usize;
-        let routes = topology.route_table();
-        let entry: Vec<Vec<u32>> = (0..stage_count)
-            .map(|s| topology.shuffle_table(s as u32))
-            .collect();
-        let meta: Vec<StageMeta> = radices
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| StageMeta {
-                radix: r,
-                modules: config.plan.modules_in_stage(i as u32),
-                head_latency: config.stage_head_latency(r),
-            })
-            .collect();
-        let exec = ExecState::build(meta, flits);
+        let scratch = VisitScratch::new(config.plan.max_radix() as usize);
         let sources = (0..ports).map(|_| Source::default()).collect();
-        let stage_counters = vec![StageCounters::default(); stage_count];
+        let stage_counters = vec![StageCounters::default(); stages.len()];
         let rng = ChaCha12Rng::seed_from_u64(config.seed);
         let faults = FaultState::build(&config.faults, &config.plan);
-        let stage_dims: Vec<StageDims> = radices
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| StageDims {
-                modules: config.plan.modules_in_stage(i as u32),
-                radix: r,
-            })
-            .collect();
-        let telem = TelemetryState::build(&config.telemetry, &stage_dims, flits);
+        let telem = TelemetryState::build(&config.telemetry, &config.plan, flits);
         Ok(Self {
-            topology,
             stages,
             sources,
             source_due: DueTimes::new(ports as usize),
@@ -357,9 +347,8 @@ impl Engine {
             flits,
             store: PacketStore::default(),
             routes,
-            entry,
-            stage_count,
-            exec,
+            scratch,
+            exits: Vec::new(),
             injected_total: 0,
             delivered_total: 0,
             tracked_injected: 0,
@@ -518,7 +507,7 @@ impl Engine {
     /// Returns [`SimError::PortOutOfRange`] if `src` or `dest` exceeds the
     /// network's port count.
     pub fn try_inject(&mut self, src: u32, dest: u32, tracked: bool) -> Result<u64, SimError> {
-        let ports = self.topology.ports();
+        let ports = self.config.plan.ports();
         if src >= ports {
             return Err(SimError::PortOutOfRange {
                 role: "source",
@@ -626,15 +615,7 @@ impl Engine {
             };
             match event.target {
                 FaultTarget::Module { stage, module } | FaultTarget::Link { stage, module, .. } => {
-                    let (stage, module) = (stage as usize, module as usize);
-                    let radix = self.stages[stage].radix as usize;
-                    rearm_module(
-                        &mut self.stages[stage].inputs(),
-                        &mut self.exec.parked[stage],
-                        radix,
-                        module,
-                        now,
-                    );
+                    rearm_module(&mut self.stages[stage as usize], module as usize, now);
                 }
                 FaultTarget::SourcePort { port } => self.source_due.lower(port as usize, now),
             }
@@ -651,25 +632,18 @@ impl Engine {
     /// Wake the heads and sources parked on the ports the vacate phase
     /// just freed from full.
     fn wake_unblocked(&mut self) {
-        let (routes, store, stage_count) = (&self.routes, &self.store, self.stage_count);
-        for (stage, ports) in self.exec.unblocked.iter_mut().enumerate() {
-            if ports.is_empty() {
+        let (routes, store, stage_count) = (&self.routes, &self.store, self.stages.len());
+        for stage in 0..stage_count {
+            let (before, rest) = self.stages.split_at_mut(stage);
+            let fed = &mut rest[0];
+            if fed.unblocked.is_empty() {
                 continue;
             }
-            let mut upstream = Upstream::new(
-                &mut self.stages[..stage],
-                &mut self.exec.parked[..stage],
-                &self.sources,
-                &mut self.source_due,
-            );
-            for p in ports.drain(..) {
-                upstream.wake(
-                    self.exec.meta[stage],
-                    &self.entry[stage],
-                    p as usize,
-                    self.now,
-                    |r| routes[store.get(r).dest as usize * stage_count + stage - 1],
-                );
+            let mut upstream = Upstream::new(before, &self.sources, &mut self.source_due);
+            for p in fed.unblocked.drain(..) {
+                upstream.wake(fed.radix, &fed.entry, p as usize, self.now, |r| {
+                    routes[store.get(r).dest as usize * stage_count + stage - 1]
+                });
             }
         }
     }
@@ -762,8 +736,8 @@ impl Engine {
     pub fn finish(mut self) -> SimResult {
         let telemetry = self.telem.take().map(|t| t.into_report());
         SimResult {
-            ports: self.topology.ports(),
-            stages: self.topology.stages(),
+            ports: self.config.plan.ports(),
+            stages: self.config.plan.stages(),
             cycles_run: self.now,
             injected_total: self.injected_total,
             delivered_total: self.delivered_total,
@@ -774,7 +748,7 @@ impl Engine {
             total_latency: LatencyStats::from_samples(self.latencies_total),
             network_latency: LatencyStats::from_samples(self.latencies_net),
             throughput: self.delivered_in_window as f64
-                / (f64::from(self.topology.ports()) * self.config.measure_cycles as f64),
+                / (f64::from(self.config.plan.ports()) * self.config.measure_cycles as f64),
             peak_source_backlog: self.peak_source_backlog,
             final_source_backlog: self.source_backlog,
             stage_counters: self.stage_counters,
@@ -786,37 +760,27 @@ impl Engine {
             unreachable_pairs: self
                 .faults
                 .as_deref()
-                .map_or(0, |f| f.unreachable_pairs(&self.entry)),
+                .map_or(0, |f| f.unreachable_pairs(&self.stages)),
             stall: self.stall,
             telemetry,
         }
     }
 
-    /// Total packets buffered (or reserved) in each stage's inputs, from
-    /// the maintained occupancy counts.
+    /// Total packets buffered (or reserved) in each stage's inputs.
     fn stage_occupancy(&self) -> Vec<u64> {
-        self.exec
-            .occ
+        self.stages
             .iter()
-            .map(|occ| occ.iter().map(|&c| u64::from(c)).sum())
+            .map(|stage| stage.queue_lens().map(|len| len as u64).sum())
             .collect()
     }
 
-    /// Free drained buffer slots across every stage, taking them off the
-    /// occupancy counts the grant phase's back-pressure checks read;
-    /// returns the freed count (the profiler's per-cycle "advance" op
-    /// tally).
+    /// Free drained buffer slots across every stage; returns the freed
+    /// count (the profiler's per-cycle "advance" op tally).
     fn vacate_phase(&mut self) -> u64 {
-        let now = self.now;
-        let capacity = self.config.buffer_capacity;
-        let Self { stages, exec, .. } = self;
-        stages
+        let (now, capacity) = (self.now, self.config.buffer_capacity);
+        self.stages
             .iter_mut()
-            .zip(&mut exec.occ)
-            .zip(&mut exec.unblocked)
-            .map(|((stage, occ), unblocked)| {
-                vacate_stage(now, capacity, &mut stage.inputs(), occ, unblocked)
-            })
+            .map(|stage| stage.vacate_due(now, capacity))
             .sum()
     }
 
@@ -850,9 +814,10 @@ impl Engine {
         });
         if telem.heat_due(self.now) {
             for (s, stage) in self.stages.iter().enumerate() {
-                let module_occ = self.exec.occ[s].chunks(stage.radix as usize);
-                for (m, occ) in module_occ.enumerate() {
-                    telem.heat_occupancy(s, m, occ.iter().map(|&c| u64::from(c)).sum());
+                let mut lens = stage.queue_lens();
+                for m in 0..stage.modules as usize {
+                    let occ = lens.by_ref().take(stage.radix as usize).sum::<usize>();
+                    telem.heat_occupancy(s, m, occ as u64);
                 }
             }
         }
@@ -866,7 +831,7 @@ impl Engine {
         let Some(mut arrivals) = self.arrivals.take() else {
             return;
         };
-        let ports = self.topology.ports();
+        let ports = self.config.plan.ports();
         while let Some(src) = arrivals.next_in_cycle(self.now, &mut self.rng) {
             let dest = self.config.workload.destination(src, ports, &mut self.rng);
             self.inject(src, dest);
@@ -907,19 +872,16 @@ impl Engine {
                 source_due,
                 store,
                 routes,
-                stage_count,
-                entry,
                 events,
                 faults,
-                exec,
+                exits,
                 source_backlog,
                 last_progress,
                 ..
             } = self;
             let faults = faults.as_deref();
-            let entry0: &[u32] = &entry[0];
+            let stage_count = stages.len();
             let mut stage0 = stages[0].inputs();
-            let occ0 = &mut exec.occ[0];
             let mut scan = 0;
             while let Some(index) = source_due.first_due(scan) {
                 scan = index + 1;
@@ -937,7 +899,7 @@ impl Engine {
                     Health::PermanentDown => {
                         while let Some(r) = source.queue.pop_front() {
                             *source_backlog -= 1;
-                            exec.exits.push(Exit::Drop(r));
+                            exits.push(Exit::Drop(r));
                         }
                         source.busy_until = 0;
                         source_due.set(index, NEVER);
@@ -952,7 +914,7 @@ impl Engine {
                     source_due.set(index, source.busy_until);
                     continue;
                 }
-                let port = entry0[index] as usize;
+                let port = stage0.port_of(index);
                 if !stage0.has_space(port, capacity) {
                     // Parked until the buffer drains (see `Upstream::wake`).
                     source_due.set(index, NEVER);
@@ -972,9 +934,8 @@ impl Engine {
                 let packet = store.get_mut(r);
                 packet.entered_at = Some(now);
                 let packet_id = packet.id;
-                let tag = routes[packet.dest as usize * *stage_count];
+                let tag = routes[packet.dest as usize * stage_count];
                 stage0.push(port, r, now, tag);
-                occ0[port] += 1;
                 *last_progress = now;
                 if let Some(sink) = events.as_mut() {
                     sink.record(&SimEvent::Enter {
@@ -994,7 +955,7 @@ impl Engine {
     /// accounted right after its sweep, so their events follow its grant
     /// events.
     fn grant_phase(&mut self) {
-        for stage in 0..self.stage_count {
+        for stage in 0..self.stages.len() {
             self.sweep_stage(stage);
             self.apply_exits();
         }
@@ -1002,48 +963,36 @@ impl Engine {
 
     /// Run stage `stage`'s grant sweep.
     fn sweep_stage(&mut self, stage: usize) {
+        let stage_count = self.stages.len();
         let (before, rest) = self.stages.split_at_mut(stage);
-        let (parked_before, parked_rest) = self.exec.parked.split_at_mut(stage);
-        let (Some((here, after)), Some((occ, occ_after))) = (
-            rest.split_first_mut(),
-            self.exec.occ[stage..].split_first_mut(),
-        ) else {
+        let Some((here, after)) = rest.split_first_mut() else {
             return;
         };
-        let (inputs, outputs) = here.split();
-        let entry = &self.entry;
-        let next = after
-            .first_mut()
-            .zip(occ_after.first_mut())
-            .map(|(next, occ)| Downstream {
-                entry: &entry[stage + 1],
-                inputs: next.inputs(),
-                occ,
-            });
+        let (radix, head_latency) = (here.radix, here.head_latency);
+        let (inputs, outputs, parked, _) = here.split();
         Sweep {
             now: self.now,
             flits: self.flits,
             capacity: self.config.buffer_capacity,
             arbitration: self.config.arbitration,
             stage,
-            meta: self.exec.meta[stage],
-            entry: &entry[stage],
+            radix,
+            head_latency,
             store: &self.store,
             routes: &self.routes,
-            stage_count: self.stage_count,
+            stage_count,
             faults: self.faults.as_deref(),
             inputs,
             outputs,
-            occ,
-            parked: &mut parked_rest[0],
-            scratch: &mut self.exec.scratch,
-            next,
-            upstream: Upstream::new(before, parked_before, &self.sources, &mut self.source_due),
+            parked,
+            scratch: &mut self.scratch,
+            next: after.first_mut().map(Stage::inputs),
+            upstream: Upstream::new(before, &self.sources, &mut self.source_due),
             counters: &mut self.stage_counters[stage],
             last_progress: &mut self.last_progress,
             events: self.events.as_deref_mut(),
             telem: self.telem.as_deref_mut(),
-            exits: &mut self.exec.exits,
+            exits: &mut self.exits,
         }
         .run();
     }
@@ -1051,10 +1000,10 @@ impl Engine {
     /// Account the packets the last sweep (a stage's, or the sources')
     /// delivered, then those it dropped, each in sweep order.
     fn apply_exits(&mut self) {
-        if self.exec.exits.is_empty() {
+        if self.exits.is_empty() {
             return;
         }
-        let mut exits = std::mem::take(&mut self.exec.exits);
+        let mut exits = std::mem::take(&mut self.exits);
         for &exit in &exits {
             if let Exit::Deliver(r, out_line, delivered_at) = exit {
                 self.deliver(r, out_line, delivered_at);
@@ -1066,7 +1015,7 @@ impl Engine {
             }
         }
         exits.clear();
-        self.exec.exits = exits;
+        self.exits = exits;
     }
 
     fn deliver(&mut self, r: PacketRef, out_line: u32, delivered_at: u64) {
@@ -1230,9 +1179,8 @@ impl Engine {
     /// stage-0 buffer), the parked heads recounted per stage match the
     /// gauges the blocked counters are built from, every due set (each
     /// stage's `ready_at` and `vacate_at`, and the sources') holds exactly
-    /// the entries of its array that have come due, every input occupancy
-    /// count matches its queue's length, and the packet arena holds
-    /// exactly the live packets.
+    /// the entries of its array that have come due, and the packet arena
+    /// holds exactly the live packets.
     #[cfg(debug_assertions)]
     fn debug_assert_conservation(&self) {
         debug_assert_eq!(
@@ -1253,9 +1201,11 @@ impl Engine {
             "source backlog drifted at {}",
             self.now
         );
-        let occ0 = &self.exec.occ[0];
+        let stage0 = &self.stages[0];
+        let lens0: Vec<usize> = stage0.queue_lens().collect();
         for (line, (source, &due)) in self.sources.iter().zip(self.source_due.times()).enumerate() {
-            let port_full = occ0[self.entry[0][line] as usize] >= self.config.buffer_capacity;
+            let port_full =
+                lens0[stage0.entry[line] as usize] >= self.config.buffer_capacity as usize;
             debug_assert!(
                 source.queue.is_empty() || due <= source.busy_until.max(self.now) || port_full,
                 "source {line} queues packets but is not due when it can send, cycle {}",
@@ -1264,14 +1214,15 @@ impl Engine {
         }
         // Parked heads, recounted from the ports, against the gauges the
         // blocked counters are built from.
-        for (s, (stage, parked)) in self.stages.iter().zip(&self.exec.parked).enumerate() {
+        for (s, stage) in self.stages.iter().enumerate() {
+            let parked = &stage.parked;
             debug_assert_eq!(
                 parked.calendar_total(),
                 parked.busy,
                 "wake calendar drifted"
             );
             debug_assert_eq!(
-                stage.parked(self.now),
+                stage.recount_parked(self.now),
                 (parked.busy, parked.downstream),
                 "parked gauges (busy, downstream) drifted at stage {s}, cycle {}",
                 self.now
@@ -1300,15 +1251,6 @@ impl Engine {
             "source due set drifted at cycle {}",
             self.now
         );
-        for (s, stage) in self.stages.iter().enumerate() {
-            for (port, (len, &count)) in stage.queue_lens().zip(&self.exec.occ[s]).enumerate() {
-                debug_assert_eq!(
-                    len, count as usize,
-                    "occupancy count drifted at stage {s} port {port}, cycle {}",
-                    self.now
-                );
-            }
-        }
         debug_assert_eq!(
             self.store.live(),
             self.live_packets,

@@ -42,6 +42,7 @@ use serde::{Deserialize, Serialize};
 use icn_topology::StagePlan;
 
 use crate::error::SimError;
+use crate::module::Stage;
 
 /// What a fault event takes down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -448,16 +449,15 @@ impl FaultState {
     }
 
     /// Count (src, dest) pairs whose unique path crosses a permanently
-    /// failed component — the connectivity actually lost. `entry` is the
-    /// engine's wiring: `entry[stage]` is the stage's
-    /// [`icn_topology::Topology::shuffle_table`], whose `entry[stage][line]`
-    /// is the flat `module · r + port` input that line `line` reaches.
+    /// failed component — the connectivity actually lost — in the network
+    /// of `stages`, read through each stage's wiring ([`Stage::entry`]:
+    /// the flat `module · r + port` input that each line reaches).
     ///
     /// Each source's paths form a tree: the module a line enters fans its
     /// `r` outputs out to consecutive destination blocks, one per digit.
     /// The walk counts a whole block as soon as its module or output link
     /// is permanently down, so it never enumerates the pairs one by one.
-    pub fn unreachable_pairs(&self, entry: &[Vec<u32>]) -> u64 {
+    pub fn unreachable_pairs(&self, stages: &[Stage]) -> u64 {
         if !self.any_permanent {
             return 0;
         }
@@ -467,7 +467,7 @@ impl FaultState {
                 if self.source_down[src as usize] == u64::MAX {
                     u64::from(n)
                 } else {
-                    self.severed_below(entry, 0, src, u64::from(n))
+                    self.severed_below(stages, 0, src, u64::from(n))
                 }
             })
             .sum()
@@ -475,9 +475,9 @@ impl FaultState {
 
     /// Destinations severed among the `span` ones that line `line`,
     /// entering stage `stage`, can still reach.
-    fn severed_below(&self, entry: &[Vec<u32>], stage: usize, line: u32, span: u64) -> u64 {
+    fn severed_below(&self, stages: &[Stage], stage: usize, line: u32, span: u64) -> u64 {
         let r = self.radices[stage];
-        let input = entry[stage][line as usize];
+        let input = stages[stage].entry[line as usize];
         let first_out = input - input % r;
         if self.module_down[stage][(input / r) as usize] == u64::MAX {
             return span;
@@ -487,10 +487,10 @@ impl FaultState {
             .map(|out| {
                 if self.link_down[stage][out as usize] == u64::MAX {
                     span
-                } else if stage + 1 == entry.len() {
+                } else if stage + 1 == stages.len() {
                     0
                 } else {
-                    self.severed_below(entry, stage + 1, out, span)
+                    self.severed_below(stages, stage + 1, out, span)
                 }
             })
             .sum()
@@ -507,11 +507,12 @@ mod tests {
         StagePlan::uniform(4, 2) // 16 ports, 2 stages of 4 modules
     }
 
-    /// The engine's entry tables for `plan`.
-    fn wiring(plan: &StagePlan) -> Vec<Vec<u32>> {
+    /// Empty engine stages for `plan`, wired by its shuffle tables.
+    fn wiring(plan: &StagePlan) -> Vec<Stage> {
         let topology = Topology::new(plan.clone());
-        (0..plan.stages())
-            .map(|s| topology.shuffle_table(s))
+        (0..)
+            .zip(plan.radices())
+            .map(|(s, &r)| Stage::new(topology.shuffle_table(s), r, 1, 1, 1, 0))
             .collect()
     }
 

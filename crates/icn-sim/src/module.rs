@@ -1,4 +1,7 @@
-//! Per-stage simulation state: input buffers, circuit-held outputs.
+//! Per-stage simulation state: the wiring into the stage, its input
+//! buffers and circuit-held outputs, and the gauges of its parked heads.
+//! Each stage's state lives here once; the engine borrows it stage by
+//! stage.
 //!
 //! The stage's ports are stored *flat* (module-major: module `m` of a
 //! radix-`r` stage owns input/output indices `m*r .. (m+1)*r`), so the
@@ -68,6 +71,7 @@ use std::num::NonZeroU64;
 use crate::config::MAX_BUFFER_CAPACITY;
 use crate::due::{DueTimes, NEVER, UNTIL_DRAINED};
 use crate::store::PacketRef;
+use crate::sweep::Parked;
 
 /// "No front" in the `front_tag` array.
 pub(crate) const NO_TAG: u32 = u32::MAX;
@@ -213,9 +217,11 @@ fn pending_park(front: Option<&Slot>, ready_at: u64, ready_offset: u64, now: u64
 }
 
 /// One stage's input ports together with their due-time arrays — the
-/// only way to change a port's buffers (see the module docs).
+/// only way to change a port's buffers (see the module docs) — and the
+/// wiring that reaches them.
 #[derive(Debug)]
 pub(crate) struct InputPorts<'a> {
+    entry: &'a [u32],
     buffers: &'a mut Buffers,
     ready: &'a mut DueTimes,
     vacate: &'a mut DueTimes,
@@ -223,7 +229,18 @@ pub(crate) struct InputPorts<'a> {
     ready_offset: u64,
 }
 
-impl InputPorts<'_> {
+impl<'a> InputPorts<'a> {
+    /// The stage's wiring: `entry()[line]` is the flat input port that
+    /// line `line` reaches (see [`Stage::entry`]).
+    pub fn entry(&self) -> &'a [u32] {
+        self.entry
+    }
+
+    /// The flat input port that line `line` reaches.
+    pub fn port_of(&self, line: usize) -> usize {
+        self.entry[line] as usize
+    }
+
     /// Per-port cycle the ungranted front may request (see the module
     /// docs).
     #[cfg(test)]
@@ -252,7 +269,9 @@ impl InputPorts<'_> {
         self.ready_offset
     }
 
-    /// Whether port `p` can accept a new packet (or reservation).
+    /// Whether port `p` can accept a new packet (or reservation): the
+    /// paper's buffer-full line, read from the port's own length, which
+    /// counts resident packets and reservations alike.
     pub fn has_space(&self, p: usize, capacity: u32) -> bool {
         self.buffers.len(p) < capacity as usize
     }
@@ -433,11 +452,20 @@ impl OutputPort {
     }
 }
 
-/// One network stage: `module_count` crossbar modules of the stage's
-/// radix, ports flattened module-major (see the module docs).
+/// One network stage: `modules` crossbar modules of the stage's radix,
+/// ports flattened module-major (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Stage {
     pub radix: u32,
+    /// Crossbar modules in the stage.
+    pub modules: u32,
+    /// Cycles from a grant until the head leaves the module's output.
+    pub head_latency: u64,
+    /// The wiring into the stage: `entry[line]` is the flat
+    /// `module · radix + port` input that line `line` (a source, or an
+    /// output line of the stage before) reaches — the stage's
+    /// [`icn_topology::Topology::shuffle_table`].
+    pub entry: Vec<u32>,
     /// Input-port buffers, module-major: port `m * radix + port`'s ring.
     buffers: Buffers,
     /// Due-time arrays with their calendars, and front tags, indexed like
@@ -450,23 +478,42 @@ pub(crate) struct Stage {
     ready_offset: u64,
     /// Output ports, module-major: `outputs[m * radix + port]`.
     pub outputs: Vec<OutputPort>,
+    /// Gauges of the stage's parked heads (see [`crate::sweep`]).
+    pub parked: Parked,
+    /// The ports the vacate phase freed a slot in while full: heads (or
+    /// sources) upstream may be parked on them, and the engine wakes
+    /// them after the phase.
+    pub unblocked: Vec<u32>,
 }
 
 impl Stage {
-    /// An empty stage of `module_count` radix-`radix` modules whose inputs
+    /// An empty stage of radix-`radix` modules wired by `entry` (one
+    /// entry per port, so `entry.len() / radix` modules), whose grants
+    /// hold an output for `head_latency + flits` cycles and whose inputs
     /// hold `buffer_capacity` packets each (1 to [`MAX_BUFFER_CAPACITY`],
-    /// as [`crate::SimConfig::validate`] admits). (Per-stage head latency
-    /// lives in the engine's `StageMeta`, shared with the grant kernel.)
-    pub fn new(radix: u32, module_count: u32, buffer_capacity: u32, ready_offset: u64) -> Self {
-        let ports = (radix * module_count) as usize;
+    /// as [`crate::SimConfig::validate`] admits).
+    pub fn new(
+        entry: Vec<u32>,
+        radix: u32,
+        head_latency: u64,
+        flits: u64,
+        buffer_capacity: u32,
+        ready_offset: u64,
+    ) -> Self {
+        let ports = entry.len();
         Self {
             radix,
+            modules: ports as u32 / radix,
+            head_latency,
+            entry,
             buffers: Buffers::new(ports, buffer_capacity),
             ready: DueTimes::new(ports),
             vacate: DueTimes::new(ports),
             front_tag: vec![NO_TAG; ports],
             ready_offset,
             outputs: (0..ports).map(|_| OutputPort::default()).collect(),
+            parked: Parked::new(head_latency + flits, ports),
+            unblocked: Vec::new(),
         }
     }
 
@@ -482,10 +529,20 @@ impl Stage {
         self.split().0
     }
 
-    /// All input ports and, separately borrowed, all output ports.
-    pub fn split(&mut self) -> (InputPorts<'_>, &mut [OutputPort]) {
+    /// Every part of the stage a phase changes, borrowed apart: all input
+    /// ports, all output ports, the parked-head gauges and the
+    /// [`Self::unblocked`] list.
+    pub fn split(
+        &mut self,
+    ) -> (
+        InputPorts<'_>,
+        &mut [OutputPort],
+        &mut Parked,
+        &mut Vec<u32>,
+    ) {
         (
             InputPorts {
+                entry: &self.entry,
                 buffers: &mut self.buffers,
                 ready: &mut self.ready,
                 vacate: &mut self.vacate,
@@ -493,7 +550,29 @@ impl Stage {
                 ready_offset: self.ready_offset,
             },
             &mut self.outputs,
+            &mut self.parked,
+            &mut self.unblocked,
         )
+    }
+
+    /// The stage's part of the vacate phase: free the drained slots of
+    /// every port whose granted front leaves by `now`, walking the
+    /// `vacate_at` due set, so only those queues are touched. A port that
+    /// was full (`capacity` slots) may have heads parked on it upstream;
+    /// it joins [`Self::unblocked`]. Returns how many slots were freed.
+    pub fn vacate_due(&mut self, now: u64, capacity: u32) -> u64 {
+        let (mut inputs, _, _, unblocked) = self.split();
+        let mut freed = 0;
+        let mut scan = 0;
+        while let Some(p) = inputs.next_vacate(scan) {
+            let was_full = !inputs.has_space(p, capacity);
+            freed += inputs.vacate(p, now);
+            if was_full {
+                unblocked.push(p as u32);
+            }
+            scan = p + 1;
+        }
+        freed
     }
 
     /// The `ready_at` and `vacate_at` calendars (debug builds recount
@@ -503,16 +582,16 @@ impl Stage {
         [&self.ready, &self.vacate]
     }
 
-    /// Each input port's buffer occupancy, in port order (the engine
-    /// keeps these as counts; debug builds check the counts against this).
-    #[cfg(any(test, debug_assertions))]
+    /// Each input port's buffer occupancy (resident packets and
+    /// reservations), in port order: what the stall report, telemetry
+    /// samples and the heatmap read.
     pub fn queue_lens(&self) -> impl Iterator<Item = usize> + '_ {
         self.buffers.rings.iter().map(|ring| ring.len as usize)
     }
 
     /// Heads parked on a full downstream buffer, counted per output line
-    /// of the stage from the ports (debug builds check the engine's
-    /// per-line gauges against this).
+    /// of the stage from the ports (debug builds check the per-line
+    /// gauges in [`Self::parked`] against this).
     #[cfg(debug_assertions)]
     pub fn downstream_waiters(&self) -> Vec<u32> {
         let radix = self.radix as usize;
@@ -527,9 +606,9 @@ impl Stage {
 
     /// Heads parked and not yet due at `now`, recounted from the ports:
     /// `(on a busy output, on a full downstream buffer)` (debug builds
-    /// check the engine's parked gauges against this).
+    /// check the gauges in [`Self::parked`] against this).
     #[cfg(debug_assertions)]
-    pub fn parked(&self, now: u64) -> (u64, u64) {
+    pub fn recount_parked(&self, now: u64) -> (u64, u64) {
         self.ready
             .times()
             .iter()
@@ -558,9 +637,22 @@ mod tests {
         PacketRef(id)
     }
 
+    /// An empty stage of `modules` radix-`radix` modules, wired straight
+    /// through, whose inputs hold `capacity` packets.
+    fn empty_stage(radix: u32, modules: u32, capacity: u32, ready_offset: u64) -> Stage {
+        Stage::new(
+            (0..radix * modules).collect(),
+            radix,
+            1,
+            1,
+            capacity,
+            ready_offset,
+        )
+    }
+
     #[test]
     fn drop_front_removes_ungranted_head() {
-        let mut stage = Stage::new(1, 1, 2, 0);
+        let mut stage = empty_stage(1, 1, 2, 0);
         let mut port = stage.inputs();
         port.push(0, packet(3), 0, 0);
         port.push(0, packet(4), 0, 0);
@@ -572,7 +664,7 @@ mod tests {
 
     #[test]
     fn space_accounting_includes_reservations() {
-        let mut stage = Stage::new(1, 1, 2, 0);
+        let mut stage = empty_stage(1, 1, 2, 0);
         let mut port = stage.inputs();
         assert!(port.has_space(0, 1));
         port.push(0, packet(0), 10, 0); // reservation, head arrives later
@@ -582,14 +674,14 @@ mod tests {
 
     #[test]
     fn head_not_ready_until_arrival() {
-        let mut stage = Stage::new(1, 1, 1, 0);
+        let mut stage = empty_stage(1, 1, 1, 0);
         let mut port = stage.inputs();
         port.push(0, packet(0), 10, 0);
         assert!(port.requesting_head(0, 9).is_none());
         assert!(port.requesting_head(0, 10).is_some());
         assert_eq!(port.ready_at()[0], 10);
         // Store-and-forward: ready only after the tail (offset) arrives.
-        let mut stage = Stage::new(1, 1, 1, 24);
+        let mut stage = empty_stage(1, 1, 1, 24);
         let mut port = stage.inputs();
         port.push(0, packet(0), 10, 0);
         assert!(port.requesting_head(0, 10).is_none());
@@ -599,7 +691,7 @@ mod tests {
 
     #[test]
     fn granted_head_stops_requesting_and_vacates() {
-        let mut stage = Stage::new(1, 1, 1, 0);
+        let mut stage = empty_stage(1, 1, 1, 0);
         let mut port = stage.inputs();
         port.push(0, packet(0), 0, 0);
         let p = port.grant_front(0, 25);
@@ -614,7 +706,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut stage = Stage::new(1, 1, 2, 0);
+        let mut stage = empty_stage(1, 1, 2, 0);
         let mut port = stage.inputs();
         port.push(0, packet(0), 0, 0);
         port.push(0, packet(1), 0, 0);
@@ -637,7 +729,7 @@ mod tests {
 
     #[test]
     fn flat_stage_layout_is_module_major() {
-        let mut stage = Stage::new(4, 3, 2, 0);
+        let mut stage = empty_stage(4, 3, 2, 0);
         assert_eq!(stage.inputs().ready_at().len(), 12);
         assert_eq!(stage.outputs.len(), 12);
         assert_eq!(stage.queue_lens().sum::<usize>(), 0);
@@ -648,7 +740,7 @@ mod tests {
 
     #[test]
     fn grant_and_drop_on_empty_port_return_none() {
-        let mut stage = Stage::new(1, 1, 1, 0);
+        let mut stage = empty_stage(1, 1, 1, 0);
         let mut port = stage.inputs();
         assert_eq!(port.grant_front(0, 1), None);
         assert_eq!(port.drop_front(0), None);
@@ -691,7 +783,7 @@ mod tests {
             ready_offset in prop_oneof![Just(0u64), Just(24), Just(2 * WHEEL as u64 + 13)],
             ops in proptest::collection::vec(any::<u64>(), 1..300),
         ) {
-            let mut stage = Stage::new(MODEL_PORTS as u32, 1, capacity, ready_offset);
+            let mut stage = empty_stage(MODEL_PORTS as u32, 1, capacity, ready_offset);
             let mut now = 0u64;
             let mut next_packet = 0u32;
             for op in ops {
@@ -783,7 +875,7 @@ mod tests {
             ready_offset in prop_oneof![Just(0u64), Just(24)],
             ops in proptest::collection::vec(any::<u64>(), 1..400),
         ) {
-            let mut stage = Stage::new(RING_PORTS as u32, 1, capacity, ready_offset);
+            let mut stage = empty_stage(RING_PORTS as u32, 1, capacity, ready_offset);
             let mut model: Vec<ModelPort> = (0..RING_PORTS).map(|_| ModelPort::default()).collect();
             let mut now = 0u64;
             let mut next_packet = 0u32;

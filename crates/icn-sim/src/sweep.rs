@@ -1,12 +1,13 @@
-//! Per-stage kernels of the engine's vacate and grant phases, and the
-//! wakes that follow a buffer slot freed from full.
+//! The per-stage kernel of the engine's grant phase, the parked-head
+//! gauges, and the wakes that follow a buffer slot freed from full.
 //!
 //! Within one cycle, the modules of a stage are independent: each packet
 //! sits in exactly one module's input buffer, every output line feeds a
 //! *unique* downstream input port (the entry tables are injective), and
 //! routing is a pure function of the destination. The engine runs the
-//! vacate phase stage by stage, then one grant sweep per stage, from the
-//! first stage to the last, on the calling thread.
+//! vacate phase stage by stage ([`Stage::vacate_due`]), then one grant
+//! sweep per stage, from the first stage to the last, on the calling
+//! thread.
 //!
 //! # Why the grant sweep applies its effects as it grants
 //!
@@ -17,22 +18,23 @@
 //! sweep per stage, from stage 0 to the last, needs no copy of the state
 //! before the phase:
 //!
-//! * **Stage `s` reads only its own ports and `occ[s + 1]`**
-//!   ([`ExecState::occ`], for back-pressure); the packet arena, the route
-//!   and entry tables and fault health do not change in the phase.
+//! * **Stage `s` reads only its own ports and the lengths of stage
+//!   `s + 1`'s** (for back-pressure, [`InputPorts::has_space`]); the
+//!   packet arena, the route and entry tables and fault health do not
+//!   change in the phase.
 //! * **A downstream port's only writer is the one line that reads it.**
-//!   A grant on line `l` pushes into the port `l` feeds and counts it in
-//!   `occ[s + 1]`; the line is walked at most once a cycle and reads the
-//!   count first, so back-pressure reads post-vacate occupancy.
+//!   A grant on line `l` pushes into the port `l` feeds, which lengthens
+//!   it; the line is walked at most once a cycle and reads the length
+//!   first, so back-pressure reads post-vacate occupancy.
 //! * **A pushed head is never due in the cycle it is pushed.** It arrives
 //!   at `now + head_latency`, so stage `s + 1`'s sweep later in the cycle
 //!   finds the same due heads as without the push (a push behind a front
 //!   changes no due time). The push site debug-asserts it.
-//! * **A fault drop touches only what has had its turn.** It takes one
-//!   off `occ[s]`, which only stage `s - 1` reads, and wakes what is
-//!   parked on the port it frees from full — heads of stage `s - 1`, or a
-//!   source — which the cycle has already swept; they are next examined
-//!   in the next cycle either way.
+//! * **A fault drop touches only what has had its turn.** It shortens a
+//!   port of stage `s`, whose length only stage `s - 1` reads, and wakes
+//!   what is parked on the port it frees from full — heads of stage
+//!   `s - 1`, or a source — which the cycle has already swept; they are
+//!   next examined in the next cycle either way.
 //!
 //! So a grant's counters, `last_progress`, event, stage wait, heatmap
 //! grant and downstream push are applied as it is made. Only the event
@@ -43,16 +45,16 @@
 //!
 //! Parks are stage-local. A grant sweep parks only its own heads and
 //! counts them in its stage's [`Parked`] gauges. The vacate phase only
-//! *records* the full ports it frees, and the engine wakes those ports'
-//! waiters in one pass before the grant phase; fault drops wake theirs
-//! as they drop, and fault activations at the start of the cycle. A
-//! parked head is exactly as blocked as when it parked — its module and
-//! link are healthy (activations wake it), a busy output stays busy until
-//! its `busy_until` (the park's due cycle), and a full downstream port
-//! stays full until a vacate or drop (which wake it), because its only
-//! writer is the output the head waits on. So leaving it out of the sweep
-//! changes no grant, drop or event, and its stage's gauges count it
-//! exactly as the sweep did.
+//! *records* the full ports it frees ([`Stage::unblocked`]), and the
+//! engine wakes those ports' waiters in one pass before the grant phase;
+//! fault drops wake theirs as they drop, and fault activations at the
+//! start of the cycle. A parked head is exactly as blocked as when it
+//! parked — its module and link are healthy (activations wake it), a busy
+//! output stays busy until its `busy_until` (the park's due cycle), and a
+//! full downstream port stays full until a vacate or drop (which wake
+//! it), because its only writer is the output the head waits on. So
+//! leaving it out of the sweep changes no grant, drop or event, and its
+//! stage's gauges count it exactly as the sweep did.
 //!
 //! # A module visit follows its due heads
 //!
@@ -84,17 +86,6 @@ use crate::metrics::StageCounters;
 use crate::module::{InputPorts, OutputPort, Stage};
 use crate::store::{PacketRef, PacketStore};
 use crate::telemetry::{EventSink, SimEvent, TelemetryState};
-
-/// Per-stage constants the grant kernel needs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StageMeta {
-    /// Crossbar radix.
-    pub radix: u32,
-    /// Modules in the stage.
-    pub modules: u32,
-    /// Head latency per grant.
-    pub head_latency: u64,
-}
 
 /// "Leave the head due" in [`VisitScratch::park_at`]: no output is busy
 /// until cycle 0.
@@ -155,7 +146,7 @@ pub(crate) struct VisitScratch {
 }
 
 impl VisitScratch {
-    fn new(max_radix: usize) -> Self {
+    pub fn new(max_radix: usize) -> Self {
         let words = max_radix.div_ceil(WORD);
         Self {
             words,
@@ -240,7 +231,9 @@ pub(crate) struct Parked {
 }
 
 impl Parked {
-    fn new(horizon: u64, lines: usize) -> Self {
+    /// No head parked, in a stage of `lines` output lines whose busy
+    /// parks lie at most `horizon` cycles ahead.
+    pub fn new(horizon: u64, lines: usize) -> Self {
         Self {
             busy: 0,
             downstream: 0,
@@ -310,79 +303,6 @@ pub(crate) enum Exit {
     Drop(PacketRef),
 }
 
-/// The engine's per-stage execution state: every reusable buffer the
-/// vacate and grant sweeps fill, and the occupancy counts.
-#[derive(Debug)]
-pub(crate) struct ExecState {
-    /// Arbitration scratch, shared by the stages' sweeps.
-    pub scratch: VisitScratch,
-    /// Per stage, the ports the vacate phase freed a slot in while full:
-    /// the heads upstream of them may be parked on them.
-    pub unblocked: Vec<Vec<u32>>,
-    /// Per-stage parked-head gauges.
-    pub parked: Vec<Parked>,
-    /// Input occupancy per stage, in port order: `occ[stage][port]`.
-    /// Kept equal to each queue's length as ports change: a push adds one
-    /// (source and module grants), and the vacate phase and fault drops
-    /// subtract what they free.
-    pub occ: Vec<Vec<u32>>,
-    /// Per-stage constants.
-    pub meta: Vec<StageMeta>,
-    /// The packets the current sweep (a stage's, or the sources')
-    /// delivered or dropped, in sweep order (cleared after each sweep,
-    /// never shrunk).
-    pub exits: Vec<Exit>,
-}
-
-impl ExecState {
-    /// Allocate every per-stage buffer for the given stage shape and
-    /// packet length.
-    pub fn build(meta: Vec<StageMeta>, flits: u64) -> Self {
-        let max_radix = meta.iter().map(|m| m.radix as usize).max().unwrap_or(0);
-        Self {
-            scratch: VisitScratch::new(max_radix),
-            unblocked: meta.iter().map(|_| Vec::new()).collect(),
-            parked: meta
-                .iter()
-                .map(|m| Parked::new(m.head_latency + flits, (m.modules * m.radix) as usize))
-                .collect(),
-            occ: meta
-                .iter()
-                .map(|m| vec![0; (m.modules * m.radix) as usize])
-                .collect(),
-            meta,
-            exits: Vec::new(),
-        }
-    }
-}
-
-/// Free drained slots in one stage's input ports and take them off the
-/// stage's occupancy counts, which the grant phase's back-pressure reads;
-/// returns how many slots were freed. The sweep walks the `vacate_at`
-/// due set and touches only the queues whose granted front leaves by now.
-/// A port that was full may have heads parked on it upstream; it is
-/// recorded in `unblocked`, and the engine wakes them after the phase.
-pub(crate) fn vacate_stage(
-    now: u64,
-    capacity: u32,
-    inputs: &mut InputPorts<'_>,
-    occ: &mut [u32],
-    unblocked: &mut Vec<u32>,
-) -> u64 {
-    let mut freed = 0;
-    let mut scan = 0;
-    while let Some(p) = inputs.next_vacate(scan) {
-        let n = inputs.vacate(p, now);
-        if occ[p] >= capacity {
-            unblocked.push(p as u32);
-        }
-        occ[p] -= n as u32;
-        freed += n;
-        scan = p + 1;
-    }
-    freed
-}
-
 /// What feeds a stage's input ports — the sources (stage 0) or the
 /// stage before — borrowed to wake what is parked on a port of the stage
 /// that stops being full.
@@ -392,66 +312,52 @@ pub(crate) enum Upstream<'a> {
         sources: &'a [Source],
         due: &'a mut DueTimes,
     },
-    /// The stage before, with its radix and parked-head gauges.
-    Stage {
-        radix: usize,
-        inputs: InputPorts<'a>,
-        parked: &'a mut Parked,
-    },
+    /// The stage before.
+    Stage(&'a mut Stage),
 }
 
 impl<'a> Upstream<'a> {
-    /// What feeds the stage after `before` (every stage ahead of it, with
-    /// their gauges in `parked`): the last of them, or the sources.
-    pub fn new(
-        before: &'a mut [Stage],
-        parked: &'a mut [Parked],
-        sources: &'a [Source],
-        due: &'a mut DueTimes,
-    ) -> Self {
-        match (before.last_mut(), parked.last_mut()) {
-            (Some(feeding), Some(parked)) => Self::Stage {
-                radix: feeding.radix as usize,
-                inputs: feeding.inputs(),
-                parked,
-            },
-            _ => Self::Sources { sources, due },
+    /// What feeds the stage after `before` (every stage ahead of it): the
+    /// last of them, or the sources.
+    pub fn new(before: &'a mut [Stage], sources: &'a [Source], due: &'a mut DueTimes) -> Self {
+        match before.last_mut() {
+            Some(feeding) => Self::Stage(feeding),
+            None => Self::Sources { sources, due },
         }
     }
 
-    /// Wake what is parked on input `port` of the fed stage (shape `fed`,
-    /// entry table `entry`) being full: the source whose line feeds it,
-    /// or the heads in the one module of the stage before whose output
+    /// Wake what is parked on input `port` of the fed stage (radix
+    /// `radix`, wired by `entry`) being full: the source whose line feeds
+    /// it, or the heads in the one module of the stage before whose output
     /// line feeds it and whose cached tag takes that output. A line with
     /// no head parked on it returns at once. `route_tag(r)` is the route
     /// table's tag of a packet in the stage before, which debug builds
     /// check each cached tag against.
     pub fn wake(
         &mut self,
-        fed: StageMeta,
+        radix: u32,
         entry: &[u32],
         port: usize,
         now: u64,
         route_tag: impl Fn(PacketRef) -> u32,
     ) {
-        let line = upstream_line(fed.modules, fed.radix, port as u32) as usize;
+        let modules = entry.len() as u32 / radix;
+        let line = upstream_line(modules, radix, port as u32) as usize;
         debug_assert_eq!(
             entry[line] as usize, port,
             "upstream line inverts the wiring"
         );
-        let (radix, inputs, parked) = match self {
+        let feeding = match self {
             Self::Sources { sources, due } => {
                 if !sources[line].queue.is_empty() {
                     due.lower(line, now);
                 }
                 return;
             }
-            Self::Stage {
-                radix,
-                inputs,
-                parked,
-            } => (*radix, inputs, parked),
+            Self::Stage(feeding) => feeding,
         };
+        let radix = feeding.radix as usize;
+        let (mut inputs, _, parked, _) = feeding.split();
         if parked.on_line[line] == 0 {
             return;
         }
@@ -475,15 +381,6 @@ impl<'a> Upstream<'a> {
     }
 }
 
-/// The stage after a sweep's: its entry table, input ports and
-/// occupancy counts.
-pub(crate) struct Downstream<'a> {
-    /// `entry[line]` = the flat input port output line `line` feeds.
-    pub entry: &'a [u32],
-    pub inputs: InputPorts<'a>,
-    pub occ: &'a mut [u32],
-}
-
 /// One stage's grant sweep: the stage's ports and everything its grants
 /// change, borrowed from the engine for the sweep (see the module docs).
 pub(crate) struct Sweep<'a> {
@@ -493,9 +390,10 @@ pub(crate) struct Sweep<'a> {
     pub arbitration: Arbitration,
     /// Stage index.
     pub stage: usize,
-    pub meta: StageMeta,
-    /// The stage's entry table (`entry[line]` = flat input port).
-    pub entry: &'a [u32],
+    /// The stage's radix.
+    pub radix: u32,
+    /// Cycles from a grant until the head leaves the output.
+    pub head_latency: u64,
     pub store: &'a PacketStore,
     /// `routes[dest * stage_count + stage]` = output tag at `stage`.
     pub routes: &'a [u32],
@@ -503,13 +401,11 @@ pub(crate) struct Sweep<'a> {
     pub faults: Option<&'a FaultState>,
     pub inputs: InputPorts<'a>,
     pub outputs: &'a mut [OutputPort],
-    /// The stage's occupancy counts, which its fault drops take from.
-    pub occ: &'a mut [u32],
     pub parked: &'a mut Parked,
     pub scratch: &'a mut VisitScratch,
-    /// The stage its grants push into; `None` for the last stage, whose
-    /// grants deliver.
-    pub next: Option<Downstream<'a>>,
+    /// The inputs of the stage its grants push into; `None` for the last
+    /// stage, whose grants deliver.
+    pub next: Option<InputPorts<'a>>,
     /// What feeds the stage, which a fault drop may wake.
     pub upstream: Upstream<'a>,
     /// The stage's counters.
@@ -531,7 +427,7 @@ impl Sweep<'_> {
     /// again.
     pub fn run(mut self) {
         let now = self.now;
-        let radix = self.meta.radix as usize;
+        let radix = self.radix as usize;
         self.scratch.start_stage(radix);
         // Heads parked through this cycle are blocked exactly as they were
         // when they parked (see the module docs): count them here.
@@ -577,12 +473,7 @@ impl Sweep<'_> {
                     let mut next = next_set(self.scratch.due(), 0);
                     while let Some(in_port) = next {
                         let p = base + in_port;
-                        while self.inputs.ready_tag(p, now).is_some() {
-                            let Some(dropped) = self.inputs.drop_front(p) else {
-                                break;
-                            };
-                            self.fault_drop(p, dropped);
-                        }
+                        while self.inputs.ready_tag(p, now).is_some() && self.fault_drop(p) {}
                         next = next_set(self.scratch.due(), in_port + 1);
                     }
                 }
@@ -595,7 +486,7 @@ impl Sweep<'_> {
     /// order, and park the heads still requesting.
     fn visit(&mut self, module: usize) {
         let now = self.now;
-        let base = module * self.meta.radix as usize;
+        let base = module * self.radix as usize;
         // Each due head's requested output, read from its cached tag.
         let mut next = next_set(self.scratch.due(), 0);
         while let Some(in_port) = next {
@@ -636,7 +527,7 @@ impl Sweep<'_> {
     /// requesting it, blocks them all, or fault-drops them.
     fn serve_output(&mut self, module: usize, out_port: usize) {
         let now = self.now;
-        let radix = self.meta.radix;
+        let radix = self.radix;
         let base = module * radix as usize;
         let matching = self.scratch.tag_count[out_port];
         debug_assert!(matching > 0, "walked output {out_port} has no contender");
@@ -663,10 +554,10 @@ impl Sweep<'_> {
         }
 
         // Back-pressure: the downstream buffer must accept a packet. This
-        // line is the port's only writer, so its count is still the
+        // line is the port's only writer, so its length is still the
         // post-vacate one (see the module docs).
         if let Some(next) = &self.next {
-            if next.occ[next.entry[out_line] as usize] >= self.capacity {
+            if !next.has_space(next.port_of(out_line), self.capacity) {
                 self.counters.blocked_downstream_full += u64::from(matching);
                 self.scratch.park_at[out_port] = UNTIL_DRAINED;
                 return;
@@ -685,7 +576,7 @@ impl Sweep<'_> {
         };
         let output = &mut self.outputs[out_line];
         output.rr_next = (winner + 1) % radix;
-        output.busy_until = now + self.meta.head_latency + self.flits;
+        output.busy_until = now + self.head_latency + self.flits;
         self.scratch.park_at[out_port] = output.busy_until;
         self.counters.grants += 1;
         *self.last_progress = now;
@@ -705,7 +596,7 @@ impl Sweep<'_> {
             return;
         };
         self.scratch.withdraw(out_port, winner as usize);
-        let head_arrival = now + self.meta.head_latency;
+        let head_arrival = now + self.head_latency;
         if let Some(sink) = self.events.as_deref_mut() {
             sink.record(&SimEvent::Grant {
                 cycle: now,
@@ -721,14 +612,13 @@ impl Sweep<'_> {
             Some(next) => {
                 let dest = self.store.get(r).dest as usize;
                 let tag = self.routes[dest * self.stage_count + self.stage + 1];
-                let port = next.entry[out_line] as usize;
+                let port = next.port_of(out_line);
                 debug_assert!(
-                    head_arrival + next.inputs.ready_offset() > now,
+                    head_arrival + next.ready_offset() > now,
                     "a head pushed into stage {} is due in the cycle it is pushed",
                     self.stage + 1
                 );
-                next.inputs.push(port, r, head_arrival, tag);
-                next.occ[port] += 1;
+                next.push(port, r, head_arrival, tag);
             }
             None => self
                 .exits
@@ -746,8 +636,7 @@ impl Sweep<'_> {
         while let Some(in_port) = next {
             let p = base + in_port;
             self.scratch.withdraw(out_port, in_port);
-            while let Some(dropped) = self.inputs.drop_front(p) {
-                self.fault_drop(p, dropped);
+            while self.fault_drop(p) {
                 let Some(tag) = self.inputs.ready_tag(p, self.now) else {
                     break;
                 };
@@ -761,22 +650,23 @@ impl Sweep<'_> {
         }
     }
 
-    /// Account packet `r`, which a permanent fault dropped from input
-    /// port `p`: take it off the port's count, wake what is parked
-    /// upstream on the port if that frees it from full, and queue its
-    /// retry or loss behind the stage's grant events.
-    fn fault_drop(&mut self, p: usize, r: PacketRef) {
+    /// Drop input port `p`'s front packet, whose route a permanent fault
+    /// severed: queue its retry or loss behind the stage's grant events,
+    /// and wake what is parked upstream on the port if the drop frees it
+    /// from full. Returns `false` if the port is empty.
+    fn fault_drop(&mut self, p: usize) -> bool {
+        let was_full = !self.inputs.has_space(p, self.capacity);
+        let Some(r) = self.inputs.drop_front(p) else {
+            return false;
+        };
         self.counters.dropped += 1;
         self.exits.push(Exit::Drop(r));
-        let occ = &mut self.occ[p];
-        let was_full = *occ >= self.capacity;
-        *occ -= 1;
         if was_full {
             let Self {
                 upstream,
                 stage,
-                meta,
-                entry,
+                radix,
+                inputs,
                 store,
                 routes,
                 stage_count,
@@ -784,10 +674,11 @@ impl Sweep<'_> {
                 ..
             } = self;
             // Only a stage after the first has a stage before to check.
-            upstream.wake(*meta, entry, p, *now, |r| {
+            upstream.wake(*radix, inputs.entry(), p, *now, |r| {
                 routes[store.get(r).dest as usize * *stage_count + *stage - 1]
             });
         }
+        true
     }
 
     /// Packet `r`'s output tag at `stage`, from the route table.
@@ -819,17 +710,12 @@ pub(crate) fn upstream_line(modules: u32, radix: u32, port: u32) -> u32 {
     (port % radix) * modules + port / radix
 }
 
-/// Wake every parked head of module `module` in `inputs` (a whole
-/// stage) — a fault changed what blocks them. `parked` is the stage's
-/// gauges.
-pub(crate) fn rearm_module(
-    inputs: &mut InputPorts<'_>,
-    parked: &mut Parked,
-    radix: usize,
-    module: usize,
-    now: u64,
-) {
+/// Wake every parked head of module `module` of `stage` — a fault
+/// changed what blocks them.
+pub(crate) fn rearm_module(stage: &mut Stage, module: usize, now: u64) {
+    let radix = stage.radix as usize;
     let base = module * radix;
+    let (mut inputs, _, parked, _) = stage.split();
     for p in base..base + radix {
         let line = base + inputs.downstream_waiter(p).map_or(0, |tag| tag as usize);
         if let Some(until) = inputs.unpark(p, now) {
@@ -924,28 +810,45 @@ mod tests {
         }
     }
 
-    fn meta(stages: &[(u32, u32)]) -> Vec<StageMeta> {
-        stages
-            .iter()
-            .map(|&(radix, modules)| StageMeta {
-                radix,
-                modules,
-                head_latency: 1,
-            })
-            .collect()
-    }
-
+    /// Each stage sizes its parked-head gauges to its own lines and
+    /// grant horizon; the one visit scratch is sized for the widest.
     #[test]
-    fn exec_state_sizes_its_buffers_per_stage() {
-        let exec = ExecState::build(meta(&[(4, 16), (2, 32), (8, 5)]), 25);
-        assert_eq!(exec.unblocked.len(), 3);
-        assert_eq!(exec.parked.len(), 3);
-        let ports: Vec<usize> = exec.occ.iter().map(Vec::len).collect();
-        assert_eq!(ports, vec![64, 64, 40]);
-        assert_eq!(exec.scratch.park_at.len(), 8, "sized for the widest stage");
-        let wide = ExecState::build(meta(&[(128, 2), (2, 128)]), 25);
-        assert_eq!(wide.scratch.due.len(), 2, "two words for radix 128");
-        assert_eq!(wide.scratch.contenders.len(), 256);
+    fn stages_and_scratch_size_their_buffers() {
+        let stages: Vec<Stage> = [(4u32, 16u32, 2u64), (2, 32, 3), (8, 5, 4)]
+            .into_iter()
+            .map(|(radix, modules, head_latency)| {
+                Stage::new(
+                    (0..radix * modules).collect(),
+                    radix,
+                    head_latency,
+                    25,
+                    1,
+                    0,
+                )
+            })
+            .collect();
+        let shapes: Vec<(u32, usize, usize, usize)> = stages
+            .iter()
+            .map(|s| {
+                let ports = s.queue_lens().count();
+                (
+                    s.modules,
+                    ports,
+                    s.parked.on_line.len(),
+                    s.parked.wakes.len(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            vec![(16, 64, 64, 28), (32, 64, 64, 29), (5, 40, 40, 30)]
+        );
+        let max_radix = stages.iter().map(|s| s.radix as usize).max();
+        let scratch = VisitScratch::new(max_radix.unwrap_or(0));
+        assert_eq!(scratch.park_at.len(), 8, "sized for the widest stage");
+        let wide = VisitScratch::new(128);
+        assert_eq!(wide.due.len(), 2, "two words for radix 128");
+        assert_eq!(wide.contenders.len(), 256);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub use timeseries::{Sample, TimeSeries};
 use std::collections::VecDeque;
 use std::io::Write;
 
+use icn_topology::StagePlan;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
@@ -323,9 +324,10 @@ pub enum DumpLine {
     Heatmap(Heatmap),
 }
 
-/// Engine-side collector. Built only when
-/// [`TelemetryConfig::sample_interval`] is non-zero, so disabled runs
-/// carry no state at all (mirroring the fault engine's zero-cost rule).
+/// Engine-side collector. Built only when [`TelemetryConfig::enabled`]
+/// (a non-zero [`TelemetryConfig::sample_interval`], or
+/// [`TelemetryConfig::profile`] alone), so disabled runs carry no state
+/// at all (mirroring the fault engine's zero-cost rule).
 #[derive(Debug)]
 pub(crate) struct TelemetryState {
     config: TelemetryConfig,
@@ -342,13 +344,6 @@ pub(crate) struct TelemetryState {
     profile: Option<ProfileState>,
 }
 
-/// Per-stage dimensions the profiler needs to size its heat matrix.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StageDims {
-    pub modules: u32,
-    pub radix: u32,
-}
-
 /// Accumulators behind [`TelemetryConfig::profile`].
 #[derive(Debug)]
 struct ProfileState {
@@ -361,7 +356,8 @@ struct ProfileState {
     /// `s` module `m`.
     heat: Vec<ModuleAccum>,
     stage_base: Vec<usize>,
-    dims: Vec<StageDims>,
+    /// The network's stages (radix and module count), for the heatmap.
+    plan: StagePlan,
     // Whole-run counter snapshots at the previous profiled cycle.
     last_injected: u64,
     last_delivered: u64,
@@ -426,32 +422,32 @@ pub(crate) struct Gauges<'a> {
 }
 
 impl TelemetryState {
-    /// Materialize the config for a network with the given per-stage
-    /// dimensions; `None` when disabled. `service_cycles` is the packet
-    /// transfer time (flits), the heatmap's utilization scale.
+    /// Materialize the config for the network `plan` describes; `None`
+    /// when disabled. `service_cycles` is the packet transfer time
+    /// (flits), the heatmap's utilization scale.
     pub fn build(
         config: &TelemetryConfig,
-        dims: &[StageDims],
+        plan: &StagePlan,
         service_cycles: u64,
     ) -> Option<Box<Self>> {
         if !config.enabled() {
             return None;
         }
-        let stages = dims.len();
+        let stages = plan.stages() as usize;
         let precision = config.histogram_precision;
         let profile = config.profile.then(|| {
             let mut stage_base = Vec::with_capacity(stages);
             let mut total = 0usize;
-            for d in dims {
+            for s in 0..plan.stages() {
                 stage_base.push(total);
-                total += d.modules as usize;
+                total += plan.modules_in_stage(s) as usize;
             }
             ProfileState {
                 service_cycles,
                 windows: [WindowAccum::default(); 3],
                 heat: vec![ModuleAccum::default(); total],
                 stage_base,
-                dims: dims.to_vec(),
+                plan: plan.clone(),
                 last_injected: 0,
                 last_delivered: 0,
                 last_dropped: 0,
@@ -686,16 +682,18 @@ impl ProfileState {
     /// Assemble the hotspot heatmap.
     fn heatmap(&self) -> Heatmap {
         let cycles = self.cycles_seen;
-        let stages = self
-            .dims
-            .iter()
-            .enumerate()
-            .map(|(s, d)| {
-                let base = self.stage_base.get(s).copied().unwrap_or(0);
-                let modules = (0..d.modules as usize)
+        let stages = (0..)
+            .zip(self.plan.radices())
+            .map(|(s, &radix)| {
+                let base = self.stage_base.get(s as usize).copied().unwrap_or(0);
+                let modules = (0..self.plan.modules_in_stage(s))
                     .map(|m| {
-                        let cell = self.heat.get(base + m).copied().unwrap_or_default();
-                        let denom = u128::from(d.radix) * u128::from(cycles);
+                        let cell = self
+                            .heat
+                            .get(base + m as usize)
+                            .copied()
+                            .unwrap_or_default();
+                        let denom = u128::from(radix) * u128::from(cycles);
                         let busy =
                             u128::from(cell.grants) * u128::from(self.service_cycles) * 1_000_000;
                         let utilization_ppm = busy
@@ -705,7 +703,7 @@ impl ProfileState {
                             .checked_div(cell.occ_samples)
                             .unwrap_or(0);
                         ModuleHeat {
-                            module: m as u32,
+                            module: m,
                             grants: cell.grants,
                             utilization_ppm,
                             mean_occupancy_milli,
@@ -714,8 +712,8 @@ impl ProfileState {
                     })
                     .collect();
                 StageHeat {
-                    stage: s as u32,
-                    radix: d.radix,
+                    stage: s,
+                    radix,
                     modules,
                 }
             })
@@ -732,22 +730,16 @@ impl ProfileState {
 mod tests {
     use super::*;
 
-    /// Uniform stage dims for tests: `n` stages of one 2-wide module each.
-    fn dims(n: usize) -> Vec<StageDims> {
-        vec![
-            StageDims {
-                modules: 1,
-                radix: 2
-            };
-            n
-        ]
+    /// A network of `n` stages of 2×2 modules for tests.
+    fn plan(n: u32) -> StagePlan {
+        StagePlan::uniform(2, n)
     }
 
     #[test]
     fn disabled_config_builds_no_state() {
-        assert!(TelemetryState::build(&TelemetryConfig::default(), &dims(3), 1).is_none());
-        assert!(TelemetryState::build(&TelemetryConfig::sampled(10), &dims(3), 1).is_some());
-        assert!(TelemetryState::build(&TelemetryConfig::profiled(0), &dims(3), 1).is_some());
+        assert!(TelemetryState::build(&TelemetryConfig::default(), &plan(3), 1).is_none());
+        assert!(TelemetryState::build(&TelemetryConfig::sampled(10), &plan(3), 1).is_some());
+        assert!(TelemetryState::build(&TelemetryConfig::profiled(0), &plan(3), 1).is_some());
     }
 
     #[test]
@@ -758,7 +750,7 @@ mod tests {
             histogram_precision: 7,
             profile: false,
         };
-        let mut state = TelemetryState::build(&config, &dims(1), 1).unwrap();
+        let mut state = TelemetryState::build(&config, &plan(1), 1).unwrap();
         let counters = [StageCounters::default()];
         for cycle in 0..5 {
             state.sample(Gauges {
@@ -783,7 +775,7 @@ mod tests {
 
     #[test]
     fn deltas_are_differences_between_samples() {
-        let mut state = TelemetryState::build(&TelemetryConfig::sampled(5), &dims(2), 1).unwrap();
+        let mut state = TelemetryState::build(&TelemetryConfig::sampled(5), &plan(2), 1).unwrap();
         let mut counters = [StageCounters::default(), StageCounters::default()];
         state.sample(Gauges {
             cycle: 0,
@@ -885,7 +877,7 @@ mod tests {
 
     #[test]
     fn profile_cycle_attributes_phases_to_windows() {
-        let mut state = TelemetryState::build(&TelemetryConfig::profiled(0), &dims(2), 2).unwrap();
+        let mut state = TelemetryState::build(&TelemetryConfig::profiled(0), &plan(2), 2).unwrap();
         assert!(state.profiling());
         // Cycle 0 (warmup): 2 injections, 1 grant, nothing else.
         state.profile_cycle(&PhaseGauges {
@@ -980,7 +972,7 @@ mod tests {
     #[test]
     fn utilization_is_clamped_to_one_million_ppm() {
         let mut state =
-            TelemetryState::build(&TelemetryConfig::profiled(0), &dims(1), 100).unwrap();
+            TelemetryState::build(&TelemetryConfig::profiled(0), &plan(1), 100).unwrap();
         state.profile_cycle(&PhaseGauges {
             cycle: 0,
             window: 1,
@@ -999,7 +991,7 @@ mod tests {
 
     #[test]
     fn span_and_heatmap_dump_lines_round_trip() {
-        let mut state = TelemetryState::build(&TelemetryConfig::profiled(0), &dims(1), 1).unwrap();
+        let mut state = TelemetryState::build(&TelemetryConfig::profiled(0), &plan(1), 1).unwrap();
         state.profile_cycle(&PhaseGauges {
             cycle: 0,
             window: 0,
