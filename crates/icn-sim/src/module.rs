@@ -271,9 +271,10 @@ impl<'a> InputPorts<'a> {
 
     /// Whether port `p` can accept a new packet (or reservation): the
     /// paper's buffer-full line, read from the port's own length, which
-    /// counts resident packets and reservations alike.
-    pub fn has_space(&self, p: usize, capacity: u32) -> bool {
-        self.buffers.len(p) < capacity as usize
+    /// counts resident packets and reservations alike, against the
+    /// stage's buffer depth.
+    pub fn has_space(&self, p: usize) -> bool {
+        self.buffers.len(p) < self.buffers.capacity
     }
 
     /// Port `p`'s front packet if it is ready to request its output at
@@ -558,14 +559,14 @@ impl Stage {
     /// The stage's part of the vacate phase: free the drained slots of
     /// every port whose granted front leaves by `now`, walking the
     /// `vacate_at` due set, so only those queues are touched. A port that
-    /// was full (`capacity` slots) may have heads parked on it upstream;
-    /// it joins [`Self::unblocked`]. Returns how many slots were freed.
-    pub fn vacate_due(&mut self, now: u64, capacity: u32) -> u64 {
+    /// was full may have heads parked on it upstream; it joins
+    /// [`Self::unblocked`]. Returns how many slots were freed.
+    pub fn vacate_due(&mut self, now: u64) -> u64 {
         let (mut inputs, _, _, unblocked) = self.split();
         let mut freed = 0;
         let mut scan = 0;
         while let Some(p) = inputs.next_vacate(scan) {
-            let was_full = !inputs.has_space(p, capacity);
+            let was_full = !inputs.has_space(p);
             freed += inputs.vacate(p, now);
             if was_full {
                 unblocked.push(p as u32);
@@ -664,12 +665,15 @@ mod tests {
 
     #[test]
     fn space_accounting_includes_reservations() {
-        let mut stage = empty_stage(1, 1, 2, 0);
-        let mut port = stage.inputs();
-        assert!(port.has_space(0, 1));
-        port.push(0, packet(0), 10, 0); // reservation, head arrives later
-        assert!(!port.has_space(0, 1));
-        assert!(port.has_space(0, 2));
+        let mut shallow = empty_stage(1, 1, 1, 0);
+        let mut deep = empty_stage(1, 1, 2, 0);
+        for stage in [&mut shallow, &mut deep] {
+            let mut port = stage.inputs();
+            assert!(port.has_space(0));
+            port.push(0, packet(0), 10, 0); // reservation, head arrives later
+        }
+        assert!(!shallow.inputs().has_space(0));
+        assert!(deep.inputs().has_space(0));
     }
 
     #[test]
@@ -791,7 +795,7 @@ mod tests {
                 let delay = (op >> 16) % 40;
                 let mut ports = stage.inputs();
                 match op % 8 {
-                    0 if ports.has_space(p, capacity) => {
+                    0 if ports.has_space(p) => {
                         let behind = ports.buffers.len(p) > 0;
                         let before = ports.ready_at()[p];
                         ports.push(p, packet(next_packet), now + delay, next_packet % 5);

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
 use crate::engine::Engine;
-use crate::metrics::{LatencyStats, SimResult};
+use crate::metrics::{LatencyCounts, LatencyStats, SimResult};
 use crate::telemetry::Histogram;
 
 /// Configuration of a round-trip simulation.
@@ -156,7 +156,7 @@ pub fn run_roundtrip(config: RoundTripConfig) -> RoundTripResult {
     // Reply packet id → request injection time.
     let mut reply_meta: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
 
-    let mut samples: Vec<u64> = Vec::new();
+    let mut round_trips = LatencyCounts::default();
     let mut tracked_requests = 0u64;
     let mut tracked_completed = 0u64;
     let mut tracked_failed = 0u64;
@@ -266,7 +266,7 @@ pub fn run_roundtrip(config: RoundTripConfig) -> RoundTripResult {
                 if tracked {
                     tracked_completed += 1;
                     outstanding_tracked -= 1;
-                    samples.push(d.delivered_at - request_at);
+                    round_trips.record(d.delivered_at - request_at);
                 }
             }
         }
@@ -275,8 +275,8 @@ pub fn run_roundtrip(config: RoundTripConfig) -> RoundTripResult {
 
     let round_trip_histogram = config.net.telemetry.enabled().then(|| {
         let mut histogram = Histogram::new(config.net.telemetry.histogram_precision);
-        for &s in &samples {
-            histogram.record(s);
+        for (latency, count) in round_trips.iter() {
+            histogram.record_n(latency, count);
         }
         histogram
     });
@@ -284,7 +284,7 @@ pub fn run_roundtrip(config: RoundTripConfig) -> RoundTripResult {
         tracked_requests,
         tracked_completed,
         tracked_failed,
-        round_trip_latency: LatencyStats::from_samples(samples),
+        round_trip_latency: round_trips.stats(),
         round_trip_histogram,
         analytic_unloaded_cycles: config.analytic_unloaded_cycles(),
         forward: fwd.finish(),
@@ -335,6 +335,22 @@ mod tests {
             result.round_trip_latency.max, expected,
             "identity traffic must not contend anywhere"
         );
+    }
+
+    /// The histogram is filled from the same counts as the summary: it
+    /// holds every completed round trip, and its exact fields agree.
+    #[test]
+    fn histogram_and_summary_count_the_same_round_trips() {
+        let mut config = base(0.01);
+        config.net.telemetry.sample_interval = 100;
+        let result = run_roundtrip(config);
+        let stats = result.round_trip_latency;
+        let histogram = result.round_trip_histogram.expect("telemetry is on");
+        assert_eq!(stats.count, result.tracked_completed);
+        assert_eq!(histogram.count(), stats.count);
+        assert_eq!((histogram.min(), histogram.max()), (stats.min, stats.max));
+        assert_eq!(histogram.mean().to_bits(), stats.mean.to_bits());
+        assert!(run_roundtrip(base(0.01)).round_trip_histogram.is_none());
     }
 
     /// Under light load every round trip completes and the mean stays near

@@ -386,7 +386,6 @@ impl<'a> Upstream<'a> {
 pub(crate) struct Sweep<'a> {
     pub now: u64,
     pub flits: u64,
-    pub capacity: u32,
     pub arbitration: Arbitration,
     /// Stage index.
     pub stage: usize,
@@ -557,7 +556,7 @@ impl Sweep<'_> {
         // line is the port's only writer, so its length is still the
         // post-vacate one (see the module docs).
         if let Some(next) = &self.next {
-            if !next.has_space(next.port_of(out_line), self.capacity) {
+            if !next.has_space(next.port_of(out_line)) {
                 self.counters.blocked_downstream_full += u64::from(matching);
                 self.scratch.park_at[out_port] = UNTIL_DRAINED;
                 return;
@@ -655,7 +654,7 @@ impl Sweep<'_> {
     /// and wake what is parked upstream on the port if the drop frees it
     /// from full. Returns `false` if the port is empty.
     fn fault_drop(&mut self, p: usize) -> bool {
-        let was_full = !self.inputs.has_space(p, self.capacity);
+        let was_full = !self.inputs.has_space(p);
         let Some(r) = self.inputs.drop_front(p) else {
             return false;
         };
